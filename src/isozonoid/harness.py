@@ -46,6 +46,9 @@ class StabilityReport:
     runtime: float = 0.0
     extra: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        object.__setattr__(self, "passed", bool(self.passed))
+
     def to_dict(self) -> dict:
         d = {"suite": self.suite, "label": self.label, "n": self.n,
              "p": self.p, "epsilon": self.epsilon, "deficit": self.deficit,
@@ -57,9 +60,12 @@ class StabilityReport:
 
 
 def _json_safe(v):
-    """Strict-JSON scalars: non-finite floats become strings."""
+    """Strict-JSON scalars: numpy scalars become Python ones and non-finite
+    floats become strings."""
     if isinstance(v, dict):
         return {k: _json_safe(x) for k, x in v.items()}
+    if isinstance(v, (np.bool_, np.integer, np.floating)):
+        v = v.item()
     if isinstance(v, float):
         if math.isinf(v):
             return "inf" if v > 0 else "-inf"
@@ -102,10 +108,8 @@ def random_even_isotropic(n: int, npairs: int, rng,
         dirs = np.vstack([U, -U])
         try:
             mu = isotropic_measure_from_directions(dirs, even=True)
-        except (InfeasibleWeightsError, Exception) as exc:
-            if isinstance(exc, InfeasibleWeightsError):
-                continue
-            raise
+        except InfeasibleWeightsError:
+            continue
         if check_isotropy(mu, 1e-9).is_isotropic:
             return mu
     raise InfeasibleWeightsError(

@@ -11,6 +11,15 @@ Hausdorff distance on the sphere is the standard symmetric max of the two
 one-sided max-min deviations; the one-sided minimum form is also exposed
 (``form="min"``) for comparison, but every consumer here uses the max form.
 
+Orbit searches.  In n = 2 both orbit distances are exact: each objective is
+piecewise linear in the frame angle, so its minimum sits at a kink and all
+kink candidates are evaluated (for delta_HO in one batched call).  In
+n = 3 one multistart Nelder-Mead runs from 61 quasi-uniform rotation
+vectors; the starts advance in lockstep, each taking exactly the steps of
+scipy's Nelder-Mead, with every pending simplex point of every running
+start evaluated in one batched objective call.  n = 3 values are upper
+bounds (local searches), not certified global minima.
+
 Body distances (Banach-Mazur, volume difference) are certified upper
 bounds obtained by multistart Nelder-Mead over a normalized GL(n) family;
 global optimality over GL(n) is out of desk scope and never claimed.
@@ -109,9 +118,9 @@ def wasserstein_to_cross(mu: AtomicMeasure):
 
     n = 2: the LP value is piecewise linear and concave in the rotation
     angle between cost kinks, so the exact minimum sits at a kink; all kink
-    candidates (atom angles mod pi/2) are enumerated.  n = 3: multistart
-    local descent over rotation vectors from 60 quasi-uniform starts.
-    Returns (value, rotation_matrix, certificate).
+    candidates (atom angles mod pi/2) are enumerated.  n = 3: the lockstep
+    multistart Nelder-Mead of ``_orbit_minimize_3d``, one transport LP per
+    evaluated frame.  Returns (value, rotation_matrix, certificate).
     """
     n = mu.dim
     if abs(mu.total_mass - n) > 1e-6:
@@ -129,8 +138,8 @@ def wasserstein_to_cross(mu: AtomicMeasure):
         cert = {"method": "kink-enumeration", "candidates": len(cands)}
         return best[0], best[1], cert
     if n == 3:
-        return _orbit_minimize_3d(
-            lambda R: wasserstein(mu, rotated_cross_measure(3, R))[0])
+        return _orbit_minimize_3d(lambda Rs: np.array(
+            [wasserstein(mu, rotated_cross_measure(3, R))[0] for R in Rs]))
     raise ValueError("orbit search implemented for n in {2, 3}")
 
 
@@ -141,7 +150,8 @@ def _rotvec_matrix(w):
 
 
 def _orbit_start_points():
-    """60 quasi-uniform rotation vectors: 20 Fibonacci axes x 3 angles."""
+    """The zero vector and 60 quasi-uniform rotation vectors: 20
+    Fibonacci axes x 3 angles."""
     starts = [np.zeros(3)]
     golden = np.pi * (3.0 - math.sqrt(5.0))
     for i in range(20):
@@ -155,16 +165,83 @@ def _orbit_start_points():
 
 
 def _orbit_minimize_3d(objective):
-    best = (np.inf, None, None)
-    for idx, w0 in enumerate(_orbit_start_points()):
-        res = minimize(lambda w: objective(_rotvec_matrix(w)), w0,
-                       method="Nelder-Mead",
-                       options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 400})
-        if res.fun < best[0]:
-            best = (float(res.fun), _rotvec_matrix(res.x), idx)
-    cert = {"method": "multistart-nelder-mead", "starts": 61,
-            "best_start": best[2]}
-    return best[0], best[1], cert
+    """Multistart Nelder-Mead over rotation vectors, all starts in lockstep.
+
+    ``objective`` maps a stack of rotation matrices (B, 3, 3) to B values.
+    Every start takes exactly the steps of scipy's
+    ``minimize(method="Nelder-Mead")`` with adaptive=False: the same initial
+    simplex, the same reflect/expand/contract/shrink order and the same
+    stopping rule (xatol 1e-9, fatol 1e-12, maxiter 400).  A start leaves
+    the lockstep when it converges; each step sends the pending points of
+    all running starts to ``objective`` in one call.  The best start wins,
+    the lowest index on ties.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt, zdelt = 0.05, 0.00025
+    xatol, fatol, maxiter = 1e-9, 1e-12, 400
+    x0 = np.array(_orbit_start_points())
+    S, N = x0.shape
+    nfev = 0
+
+    def f(W):
+        nonlocal nfev
+        nfev += len(W)
+        if len(W) == 0:
+            return np.empty(0)
+        return np.asarray(objective(_rotvec_matrix(W)), dtype=float)
+
+    def order(sim, fsim):
+        ind = np.argsort(fsim, axis=1)
+        return (np.take_along_axis(sim, ind[:, :, None], 1),
+                np.take_along_axis(fsim, ind, 1))
+
+    sim = np.repeat(x0[:, None, :], N + 1, axis=1)
+    k = np.arange(N)
+    y = sim[:, k + 1, k]
+    sim[:, k + 1, k] = np.where(y != 0, (1 + nonzdelt) * y, zdelt)
+    fsim = f(sim.reshape(-1, N)).reshape(S, N + 1)
+    sim, fsim = order(*order(sim, fsim))
+    running = np.ones(S, dtype=bool)
+    for _ in range(1, maxiter):
+        running &= ~((np.max(np.abs(sim[:, 1:] - sim[:, :1]), axis=(1, 2))
+                      <= xatol)
+                     & (np.max(np.abs(fsim[:, :1] - fsim[:, 1:]), axis=1)
+                        <= fatol))
+        a = np.flatnonzero(running)
+        if len(a) == 0:
+            break
+        s, fs = sim[a], fsim[a]
+        xbar = np.add.reduce(s[:, :-1], 1) / N
+        worst = s[:, -1]
+        xr = (1 + rho) * xbar - rho * worst
+        fxr = f(xr)
+        expand = fxr < fs[:, 0]
+        accept = ~expand & (fxr < fs[:, -2])
+        contract = ~expand & ~accept
+        outside = contract & (fxr < fs[:, -1])
+        x2 = np.where(expand[:, None],
+                      (1 + rho * chi) * xbar - rho * chi * worst,
+                      np.where(outside[:, None],
+                               (1 + psi * rho) * xbar - psi * rho * worst,
+                               (1 - psi) * xbar + psi * worst))
+        f2 = np.full(len(a), np.nan)
+        f2[~accept] = f(x2[~accept])
+        take2 = ((expand & (f2 < fxr)) | (outside & (f2 <= fxr))
+                 | (contract & ~outside & (f2 < fs[:, -1])))
+        shrink = contract & ~take2
+        take_r = (expand | accept) & ~take2
+        s[take_r, -1], fs[take_r, -1] = xr[take_r], fxr[take_r]
+        s[take2, -1], fs[take2, -1] = x2[take2], f2[take2]
+        shr, fshr = s[shrink], fs[shrink]
+        shr[:, 1:] = shr[:, :1] + sigma * (shr[:, 1:] - shr[:, :1])
+        fshr[:, 1:] = f(shr[:, 1:].reshape(-1, N)).reshape(-1, N)
+        s[shrink], fs[shrink] = shr, fshr
+        sim[a], fsim[a] = order(s, fs)
+    fun = np.min(fsim, axis=1)
+    best = int(np.argmin(fun))
+    cert = {"method": "multistart-nelder-mead", "starts": S,
+            "best_start": best, "nfev": nfev}
+    return float(fun[best]), _rotvec_matrix(sim[best, 0]), cert
 
 
 # ---------------------------------------------------------------------------
@@ -191,64 +268,54 @@ def hausdorff_spherical(X, Y, form: str = "max") -> float:
     raise ValueError("form must be 'max' or 'min'")
 
 
-def _cross_support(n, R=None):
-    E = np.eye(n) if R is None else np.asarray(R, dtype=float)
-    return np.vstack([E, -E])
+def _hausdorff_to_cross_batch(X, R) -> np.ndarray:
+    """delta_H(X, {+-rows of R_b}) for every frame of a stack R (B, n, n).
+
+    ``angle_matrix``'s chord-stable formula, broadcast over the batch; the
+    -R half reuses the +R chords (x - (-r) = x + r exactly), so each value
+    equals ``hausdorff_spherical(X, np.vstack([R_b, -R_b]))`` bit for bit.
+    """
+    diff = np.linalg.norm(X[None, :, None, :] - R[:, None, :, :], axis=3)
+    summ = np.linalg.norm(X[None, :, None, :] + R[:, None, :, :], axis=3)
+    near = 2.0 * np.arcsin(np.minimum(diff / 2.0, 1.0))
+    far = 2.0 * np.arcsin(np.minimum(summ / 2.0, 1.0))
+    dots = X @ R.transpose(0, 2, 1)
+    D = np.concatenate([np.where(dots >= 0.0, near, np.pi - far),
+                        np.where(dots <= 0.0, far, np.pi - near)], axis=2)
+    return np.maximum(D.min(axis=2).max(axis=1), D.min(axis=1).max(axis=1))
 
 
-def _golden_min(f, lo, hi, iters=90):
-    """Fixed-iteration golden section; no relative-tolerance floor, so it
-    resolves kinks of piecewise-linear objectives to ~1e-13."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        if b - a < 1e-14:
-            break
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def hausdorff_to_cross(X, form: str = "max"):
+def hausdorff_to_cross(X):
     """delta_HO(X, supp nu_n): orbit-minimized Hausdorff distance.
 
-    n = 2: dense angle grid plus golden-section refinement (the objective
-    is piecewise linear with slopes +-1, so the refined kink is exact to
-    tolerance).  n = 3: multistart Nelder-Mead.  Returns (value, frame,
-    certificate).
+    n = 2: exact.  With the frame at angle phi the objective is piecewise
+    linear in phi with slopes +-1, every piece of the form
+    +-(phi - theta_i) + j pi/2 for a point angle theta_i, and pi/2-periodic;
+    so every local minimum is a crossing of a falling and a rising piece,
+    at phi = (theta_i + theta_j)/2 + k pi/4 (mod pi/2).  All such kink
+    candidates are evaluated in batches and the best is returned.
+    n = 3: the lockstep multistart Nelder-Mead of ``_orbit_minimize_3d``
+    (an upper bound).  Returns (value, frame, certificate).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if len(X) == 0:
         raise EmptySetError("empty support")
     n = X.shape[1]
     if n == 2:
-        def f(phi):
-            return hausdorff_spherical(X, _cross_support(2, _rotation_2d(phi).T),
-                                       form=form)
-
-        grid = np.linspace(0.0, np.pi / 2, 4097)[:-1]
-        vals = np.array([f(p) for p in grid])
-        i = int(np.argmin(vals))
-        h = np.pi / 2 / 4096
-        phi, best = _golden_min(f, grid[i] - 2 * h, grid[i] + 2 * h)
-        if vals[i] < best:
-            phi, best = float(grid[i]), float(vals[i])
-        cert = {"method": "grid+golden", "grid": 4096, "xatol": 1e-13}
-        return best, _rotation_2d(phi).T, cert
+        t = np.unique(np.arctan2(X[:, 1], X[:, 0]) % (np.pi / 2))
+        i, j = np.triu_indices(len(t))
+        mid = (t[i] + t[j]) / 2.0
+        phis = np.unique(np.concatenate([mid, mid + np.pi / 4]) % (np.pi / 2))
+        c, s = np.cos(phis), np.sin(phis)
+        frames = np.stack([np.stack([c, s], 1), np.stack([-s, c], 1)], 1)
+        step = max(1, 2 ** 20 // (8 * len(X)))      # bounds the batch arrays
+        vals = np.concatenate([_hausdorff_to_cross_batch(X, frames[k:k + step])
+                               for k in range(0, len(frames), step)])
+        b = int(np.argmin(vals))
+        cert = {"method": "kink-enumeration", "candidates": len(phis)}
+        return float(vals[b]), frames[b], cert
     if n == 3:
-        val, R, cert = _orbit_minimize_3d(
-            lambda R_: hausdorff_spherical(X, _cross_support(3, R_), form=form))
-        return val, R, cert
+        return _orbit_minimize_3d(lambda R: _hausdorff_to_cross_batch(X, R))
     raise ValueError("orbit search implemented for n in {2, 3}")
 
 

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths under test: error
 functions come from a Taylor series, CDFs from adaptive quadrature,
 transport values from permutation enumeration, volumes from direct
-combinatorial vertex enumeration, and orbit minima from dense grids.
+combinatorial vertex enumeration, orbit minima from dense grids, and the
+n = 3 orbit search from one scipy Nelder-Mead run per start.
 """
 
 import itertools
@@ -103,8 +104,42 @@ def polygon_area_shoelace(V):
 
 
 def rotation_grid_orbit_min(objective, period, npts):
-    """Dense-grid minimization over one rotation angle."""
+    """Dense-grid minimization over one rotation angle; ``objective`` maps
+    the array of grid angles to their values."""
     grid = np.linspace(0.0, period, npts, endpoint=False)
-    vals = [objective(phi) for phi in grid]
+    vals = objective(grid)
     i = int(np.argmin(vals))
     return float(vals[i]), float(grid[i])
+
+
+def s1_hausdorff_to_cross(thetas, phis):
+    """Hausdorff distance from the points at angles ``thetas`` to the cross
+    with frame angle phi, for each phi in ``phis``, from wrapped angle
+    differences on S^1 (no chords)."""
+    cross = np.asarray(phis)[:, None] + np.arange(4) * (np.pi / 2)
+    d = np.abs(np.asarray(thetas)[None, :, None] - cross[:, None, :]) % (2 * np.pi)
+    d = np.minimum(d, 2 * np.pi - d)
+    return np.maximum(d.min(axis=2).max(axis=1), d.min(axis=1).max(axis=1))
+
+
+def multistart_nelder_mead_orbit(objective):
+    """The n = 3 orbit search run start by start: one scipy Nelder-Mead per
+    start of ``metrics._orbit_start_points``, on a scalar objective of a
+    rotation matrix.  Returns (value, frame, best_start, nfev)."""
+    from scipy.optimize import minimize
+    from scipy.spatial.transform import Rotation
+
+    from isozonoid.metrics import _orbit_start_points
+
+    def rot(w):
+        return Rotation.from_rotvec(w).as_matrix()
+
+    best = (math.inf, None, None)
+    nfev = 0
+    for idx, w0 in enumerate(_orbit_start_points()):
+        res = minimize(lambda w: objective(rot(w)), w0, method="Nelder-Mead",
+                       options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 400})
+        nfev += res.nfev
+        if res.fun < best[0]:
+            best = (float(res.fun), rot(res.x), idx)
+    return best + (nfev,)

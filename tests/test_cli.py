@@ -6,6 +6,7 @@ import pytest
 
 from isozonoid.bodies import cube_body
 from isozonoid.cli import main
+from isozonoid.harness import REPORT_CSV_FIELDS
 from isozonoid.measures import hexagonal_measure
 
 
@@ -79,6 +80,22 @@ def test_verify_planar_suite(tmp_path):
     assert rc == 0
     rows = json.loads(out.read_text())
     assert len(rows) == 11
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def test_verify_theoremB_n3_writes_strict_json(tmp_path):
+    out = tmp_path / "tb3.json"
+    rc = main(["verify", "--suite", "theoremB", "--n", "3", "--p", "1.5",
+               "--count", "2", "--out", str(out)])
+    assert rc in (0, 1)
+    rows = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert len(rows) == 2
+    assert all(isinstance(r["passed"], bool) for r in rows)
+    header = (tmp_path / "tb3.csv").read_text().splitlines()[0]
+    assert header.split(",") == REPORT_CSV_FIELDS
 
 
 def test_transport_subcommand(tmp_path):

@@ -5,15 +5,18 @@ import pytest
 
 from isozonoid.bodies import BodyRep, cube_body
 from isozonoid.errors import HypothesisFailedError, MassMismatchError
-from isozonoid.harness import random_even_isotropic, tilted_pair_measure
+from isozonoid.harness import (perturbation_family, random_even_isotropic,
+                               tilted_pair_measure)
 from isozonoid.measures import cross_measure, equiangular_measure, unit_vector
-from isozonoid.metrics import (banach_mazur, deep_hole, fit_cross_frame,
-                               hausdorff_spherical, hausdorff_to_cross,
-                               rotated_cross_measure, volume_distance,
-                               wasserstein, wasserstein_hausdorff_bound,
+from isozonoid.metrics import (_hausdorff_to_cross_batch, banach_mazur,
+                               deep_hole, fit_cross_frame, hausdorff_spherical,
+                               hausdorff_to_cross, rotated_cross_measure,
+                               volume_distance, wasserstein,
+                               wasserstein_hausdorff_bound,
                                wasserstein_to_cross)
 
-from oracles import rotation_grid_orbit_min, transport_units_oracle
+from oracles import (multistart_nelder_mead_orbit, rotation_grid_orbit_min,
+                     s1_hausdorff_to_cross, transport_units_oracle)
 
 
 def rot2(phi):
@@ -76,8 +79,9 @@ def test_wasserstein_to_cross_rotated_is_zero():
 def test_wasserstein_to_cross_hexagon_matches_grid_oracle(hexm):
     val, _, _ = wasserstein_to_cross(hexm)
 
-    def objective(phi):
-        return wasserstein(hexm, rotated_cross_measure(2, rot2(phi).T))[0]
+    def objective(phis):
+        return [wasserstein(hexm, rotated_cross_measure(2, rot2(phi).T))[0]
+                for phi in phis]
 
     grid_val, _ = rotation_grid_orbit_min(objective, np.pi / 2, 1571)
     assert val <= grid_val + 1e-12
@@ -125,6 +129,62 @@ def test_orbit_search_invariance_under_prerotation(hexm):
     rot = hexm.directions @ rot2(0.77).T
     val, _, _ = hausdorff_to_cross(rot)
     assert val == pytest.approx(base, abs=1e-9)
+
+
+def _unit_rows(rng, m, n):
+    X = rng.standard_normal((m, n))
+    return X / np.linalg.norm(X, axis=1, keepdims=True)
+
+
+def test_hausdorff_to_cross_batch_matches_scalar(rng):
+    from scipy.spatial.transform import Rotation
+
+    for n in (2, 3):
+        for trial in range(40):
+            X = _unit_rows(rng, int(rng.integers(1, 25)), n)
+            if trial % 2:
+                X = np.vstack([X, -X])
+            if n == 3:
+                R = Rotation.random(16, random_state=rng).as_matrix()
+            else:
+                R = np.array([rot2(phi).T
+                              for phi in rng.uniform(0.0, 2.0 * np.pi, 16)])
+            if trial % 5 == 0:
+                X = np.vstack([X, R[0], -R[1]])     # points on the cross
+            batch = _hausdorff_to_cross_batch(X, R)
+            scalar = [hausdorff_spherical(X, np.vstack([r, -r])) for r in R]
+            assert np.array_equal(batch, scalar)
+
+
+def test_hausdorff_to_cross_2d_matches_dense_grid(rng):
+    npts = 20000
+    fam = perturbation_family("EQUIANGULAR", 2, [2, 3, 4, 6])
+    fam += perturbation_family("TILTED_PAIR", 2, np.linspace(0.0, 0.35, 8))
+    sets = [mu.directions for mu in fam]
+    sets += [random_even_isotropic(2, int(rng.integers(3, 9)), rng).directions
+             for _ in range(30)]
+    sets += [_unit_rows(rng, int(rng.integers(1, 12)), 2) for _ in range(10)]
+    for X in sets:
+        X = X @ rot2(rng.uniform(0.0, 2.0 * np.pi)).T
+        val, frame, cert = hausdorff_to_cross(X)
+        th = np.arctan2(X[:, 1], X[:, 0])
+        grid_val, _ = rotation_grid_orbit_min(
+            lambda phis: s1_hausdorff_to_cross(th, phis), np.pi / 2, npts)
+        assert grid_val - np.pi / 2 / npts <= val <= grid_val + 1e-12
+        assert hausdorff_spherical(X, np.vstack([frame, -frame])) == val
+        assert cert["method"] == "kink-enumeration"
+
+
+def test_orbit_search_3d_matches_per_start_scipy(rng):
+    for _ in range(3):
+        X = random_even_isotropic(3, 10, rng).directions
+        val, R, cert = hausdorff_to_cross(X)
+        o_val, o_R, o_start, o_nfev = multistart_nelder_mead_orbit(
+            lambda R_: hausdorff_spherical(X, np.vstack([R_, -R_])))
+        assert val == o_val
+        assert np.array_equal(R, o_R)
+        assert (cert["best_start"], cert["nfev"]) == (o_start, o_nfev)
+        assert cert["starts"] == 61
 
 
 def test_wasserstein_hausdorff_bound_examples(nu2):
