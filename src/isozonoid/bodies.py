@@ -17,6 +17,7 @@ reported, never hidden.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -49,8 +50,12 @@ def circle_grid(m: int = ANGLE_GRID_2D) -> np.ndarray:
     return np.stack([np.cos(ang), np.sin(ang)], axis=1)
 
 
+@functools.lru_cache(maxsize=None)
 def icosphere(subdiv: int = ICOSPHERE_SUBDIV) -> np.ndarray:
-    """Subdivided icosahedron projected to S^2; subdiv=5 gives 10242 nodes."""
+    """Subdivided icosahedron projected to S^2; subdiv=5 gives 10242 nodes.
+
+    Built once per subdivision level and process; the array is read-only.
+    """
     phi = (1.0 + 5.0 ** 0.5) / 2.0
     verts = []
     for a in (-1.0, 1.0):
@@ -78,6 +83,7 @@ def icosphere(subdiv: int = ICOSPHERE_SUBDIV) -> np.ndarray:
             new_f += [(i, a, c), (j, b, a), (k, c, b), (a, b, c)]
         V = np.array(new_v)
         faces = np.array(new_f)
+    V.flags.writeable = False
     return V
 
 

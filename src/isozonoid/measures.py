@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import nnls
@@ -97,6 +98,25 @@ class AtomicMeasure:
     @property
     def total_mass(self) -> float:
         return float(self.weights.sum())
+
+    @cached_property
+    def folded(self):
+        """(directions, weights) with antipodal pairs folded, computed once.
+
+        For an even measure: one atom u_j per pair (the lower index) with
+        weight 2 c_j, so a sum of terms unchanged under u -> -u is the same
+        over the folded atoms as over all of them.  A non-even measure is
+        returned as it is.
+        """
+        if not self.even:
+            return self.directions, self.weights
+        pair_of = _pair_indices(self.directions)
+        reps = sorted(i for i, j in pair_of.items() if i < j)
+        U = self.directions[reps]
+        c = 2.0 * self.weights[reps]
+        U.flags.writeable = False
+        c.flags.writeable = False
+        return U, c
 
     @classmethod
     def symmetrized(cls, directions, weights) -> "AtomicMeasure":

@@ -116,9 +116,11 @@ def rotated_cross_measure(n, R) -> AtomicMeasure:
 def wasserstein_to_cross(mu: AtomicMeasure):
     """delta_WO(mu, nu_n): minimum transport cost to a rotated cross measure.
 
-    n = 2: the LP value is piecewise linear and concave in the rotation
-    angle between cost kinks, so the exact minimum sits at a kink; all kink
-    candidates (atom angles mod pi/2) are enumerated.  n = 3: the lockstep
+    n = 2: every cost d(theta_i, phi + j pi/2) has its kinks at
+    phi = theta_i mod pi/2, so between consecutive kinks the LP value is a
+    minimum of linear functions of the rotation angle phi, hence concave,
+    and the exact minimum sits at a kink; the kinks (atom angles mod pi/2,
+    and 0) are the candidates, one LP each.  n = 3: the lockstep
     multistart Nelder-Mead of ``_orbit_minimize_3d``, one transport LP per
     evaluated frame.  Returns (value, rotation_matrix, certificate).
     """
@@ -128,7 +130,6 @@ def wasserstein_to_cross(mu: AtomicMeasure):
     if n == 2:
         thetas = np.arctan2(mu.directions[:, 1], mu.directions[:, 0])
         cands = np.unique(np.concatenate([thetas % (np.pi / 2), [0.0]]))
-        cands = np.unique(np.concatenate([cands, cands + np.pi / 4]))  # safety midpoints
         best = (np.inf, None)
         for phi in cands:
             frame = _rotation_2d(phi % (np.pi / 2)).T   # rows at angles phi, phi+pi/2

@@ -11,17 +11,28 @@ while Z*_inf = { x : <x, u> <= 1 on supp mu } is an exact polytope.
 Z_1 is a classical zonotope: the Minkowski sum of the weighted atom
 segments, with an exact minor-expansion volume.
 
+Evenness halves the work.  Every term c_i |<u_i, v>|^p is unchanged under
+u_i -> -u_i, so the support function, the gauge, the touching points and
+the ball integral sum over ``AtomicMeasure.folded``: one atom per
+antipodal pair with weight 2 c_i (a non-even measure is not folded).  The
+Z_1 zonotope takes its generators 2 c_j u_j from the same fold.
+
 M_p(mu) = { sum c_i theta_i u_i : sum c_i |theta_i|^p <= 1 } is handled
 through its defining infimum (a small convex program per gauge call);
 Hoelder gives M_p(mu) subset Z_{p*}(mu) with 1/p + 1/p* = 1, which the
 test-suite checks as a two-route consistency statement.
 
-The closed-form polar volumes for the cross measure,
+The extremal volumes of Theorem B are closed forms.  For the cross measure
+h_{Z_p(nu_n)}(v) = ||v||_p, so Z_p(nu_n) is the unit ball of l_q with
+1/q = 1 - 1/p and Z*_p(nu_n) the unit ball of l_p:
 
-    V(Z*_p(nu_n)) = 2^n Gamma(1+1/p)^n / Gamma(1+n/p),
+    V(Z_p(nu_n))  = (2 Gamma(1+s))^n / Gamma(1+ns),     s = 1 - 1/p,
+    V(Z*_p(nu_n)) = 2^n Gamma(1+1/p)^n / Gamma(1+n/p).
 
-are reproduced both by body volumes and by the exponential-integral route
-V(K) = Gamma(1+n/p)^{-1} int exp(-||x||_K^p) dx.
+The second is reproduced both by body volumes and by the
+exponential-integral route V(K) = Gamma(1+n/p)^{-1} int exp(-||x||_K^p) dx,
+whose integrand is even in x: its tensor grid evaluates only the
+nonnegative half of the last axis and doubles the sum.
 """
 
 from __future__ import annotations
@@ -31,8 +42,8 @@ import math
 import numpy as np
 from scipy.optimize import linprog, minimize
 
-from .bodies import (BodyRep, VolumeResult, polar_of_vrep, unit_ball_volume,
-                     volume, zonotope_vertices, zonotope_volume)
+from .bodies import (BodyRep, VolumeResult, polar_of_vrep, volume,
+                     zonotope_vertices, zonotope_volume)
 from .errors import DegenerateMeasureError, DimensionUnsupportedError, NonConvergedError
 from .measures import AtomicMeasure
 
@@ -56,11 +67,11 @@ def support_Zp(mu: AtomicMeasure, p, v):
     v = np.asarray(v, dtype=float)
     single = v.ndim == 1
     V = np.atleast_2d(v)
-    dots = V @ mu.directions.T
     if np.isinf(p):
-        out = np.max(dots, axis=1)
+        out = np.max(V @ mu.directions.T, axis=1)
     else:
-        out = (np.abs(dots) ** p @ mu.weights) ** (1.0 / p)
+        U, c = mu.folded
+        out = (np.abs(V @ U.T) ** p @ c) ** (1.0 / p)
     return float(out[0]) if single else out
 
 
@@ -71,21 +82,19 @@ def norm_Zp_star(mu: AtomicMeasure, p, x):
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     X = np.atleast_2d(x)
-    dots = X @ mu.directions.T
+    U, c = mu.folded
+    dots = X @ U.T
     if np.isinf(p):
         out = np.max(np.abs(dots), axis=1)
     else:
-        out = (np.abs(dots) ** p @ mu.weights) ** (1.0 / p)
+        out = (np.abs(dots) ** p @ c) ** (1.0 / p)
     return float(out[0]) if single else out
 
 
 def _antipodal_pair_generators(mu: AtomicMeasure):
     """One zonotope generator 2 c_j u_j per antipodal atom pair."""
-    from .measures import _pair_indices
-
-    pair_of = _pair_indices(mu.directions)
-    reps = sorted(set(min(i, j) for i, j in pair_of.items()))
-    return 2.0 * mu.weights[reps, None] * mu.directions[reps]
+    U, c = mu.folded
+    return c[:, None] * U
 
 
 def zp_touch_point(mu: AtomicMeasure, p, v):
@@ -94,10 +103,11 @@ def zp_touch_point(mu: AtomicMeasure, p, v):
     v = np.asarray(v, dtype=float)
     single = v.ndim == 1
     V = np.atleast_2d(v)
-    dots = V @ mu.directions.T
-    h = (np.abs(dots) ** p @ mu.weights) ** (1.0 / p)
-    coef = mu.weights * np.abs(dots) ** (p - 1.0) * np.sign(dots)
-    pts = (coef @ mu.directions) * h[:, None] ** (1.0 - p)
+    U, c = mu.folded
+    dots = V @ U.T
+    h = (np.abs(dots) ** p @ c) ** (1.0 / p)
+    coef = c * np.abs(dots) ** (p - 1.0) * np.sign(dots)
+    pts = (coef @ U) * h[:, None] ** (1.0 - p)
     return pts[0] if single else pts
 
 
@@ -250,33 +260,38 @@ def _axis_nodes(L, half_nodes, gamma=6.0):
 
 
 def _exp_integral(mu, p, L, nodes):
+    """Tensor quadrature of exp(-sum c_i |<x,u_i>|^p) over [-L, L]^n.
+
+    The integrand is even in x and the axis nodes are symmetric about 0
+    (none lies on it), so only the nonnegative half of the last axis is
+    evaluated and the sum is doubled.
+    """
     x, w = _axis_nodes(L, nodes)
-    U, c = mu.directions, mu.weights
-    n = mu.dim
-    if n == 2:
-        X, Y = np.meshgrid(x, x, indexing="ij")
+    xh, wh = x[len(x) // 2:], w[len(w) // 2:]
+    U, c = mu.folded
+    if mu.dim == 2:
+        X, Y = np.meshgrid(x, xh, indexing="ij")
         P = np.stack([X.ravel(), Y.ravel()], axis=1)
         vals = np.exp(-(np.abs(P @ U.T) ** p) @ c)
-        W = np.outer(w, w).ravel()
-        return float(vals @ W)
-    total = 0.0
-    Wxy = np.outer(w, w).ravel()
+        return 2.0 * float(vals @ np.outer(w, wh).ravel())
     X, Y = np.meshgrid(x, x, indexing="ij")
-    base = np.stack([X.ravel(), Y.ravel()], axis=1)
-    for zi, wz in zip(x, w):
-        P = np.hstack([base, np.full((len(base), 1), zi)])
-        vals = np.exp(-(np.abs(P @ U.T) ** p) @ c)
+    base = np.stack([X.ravel(), Y.ravel()], axis=1) @ U[:, :2].T
+    Wxy = np.outer(w, w).ravel()
+    total = 0.0
+    for zi, wz in zip(xh, wh):
+        vals = np.exp(-(np.abs(base + zi * U[:, 2]) ** p) @ c)
         total += wz * float(vals @ Wxy)
-    return total
+    return 2.0 * total
 
 
 def reference_volume(kind: str, n: int, p) -> float:
-    """Extremal (cross measure) volumes.
+    """Extremal (cross measure) volumes, both in closed form.
 
-    Z_STAR: the closed form 2^n Gamma(1+1/p)^n / Gamma(1+n/p), 2^n at p=inf.
-    Z: exact values for p in {1, 2, inf}; other p from the definition via
-    body_Zp of the cross measure (the printed closed form for finite p is
-    inconsistent with both known anchors and is not used).
+    Z_STAR: Z*_p(nu_n) is the unit ball of l_p, of volume
+    2^n Gamma(1+1/p)^n / Gamma(1+n/p), and 2^n at p = inf.
+    Z: h_{Z_p(nu_n)}(v) = ||v||_p, so Z_p(nu_n) is the unit ball of l_q with
+    1/q = 1 - 1/p, of volume (2 Gamma(1+s))^n / Gamma(1+ns) with s = 1 - 1/p;
+    this gives 2^n at p = 1, kappa_n at p = 2 and 2^n/n! at p = inf.
     """
     p = _check_pz(p)
     kind = kind.upper()
@@ -286,12 +301,5 @@ def reference_volume(kind: str, n: int, p) -> float:
         return 2.0 ** n * math.gamma(1.0 + 1.0 / p) ** n / math.gamma(1.0 + n / p)
     if kind != "Z":
         raise ValueError("kind must be Z or Z_STAR")
-    if np.isinf(p):
-        return 2.0 ** n / math.factorial(n)
-    if p == 1.0:
-        return 2.0 ** n
-    if p == 2.0:
-        return unit_ball_volume(n)
-    from .measures import cross_measure
-
-    return volume_Zp(cross_measure(n), p).value
+    s = 1.0 - 1.0 / p
+    return (2.0 * math.gamma(1.0 + s)) ** n / math.gamma(1.0 + n * s)

@@ -3,8 +3,10 @@
 Everything here deliberately avoids the code paths under test: error
 functions come from a Taylor series, CDFs from adaptive quadrature,
 transport values from permutation enumeration, volumes from direct
-combinatorial vertex enumeration, orbit minima from dense grids, and the
-n = 3 orbit search from one scipy Nelder-Mead run per start.
+combinatorial vertex enumeration, orbit minima from dense grids, the
+n = 3 orbit search from one scipy Nelder-Mead run per start, zonoid sums
+over every atom (no antipodal folding) and the ball integral over the full
+tensor grid.
 """
 
 import itertools
@@ -143,3 +145,75 @@ def multistart_nelder_mead_orbit(objective):
         if res.fun < best[0]:
             best = (float(res.fun), rot(res.x), idx)
     return best + (nfev,)
+
+
+def support_Zp_unfolded(mu, p, V):
+    """h_{Z_p(mu)} on the rows of V, summed over every atom."""
+    dots = np.atleast_2d(V) @ mu.directions.T
+    if np.isinf(p):
+        return dots.max(axis=1)
+    return (np.abs(dots) ** p @ mu.weights) ** (1.0 / p)
+
+
+def norm_Zp_star_unfolded(mu, p, X):
+    """||x||_{Z*_p(mu)} on the rows of X, summed over every atom."""
+    dots = np.abs(np.atleast_2d(X) @ mu.directions.T)
+    if np.isinf(p):
+        return dots.max(axis=1)
+    return (dots ** p @ mu.weights) ** (1.0 / p)
+
+
+def zp_touch_point_unfolded(mu, p, V):
+    """grad h_{Z_p(mu)} on the rows of V, summed over every atom, atom by
+    atom."""
+    out = []
+    for v in np.atleast_2d(V):
+        h = sum(c * abs(u @ v) ** p for u, c in zip(mu.directions, mu.weights))
+        g = sum(c * abs(u @ v) ** (p - 1.0) * np.sign(u @ v) * u
+                for u, c in zip(mu.directions, mu.weights))
+        out.append(g * h ** (1.0 / p - 1.0))
+    return np.array(out)
+
+
+def exp_integral_full_grid(mu, p, L, nodes):
+    """int exp(-sum c_i |<x,u_i>|^p) dx over [-L, L]^n, n in {2, 3}, on the
+    full tensor grid of ``zonoids._axis_nodes`` and every atom."""
+    from isozonoid.zonoids import _axis_nodes
+
+    x, w = _axis_nodes(L, nodes)
+    n = mu.dim
+    P = np.stack([g.ravel() for g in np.meshgrid(*[x] * n, indexing="ij")],
+                 axis=1)
+    W = np.prod(np.stack([g.ravel() for g in
+                          np.meshgrid(*[w] * n, indexing="ij")], axis=1), axis=1)
+    vals = np.exp(-(np.abs(P @ mu.directions.T) ** p) @ mu.weights)
+    return float(vals @ W)
+
+
+def s1_transport_to_cross(mu, phis):
+    """Transport cost from an even measure on S^1 to the cross with frame
+    angle phi, for each phi in ``phis``, in closed form.
+
+    For even measures the spherical transport equals the transport between
+    lines: every atom (u, c) is mass c on the line of u, the cross is mass 1
+    on each of its two lines, and the cost is the angle between lines.  With
+    two sinks this LP is a fractional knapsack: everything goes to the second
+    line except mass 1, taken greedily from the atoms that save most by
+    going to the first.
+    """
+    th = np.arctan2(mu.directions[:, 1], mu.directions[:, 0])
+    c = mu.weights
+
+    def line_dist(a):
+        d = np.abs(a) % np.pi
+        return np.minimum(d, np.pi - d)
+
+    phis = np.asarray(phis, dtype=float)[:, None]
+    a = line_dist(th[None, :] - phis)
+    b = line_dist(th[None, :] - phis - np.pi / 2)
+    order = np.argsort(a - b, axis=1, kind="stable")
+    gain = np.take_along_axis(a - b, order, axis=1)
+    cs = c[order]
+    before = np.cumsum(cs, axis=1) - cs
+    x = np.clip(1.0 - before, 0.0, cs)
+    return b @ c + np.sum(x * gain, axis=1)

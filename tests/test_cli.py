@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -96,6 +97,22 @@ def test_verify_theoremB_n3_writes_strict_json(tmp_path):
     assert all(isinstance(r["passed"], bool) for r in rows)
     header = (tmp_path / "tb3.csv").read_text().splitlines()[0]
     assert header.split(",") == REPORT_CSV_FIELDS
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p", ["1", "1.5", "4", "inf"])
+def test_verify_theoremB_matrix(n, p, tmp_path):
+    out = tmp_path / "tb.json"
+    rc = main(["verify", "--suite", "theoremB", "--n", str(n), "--p", p,
+               "--count", "2", "--out", str(out)])
+    assert rc == 0
+    rows = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert len(rows) == 2
+    header = (tmp_path / "tb.csv").read_text().splitlines()[0]
+    assert header.split(",") == REPORT_CSV_FIELDS
+    s = 1.0 - 1.0 / float(p)
+    ref = (2.0 * math.gamma(1.0 + s)) ** n / math.gamma(1.0 + n * s)
+    assert all(r["ref_Zp"] == ref for r in rows)
 
 
 def test_transport_subcommand(tmp_path):

@@ -16,7 +16,8 @@ from isozonoid.metrics import (_hausdorff_to_cross_batch, banach_mazur,
                                wasserstein_to_cross)
 
 from oracles import (multistart_nelder_mead_orbit, rotation_grid_orbit_min,
-                     s1_hausdorff_to_cross, transport_units_oracle)
+                     s1_hausdorff_to_cross, s1_transport_to_cross,
+                     transport_units_oracle)
 
 
 def rot2(phi):
@@ -87,6 +88,41 @@ def test_wasserstein_to_cross_hexagon_matches_grid_oracle(hexm):
     assert val <= grid_val + 1e-12
     assert val == pytest.approx(grid_val, abs=1e-3)
     assert val > 0.1
+
+
+def _s1_orbit_families(rng):
+    """The measures of ``verify --suite s1`` and ``--suite zpstab --n 2``
+    and 10 random even isotropic measures."""
+    fam = perturbation_family("EQUIANGULAR", 2, [2, 3, 4, 6])
+    fam += perturbation_family("TILTED_PAIR", 2, np.linspace(0.0, 0.35, 8))
+    fam += perturbation_family("TILTED_PAIR", 2, np.linspace(0.0, 0.4, 9))
+    return fam + [random_even_isotropic(2, int(rng.integers(3, 9)), rng)
+                  for _ in range(10)]
+
+
+def test_s1_transport_oracle_matches_lp(rng):
+    for mu in _s1_orbit_families(rng)[::4]:
+        phis = rng.uniform(0.0, np.pi / 2, 3)
+        lp = [wasserstein(mu, rotated_cross_measure(2, rot2(phi).T))[0]
+              for phi in phis]
+        assert np.allclose(s1_transport_to_cross(mu, phis), lp,
+                           rtol=0, atol=1e-12)
+
+
+def test_wasserstein_to_cross_2d_kinks_match_grid_oracle(rng):
+    for mu in _s1_orbit_families(rng):
+        assert mu.even
+        val, frame, cert = wasserstein_to_cross(mu)
+        th = np.arctan2(mu.directions[:, 1], mu.directions[:, 0]) % (np.pi / 2)
+        assert cert["candidates"] == len(np.unique(np.append(th, 0.0)))
+        grid = np.linspace(0.0, np.pi / 2, 2000, endpoint=False)
+        # the old candidate set: kinks and the midpoints theta_i + pi/4
+        cands = np.concatenate([grid, th, th + np.pi / 4, [0.0, np.pi / 4]])
+        best = float(np.min(s1_transport_to_cross(mu, cands)))
+        assert abs(val - best) <= 1e-12
+        phi = math.atan2(frame[0, 1], frame[0, 0])
+        assert val == pytest.approx(s1_transport_to_cross(mu, [phi])[0],
+                                    abs=1e-12)
 
 
 def test_wasserstein_to_cross_tilted_3d(rng):

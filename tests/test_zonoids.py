@@ -3,14 +3,34 @@ import math
 import numpy as np
 import pytest
 
-from isozonoid.bodies import unit_ball_volume, volume
+from isozonoid.bodies import icosphere, unit_ball_volume, volume
 from isozonoid.errors import DegenerateMeasureError
 from isozonoid.harness import random_even_isotropic
 from isozonoid.measures import AtomicMeasure, cross_measure, unit_vector
-from isozonoid.zonoids import (body_Zp, body_Zp_star, mp_body, mp_gauge,
-                               norm_Zp_star, reference_volume, support_Zp,
-                               volume_Zp, volume_Zp_star,
+from isozonoid.zonoids import (_exp_integral, body_Zp, body_Zp_star, mp_body,
+                               mp_gauge, norm_Zp_star, reference_volume,
+                               support_Zp, volume_Zp, volume_Zp_star,
                                volume_Zp_star_ball_integral, zp_touch_point)
+
+from oracles import (exp_integral_full_grid, norm_Zp_star_unfolded,
+                     support_Zp_unfolded, zp_touch_point_unfolded)
+
+
+def _non_even_isotropic(n):
+    """Isotropic and not even: three directions at 120 degrees (n = 2) or
+    the vertices of a regular tetrahedron (n = 3), weights n / (n + 1)."""
+    if n == 2:
+        ang = np.arange(3) * 2.0 * np.pi / 3.0
+        U = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    else:
+        U = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3)
+    return AtomicMeasure(n, U, np.full(n + 1, n / (n + 1.0)))
+
+
+def _fold_cases(rng):
+    cases = [cross_measure(2), cross_measure(3)]
+    cases += [random_even_isotropic(n, n * (n + 1) // 2 + 3, rng) for n in (2, 3)]
+    return cases + [_non_even_isotropic(2), _non_even_isotropic(3)]
 
 
 def test_support_z2_is_one_for_isotropic(nu2, nu3, rng):
@@ -131,10 +151,53 @@ def test_reference_volume_table():
     assert reference_volume("Z", 3, math.inf) == pytest.approx(8.0 / 6.0)
     assert reference_volume("Z", 2, 1) == pytest.approx(4.0)
     assert reference_volume("Z", 2, 2) == pytest.approx(math.pi)
-    # generic p computed from the definition agrees with quadrature volume
-    v4 = reference_volume("Z", 2, 4)
-    res = volume_Zp(cross_measure(2), 4)
-    assert abs(v4 - res.value) <= 2 * res.abs_error + 1e-9
+    assert reference_volume("Z", 3, 2) == pytest.approx(4.0 * math.pi / 3.0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_reference_volume_z_closed_form_inside_sandwich(n):
+    # Z_p(cross) is the l_q ball; its closed form lies in the bar of the
+    # support sandwich of the cross measure's Z_p
+    for p in (1.2, 1.5, 3.0, 4.0):
+        res = volume_Zp(cross_measure(n), p)
+        assert abs(reference_volume("Z", n, p) - res.value) <= res.abs_error
+
+
+def test_reference_volume_z_exact_anchors_unchanged():
+    for n in (2, 3, 4):
+        assert reference_volume("Z", n, 1) == 2.0 ** n
+        assert reference_volume("Z", n, math.inf) == 2.0 ** n / math.factorial(n)
+
+
+def test_icosphere_built_once_read_only():
+    g = icosphere(5)
+    assert icosphere(5) is g
+    assert not g.flags.writeable
+    with pytest.raises(ValueError):
+        g[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 4.0, math.inf])
+def test_folded_sums_match_unfolded(p, rng):
+    for mu in _fold_cases(rng):
+        V = rng.standard_normal((40, mu.dim))
+        for got, ref in ((support_Zp(mu, p, V), support_Zp_unfolded(mu, p, V)),
+                         (norm_Zp_star(mu, p, V), norm_Zp_star_unfolded(mu, p, V))):
+            np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
+        if np.isfinite(p):
+            got = zp_touch_point(mu, p, V)
+            ref = zp_touch_point_unfolded(mu, p, V)
+            scale = np.linalg.norm(ref, axis=1)
+            assert np.all(np.linalg.norm(got - ref, axis=1) <= 1e-14 * scale)
+
+
+def test_half_grid_ball_integral_matches_full_grid(rng):
+    for mu in _fold_cases(rng):
+        nodes = 48 if mu.dim == 2 else 24
+        for p in (1.5, 4.0):
+            got = _exp_integral(mu, p, 6.0, nodes)
+            ref = exp_integral_full_grid(mu, p, 6.0, nodes)
+            assert got == pytest.approx(ref, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("n,p", [(2, 1), (2, 2), (2, 4), (3, 1), (3, 2), (3, 4)])
