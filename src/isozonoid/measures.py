@@ -118,6 +118,12 @@ class AtomicMeasure:
         c.flags.writeable = False
         return U, c
 
+    @cached_property
+    def full_dimensional(self) -> bool:
+        """Whether the atoms span R^n (rank tolerance 1e-10), computed once."""
+        return bool(np.linalg.matrix_rank(self.directions, tol=1e-10)
+                    == self.dim)
+
     @classmethod
     def symmetrized(cls, directions, weights) -> "AtomicMeasure":
         """Build an even measure from one representative atom per pair.

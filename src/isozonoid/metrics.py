@@ -15,14 +15,18 @@ Orbit searches.  In n = 2 both orbit distances are exact: each objective is
 piecewise linear in the frame angle, so its minimum sits at a kink and all
 kink candidates are evaluated (for delta_HO in one batched call).  In
 n = 3 one multistart Nelder-Mead runs from 61 quasi-uniform rotation
-vectors; the starts advance in lockstep, each taking exactly the steps of
-scipy's Nelder-Mead, with every pending simplex point of every running
-start evaluated in one batched objective call.  n = 3 values are upper
-bounds (local searches), not certified global minima.
+vectors.  n = 3 values are upper bounds (local searches), not certified
+global minima.
 
 Body distances (Banach-Mazur, volume difference) are certified upper
 bounds obtained by multistart Nelder-Mead over a normalized GL(n) family;
 global optimality over GL(n) is out of desk scope and never claimed.
+
+Every multistart search here runs on ``_lockstep_nelder_mead``: the starts
+advance in lockstep, each taking exactly the steps of scipy's Nelder-Mead,
+with every pending simplex point of every running start evaluated in one
+batched objective call.  Certificates record the winning start
+(``best_start``) and the objective evaluations of all starts (``nfev``).
 """
 
 from __future__ import annotations
@@ -31,10 +35,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize
+from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
-from .bodies import BodyRep, hull_volume_area, halfspace_vertices
-from .errors import (EmptySetError, HypothesisFailedError, MassMismatchError)
+from .bodies import BodyRep, _interior_point, hull_volume_area
+from .errors import (EmptySetError, HypothesisFailedError, MassMismatchError,
+                     UnboundedBodyError)
 from .measures import AtomicMeasure, cross_measure, sphere_angle
 
 MASS_TOL = 1e-9
@@ -165,42 +171,41 @@ def _orbit_start_points():
     return starts
 
 
-def _orbit_minimize_3d(objective):
-    """Multistart Nelder-Mead over rotation vectors, all starts in lockstep.
+def _lockstep_nelder_mead(objective, x0, xatol, fatol, maxiter):
+    """Nelder-Mead from every row of ``x0`` (S, N), all starts in lockstep.
 
-    ``objective`` maps a stack of rotation matrices (B, 3, 3) to B values.
-    Every start takes exactly the steps of scipy's
-    ``minimize(method="Nelder-Mead")`` with adaptive=False: the same initial
-    simplex, the same reflect/expand/contract/shrink order and the same
-    stopping rule (xatol 1e-9, fatol 1e-12, maxiter 400).  A start leaves
-    the lockstep when it converges; each step sends the pending points of
-    all running starts to ``objective`` in one call.  The best start wins,
-    the lowest index on ties.
+    ``objective`` maps a stack of points (B, N) to B values.  Every start
+    takes exactly the steps of scipy's ``minimize(method="Nelder-Mead")``
+    with adaptive=False and the given ``xatol``, ``fatol`` and ``maxiter``:
+    the same initial simplex, the same reflect/expand/contract/shrink order
+    and the same stopping rule.  A start leaves the lockstep when it
+    converges; each step sends the pending points of all running starts to
+    ``objective`` in one call.  Returns per-start (values (S,), best
+    vertices (S, N), evaluation counts (S,)), as scipy's ``fun``, ``x`` and
+    ``nfev``.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     nonzdelt, zdelt = 0.05, 0.00025
-    xatol, fatol, maxiter = 1e-9, 1e-12, 400
-    x0 = np.array(_orbit_start_points())
+    x0 = np.asarray(x0, dtype=float)
     S, N = x0.shape
-    nfev = 0
+    nfev = np.zeros(S, dtype=int)
 
-    def f(W):
-        nonlocal nfev
-        nfev += len(W)
+    def f(W, idx, per=1):
+        nfev[idx] += per
         if len(W) == 0:
             return np.empty(0)
-        return np.asarray(objective(_rotvec_matrix(W)), dtype=float)
+        return np.asarray(objective(W), dtype=float)
 
     def order(sim, fsim):
         ind = np.argsort(fsim, axis=1)
-        return (np.take_along_axis(sim, ind[:, :, None], 1),
-                np.take_along_axis(fsim, ind, 1))
+        rows = np.arange(len(ind))[:, None]
+        return sim[rows, ind], fsim[rows, ind]
 
     sim = np.repeat(x0[:, None, :], N + 1, axis=1)
     k = np.arange(N)
     y = sim[:, k + 1, k]
     sim[:, k + 1, k] = np.where(y != 0, (1 + nonzdelt) * y, zdelt)
-    fsim = f(sim.reshape(-1, N)).reshape(S, N + 1)
+    fsim = f(sim.reshape(-1, N), slice(None), N + 1).reshape(S, N + 1)
     sim, fsim = order(*order(sim, fsim))
     running = np.ones(S, dtype=bool)
     for _ in range(1, maxiter):
@@ -215,7 +220,7 @@ def _orbit_minimize_3d(objective):
         xbar = np.add.reduce(s[:, :-1], 1) / N
         worst = s[:, -1]
         xr = (1 + rho) * xbar - rho * worst
-        fxr = f(xr)
+        fxr = f(xr, a)
         expand = fxr < fs[:, 0]
         accept = ~expand & (fxr < fs[:, -2])
         contract = ~expand & ~accept
@@ -226,7 +231,7 @@ def _orbit_minimize_3d(objective):
                                (1 + psi * rho) * xbar - psi * rho * worst,
                                (1 - psi) * xbar + psi * worst))
         f2 = np.full(len(a), np.nan)
-        f2[~accept] = f(x2[~accept])
+        f2[~accept] = f(x2[~accept], a[~accept])
         take2 = ((expand & (f2 < fxr)) | (outside & (f2 <= fxr))
                  | (contract & ~outside & (f2 < fs[:, -1])))
         shrink = contract & ~take2
@@ -235,14 +240,26 @@ def _orbit_minimize_3d(objective):
         s[take2, -1], fs[take2, -1] = x2[take2], f2[take2]
         shr, fshr = s[shrink], fs[shrink]
         shr[:, 1:] = shr[:, :1] + sigma * (shr[:, 1:] - shr[:, :1])
-        fshr[:, 1:] = f(shr[:, 1:].reshape(-1, N)).reshape(-1, N)
+        fshr[:, 1:] = f(shr[:, 1:].reshape(-1, N), a[shrink], N).reshape(-1, N)
         s[shrink], fs[shrink] = shr, fshr
         sim[a], fsim[a] = order(s, fs)
-    fun = np.min(fsim, axis=1)
+    return fsim[:, 0], sim[:, 0], nfev
+
+
+def _orbit_minimize_3d(objective):
+    """Multistart Nelder-Mead over rotation vectors (xatol 1e-9, fatol
+    1e-12, maxiter 400), run by ``_lockstep_nelder_mead``.
+
+    ``objective`` maps a stack of rotation matrices (B, 3, 3) to B values.
+    The best start wins, the lowest index on ties.
+    """
+    fun, x, nfev = _lockstep_nelder_mead(
+        lambda W: objective(_rotvec_matrix(W)),
+        np.array(_orbit_start_points()), 1e-9, 1e-12, 400)
     best = int(np.argmin(fun))
-    cert = {"method": "multistart-nelder-mead", "starts": S,
-            "best_start": best, "nfev": nfev}
-    return float(fun[best]), _rotvec_matrix(sim[best, 0]), cert
+    cert = {"method": "multistart-nelder-mead", "starts": len(fun),
+            "best_start": best, "nfev": int(nfev.sum())}
+    return float(fun[best]), _rotvec_matrix(x[best]), cert
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +466,23 @@ def _both_reps(body: BodyRep):
     return v.vertices, h.halfspaces
 
 
-def _gauge_points(A, b, X):
-    return np.max((X @ A.T) / b, axis=1)
+def _body_starts(n, restarts, scale, seed):
+    """The identity, then restarts - 1 random perturbations of it, as rows."""
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
+    rng = np.random.default_rng(seed)
+    starts = [np.eye(n)] + [np.eye(n) + scale * rng.normal(size=(n, n))
+                            for _ in range(1, restarts)]
+    return np.array(starts).reshape(restarts, n * n)
+
+
+def _normalized_frames(X, n):
+    """Rows of X as n x n matrices scaled to |det| = 1, with a mask of
+    the rows kept (|det| >= 1e-9)."""
+    mats = X.reshape(-1, n, n)
+    det = np.linalg.det(mats)
+    ok = np.abs(det) >= 1e-9
+    return mats[ok] / (np.abs(det[ok]) ** (1.0 / n))[:, None, None], ok
 
 
 def banach_mazur(K: BodyRep, M: BodyRep, restarts: int = 24, seed: int = 0):
@@ -458,8 +490,11 @@ def banach_mazur(K: BodyRep, M: BodyRep, restarts: int = 24, seed: int = 0):
 
     For a trial Phi the optimal lam is computed exactly from vertex gauges:
     lam(Phi) = max_w gauge_{Phi M}(w) * max_v gauge_K(Phi v) over vertices
-    w of K and v of M.  Phi ranges over a multistart Nelder-Mead family
-    normalized to det = 1.  Returns (value, certificate).
+    w of K and v of M.  Phi ranges over matrices normalized to |det| = 1;
+    ``restarts`` Nelder-Mead starts (the identity, then random
+    perturbations of it) run in lockstep through ``_lockstep_nelder_mead``
+    (xatol 1e-10, fatol 1e-12, maxiter 2000), with lam evaluated for every
+    pending Phi of every start in one batch.  Returns (value, certificate).
     """
     n = K.dim
     if n not in (2, 3):
@@ -469,42 +504,38 @@ def banach_mazur(K: BodyRep, M: BodyRep, restarts: int = 24, seed: int = 0):
     VK, (AK, bK) = _both_reps(K)
     VM, (AM, bM) = _both_reps(M)
 
-    def lam_of(mat):
-        det = np.linalg.det(mat)
-        if abs(det) < 1e-9:
-            return np.inf
-        Phi = mat / abs(det) ** (1.0 / n)
+    def lam(X):
+        Phi, ok = _normalized_frames(X, n)
         Phi_inv = np.linalg.inv(Phi)
-        inner = np.max(_gauge_points(AM, bM, VK @ Phi_inv.T))
-        outer = np.max(_gauge_points(AK, bK, VM @ Phi.T))
-        return inner * outer
+        inner = np.max(((VK @ Phi_inv.transpose(0, 2, 1)) @ AM.T) / bM,
+                       axis=(1, 2))
+        outer = np.max(((VM @ Phi.transpose(0, 2, 1)) @ AK.T) / bK,
+                       axis=(1, 2))
+        out = np.full(len(ok), np.inf)
+        out[ok] = inner * outer
+        return out
 
-    rng = np.random.default_rng(seed)
-    best = lam_of(np.eye(n))
-    for r in range(restarts):
-        start = np.eye(n) + 0.3 * rng.normal(size=(n, n)) if r else np.eye(n)
-        res = minimize(lambda x: lam_of(x.reshape(n, n)), start.ravel(),
-                       method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-12,
-                                "maxiter": 2000})
-        best = min(best, float(res.fun))
-    value = math.log(max(best, 1.0))
-    cert = {"restarts": restarts, "lambda": best, "upper_bound_only": True}
+    fun, _, nfev = _lockstep_nelder_mead(
+        lam, _body_starts(n, restarts, 0.3, seed), 1e-10, 1e-12, 2000)
+    best = int(np.argmin(fun))
+    value = math.log(max(fun[best], 1.0))
+    cert = {"restarts": restarts, "lambda": float(fun[best]),
+            "upper_bound_only": True, "best_start": best,
+            "nfev": int(nfev.sum())}
     return value, cert
 
 
-def _intersection_volume(A1, b1, A2, b2, n):
-    A = np.vstack([A1, A2])
-    b = np.concatenate([b1, b2])
+def _intersection_volume(A, b):
+    """Volume of the polytope {x : Ax <= b}, 0 when it has no interior."""
     try:
-        pts = halfspace_vertices(A, b)
-    except Exception:
+        pt = _interior_point(A, b)
+    except UnboundedBodyError:          # empty or flat: no interior point
         return 0.0
-    if len(pts) <= n:
-        return 0.0
+    hs = np.hstack([A, -b[:, None]])
     try:
-        return hull_volume_area(pts)[0]
-    except Exception:
+        return float(ConvexHull(HalfspaceIntersection(hs, pt).intersections)
+                     .volume)
+    except QhullError:                  # too thin for Qhull: empty
         return 0.0
 
 
@@ -514,35 +545,31 @@ def volume_distance(K: BodyRep, M: BodyRep, restarts: int = 12, seed: int = 0):
 
     For polytope inputs the symmetric difference is computed exactly from
     the halfspace intersection (V(sym diff) = 2 - 2 V(intersection) after
-    normalizing both bodies to volume 1).  Returns (value, certificate).
+    normalizing both bodies to volume 1), one Qhull halfspace intersection
+    and one hull per trial map.  ``restarts`` Nelder-Mead starts (the
+    identity, then random perturbations of it) run in lockstep through
+    ``_lockstep_nelder_mead`` (xatol 1e-9, fatol 1e-12, maxiter 1500).
+    Returns (value, certificate).
     """
     n = K.dim
     VK, (AK, bK) = _both_reps(K)
     VM, (AM, bM) = _both_reps(M)
-    volK = hull_volume_area(VK)[0]
-    volM = hull_volume_area(VM)[0]
-    alpha = volK ** (-1.0 / n)
-    beta = volM ** (-1.0 / n)
-    AMn, bMn = AM, bM * beta        # beta * M
-    AKn, bKn = AK, bK * alpha       # alpha * K
+    alpha = hull_volume_area(VK)[0] ** (-1.0 / n)
+    beta = hull_volume_area(VM)[0] ** (-1.0 / n)
+    b = np.concatenate([bK * alpha, bM * beta])     # alpha K and beta M
 
-    def sym_diff(mat):
-        det = np.linalg.det(mat)
-        if abs(det) < 1e-9:
-            return 2.0
-        Phi = mat / abs(det) ** (1.0 / n)
-        Phi_inv = np.linalg.inv(Phi)
-        inter = _intersection_volume(AKn @ Phi_inv, bKn, AMn, bMn, n)
-        return max(2.0 - 2.0 * inter, 0.0)
+    def sym_diff(X):
+        Phi, ok = _normalized_frames(X, n)
+        inter = [_intersection_volume(np.vstack([AKp, AM]), b)
+                 for AKp in AK @ np.linalg.inv(Phi)]
+        out = np.full(len(ok), 2.0)
+        out[ok] = np.maximum(2.0 - 2.0 * np.array(inter), 0.0)
+        return out
 
-    rng = np.random.default_rng(seed)
-    best = sym_diff(np.eye(n))
-    for r in range(restarts):
-        start = np.eye(n) + 0.25 * rng.normal(size=(n, n)) if r else np.eye(n)
-        res = minimize(lambda x: sym_diff(x.reshape(n, n)), start.ravel(),
-                       method="Nelder-Mead",
-                       options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 1500})
-        best = min(best, float(res.fun))
+    fun, _, nfev = _lockstep_nelder_mead(
+        sym_diff, _body_starts(n, restarts, 0.25, seed), 1e-9, 1e-12, 1500)
+    best = int(np.argmin(fun))
     cert = {"restarts": restarts, "method": "exact-polytope-intersection",
-            "upper_bound_only": True}
-    return best, cert
+            "upper_bound_only": True, "best_start": best,
+            "nfev": int(nfev.sum())}
+    return float(fun[best]), cert

@@ -49,7 +49,7 @@ from .measures import AtomicMeasure
 
 
 def _require_full_dimensional(mu: AtomicMeasure):
-    if np.linalg.matrix_rank(mu.directions, tol=1e-10) < mu.dim:
+    if not mu.full_dimensional:
         raise DegenerateMeasureError("support lies in a great subsphere")
 
 

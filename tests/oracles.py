@@ -3,14 +3,16 @@
 Everything here deliberately avoids the code paths under test: error
 functions come from a Taylor series, CDFs from adaptive quadrature,
 transport values from permutation enumeration, volumes from direct
-combinatorial vertex enumeration, orbit minima from dense grids, the
-n = 3 orbit search from one scipy Nelder-Mead run per start, zonoid sums
-over every atom (no antipodal folding) and the ball integral over the full
-tensor grid.
+combinatorial vertex enumeration or exact rational polygon clipping, orbit
+minima from dense grids, the multistart searches (n = 3 orbit,
+Banach-Mazur, volume distance) from one scipy Nelder-Mead run per start on
+a scalar objective, zonoid sums over every atom (no antipodal folding) and
+the ball integral over the full tensor grid.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
@@ -124,11 +126,23 @@ def s1_hausdorff_to_cross(thetas, phis):
     return np.maximum(d.min(axis=2).max(axis=1), d.min(axis=1).max(axis=1))
 
 
+def multistart_nelder_mead(objective, x0, xatol, fatol, maxiter):
+    """One scipy Nelder-Mead run per row of ``x0`` on a scalar objective.
+    Returns per-start (fun, x, nfev) arrays."""
+    from scipy.optimize import minimize
+
+    runs = [minimize(objective, w, method="Nelder-Mead",
+                     options={"xatol": xatol, "fatol": fatol,
+                              "maxiter": maxiter})
+            for w in np.asarray(x0, dtype=float)]
+    return (np.array([r.fun for r in runs]), np.array([r.x for r in runs]),
+            np.array([r.nfev for r in runs]))
+
+
 def multistart_nelder_mead_orbit(objective):
     """The n = 3 orbit search run start by start: one scipy Nelder-Mead per
     start of ``metrics._orbit_start_points``, on a scalar objective of a
     rotation matrix.  Returns (value, frame, best_start, nfev)."""
-    from scipy.optimize import minimize
     from scipy.spatial.transform import Rotation
 
     from isozonoid.metrics import _orbit_start_points
@@ -136,15 +150,124 @@ def multistart_nelder_mead_orbit(objective):
     def rot(w):
         return Rotation.from_rotvec(w).as_matrix()
 
-    best = (math.inf, None, None)
-    nfev = 0
-    for idx, w0 in enumerate(_orbit_start_points()):
-        res = minimize(lambda w: objective(rot(w)), w0, method="Nelder-Mead",
-                       options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 400})
-        nfev += res.nfev
-        if res.fun < best[0]:
-            best = (float(res.fun), rot(res.x), idx)
-    return best + (nfev,)
+    fun, x, nfev = multistart_nelder_mead(lambda w: objective(rot(w)),
+                                          _orbit_start_points(), 1e-9, 1e-12,
+                                          400)
+    best = int(np.argmin(fun))
+    return float(fun[best]), rot(x[best]), best, int(nfev.sum())
+
+
+def _vertices_and_halfspaces(body):
+    return body.to_vrep().vertices, body.to_hrep().halfspaces
+
+
+def _body_starts_per_start(n, restarts, scale, seed):
+    rng = np.random.default_rng(seed)
+    return [np.eye(n).ravel() if r == 0
+            else (np.eye(n) + scale * rng.normal(size=(n, n))).ravel()
+            for r in range(restarts)]
+
+
+def banach_mazur_per_start(K, M, restarts, seed=0):
+    """delta_BM upper bound as a loop: lam of one matrix at a time, one scipy
+    Nelder-Mead run per start (xatol 1e-10, fatol 1e-12, maxiter 2000).
+    Returns (value, lambda, best_start, nfev)."""
+    n = K.dim
+    VK, (AK, bK) = _vertices_and_halfspaces(K)
+    VM, (AM, bM) = _vertices_and_halfspaces(M)
+
+    def lam_of(x):
+        mat = x.reshape(n, n)
+        det = np.linalg.det(mat)
+        if abs(det) < 1e-9:
+            return np.inf
+        Phi = mat / abs(det) ** (1.0 / n)
+        Phi_inv = np.linalg.inv(Phi)
+        inner = np.max(np.max(((VK @ Phi_inv.T) @ AM.T) / bM, axis=1))
+        outer = np.max(np.max(((VM @ Phi.T) @ AK.T) / bK, axis=1))
+        return inner * outer
+
+    fun, _, nfev = multistart_nelder_mead(
+        lam_of, _body_starts_per_start(n, restarts, 0.3, seed),
+        1e-10, 1e-12, 2000)
+    lam = min(lam_of(np.eye(n).ravel()), float(np.min(fun)))
+    return (math.log(max(lam, 1.0)), lam, int(np.argmin(fun)),
+            int(nfev.sum()))
+
+
+def intersection_volume_three_call(A, b):
+    """V({x : Ax <= b}) by vertex enumeration (a halfspace intersection and
+    a hull that removes duplicate vertices), then a hull of the vertices;
+    0 when any step fails or too few vertices are left."""
+    from isozonoid.bodies import halfspace_vertices, hull_volume_area
+
+    try:
+        pts = halfspace_vertices(A, b)
+    except Exception:
+        return 0.0
+    if len(pts) <= A.shape[1]:
+        return 0.0
+    try:
+        return hull_volume_area(pts)[0]
+    except Exception:
+        return 0.0
+
+
+def volume_distance_per_start(K, M, restarts, seed=0):
+    """delta_vol upper bound as a loop: the three-call intersection volume
+    of one matrix at a time, one scipy Nelder-Mead run per start (xatol
+    1e-9, fatol 1e-12, maxiter 1500).  Returns (value, best_start, nfev)."""
+    from isozonoid.bodies import hull_volume_area
+
+    n = K.dim
+    VK, (AK, bK) = _vertices_and_halfspaces(K)
+    VM, (AM, bM) = _vertices_and_halfspaces(M)
+    bKn = bK * hull_volume_area(VK)[0] ** (-1.0 / n)
+    bMn = bM * hull_volume_area(VM)[0] ** (-1.0 / n)
+
+    def sym_diff(x):
+        mat = x.reshape(n, n)
+        det = np.linalg.det(mat)
+        if abs(det) < 1e-9:
+            return 2.0
+        Phi_inv = np.linalg.inv(mat / abs(det) ** (1.0 / n))
+        inter = intersection_volume_three_call(
+            np.vstack([AK @ Phi_inv, AM]), np.concatenate([bKn, bMn]))
+        return max(2.0 - 2.0 * inter, 0.0)
+
+    fun, _, nfev = multistart_nelder_mead(
+        sym_diff, _body_starts_per_start(n, restarts, 0.25, seed),
+        1e-9, 1e-12, 1500)
+    best = min(sym_diff(np.eye(n).ravel()), float(np.min(fun)))
+    return best, int(np.argmin(fun)), int(nfev.sum())
+
+
+def polygon_clip_area_exact(A, b, box=64):
+    """Exact area of {x : Ax <= b} in the plane: the square [-box, box]^2
+    clipped by each halfplane in rational arithmetic (the float data are
+    converted exactly), then the shoelace formula.  Returns a Fraction."""
+    poly = [(Fraction(sx * box), Fraction(sy * box))
+            for sx, sy in ((-1, -1), (1, -1), (1, 1), (-1, 1))]
+    for (a1, a2), bi in zip(np.asarray(A, dtype=float),
+                            np.asarray(b, dtype=float)):
+        a1, a2, bi = Fraction(a1), Fraction(a2), Fraction(bi)
+        out = []
+        for k, P in enumerate(poly):
+            Q = poly[(k + 1) % len(poly)]
+            gP = a1 * P[0] + a2 * P[1] - bi
+            gQ = a1 * Q[0] + a2 * Q[1] - bi
+            if gP <= 0:
+                out.append(P)
+            if (gP < 0 < gQ) or (gQ < 0 < gP):
+                t = gP / (gP - gQ)
+                out.append((P[0] + t * (Q[0] - P[0]),
+                            P[1] + t * (Q[1] - P[1])))
+        poly = out
+        if not poly:
+            return Fraction(0)
+    twice = sum(P[0] * Q[1] - Q[0] * P[1]
+                for P, Q in zip(poly, poly[1:] + poly[:1]))
+    return abs(twice) / 2
 
 
 def support_Zp_unfolded(mu, p, V):

@@ -3,21 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from isozonoid.bodies import BodyRep, cube_body
+from isozonoid.bodies import BodyRep, cube_body, hull_volume_area
 from isozonoid.errors import HypothesisFailedError, MassMismatchError
-from isozonoid.harness import (perturbation_family, random_even_isotropic,
-                               tilted_pair_measure)
+from isozonoid.harness import (john_normalize, perturbation_family,
+                               random_even_isotropic, regular_polygon_body,
+                               tilted_pair_measure, truncated_cube_body)
 from isozonoid.measures import cross_measure, equiangular_measure, unit_vector
-from isozonoid.metrics import (_hausdorff_to_cross_batch, banach_mazur,
+from isozonoid.metrics import (_hausdorff_to_cross_batch,
+                               _intersection_volume, _lockstep_nelder_mead,
+                               banach_mazur,
                                deep_hole, fit_cross_frame, hausdorff_spherical,
                                hausdorff_to_cross, rotated_cross_measure,
                                volume_distance, wasserstein,
                                wasserstein_hausdorff_bound,
                                wasserstein_to_cross)
 
-from oracles import (multistart_nelder_mead_orbit, rotation_grid_orbit_min,
+from oracles import (banach_mazur_per_start, intersection_volume_three_call,
+                     multistart_nelder_mead, multistart_nelder_mead_orbit,
+                     polygon_clip_area_exact, rotation_grid_orbit_min,
                      s1_hausdorff_to_cross, s1_transport_to_cross,
-                     transport_units_oracle)
+                     transport_units_oracle, volume_distance_per_start)
 
 
 def rot2(phi):
@@ -328,6 +333,8 @@ def test_banach_mazur_disc_vs_square():
     disc = BodyRep.from_vertices(np.stack([np.cos(ang), np.sin(ang)], axis=1))
     val, cert = banach_mazur(disc, cube_body(2), restarts=6)
     assert val == pytest.approx(math.log(math.sqrt(2.0)), abs=1e-3)
+    o_val, _, o_start, o_nfev = banach_mazur_per_start(disc, cube_body(2), 6)
+    assert (val, cert["best_start"], cert["nfev"]) == (o_val, o_start, o_nfev)
     # 1-parameter exhaustive check over square rotations: the reported value
     # is an upper bound and cannot beat the rotation family by more than
     # numerical slack
@@ -360,3 +367,142 @@ def test_dwo_zero_iff_cross_fit(nu2, rng):
     tilt = tilted_pair_measure(2, 0.2)
     val2, _, _ = wasserstein_to_cross(tilt)
     assert val2 > 1e-3
+
+
+def _rosenbrock_rows(X):
+    return np.sum(100.0 * (X[:, 1:] - X[:, :-1] ** 2) ** 2
+                  + (1.0 - X[:, :-1]) ** 2, axis=1)
+
+
+def _kinked_rows(X):
+    # nonsmooth and not a rotation objective: an l1 term plus a max of
+    # affine functions, with flat directions to trigger contractions
+    C = np.linspace(-1.0, 1.0, X.shape[1])
+    return (np.sum(np.abs(X - C), axis=1)
+            + np.max(np.stack([X[:, 0] + X[:, -1], 0.5 - X[:, 1]]), axis=0))
+
+
+def _stepped_rows(X):
+    # piecewise constant: equal values, hence every tie-break, are common
+    return np.floor(4.0 * np.sum(np.abs(X - 0.3), axis=1)) / 4.0
+
+
+@pytest.mark.parametrize("objective,N,maxiter", [
+    (_rosenbrock_rows, 4, 250), (_rosenbrock_rows, 4, 3000),
+    (_kinked_rows, 9, 400), (_kinked_rows, 9, 4000),
+    (_stepped_rows, 4, 400), (_stepped_rows, 9, 400)])
+def test_lockstep_nelder_mead_matches_scipy_per_start(objective, N, maxiter):
+    rng = np.random.default_rng(N * maxiter)
+    x0 = np.vstack([np.zeros(N), rng.normal(size=(7, N))])
+    x0[1, ::2] = 0.0                 # zero entries take scipy's zdelt step
+    fun, x, nfev = _lockstep_nelder_mead(objective, x0, 1e-8, 1e-10, maxiter)
+    o_fun, o_x, o_nfev = multistart_nelder_mead(
+        lambda w: float(objective(w[None])[0]), x0, 1e-8, 1e-10, maxiter)
+    assert np.array_equal(fun, o_fun)
+    assert np.array_equal(x, o_x)
+    assert np.array_equal(nfev, o_nfev)
+
+
+def _reviso_body(n, shape, param):
+    if shape == "cube":
+        return john_normalize(cube_body(n))[0]
+    if shape == "hexagon":
+        return john_normalize(regular_polygon_body(3))[0]
+    return john_normalize(truncated_cube_body(n, param))[0]
+
+
+REVISO_BODIES = [(2, "cube", None), (2, "cut", 0.1), (2, "cut", 0.25),
+                 (2, "hexagon", None), (3, "cut", 0.1)]
+
+
+@pytest.mark.parametrize("n,shape,param", REVISO_BODIES)
+def test_banach_mazur_equals_per_start_scipy(n, shape, param):
+    K = _reviso_body(n, shape, param)
+    restarts = 8 if n == 2 else 4
+    val, cert = banach_mazur(K, cube_body(n), restarts=restarts)
+    o_val, o_lam, o_start, o_nfev = banach_mazur_per_start(
+        K, cube_body(n), restarts)
+    assert val == o_val
+    assert cert["lambda"] == o_lam
+    assert (cert["best_start"], cert["nfev"]) == (o_start, o_nfev)
+
+
+@pytest.mark.parametrize("n,shape,param", REVISO_BODIES)
+def test_volume_distance_not_above_per_start_scipy(n, shape, param):
+    K = _reviso_body(n, shape, param)
+    restarts = 4 if n == 2 else 2
+    val, cert = volume_distance(K, cube_body(n), restarts=restarts)
+    o_val, _, _ = volume_distance_per_start(K, cube_body(n), restarts)
+    assert 0.0 <= val <= o_val + 1e-9
+    assert 0 <= cert["best_start"] < restarts
+    assert cert["nfev"] >= restarts * (n * n + 1)
+
+
+def test_body_searches_need_a_start():
+    with pytest.raises(ValueError):
+        banach_mazur(cube_body(2), cube_body(2), restarts=0)
+    with pytest.raises(ValueError):
+        volume_distance(cube_body(2), cube_body(2), restarts=0)
+
+
+def _intersection_frames(n, rng):
+    """(A, b) systems of volume-normalized reviso bodies against the cube:
+    random maps, the identity (coincident facets for the cube) and
+    identities perturbed by 1e-14 ... 1e-3."""
+    W = cube_body(n)
+    bodies = [W, _reviso_body(n, "cut", 0.25)]
+    if n == 2:
+        bodies.append(_reviso_body(2, "hexagon", None))
+    AM, bM = W.halfspaces
+    frames = []
+    for K in bodies:
+        AK, bK = K.to_hrep().halfspaces
+        alpha = hull_volume_area(K.to_vrep().vertices)[0] ** (-1.0 / n)
+        b = np.concatenate([bK * alpha, bM / 2.0])   # both of volume 1
+        mats = [np.eye(n) + 0.3 * rng.normal(size=(n, n)) for _ in range(6)]
+        mats += [np.eye(n)]
+        mats += [np.eye(n) + eps * rng.normal(size=(n, n))
+                 for eps in (1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-3)]
+        for mat in mats:
+            Phi = mat / abs(np.linalg.det(mat)) ** (1.0 / n)
+            frames.append((np.vstack([AK @ np.linalg.inv(Phi), AM]), b))
+    return frames
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_intersection_volume_matches_three_call_path(n, rng):
+    for A, b in _intersection_frames(n, rng):
+        got = _intersection_volume(A, b)
+        assert got > 0.0
+        assert abs(got - intersection_volume_three_call(A, b)) <= 1e-12
+
+
+def test_intersection_volume_matches_exact_polygon_clip(rng):
+    for A, b in _intersection_frames(2, rng):
+        exact = polygon_clip_area_exact(A, b)
+        assert abs(_intersection_volume(A, b) - float(exact)) <= 1e-12
+
+
+def test_intersection_volume_empty_and_invalid():
+    A = np.vstack([np.eye(2), -np.eye(2)])
+    # disjoint squares [0, 1]^2 and [2, 3]^2, and two touching ones
+    disjoint = np.array([1.0, 1.0, 0.0, 0.0, 3.0, 3.0, -2.0, -2.0])
+    touching = np.array([1.0, 1.0, 0.0, 0.0, 2.0, 2.0, -1.0, -1.0])
+    for b in (disjoint, touching):
+        assert _intersection_volume(np.vstack([A, A]), b) == 0.0
+        assert polygon_clip_area_exact(np.vstack([A, A]), b) == 0
+    # an off-centre overlap: the unit square at the origin and at (0.5, 0.5)
+    b = np.array([1.0, 1.0, 0.0, 0.0, 1.5, 1.5, -0.5, -0.5])
+    assert _intersection_volume(np.vstack([A, A]), b) == pytest.approx(0.25)
+    with pytest.raises(ValueError):         # a malformed system is a bug
+        _intersection_volume(np.vstack([A, A]), b[:-1])
+
+
+def test_volume_distance_disjoint_non_centred_body():
+    # a triangle away from the origin: its volume-normalized copy misses the
+    # cube under every map the search tries, so every intersection is empty
+    far = BodyRep.from_vertices(np.array([[3.0, 0.0], [4.0, 0.0], [3.0, 1.0]]),
+                                origin_symmetric=False)
+    val, cert = volume_distance(far, cube_body(2), restarts=2)
+    assert val == 2.0
+    assert cert["nfev"] > 0

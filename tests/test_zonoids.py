@@ -53,11 +53,32 @@ def test_norm_star_examples(nu2):
     assert norm_Zp_star(nu2, 2, [0.3, -0.4]) == pytest.approx(0.5)
 
 
-def test_degenerate_measure_rejected():
-    mu = AtomicMeasure(2, np.array([[1.0, 0.0], [-1.0, 0.0]]),
-                       np.array([1.0, 1.0]), even=True)
-    with pytest.raises(DegenerateMeasureError):
-        support_Zp(mu, 2, [1.0, 0.0])
+def test_degenerate_measure_rejected(monkeypatch):
+    calls = []
+    rank = np.linalg.matrix_rank
+    monkeypatch.setattr(np.linalg, "matrix_rank",
+                        lambda *a, **k: calls.append(1) or rank(*a, **k))
+    flat2 = AtomicMeasure(2, np.array([[1.0, 0.0], [-1.0, 0.0]]),
+                          np.array([1.0, 1.0]), even=True)
+    s = math.sqrt(0.5)
+    flat3 = AtomicMeasure(3, np.array([[1.0, 0.0, 0.0], [0.0, s, s],
+                                       [-1.0, 0.0, 0.0], [0.0, -s, -s]]),
+                          np.ones(4), even=True)
+    for mu in (flat2, flat3):
+        assert not mu.full_dimensional
+        v = np.eye(mu.dim)[0]
+        for _ in range(2):               # the cached answer still raises
+            for call in (lambda: support_Zp(mu, 2, v),
+                         lambda: norm_Zp_star(mu, 1.5, v),
+                         lambda: body_Zp(mu, math.inf),
+                         lambda: body_Zp_star(mu, 1.0)):
+                with pytest.raises(DegenerateMeasureError):
+                    call()
+    full = cross_measure(3)
+    assert full.full_dimensional
+    support_Zp(full, 2, np.eye(3))
+    norm_Zp_star(full, 2, np.eye(3))
+    assert len(calls) == 3               # one rank per measure
 
 
 def test_bodies_p_infinity(nu2, nu3):
