@@ -7,6 +7,10 @@ A body carries one of four representations:
     support callable direction -> support value h(v), positively homogeneous
     gauge   callable point -> Minkowski gauge ||x||_K (1 on the boundary)
 
+Oracles (support, gauge and touch callables) are vectorized: a point (n,)
+maps to a scalar (a touch point to a point) and rows (k, n) map to k
+values (k points); an output of any other shape raises ValueError.
+
 Exact volumes come from facet enumeration / simplicial decomposition (Qhull)
 for V and H bodies.  Support oracles are sandwiched between the hull of
 touching points and the intersection of tangent halfspaces over a direction
@@ -359,37 +363,29 @@ def volume(body: BodyRep, grid=None, mc_samples: int = MC_SAMPLES,
 
 
 def _eval_fn(fn, X):
-    """Evaluate an oracle on rows of X, batched when the callable allows."""
+    """Evaluate a vectorized oracle on the rows of X (k, n) -> (k,)."""
     X = np.atleast_2d(X)
-    try:
-        out = np.asarray(fn(X), dtype=float)
-        if out.shape == (len(X),):
-            return out
-    except Exception:
-        pass
-    return np.array([float(fn(x)) for x in X])
+    out = np.asarray(fn(X), dtype=float)
+    if out.shape != (len(X),):
+        raise ValueError(f"oracle gave shape {out.shape} for {len(X)} rows")
+    return out
 
 
 def _touch_points(body, dirs):
     if body.touch_fn is not None:
-        try:
-            out = np.asarray(body.touch_fn(dirs), dtype=float)
-            if out.shape == dirs.shape:
-                return out
-        except Exception:
-            pass
-        return np.array([body.touch_fn(d) for d in dirs])
-    # central-difference gradient of the support function on the sphere
-    pts = []
+        out = np.asarray(body.touch_fn(dirs), dtype=float)
+        if out.shape != dirs.shape:
+            raise ValueError(f"touch oracle gave shape {out.shape} for "
+                             f"directions of shape {dirs.shape}")
+        return out
+    # central-difference gradient of the support function: one oracle call
+    # on the grid shifted by +-h along every axis
+    n = body.dim
     h = 1e-6
-    for d in dirs:
-        g = np.zeros(body.dim)
-        for i in range(body.dim):
-            e = np.zeros(body.dim)
-            e[i] = h
-            g[i] = (body.fn(d + e) - body.fn(d - e)) / (2.0 * h)
-        pts.append(g)
-    return np.array(pts)
+    step = h * np.eye(n)[:, None, :]
+    shifted = np.concatenate([dirs + step, dirs - step])       # (2n, m, n)
+    vals = _eval_fn(body.fn, shifted.reshape(-1, n)).reshape(2, n, len(dirs))
+    return ((vals[0] - vals[1]) / (2.0 * h)).T
 
 
 def _support_sandwich_volume(body, grid=None) -> VolumeResult:

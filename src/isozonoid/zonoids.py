@@ -144,8 +144,8 @@ def body_Zp_star(mu: AtomicMeasure, p) -> BodyRep:
 # the auxiliary body M_p
 
 
-def mp_gauge(mu: AtomicMeasure, p, x) -> float:
-    """||x||_{M_p} via the representation infimum.
+def mp_gauge(mu: AtomicMeasure, p, x):
+    """||x||_{M_p} via the representation infimum (one solve per row of x).
 
     Minimizes sum c_i |theta_i|^p over representations x = sum c_i theta_i u_i
     (a linear program for p = 1, a smooth convex program for p in (1, inf)).
@@ -156,6 +156,8 @@ def mp_gauge(mu: AtomicMeasure, p, x) -> float:
     if np.isinf(p):
         raise ValueError("use mp_body for p = inf (zonotope)")
     x = np.asarray(x, dtype=float)
+    if x.ndim == 2:
+        return np.array([mp_gauge(mu, p, row) for row in x])
     U, c = mu.directions, mu.weights
     k = mu.natoms
     A = (U * c[:, None]).T                          # x = A theta
@@ -192,7 +194,7 @@ def mp_body(mu: AtomicMeasure, p) -> BodyRep:
         G = mu.weights[:, None] * mu.directions
         if len(G) <= 20 and mu.dim <= 4:
             return BodyRep.from_vertices(zonotope_vertices(G))
-        fn = lambda v: float(np.sum(np.abs(np.atleast_2d(v) @ G.T), axis=1)[0])
+        fn = lambda v: np.abs(np.asarray(v) @ G.T).sum(axis=-1)
         return BodyRep.from_support(mu.dim, fn, rng_check=False)
     return BodyRep.from_gauge(mu.dim, lambda x: mp_gauge(mu, p, x))
 

@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from isozonoid.bodies import (BodyRep, body_from_json, circle_grid,
+from isozonoid.bodies import (BodyRep, _eval_fn, _touch_points, body_from_json,
+                              circle_grid,
                               cross_polytope_body, cube_body, icosphere,
                               polar_of_vrep, sphere_grid, unit_ball_volume,
                               volume, zonotope_vertices, zonotope_volume)
 from isozonoid.errors import UnboundedBodyError
 
-from oracles import vertex_enum_combinatorial
+from oracles import central_difference_touch_points, vertex_enum_combinatorial
 
 
 def test_cube_volume_exact():
@@ -26,17 +27,23 @@ def test_cross_polytope_volume():
     assert res.value == pytest.approx(8.0 / 6.0, abs=1e-12)
 
 
+def _ball_support(v):
+    return np.linalg.norm(v, axis=-1)
+
+
+def _ball_touch(v):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
 def test_support_oracle_ball_area():
-    body = BodyRep.from_support(2, lambda v: float(np.linalg.norm(v)),
-                                touch_fn=lambda v: np.asarray(v) / np.linalg.norm(v))
+    body = BodyRep.from_support(2, _ball_support, touch_fn=_ball_touch)
     res = volume(body)
     assert res.method == "QUADRATURE"
     assert abs(res.value - math.pi) <= res.abs_error + 1e-9
 
 
 def test_support_oracle_ball_volume_3d():
-    body = BodyRep.from_support(3, lambda v: float(np.linalg.norm(v)),
-                                touch_fn=lambda v: np.asarray(v) / np.linalg.norm(v))
+    body = BodyRep.from_support(3, _ball_support, touch_fn=_ball_touch)
     res = volume(body, grid=icosphere(3))
     assert abs(res.value - unit_ball_volume(3)) <= res.abs_error
 
@@ -83,7 +90,7 @@ def test_unbounded_hrep_raises():
 
 def test_support_homogeneity_check():
     with pytest.raises(ValueError):
-        BodyRep.from_support(2, lambda v: float(np.linalg.norm(v)) + 1.0)
+        BodyRep.from_support(2, lambda v: _ball_support(v) + 1.0)
 
 
 def test_gauge_and_support_evaluations():
@@ -136,3 +143,42 @@ def test_body_json_round_trip():
     V = cross_polytope_body(2)
     back2 = body_from_json(V.to_json_dict())
     assert volume(back2).value == pytest.approx(2.0)
+
+
+def test_scalar_oracles_are_rejected():
+    # an oracle that is not vectorized gives one value for a whole grid (or
+    # fails on it); both surface instead of falling back to a row loop
+    scalar = BodyRep.from_support(2, lambda v: float(np.linalg.norm(v)),
+                                  touch_fn=_ball_touch)
+    with pytest.raises(ValueError):
+        volume(scalar)
+    with pytest.raises(ValueError):
+        volume(BodyRep.from_gauge(2, lambda x: float(np.linalg.norm(x))),
+               mc_samples=1000)
+
+    def rows_only(v):
+        if np.ndim(v) == 2:
+            raise TypeError("oracle bug")
+        return float(np.linalg.norm(v))
+
+    with pytest.raises(TypeError):
+        _eval_fn(rows_only, circle_grid(8))
+    bad_touch = BodyRep.from_support(2, _ball_support,
+                                     touch_fn=lambda v: _ball_touch(v)[0])
+    with pytest.raises(ValueError):
+        volume(bad_touch)
+
+
+def test_central_difference_touch_points_match_per_direction_loop(rng):
+    # no touch oracle: the gradient of the support function, every shifted
+    # grid in one oracle call, against the former loop over directions
+    for n, dirs in ((2, circle_grid(64)), (3, icosphere(2))):
+        G = rng.standard_normal((7, n))
+        body = BodyRep.from_support(
+            n, lambda v: np.sum(np.abs(np.asarray(v) @ G.T), axis=-1))
+        got = _touch_points(body, dirs)
+        assert got.shape == dirs.shape
+        want = central_difference_touch_points(body.fn, dirs)
+        # batched and single-row products may differ in the last bits of
+        # support values of size ~5, which the quotient scales by 1/(2h)
+        assert np.max(np.abs(got - want)) <= 1e-8

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from isozonoid import harness
 from isozonoid.bodies import cube_body
 from isozonoid.cli import main
 from isozonoid.harness import REPORT_CSV_FIELDS
@@ -113,6 +114,28 @@ def test_verify_theoremB_matrix(n, p, tmp_path):
     s = 1.0 - 1.0 / float(p)
     ref = (2.0 * math.gamma(1.0 + s)) ** n / math.gamma(1.0 + n * s)
     assert all(r["ref_Zp"] == ref for r in rows)
+
+
+def test_verify_reviso_n2(tmp_path):
+    out = tmp_path / "reviso.json"
+    rc = main(["verify", "--suite", "reviso", "--n", "2", "--out", str(out)])
+    assert rc == 0
+    rows = json.loads(out.read_text(), parse_constant=_reject_constant)
+    header = (tmp_path / "reviso.csv").read_text().splitlines()[0]
+    assert header.split(",") == REPORT_CSV_FIELDS
+    assert [r["label"] for r in rows] == ["cube", "cut-0.1", "cut-0.25",
+                                          "hexagon"]
+    assert rows[0]["delta_vol"] <= 1e-9 and rows[0]["delta_BM"] <= 1e-9
+    bodies = [cube_body(2), harness.truncated_cube_body(2, 0.1),
+              harness.truncated_cube_body(2, 0.25),
+              harness.regular_polygon_body(3)]
+    direct = harness.reverse_isoperimetric_suite(
+        bodies, ["cube", "cut-0.1", "cut-0.25", "hexagon"])
+    want = json.loads(json.dumps([r.to_dict() for r in direct]))
+    for row, ref in zip(rows, want):
+        row.pop("runtime")
+        ref.pop("runtime")
+    assert rows == want
 
 
 def test_transport_subcommand(tmp_path):

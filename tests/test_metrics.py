@@ -9,8 +9,10 @@ from isozonoid.harness import (john_normalize, perturbation_family,
                                random_even_isotropic, regular_polygon_body,
                                tilted_pair_measure, truncated_cube_body)
 from isozonoid.measures import cross_measure, equiangular_measure, unit_vector
+from isozonoid import metrics
 from isozonoid.metrics import (_hausdorff_to_cross_batch,
-                               _intersection_volume, _lockstep_nelder_mead,
+                               _intersection_volume, _intersection_volumes,
+                               _lockstep_nelder_mead,
                                banach_mazur,
                                deep_hole, fit_cross_frame, hausdorff_spherical,
                                hausdorff_to_cross, rotated_cross_measure,
@@ -445,16 +447,17 @@ def test_body_searches_need_a_start():
         volume_distance(cube_body(2), cube_body(2), restarts=0)
 
 
-def _intersection_frames(n, rng):
-    """(A, b) systems of volume-normalized reviso bodies against the cube:
-    random maps, the identity (coincident facets for the cube) and
-    identities perturbed by 1e-14 ... 1e-3."""
+def _intersection_batches(n, rng):
+    """(A, b) systems of volume-normalized reviso bodies against the cube,
+    one batch A (13, m, n) with its offsets b (m,) per body: random maps,
+    the identity (coincident facets for the cube, so exact duplicate dual
+    points) and identities perturbed by 1e-14 ... 1e-3."""
     W = cube_body(n)
     bodies = [W, _reviso_body(n, "cut", 0.25)]
     if n == 2:
         bodies.append(_reviso_body(2, "hexagon", None))
     AM, bM = W.halfspaces
-    frames = []
+    batches = []
     for K in bodies:
         AK, bK = K.to_hrep().halfspaces
         alpha = hull_volume_area(K.to_vrep().vertices)[0] ** (-1.0 / n)
@@ -463,24 +466,90 @@ def _intersection_frames(n, rng):
         mats += [np.eye(n)]
         mats += [np.eye(n) + eps * rng.normal(size=(n, n))
                  for eps in (1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-3)]
+        A = []
         for mat in mats:
             Phi = mat / abs(np.linalg.det(mat)) ** (1.0 / n)
-            frames.append((np.vstack([AK @ np.linalg.inv(Phi), AM]), b))
-    return frames
+            A.append(np.vstack([AK @ np.linalg.inv(Phi), AM]))
+        batches.append((np.array(A), b))
+    return batches
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_intersection_volume_matches_three_call_path(n, rng):
-    for A, b in _intersection_frames(n, rng):
-        got = _intersection_volume(A, b)
-        assert got > 0.0
-        assert abs(got - intersection_volume_three_call(A, b)) <= 1e-12
+    for A, b in _intersection_batches(n, rng):
+        batch = _intersection_volumes(A, b)
+        for Ak, got in zip(A, batch):
+            assert got == _intersection_volume(Ak, b)
+            assert got > 0.0
+            assert abs(got - intersection_volume_three_call(Ak, b)) <= 1e-12
 
 
 def test_intersection_volume_matches_exact_polygon_clip(rng):
-    for A, b in _intersection_frames(2, rng):
-        exact = polygon_clip_area_exact(A, b)
-        assert abs(_intersection_volume(A, b) - float(exact)) <= 1e-12
+    for A, b in _intersection_batches(2, rng):
+        got = _intersection_volumes(A, b)
+        exact = np.array([float(polygon_clip_area_exact(Ak, b)) for Ak in A])
+        assert np.max(np.abs(got - exact)) <= 1e-12
+
+
+def test_polar_area_invariant_under_row_order(rng):
+    # duplicate dual points go to the lower index, so reordering the rows
+    # moves every arc but must not move the area
+    for A, b in _intersection_batches(2, rng):
+        base = _intersection_volumes(A, b)
+        for _ in range(4):
+            perm = rng.permutation(len(b))
+            assert np.max(np.abs(_intersection_volumes(A[:, perm], b[perm])
+                                 - base)) <= 1e-15
+
+
+def test_polar_volume_of_boxes_under_diagonal_maps(rng):
+    # [-1, 1]^3 against diag(d) [-1, 1]^3: a box of half-widths min(d_i, 1),
+    # with coincident facets wherever d_i = 1 and near-coincident ones at
+    # 1 +- 1e-14
+    D = np.vstack([np.ones(3), [1.0, 1.0, 0.5], [1.0 + 1e-14, 1.0, 1.0],
+                   [1.0 - 1e-14, 2.0, 1.0], np.exp(rng.normal(size=(8, 3)))])
+    cube = np.vstack([np.eye(3), -np.eye(3)])
+    A = np.array([np.vstack([cube / np.tile(d, 2)[:, None], cube]) for d in D])
+    got = _intersection_volumes(A, np.ones(12))
+    assert np.max(np.abs(got - 8.0 * np.prod(np.minimum(D, 1.0), axis=1))) \
+        <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_intersection_volumes_non_centred_batch(n):
+    # [0, 1]^n against s [0.5, 1.5]^n for s in a batch: overlaps of side
+    # min(1, 1.5 s) - 0.5 s, touching at s = 2 and disjoint at s = 3, all
+    # through the Chebyshev-centre shift
+    cube = np.vstack([np.eye(n), -np.eye(n)])
+    b = np.concatenate([np.ones(n), np.zeros(n), np.full(n, 1.5),
+                        np.full(n, -0.5)])
+    s = np.array([1.0, 0.5, 0.8, 1.9, 2.0, 3.0])
+    A = np.array([np.vstack([cube, cube / si]) for si in s])
+    got = _intersection_volumes(A, b)
+    side = np.maximum(np.minimum(1.0, 1.5 * s) - 0.5 * s, 0.0)
+    assert np.max(np.abs(got - side ** n)) <= 1e-12
+    assert got[4] == got[5] == 0.0
+    if n == 2:
+        exact = [float(polygon_clip_area_exact(Ak, b)) for Ak in A]
+        assert np.max(np.abs(got - exact)) <= 1e-12
+
+
+def test_intersection_volumes_qhull_calls(monkeypatch, rng):
+    # n = 2 is closed form; n = 3 is one hull per system, and metrics has
+    # no halfspace intersection left
+    calls = []
+    real = metrics.ConvexHull
+    monkeypatch.setattr(metrics, "ConvexHull",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    for n in (2, 3):
+        del calls[:]
+        A, b = _intersection_batches(n, rng)[1]
+        _intersection_volumes(A, b)
+        assert len(calls) == (0 if n == 2 else len(A))
+    del calls[:]
+    volume_distance(_reviso_body(2, "cut", 0.25), cube_body(2), restarts=2)
+    assert calls == []
+    assert not hasattr(metrics, "HalfspaceIntersection")
 
 
 def test_intersection_volume_empty_and_invalid():
