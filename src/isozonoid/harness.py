@@ -335,14 +335,19 @@ def s1_sharp_suite(family, check_ingredients: bool = True):
 def zpmustab_consistency(n: int, p, family, eps_tol: float = 1e-6):
     """Records (delta_WO, volume deficits) and checks the contrapositive:
     positive orbit distance forces positive deficit, and deficits grow
-    monotonically along one-parameter families (input order)."""
+    monotonically along one-parameter families (input order).
+
+    Each report says how its epsilon was obtained: the delta_WO
+    certificate's ``method`` as ``epsilon_method`` and, for the n = 3
+    search, its objective evaluations as ``epsilon_nfev``.
+    """
     ref_z = reference_volume("Z", n, p)
     ref_zs = reference_volume("Z_STAR", n, p)
     reports = []
     deficits = []
     for idx, mu in enumerate(family):
         t0 = time.perf_counter()
-        eps, _, _ = wasserstein_to_cross(mu)
+        eps, _, cert = wasserstein_to_cross(mu)
         vz = volume_Zp(mu, p)
         vzs = volume_Zp_star(mu, p)
         dz = vz.value / ref_z - 1.0
@@ -355,13 +360,16 @@ def zpmustab_consistency(n: int, p, family, eps_tol: float = 1e-6):
         else:
             ok = deficit >= -err - 1e-9
         deficits.append(deficit)
+        extra = {"deficit_Z": dz, "deficit_Zstar": dzs,
+                 "gamma_note": "direction-only; n^{-cn^3} not falsifiable",
+                 "epsilon_method": cert["method"]}
+        if "nfev" in cert:
+            extra["epsilon_nfev"] = cert["nfev"]
         reports.append(StabilityReport(
             suite="zpstab", label=f"{idx}", n=n, p=p, epsilon=eps,
             deficit=deficit, bound=0.0, passed=ok,
             tolerances={"eps_tol": eps_tol, "vol_err": err},
-            runtime=time.perf_counter() - t0,
-            extra={"deficit_Z": dz, "deficit_Zstar": dzs,
-                   "gamma_note": "direction-only; n^{-cn^3} not falsifiable"}))
+            runtime=time.perf_counter() - t0, extra=extra))
     return reports
 
 

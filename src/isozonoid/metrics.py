@@ -7,13 +7,23 @@ nearest rotated cross measure) exploit that the support of a cross measure
 is invariant under sign flips of frame vectors, so the O(n) orbit equals
 the SO(n) orbit: rotations suffice.
 
+delta_WO is defined here for even measures only (the paper's setting; any
+other raises ``HypothesisFailedError``).  For an even measure the transport
+to a rotated cross is transport between lines, from the folded atoms
+(weight 2 c_i per antipodal pair) to the n frame lines.  Its dual is a
+concave piecewise-linear function of n - 1 potentials, maximised exactly
+at the vertices of its tie-line arrangement, so every trial frame of the
+orbit search costs one batched array evaluation, no LP.  One Kantorovich LP
+at the winning frame certifies the value: it is the number reported, and
+a dual/LP gap above 1e-12 raises.
+
 Hausdorff distance on the sphere is the standard symmetric max of the two
 one-sided max-min deviations; the one-sided minimum form is also exposed
 (``form="min"``) for comparison, but every consumer here uses the max form.
 
 Orbit searches.  In n = 2 both orbit distances are exact: each objective is
 piecewise linear in the frame angle, so its minimum sits at a kink and all
-kink candidates are evaluated (for delta_HO in one batched call).  In
+kink candidates are evaluated in one batched call.  In
 n = 3 one multistart Nelder-Mead runs from 61 quasi-uniform rotation
 vectors.  n = 3 values are upper bounds (local searches), not certified
 global minima.
@@ -115,9 +125,10 @@ def wasserstein(mu: AtomicMeasure, nu: AtomicMeasure):
     return float(res.fun), plan
 
 
-def _rotation_2d(phi):
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[c, -s], [s, c]])
+def _frames_2d(phis) -> np.ndarray:
+    """Frames (B, 2, 2) whose rows lie at the angles phi and phi + pi/2."""
+    c, s = np.cos(phis), np.sin(phis)
+    return np.stack([np.stack([c, s], 1), np.stack([-s, c], 1)], 1)
 
 
 def rotated_cross_measure(n, R) -> AtomicMeasure:
@@ -125,35 +136,95 @@ def rotated_cross_measure(n, R) -> AtomicMeasure:
     return cross_measure(n, frame=np.asarray(R, dtype=float))
 
 
+def _cross_transport_dual(U, w, R) -> np.ndarray:
+    """Transport cost from the folded atoms (U (k, n), weights w) to the
+    cross measure on every frame of a stack R (B, n, n), n in {2, 3}.
+
+    For an even measure the transport to a cross is transport between
+    lines: mass w_i on the line of u_i, mass 1 on the line of each frame
+    row r_j, cost C_ij = 2 arcsin(min(|u_i - r_j|, |u_i + r_j|) / 2).  Its
+    dual with g_1 = 0 maximises D(g) = sum_j g_j + sum_i w_i min_j (C_ij -
+    g_j), a concave piecewise-linear function whose maximum sits at a
+    vertex of the arrangement of tie lines: the points g_2 = C_i2 - C_i1 in
+    n = 2, and in n = 3 the 3k^2 crossings of the lines g_2 = C_i2 - C_i1,
+    g_3 = C_i3 - C_i1 and g_3 - g_2 = C_i3 - C_i2.  D is evaluated at every
+    vertex and the maximum, the exact cost, is returned for each frame.
+    """
+    k, n = U.shape
+    per_frame = (k if n == 2 else 3 * k * k) * k    # candidates x atoms
+    step = max(1, 2 ** 20 // per_frame)             # bounds the batch arrays
+    return np.concatenate([_cross_dual_chunk(U, w, R[s:s + step])
+                           for s in range(0, len(R), step)])
+
+
+def _cross_dual_chunk(U, w, R):
+    diff = np.linalg.norm(U[None, :, None, :] - R[:, None, :, :], axis=3)
+    summ = np.linalg.norm(U[None, :, None, :] + R[:, None, :, :], axis=3)
+    C = 2.0 * np.arcsin(np.minimum(diff, summ) / 2.0)        # (B, k, n)
+    A = C[:, :, 1:] - C[:, :, :1]                  # ties with line 1, (B, k, n-1)
+    a = A[:, :, 0]
+    if C.shape[2] == 2:
+        G = [a]                                    # the k candidates g_2
+    else:
+        b = A[:, :, 1]
+        d = b - a                                  # ties of lines 2 and 3
+        B, k = a.shape
+        first = lambda x: np.repeat(x, k, axis=1)  # x_m of the pair (m, l)
+        second = lambda x: np.broadcast_to(x[:, None, :], (B, k, k)).reshape(B, -1)
+        # crossings g2 = a_m with g3 = b_l and with g3 - g2 = d_l, and
+        # g3 = b_m with g3 - g2 = d_l: candidates (G[0], G[1]), (B, 3k^2)
+        G = [np.concatenate([first(a), first(a), first(b) - second(d)], axis=1),
+             np.concatenate([second(b), first(a) + second(d), first(b)], axis=1)]
+    slack = 0.0                                    # min_j (C_ij - g_j) - C_i1
+    for j, g in enumerate(G):
+        slack = np.minimum(slack, A[:, None, :, j] - g[:, :, None])
+    return C[:, :, 0] @ w + np.max(sum(G) + slack @ w, axis=1)
+
+
 def wasserstein_to_cross(mu: AtomicMeasure):
     """delta_WO(mu, nu_n): minimum transport cost to a rotated cross measure.
 
+    Only even measures are accepted (the paper's setting); any other raises
+    ``HypothesisFailedError``.  Frames are scored by the exact folded
+    transport dual of ``_cross_transport_dual``, no LP per frame.
     n = 2: every cost d(theta_i, phi + j pi/2) has its kinks at
-    phi = theta_i mod pi/2, so between consecutive kinks the LP value is a
-    minimum of linear functions of the rotation angle phi, hence concave,
-    and the exact minimum sits at a kink; the kinks (atom angles mod pi/2,
-    and 0) are the candidates, one LP each.  n = 3: the lockstep
-    multistart Nelder-Mead of ``_orbit_minimize_3d``, one transport LP per
-    evaluated frame.  Returns (value, rotation_matrix, certificate).
+    phi = theta_i mod pi/2, so between consecutive kinks the transport cost
+    is a minimum of linear functions of the rotation angle phi, hence
+    concave, and the exact minimum sits at a kink; the kinks (atom angles
+    mod pi/2, and 0) are scored in one call.  n = 3: the lockstep multistart
+    Nelder-Mead of ``_orbit_minimize_3d`` on the dual (an upper bound).
+    At the winning frame one ``wasserstein`` LP certifies the value: it is
+    the number returned, and a dual/LP gap above 1e-12 raises.  The
+    certificate records ``dual_value``, ``lp_value`` and ``lp_solves``.
+    Returns (value, rotation_matrix, certificate).
     """
     n = mu.dim
     if abs(mu.total_mass - n) > 1e-6:
         raise MassMismatchError("delta_WO needs total mass n")
+    if not mu.even:
+        raise HypothesisFailedError(
+            'delta_WO needs an even measure; mark it with "even": true in '
+            'the measure JSON')
+    U, w = mu.folded
     if n == 2:
         thetas = np.arctan2(mu.directions[:, 1], mu.directions[:, 0])
         cands = np.unique(np.concatenate([thetas % (np.pi / 2), [0.0]]))
-        best = (np.inf, None)
-        for phi in cands:
-            frame = _rotation_2d(phi % (np.pi / 2)).T   # rows at angles phi, phi+pi/2
-            val, _ = wasserstein(mu, rotated_cross_measure(2, frame))
-            if val < best[0]:
-                best = (val, frame)
+        frames = _frames_2d(cands)
+        vals = _cross_transport_dual(U, w, frames)
+        b = int(np.argmin(vals))
+        dual, frame = float(vals[b]), frames[b]
         cert = {"method": "kink-enumeration", "candidates": len(cands)}
-        return best[0], best[1], cert
-    if n == 3:
-        return _orbit_minimize_3d(lambda Rs: np.array(
-            [wasserstein(mu, rotated_cross_measure(3, R))[0] for R in Rs]))
-    raise ValueError("orbit search implemented for n in {2, 3}")
+    elif n == 3:
+        dual, frame, cert = _orbit_minimize_3d(
+            lambda Rs: _cross_transport_dual(U, w, Rs))
+    else:
+        raise ValueError("orbit search implemented for n in {2, 3}")
+    value, _ = wasserstein(mu, rotated_cross_measure(n, frame))
+    if abs(value - dual) > 1e-12:
+        raise AssertionError(f"transport dual {dual!r} and LP {value!r} "
+                             f"disagree at the winning frame")
+    cert.update(dual_value=dual, lp_value=value, lp_solves=1)
+    return value, frame, cert
 
 
 def _rotvec_matrix(w):
@@ -330,8 +401,7 @@ def hausdorff_to_cross(X):
         i, j = np.triu_indices(len(t))
         mid = (t[i] + t[j]) / 2.0
         phis = np.unique(np.concatenate([mid, mid + np.pi / 4]) % (np.pi / 2))
-        c, s = np.cos(phis), np.sin(phis)
-        frames = np.stack([np.stack([c, s], 1), np.stack([-s, c], 1)], 1)
+        frames = _frames_2d(phis)
         step = max(1, 2 ** 20 // (8 * len(X)))      # bounds the batch arrays
         vals = np.concatenate([_hausdorff_to_cross_batch(X, frames[k:k + step])
                                for k in range(0, len(frames), step)])

@@ -98,7 +98,11 @@ def _antipodal_pair_generators(mu: AtomicMeasure):
 
 
 def zp_touch_point(mu: AtomicMeasure, p, v):
-    """Boundary point of Z_p(mu) with outer normal v (gradient of h), p in (1, inf)."""
+    """Boundary point of Z_p(mu) with outer normal v (gradient of h), p in [1, inf).
+
+    At p = 1 it is sum_i c_i sign(<v, u_i>) u_i, a point of the face of the
+    zonotope with outer normal v (a vertex when no <v, u_i> vanishes).
+    """
     p = _check_pz(p)
     v = np.asarray(v, dtype=float)
     single = v.ndim == 1
@@ -122,7 +126,7 @@ def body_Zp(mu: AtomicMeasure, p) -> BodyRep:
         if len(G) <= 16 and mu.dim <= 4:
             return BodyRep.from_vertices(zonotope_vertices(G))
     fn = lambda v: support_Zp(mu, p, v)
-    touch = (lambda v: zp_touch_point(mu, p, v)) if p > 1.0 else None
+    touch = lambda v: zp_touch_point(mu, p, v)
     return BodyRep.from_support(mu.dim, fn, touch_fn=touch, rng_check=False)
 
 
@@ -195,7 +199,9 @@ def mp_body(mu: AtomicMeasure, p) -> BodyRep:
         if len(G) <= 20 and mu.dim <= 4:
             return BodyRep.from_vertices(zonotope_vertices(G))
         fn = lambda v: np.abs(np.asarray(v) @ G.T).sum(axis=-1)
-        return BodyRep.from_support(mu.dim, fn, rng_check=False)
+        # the gradient of h: a vertex sum sign(<v, g_i>) g_i of the zonotope
+        touch = lambda v: np.sign(np.asarray(v) @ G.T) @ G
+        return BodyRep.from_support(mu.dim, fn, touch_fn=touch, rng_check=False)
     return BodyRep.from_gauge(mu.dim, lambda x: mp_gauge(mu, p, x))
 
 

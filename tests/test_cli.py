@@ -9,7 +9,8 @@ from isozonoid import harness
 from isozonoid.bodies import cube_body
 from isozonoid.cli import main
 from isozonoid.harness import REPORT_CSV_FIELDS
-from isozonoid.measures import hexagonal_measure
+from isozonoid.measures import cross_measure, hexagonal_measure
+from isozonoid.metrics import wasserstein
 
 
 @pytest.fixture
@@ -43,6 +44,17 @@ def test_distance_wassO(hex_json, tmp_path):
     data = json.loads(out.read_text())
     assert data["value"] > 0.1
     assert "certificate" in data
+
+
+def test_distance_wassO_needs_an_even_measure(tmp_path, capsys):
+    data = hexagonal_measure().to_json_dict()
+    data["even"] = False
+    path = tmp_path / "hex_flagless.json"
+    path.write_text(json.dumps(data))
+    rc = main(["distance", "--kind", "wassO", "--measure", str(path),
+               "--out", str(tmp_path / "d.json")])
+    assert rc == 2
+    assert '"even": true' in capsys.readouterr().err
 
 
 def test_distance_hausO(hex_json, tmp_path):
@@ -98,6 +110,26 @@ def test_verify_theoremB_n3_writes_strict_json(tmp_path):
     assert all(isinstance(r["passed"], bool) for r in rows)
     header = (tmp_path / "tb3.csv").read_text().splitlines()[0]
     assert header.split(",") == REPORT_CSV_FIELDS
+
+
+def test_verify_zpstab_n3_pinf(tmp_path, capsys):
+    out = tmp_path / "zp3.json"
+    rc = main(["verify", "--suite", "zpstab", "--n", "3", "--p", "inf",
+               "--out", str(out)])
+    assert rc in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+    rows = json.loads(out.read_text(), parse_constant=_reject_constant)
+    header = (tmp_path / "zp3.csv").read_text().splitlines()[0]
+    assert header.split(",") == REPORT_CSV_FIELDS
+    fam = harness.perturbation_family("TILTED_PAIR", 3,
+                                      np.linspace(0.0, 0.4, 9))
+    assert [r["label"] for r in rows] == [str(i) for i in range(len(fam))]
+    assert rows[0]["epsilon"] <= 1e-10          # label 0 is the cross
+    for row, mu in zip(rows, fam):
+        at_identity, _ = wasserstein(mu, cross_measure(3))
+        assert row["epsilon"] <= at_identity
+        assert row["epsilon_method"] == "multistart-nelder-mead"
+        assert row["epsilon_nfev"] > 0
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -95,6 +95,8 @@ def test_zpstab_tilted_sweep_monotone():
     reps = zpmustab_consistency(2, math.inf, fam)
     assert all(r.passed for r in reps)
     assert deficits_monotone(reps)
+    assert all(r.to_dict()["epsilon_method"] == "kink-enumeration"
+               and "epsilon_nfev" not in r.extra for r in reps)
     assert reps[0].deficit == pytest.approx(0.0, abs=1e-9)
 
 

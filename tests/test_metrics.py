@@ -8,9 +8,10 @@ from isozonoid.errors import HypothesisFailedError, MassMismatchError
 from isozonoid.harness import (john_normalize, perturbation_family,
                                random_even_isotropic, regular_polygon_body,
                                tilted_pair_measure, truncated_cube_body)
-from isozonoid.measures import cross_measure, equiangular_measure, unit_vector
+from isozonoid.measures import (AtomicMeasure, cross_measure,
+                                equiangular_measure, unit_vector)
 from isozonoid import metrics
-from isozonoid.metrics import (_hausdorff_to_cross_batch,
+from isozonoid.metrics import (_cross_transport_dual, _hausdorff_to_cross_batch,
                                _intersection_volume, _intersection_volumes,
                                _lockstep_nelder_mead,
                                banach_mazur,
@@ -86,12 +87,10 @@ def test_wasserstein_to_cross_rotated_is_zero():
 
 def test_wasserstein_to_cross_hexagon_matches_grid_oracle(hexm):
     val, _, _ = wasserstein_to_cross(hexm)
-
-    def objective(phis):
-        return [wasserstein(hexm, rotated_cross_measure(2, rot2(phi).T))[0]
-                for phi in phis]
-
-    grid_val, _ = rotation_grid_orbit_min(objective, np.pi / 2, 1571)
+    # the closed-form transport of tests/oracles.py, checked against the LP
+    # in test_s1_transport_oracle_matches_lp
+    grid_val, _ = rotation_grid_orbit_min(
+        lambda phis: s1_transport_to_cross(hexm, phis), np.pi / 2, 1571)
     assert val <= grid_val + 1e-12
     assert val == pytest.approx(grid_val, abs=1e-3)
     assert val > 0.1
@@ -147,6 +146,110 @@ def test_wasserstein_to_cross_tilted_3d(rng):
         R = Rotation.random(random_state=rng).as_matrix()
         grid_best = min(grid_best, wasserstein(mu, rcm(3, R))[0])
     assert val <= grid_best + 1e-9
+
+
+def _random_frames(n, m, rng):
+    from scipy.spatial.transform import Rotation
+
+    if n == 2:
+        return np.array([rot2(phi).T
+                         for phi in rng.uniform(0.0, 2.0 * np.pi, m)])
+    return Rotation.random(m, random_state=rng).as_matrix()
+
+
+def _even_mixture(n, rng):
+    """A random even isotropic measure with at most 10 folded atoms: a
+    convex combination of a random one and a rotated cross."""
+    mu = random_even_isotropic(n, n * (n + 1) // 2 + 4, rng)
+    nu = rotated_cross_measure(n, _random_frames(n, 1, rng)[0])
+    t = rng.uniform(0.2, 0.8)
+    return AtomicMeasure(n, np.vstack([mu.directions, nu.directions]),
+                         np.concatenate([t * mu.weights,
+                                         (1.0 - t) * nu.weights]), even=True)
+
+
+def _kink_frames(U, rng):
+    """For every atom u, a frame with u as its first row and the same frame
+    rolled, so that u is a row and the first row is orthogonal to u: the
+    two kinks of the line cost (angle 0 and pi/2)."""
+    n = U.shape[1]
+    out = []
+    for u in U:
+        Q, _ = np.linalg.qr(np.column_stack([u, rng.standard_normal((n, n - 1))]))
+        out += [Q.T, np.roll(Q.T, 1, axis=0)]
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cross_transport_dual_matches_lp(n, rng):
+    measures = [tilted_pair_measure(n, 0.1), tilted_pair_measure(n, 0.35),
+                _even_mixture(n, rng), _even_mixture(n, rng)]
+    for mu in measures:
+        U, w = mu.folded
+        assert len(U) <= 10
+        R = np.concatenate([_random_frames(n, 200, rng), _kink_frames(U, rng)])
+        lp = [wasserstein(mu, rotated_cross_measure(n, r))[0] for r in R]
+        assert np.max(np.abs(_cross_transport_dual(U, w, R) - lp)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cross_transport_dual_of_the_cross_at_its_frame(n, rng):
+    U, w = cross_measure(n).folded
+    assert _cross_transport_dual(U, w, np.eye(n)[None])[0] == 0.0
+    for R in _random_frames(n, 4, rng):
+        U, w = rotated_cross_measure(n, R).folded
+        assert abs(_cross_transport_dual(U, w, R[None])[0]) <= 1e-14
+
+
+def test_cross_transport_dual_chunks_agree(rng):
+    # 600 frames of a 9-atom measure in n = 3 span several chunks
+    mu = _even_mixture(3, rng)
+    U, w = mu.folded
+    R = _random_frames(3, 600, rng)
+    parts = [_cross_transport_dual(U, w, R[s:s + 7]) for s in range(0, 600, 7)]
+    assert np.allclose(_cross_transport_dual(U, w, R), np.concatenate(parts),
+                       rtol=0.0, atol=1e-15)
+
+
+def test_wasserstein_to_cross_solves_one_lp(monkeypatch):
+    lp = metrics.wasserstein
+    targets = []
+
+    def counted(mu, nu):
+        targets.append(nu)
+        return lp(mu, nu)
+
+    monkeypatch.setattr(metrics, "wasserstein", counted)
+    for mu in (tilted_pair_measure(2, 0.2), tilted_pair_measure(3, 0.2)):
+        targets.clear()
+        val, frame, cert = wasserstein_to_cross(mu)
+        assert len(targets) == 1 and cert["lp_solves"] == 1
+        at_frame = rotated_cross_measure(mu.dim, frame)
+        assert np.array_equal(targets[0].directions, at_frame.directions)
+        assert val == cert["lp_value"] == lp(mu, at_frame)[0]
+        assert abs(cert["dual_value"] - val) <= 1e-12
+
+
+def test_wasserstein_to_cross_raises_on_dual_lp_mismatch(monkeypatch):
+    lp = metrics.wasserstein
+    mu = tilted_pair_measure(2, 0.2)
+    monkeypatch.setattr(metrics, "wasserstein",
+                        lambda a, b: (lp(a, b)[0] + 1e-13, None))
+    wasserstein_to_cross(mu)                # within the 1e-12 agreement
+    monkeypatch.setattr(metrics, "wasserstein",
+                        lambda a, b: (lp(a, b)[0] + 1e-11, None))
+    with pytest.raises(AssertionError, match="disagree"):
+        wasserstein_to_cross(mu)
+
+
+def test_wasserstein_to_cross_needs_even_measure(nu2):
+    flagless = AtomicMeasure(2, nu2.directions, nu2.weights)
+    ang = 2.0 * np.pi * np.arange(3) / 3.0
+    star = AtomicMeasure(2, np.stack([np.cos(ang), np.sin(ang)], 1),
+                         np.full(3, 2.0 / 3.0))      # isotropic, not even
+    for mu in (flagless, star):
+        with pytest.raises(HypothesisFailedError, match='"even": true'):
+            wasserstein_to_cross(mu)
 
 
 def test_hausdorff_examples(hexm, nu2):

@@ -137,12 +137,29 @@ def test_mp_infinity_support_oracle_is_vectorized():
     assert body.fn(V).shape == (16,)
     assert np.allclose(body.fn(V), h, rtol=1e-14, atol=0.0)
     assert body.support(V[3]) == pytest.approx(h[3], rel=1e-14)
+    # the touch points are zonotope vertices, so the sandwich's inner hull
+    # lies inside the body and its bar covers the volume from minors
+    touch = body.touch_fn(V)
+    assert np.allclose(np.sum(touch * V, axis=1), h, rtol=1e-14, atol=0.0)
     res = volume(body)
-    # the central-difference touch points straddle the kinks of this
-    # polytope support function, and their hull overshoots the zonotope by
-    # 2.5e-9 here, just past the sandwich bar (a known fault of the bar)
     exact = zonotope_volume(G)
-    assert abs(res.value - exact) <= res.abs_error + 1e-8 * exact
+    assert abs(res.value - exact) <= res.abs_error
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_zp1_support_oracle_touch_points_are_vertices(n):
+    # a non-even measure takes the support-oracle path at p = 1; its touch
+    # points are zonotope vertices sum_i c_i sign(<v, u_i>) u_i, so the
+    # sandwich's inner hull lies inside the body
+    mu = _non_even_isotropic(n)
+    body = body_Zp(mu, 1.0)
+    assert body.kind == "support"
+    V = circle_grid(64) if n == 2 else icosphere(2)
+    G = mu.weights[:, None] * mu.directions
+    assert np.allclose(body.touch_fn(V), np.sign(V @ mu.directions.T) @ G,
+                       rtol=0.0, atol=1e-15)
+    res = volume(body)
+    assert abs(res.value - zonotope_volume(G)) <= res.abs_error
 
 
 def test_mp_gauge_on_rows(rng):
