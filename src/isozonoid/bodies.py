@@ -17,6 +17,14 @@ touching points and the intersection of tangent halfspaces over a direction
 grid; gauge oracles use the polar-radial formula V = (1/n) int r^n with
 r = 1/gauge, plus a seeded Monte-Carlo cross-check.  All errors are
 reported, never hidden.
+
+Halfspace systems go through one polar-dual kernel.  With the origin
+inside, {x : <a_i, x> <= b_i} is the polar of conv{a_i / b_i}: its area is
+a closed-form arc sum (``_polar_areas``), its volume comes from one Qhull
+hull of the dual points (``_polar_volumes``), and the facets of that hull
+are its vertices (``halfspace_vertices``).  The n = 3 outer sandwich bound,
+H -> V conversion and the delta_vol intersection volumes in ``metrics`` all
+use it; no Qhull halfspace intersection is left.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, HalfspaceIntersection
+from scipy.spatial import ConvexHull
 
 from .errors import (DimensionUnsupportedError, UnboundedBodyError)
 
@@ -274,15 +282,95 @@ def _interior_point(A, b):
 
 
 def halfspace_vertices(A, b) -> np.ndarray:
-    """Vertex enumeration of {x : Ax <= b} via Qhull halfspace intersection."""
+    """Vertex enumeration of {x : Ax <= b} from the polar dual hull.
+
+    Shifted to an interior point pt (``_interior_point``), the polytope is
+    the polar of conv{a_j / b'_j} with b' = b - A pt, so each facet
+    (nu, off) of that one hull is the vertex nu / (-off) + pt.  b' is
+    summed coordinate by coordinate from -b, the order Qhull's halfspace
+    mode uses, so the vertices are bit-identical to its intersections.
+    Triangulated dual facets repeat vertices; one hull of the points
+    removes them.
+    """
+    A = np.asarray(A, dtype=float)
     pt = _interior_point(A, b)
-    hs = np.hstack([A, -np.asarray(b, dtype=float)[:, None]])
-    hi = HalfspaceIntersection(hs, pt)
-    pts = hi.intersections
-    # collapse duplicate intersection points
+    dist = -np.asarray(b, dtype=float)
+    for k in range(A.shape[1]):
+        dist = dist + A[:, k] * pt[k]
+    eqs = ConvexHull(A / -dist[:, None]).equations
+    pts = eqs[:, :-1] / -eqs[:, -1:] + pt
     hull = ConvexHull(pts)
     return pts[hull.vertices] if A.shape[1] == 2 else np.unique(
         np.round(pts[np.unique(hull.simplices)], 12), axis=0)
+
+
+def _polar_areas(P):
+    """Areas of the polygons {x : <p_i, x> <= 1} for dual points P (B, m, 2)
+    whose convex hulls contain the origin in their interiors.
+
+    The area is (1/2) int rho(theta)^2 dtheta with rho = 1 / max_i <p_i, u>.
+    Constraint i is active on the arc where <p_i - p_j, u> >= 0 for every j;
+    with u = p_i + s J p_i (J the quarter turn, s = tan of the angle from
+    p_i) each condition is linear in s, and the arc [s_lo, s_hi] adds
+    (s_hi - s_lo) / (2 |p_i|^2), the triangle from the origin to edge i.
+    The differences p_i - p_j are formed first, so nearly coincident dual
+    points give accurate crossings; exact duplicates go to the lower index.
+    """
+    m = P.shape[1]
+    D = P[:, :, None, :] - P[:, None, :, :]            # d_ij = p_i - p_j
+    Px, Py = P[:, :, None, 0], P[:, :, None, 1]
+    alpha = D[..., 0] * Px + D[..., 1] * Py              # <d_ij, p_i>
+    beta = D[..., 1] * Px - D[..., 0] * Py               # <d_ij, J p_i>
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = -alpha / beta                                # alpha + s beta >= 0
+    lo = np.max(np.where(beta > 0, s, -np.inf), axis=2)
+    hi = np.min(np.where(beta < 0, s, np.inf), axis=2)
+    later = np.arange(m)[None, :] < np.arange(m)[:, None]          # j < i
+    dead = (beta == 0) & ((alpha < 0) | ((alpha == 0) & later))
+    hi[dead.any(axis=2)] = -np.inf
+    return np.sum(np.maximum(hi - lo, 0.0) / (2.0 * np.sum(P * P, axis=2)),
+                  axis=1)
+
+
+def _triple(a, b, c):
+    """det(a, b, c) = <a, b x c> over the last axis (3)."""
+    return (a[..., 0] * (b[..., 1] * c[..., 2] - b[..., 2] * c[..., 1])
+            + a[..., 1] * (b[..., 2] * c[..., 0] - b[..., 0] * c[..., 2])
+            + a[..., 2] * (b[..., 0] * c[..., 1] - b[..., 1] * c[..., 0]))
+
+
+def _polar_volumes(P):
+    """Volumes of the polytopes {x : <p_i, x> <= 1} for dual points P
+    (B, m, 3) whose convex hulls contain the origin in their interiors.
+
+    One Qhull hull of each point set.  A hull facet (nu, off) is the vertex
+    x = nu / (-off) of the polytope, and the facet of plane i, with foot
+    f_i = p_i / |p_i|^2, is fanned from f_i over its edges x_F x_G: the
+    two hull facets F, G that share the dual edge i -> j.  Summing
+    det(f_i, x_G, x_F) / 6 over the oriented dual edges gives the volume.
+    """
+    B, m, _ = P.shape
+    S, N, E, owner = [], [], [], []
+    nf = 0
+    for k in range(B):
+        hull = ConvexHull(P[k])
+        S.append(hull.simplices + k * m)
+        N.append(hull.neighbors + nf)
+        E.append(hull.equations)
+        owner.append(np.full(len(hull.simplices), k))
+        nf += len(hull.simplices)
+    S, N, E, owner = (np.concatenate(x) for x in (S, N, E, owner))
+    Q = P.reshape(-1, 3)
+    X = E[:, :3] / -E[:, 3:]
+    # orient every facet counterclockwise seen from outside
+    V0, V1, V2 = Q[S[:, 0]], Q[S[:, 1]], Q[S[:, 2]]
+    flip = _triple(E[:, :3], V1 - V0, V2 - V0) < 0
+    S[flip, 1:] = S[flip, :0:-1]
+    N[flip, 1:] = N[flip, :0:-1]
+    foot = Q / np.sum(Q * Q, axis=1)[:, None]
+    # edge S[f, r] -> S[f, r + 1] is shared with facet N[f, r + 2]
+    dets = _triple(foot[S], X[N[:, [2, 0, 1]]], X[:, None, :])
+    return np.bincount(owner, weights=dets.sum(axis=1), minlength=B) / 6.0
 
 
 def vertices_to_halfspaces(V):
@@ -389,6 +477,15 @@ def _touch_points(body, dirs):
 
 
 def _support_sandwich_volume(body, grid=None) -> VolumeResult:
+    """Volume between the hull of the touch points (inner) and the body
+    {x : <u_i, x> <= h(u_i)} of the tangent halfspaces over the grid
+    (outer); the value is the midpoint and the bar half the gap.
+
+    In n = 2 the outer polygon comes from consecutive tangent lines; in
+    n = 3 the outer body is the polar of conv{u_i / h(u_i)}, whose volume
+    is one hull of the dual points (``_polar_volumes``, the kernel shared
+    with H -> V and delta_vol).
+    """
     n = body.dim
     if grid is None:
         grid = sphere_grid(n)
@@ -398,9 +495,7 @@ def _support_sandwich_volume(body, grid=None) -> VolumeResult:
     if n == 2:
         v_out = _outer_polygon_area(grid, hvals)
     elif n == 3:
-        hs = np.hstack([grid, -hvals[:, None]])
-        hi = HalfspaceIntersection(hs, np.zeros(3))
-        v_out = float(ConvexHull(hi.intersections).volume)
+        v_out = float(_polar_volumes((grid / hvals[:, None])[None])[0])
     else:
         raise DimensionUnsupportedError("support sandwich needs n <= 3")
     v_in = float(ConvexHull(_touch_points(body, grid)).volume)

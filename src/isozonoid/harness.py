@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +42,6 @@ class StabilityReport:
     bound: float               # the quantitative bound that was checked
     passed: bool
     tolerances: dict = field(default_factory=dict)
-    runtime: float = 0.0
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -53,7 +51,7 @@ class StabilityReport:
         d = {"suite": self.suite, "label": self.label, "n": self.n,
              "p": self.p, "epsilon": self.epsilon, "deficit": self.deficit,
              "bound": self.bound, "passed": self.passed,
-             "tolerances": self.tolerances, "runtime": self.runtime}
+             "tolerances": self.tolerances}
         d.update({k: v for k, v in self.extra.items()
                   if isinstance(v, (int, float, str, bool))})
         return {k: _json_safe(v) for k, v in d.items()}
@@ -75,7 +73,7 @@ def _json_safe(v):
 
 
 REPORT_CSV_FIELDS = ["suite", "label", "n", "p", "epsilon", "deficit",
-                     "bound", "passed", "runtime"]
+                     "bound", "passed"]
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +179,15 @@ def perturbation_family(kind: str, n: int, params, seed: int = DEFAULT_SEED):
     return out
 
 
+def _epsilon_provenance(cert) -> dict:
+    """Report extras saying how delta_WO was obtained: the certificate's
+    ``method`` and, for the n = 3 search, its objective evaluations."""
+    out = {"epsilon_method": cert["method"]}
+    if "nfev" in cert:
+        out["epsilon_nfev"] = cert["nfev"]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Theorem B direction
 
@@ -189,13 +196,14 @@ def theorem_B_suite(n: int, p, family, equality_tol: float = 1e-6):
     """V(Z_p(mu)) >= V(Z_p(nu_n)) and V(Z*_p(mu)) <= V(Z*_p(nu_n)) over a family.
 
     Equality (within volume error) is flagged as legitimate only when the
-    orbit distance delta_WO(mu, nu_n) is below ``equality_tol``.
+    orbit distance delta_WO(mu, nu_n) is below ``equality_tol``.  Such a
+    report says how its epsilon was obtained, as ``zpmustab_consistency``
+    does (``epsilon_method``, and ``epsilon_nfev`` in n = 3).
     """
     ref_z = reference_volume("Z", n, p)
     ref_zs = reference_volume("Z_STAR", n, p)
     reports = []
     for idx, mu in enumerate(family):
-        t0 = time.perf_counter()
         vz = volume_Zp(mu, p)
         vzs = volume_Zp_star(mu, p)
         err = vz.abs_error + vzs.abs_error
@@ -207,14 +215,15 @@ def theorem_B_suite(n: int, p, family, equality_tol: float = 1e-6):
                  "ref_Zp": ref_z, "ref_Zp_star": ref_zs}
         eps = float("nan")
         if near_equal:
-            eps, _, _ = wasserstein_to_cross(mu)
+            eps, _, cert = wasserstein_to_cross(mu)
             extra["equality_flagged"] = eps <= equality_tol
+            extra.update(_epsilon_provenance(cert))
         deficit = min(vz.value - ref_z, ref_zs - vzs.value)
         reports.append(StabilityReport(
             suite="theoremB", label=f"{idx}", n=n, p=p, epsilon=eps,
             deficit=deficit, bound=0.0, passed=ok_z and ok_zs,
             tolerances={"volume_err": err, "equality_tol": equality_tol},
-            runtime=time.perf_counter() - t0, extra=extra))
+            extra=extra))
     return reports
 
 
@@ -297,7 +306,6 @@ def s1_sharp_suite(family, check_ingredients: bool = True):
 
     reports = []
     for idx, mu in enumerate(family):
-        t0 = time.perf_counter()
         if mu.dim != 2:
             raise ValueError("s1 suite needs measures on S^1")
         if not is_proper_support(mu):
@@ -324,7 +332,7 @@ def s1_sharp_suite(family, check_ingredients: bool = True):
             suite="s1", label=f"{idx}", n=2, p=math.inf, epsilon=eps,
             deficit=min(v_inf - 2.0, 4.0 - v_star), bound=min(b_inf, b_star),
             passed=ok, tolerances={"area": 1e-12, "eps": 1e-9},
-            runtime=time.perf_counter() - t0, extra=extra))
+            extra=extra))
     return reports
 
 
@@ -346,7 +354,6 @@ def zpmustab_consistency(n: int, p, family, eps_tol: float = 1e-6):
     reports = []
     deficits = []
     for idx, mu in enumerate(family):
-        t0 = time.perf_counter()
         eps, _, cert = wasserstein_to_cross(mu)
         vz = volume_Zp(mu, p)
         vzs = volume_Zp_star(mu, p)
@@ -362,14 +369,12 @@ def zpmustab_consistency(n: int, p, family, eps_tol: float = 1e-6):
         deficits.append(deficit)
         extra = {"deficit_Z": dz, "deficit_Zstar": dzs,
                  "gamma_note": "direction-only; n^{-cn^3} not falsifiable",
-                 "epsilon_method": cert["method"]}
-        if "nfev" in cert:
-            extra["epsilon_nfev"] = cert["nfev"]
+                 **_epsilon_provenance(cert)}
         reports.append(StabilityReport(
             suite="zpstab", label=f"{idx}", n=n, p=p, epsilon=eps,
             deficit=deficit, bound=0.0, passed=ok,
             tolerances={"eps_tol": eps_tol, "vol_err": err},
-            runtime=time.perf_counter() - t0, extra=extra))
+            extra=extra))
     return reports
 
 
@@ -422,7 +427,6 @@ def reverse_isoperimetric_suite(bodies, labels=None, distances: bool = True,
     reports = []
     labels = labels or [str(i) for i in range(len(bodies))]
     for body, label in zip(bodies, labels):
-        t0 = time.perf_counter()
         n = body.dim
         K, Phi = john_normalize(body)
         ratio = isoperimetric_ratio(K)
@@ -456,7 +460,7 @@ def reverse_isoperimetric_suite(bodies, labels=None, distances: bool = True,
             suite="reviso", label=label, n=n, p=None, epsilon=eps,
             deficit=deficit, bound=0.0, passed=ok,
             tolerances={"inclusion": 1e-9},
-            runtime=time.perf_counter() - t0, extra=extra))
+            extra=extra))
     return reports
 
 
@@ -513,7 +517,6 @@ def planar_suite(K: BodyRep) -> StabilityReport:
     V(Q) = (1 + t) V(W^2), and the chain t <= 18 eps, 3t <= 54 eps
     against the body's own isoperimetric deficit eps.
     """
-    t0 = time.perf_counter()
     if K.dim != 2:
         raise ValueError("planar suite needs 2-D bodies")
     area_p, q1, q2 = max_area_inscribed_parallelogram(K)
@@ -554,7 +557,6 @@ def planar_suite(K: BodyRep) -> StabilityReport:
         suite="planar", label="chain", n=2, p=None, epsilon=eps,
         deficit=eps, bound=18.0 * eps, passed=identities_ok and chain_ok,
         tolerances={"identity": 1e-12},
-        runtime=time.perf_counter() - t0,
         extra={"t": t, "t1": t1, "t2": t2, "S_M": s_m, "V_Q": v_q,
                "S_M_expected": s_m_expected, "V_Q_expected": v_q_expected,
                "parallelogram_area": area_p})

@@ -33,9 +33,10 @@ bounds obtained by multistart Nelder-Mead over a normalized GL(n) family;
 global optimality over GL(n) is out of desk scope and never claimed.  The
 volume difference needs the volume of {x : Ax <= b} for every trial map.
 With the origin inside, that polytope is the polar of the hull of the dual
-points a_i / b_i, so its volume is computed from them alone: in closed
-form in n = 2 (an exact sum over the arcs where each facet is active, no
-Qhull call) and from one hull of the dual points in n = 3.
+points a_i / b_i, so its volume is computed from them alone by the
+polar-dual kernel of ``bodies``: in closed form in n = 2 (an exact sum over
+the arcs where each facet is active, no Qhull call) and from one hull of the
+dual points in n = 3.
 
 Every multistart search here runs on ``_lockstep_nelder_mead``: the starts
 advance in lockstep, each taking exactly the steps of scipy's Nelder-Mead,
@@ -51,9 +52,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull
 
-from .bodies import BodyRep, _interior_point, hull_volume_area
+from .bodies import (BodyRep, _interior_point, _polar_areas, _polar_volumes,
+                     hull_volume_area)
 from .errors import (DimensionUnsupportedError, EmptySetError,
                      HypothesisFailedError, MassMismatchError,
                      UnboundedBodyError)
@@ -599,82 +600,15 @@ def banach_mazur(K: BodyRep, M: BodyRep, restarts: int = 24, seed: int = 0):
     return value, cert
 
 
-def _polar_areas(P):
-    """Areas of the polygons {x : <p_i, x> <= 1} for dual points P (B, m, 2)
-    whose convex hulls contain the origin in their interiors.
-
-    The area is (1/2) int rho(theta)^2 dtheta with rho = 1 / max_i <p_i, u>.
-    Constraint i is active on the arc where <p_i - p_j, u> >= 0 for every j;
-    with u = p_i + s J p_i (J the quarter turn, s = tan of the angle from
-    p_i) each condition is linear in s, and the arc [s_lo, s_hi] adds
-    (s_hi - s_lo) / (2 |p_i|^2), the triangle from the origin to edge i.
-    The differences p_i - p_j are formed first, so nearly coincident dual
-    points give accurate crossings; exact duplicates go to the lower index.
-    """
-    m = P.shape[1]
-    D = P[:, :, None, :] - P[:, None, :, :]            # d_ij = p_i - p_j
-    Px, Py = P[:, :, None, 0], P[:, :, None, 1]
-    alpha = D[..., 0] * Px + D[..., 1] * Py              # <d_ij, p_i>
-    beta = D[..., 1] * Px - D[..., 0] * Py               # <d_ij, J p_i>
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = -alpha / beta                                # alpha + s beta >= 0
-    lo = np.max(np.where(beta > 0, s, -np.inf), axis=2)
-    hi = np.min(np.where(beta < 0, s, np.inf), axis=2)
-    later = np.arange(m)[None, :] < np.arange(m)[:, None]          # j < i
-    dead = (beta == 0) & ((alpha < 0) | ((alpha == 0) & later))
-    hi[dead.any(axis=2)] = -np.inf
-    return np.sum(np.maximum(hi - lo, 0.0) / (2.0 * np.sum(P * P, axis=2)),
-                  axis=1)
-
-
-def _triple(a, b, c):
-    """det(a, b, c) = <a, b x c> over the last axis (3)."""
-    return (a[..., 0] * (b[..., 1] * c[..., 2] - b[..., 2] * c[..., 1])
-            + a[..., 1] * (b[..., 2] * c[..., 0] - b[..., 0] * c[..., 2])
-            + a[..., 2] * (b[..., 0] * c[..., 1] - b[..., 1] * c[..., 0]))
-
-
-def _polar_volumes(P):
-    """Volumes of the polytopes {x : <p_i, x> <= 1} for dual points P
-    (B, m, 3) whose convex hulls contain the origin in their interiors.
-
-    One Qhull hull of each point set.  A hull facet (nu, off) is the vertex
-    x = nu / (-off) of the polytope, and the facet of plane i, with foot
-    f_i = p_i / |p_i|^2, is fanned from f_i over its edges x_F x_G: the
-    two hull facets F, G that share the dual edge i -> j.  Summing
-    det(f_i, x_G, x_F) / 6 over the oriented dual edges gives the volume.
-    """
-    B, m, _ = P.shape
-    S, N, E, owner = [], [], [], []
-    nf = 0
-    for k in range(B):
-        hull = ConvexHull(P[k])
-        S.append(hull.simplices + k * m)
-        N.append(hull.neighbors + nf)
-        E.append(hull.equations)
-        owner.append(np.full(len(hull.simplices), k))
-        nf += len(hull.simplices)
-    S, N, E, owner = (np.concatenate(x) for x in (S, N, E, owner))
-    Q = P.reshape(-1, 3)
-    X = E[:, :3] / -E[:, 3:]
-    # orient every facet counterclockwise seen from outside
-    V0, V1, V2 = Q[S[:, 0]], Q[S[:, 1]], Q[S[:, 2]]
-    flip = _triple(E[:, :3], V1 - V0, V2 - V0) < 0
-    S[flip, 1:] = S[flip, :0:-1]
-    N[flip, 1:] = N[flip, :0:-1]
-    foot = Q / np.sum(Q * Q, axis=1)[:, None]
-    # edge S[f, r] -> S[f, r + 1] is shared with facet N[f, r + 2]
-    dets = _triple(foot[S], X[N[:, [2, 0, 1]]], X[:, None, :])
-    return np.bincount(owner, weights=dets.sum(axis=1), minlength=B) / 6.0
-
-
 def _intersection_volumes(A, b):
     """Volumes of the polytopes {x : A_k x <= b} for a stack A (B, m, n),
     n in {2, 3}, and one offset vector b (m,); 0 where one has no interior.
 
     With the origin inside, {x : Ax <= b} is the polar of conv{a_i / b_i},
-    so each volume follows from the dual points: ``_polar_areas`` (closed
-    form, no Qhull) or ``_polar_volumes`` (one hull).  The origin is the
+    so each volume follows from the dual points through the polar-dual
+    kernel of ``bodies`` (shared with the support sandwich and H -> V):
+    ``_polar_areas`` (closed form, no Qhull) or ``_polar_volumes`` (one
+    hull).  The origin is the
     centre when every b_i > 1e-12; otherwise each system is shifted to its
     Chebyshev centre (``_interior_point``), and one without an interior
     point (empty or flat) has volume 0.
@@ -719,9 +653,10 @@ def volume_distance(K: BodyRep, M: BodyRep, restarts: int = 12, seed: int = 0):
     the intersection volume (V(sym diff) = 2 - 2 V(intersection) after
     normalizing both bodies to volume 1).  That volume is the polar-dual
     volume of ``_intersection_volumes``: the intersection is the polar of
-    the hull of the dual points a_i / b_i of both bodies' facets, so it is
-    a closed-form arc sum in n = 2 and one Qhull hull in n = 3, for every
-    pending trial map of every start in one call.  ``restarts`` Nelder-Mead
+    the hull of the dual points a_i / b_i of both bodies' facets, so the
+    polar-dual kernel of ``bodies`` gives it as a closed-form arc sum in
+    n = 2 and one Qhull hull in n = 3, for every pending trial map of every
+    start in one call.  ``restarts`` Nelder-Mead
     starts (the identity, then random perturbations of it) run in lockstep
     through ``_lockstep_nelder_mead`` (xatol 1e-9, fatol 1e-12, maxiter
     1500).  Returns (value, certificate).

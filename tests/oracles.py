@@ -6,8 +6,9 @@ transport values from permutation enumeration, volumes from direct
 combinatorial vertex enumeration or exact rational polygon clipping, orbit
 minima from dense grids, the multistart searches (n = 3 orbit,
 Banach-Mazur, volume distance) from one scipy Nelder-Mead run per start on
-a scalar objective, zonoid sums over every atom (no antipodal folding) and
-the ball integral over the full tensor grid.
+a scalar objective, zonoid sums over every atom (no antipodal folding), the
+ball integral over the full tensor grid, and halfspace intersections from
+Qhull's halfspace mode (no polar-dual hull).
 """
 
 import itertools
@@ -195,14 +196,41 @@ def banach_mazur_per_start(K, M, restarts, seed=0):
             int(nfev.sum()))
 
 
+def halfspace_vertices_hsi(A, b):
+    """Vertices of {x : Ax <= b} from scipy's ``HalfspaceIntersection``
+    about ``bodies._interior_point``, then a hull that removes duplicate
+    intersection points (hull order in n = 2, rounded and sorted in n = 3)."""
+    from scipy.spatial import ConvexHull, HalfspaceIntersection
+
+    from isozonoid.bodies import _interior_point
+
+    A = np.asarray(A, dtype=float)
+    pt = _interior_point(A, b)
+    hs = np.hstack([A, -np.asarray(b, dtype=float)[:, None]])
+    pts = HalfspaceIntersection(hs, pt).intersections
+    hull = ConvexHull(pts)
+    return pts[hull.vertices] if A.shape[1] == 2 else np.unique(
+        np.round(pts[np.unique(hull.simplices)], 12), axis=0)
+
+
+def tangent_body_volume_hsi(dirs, hvals):
+    """V({x : <u_i, x> <= h_i}) in n = 3: the halfspace intersection about
+    the origin, then a hull of its intersection points."""
+    from scipy.spatial import ConvexHull, HalfspaceIntersection
+
+    hs = np.hstack([dirs, -np.asarray(hvals, dtype=float)[:, None]])
+    return float(ConvexHull(
+        HalfspaceIntersection(hs, np.zeros(3)).intersections).volume)
+
+
 def intersection_volume_three_call(A, b):
     """V({x : Ax <= b}) by vertex enumeration (a halfspace intersection and
     a hull that removes duplicate vertices), then a hull of the vertices;
     0 when any step fails or too few vertices are left."""
-    from isozonoid.bodies import halfspace_vertices, hull_volume_area
+    from isozonoid.bodies import hull_volume_area
 
     try:
-        pts = halfspace_vertices(A, b)
+        pts = halfspace_vertices_hsi(A, b)
     except Exception:
         return 0.0
     if len(pts) <= A.shape[1]:

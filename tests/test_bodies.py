@@ -3,15 +3,24 @@ import math
 
 import numpy as np
 import pytest
+import scipy.spatial
 
-from isozonoid.bodies import (BodyRep, _eval_fn, _touch_points, body_from_json,
-                              circle_grid,
-                              cross_polytope_body, cube_body, icosphere,
+from isozonoid import bodies, metrics
+from isozonoid.bodies import (EXACT_REL_ERR, BodyRep, _eval_fn, _touch_points,
+                              body_from_json, circle_grid,
+                              cross_polytope_body, cube_body,
+                              halfspace_vertices, icosphere,
                               polar_of_vrep, sphere_grid, unit_ball_volume,
-                              volume, zonotope_vertices, zonotope_volume)
+                              vertices_to_halfspaces, volume,
+                              zonotope_vertices, zonotope_volume)
 from isozonoid.errors import UnboundedBodyError
+from isozonoid.harness import (octagon_Q_body, random_even_isotropic,
+                               regular_polygon_body, truncated_cube_body)
+from isozonoid.measures import cross_measure
+from isozonoid.zonoids import body_Zp, zp_touch_point
 
-from oracles import central_difference_touch_points, vertex_enum_combinatorial
+from oracles import (central_difference_touch_points, halfspace_vertices_hsi,
+                     tangent_body_volume_hsi, vertex_enum_combinatorial)
 
 
 def test_cube_volume_exact():
@@ -182,3 +191,97 @@ def test_central_difference_touch_points_match_per_direction_loop(rng):
         # batched and single-row products may differ in the last bits of
         # support values of size ~5, which the quotient scales by 1/(2h)
         assert np.max(np.abs(got - want)) <= 1e-8
+
+
+def _hrep_cases(rng):
+    """Halfspace systems: the suites' polytopes, the cross-polytope, a random
+    Z*_inf polytope and random polytopes away from the origin."""
+    cases = {}
+    for n in (2, 3):
+        cases[f"cube{n}"] = cube_body(n).halfspaces
+        for cut in (0.1, 0.25):
+            cases[f"cut{n}-{cut}"] = truncated_cube_body(n, cut).halfspaces
+        # the cross-polytope's triangulated dual facets repeat vertices
+        cases[f"cross{n}"] = cross_polytope_body(n).to_hrep().halfspaces
+        mu = random_even_isotropic(n, n * (n + 1) // 2 + 2, rng)
+        cases[f"zstar-inf{n}"] = (mu.directions, np.ones(mu.natoms))
+        # taken about their Chebyshev centres
+        for k in range(3):
+            cases[f"off-centre{n}-{k}"] = vertices_to_halfspaces(
+                rng.normal(size=(10, n)) + 3.0)
+    for m in (3, 4, 6):
+        cases[f"polygon{m}"] = regular_polygon_body(m).halfspaces
+    cases["octagon"] = octagon_Q_body(0.2, 0.3, 0.05, -0.1).to_hrep().halfspaces
+    return cases
+
+
+def test_halfspace_vertices_bit_equal_to_halfspace_intersection(rng):
+    for name, (A, b) in _hrep_cases(rng).items():
+        got = halfspace_vertices(A, b)
+        want = halfspace_vertices_hsi(A, b)
+        assert got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_halfspace_vertices_off_centre_box(n):
+    # the box prod [lo_i, hi_i] away from the origin: the dual hull is taken
+    # about its Chebyshev centre, and the vertices are the 2^n corners
+    lo = np.array([1.0, 3.0, -2.5])[:n]
+    hi = np.array([2.0, 5.0, -0.5])[:n]
+    A = np.vstack([np.eye(n), -np.eye(n)])
+    b = np.concatenate([hi, -lo])
+    got = halfspace_vertices(A, b)
+    corners = np.array([np.where(s, hi, lo) for s in
+                        np.ndindex(*[2] * n)], dtype=float)
+    assert len(got) == len(corners)
+    for c in corners:
+        assert np.min(np.max(np.abs(got - c), axis=1)) <= 1e-12
+    assert np.array_equal(got, halfspace_vertices_hsi(A, b))
+    assert volume(BodyRep.from_halfspaces(A, b, origin_symmetric=False)
+                  ).value == pytest.approx(np.prod(hi - lo), rel=1e-12)
+
+
+def _outer_bound(res):
+    """v_out of a support sandwich from its midpoint and bar."""
+    return res.value + (res.abs_error - EXACT_REL_ERR * res.value)
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 4.0])
+def test_support_sandwich_outer_bound_matches_halfspace_intersection(p, rng):
+    grid = sphere_grid(3)
+    mus = [random_even_isotropic(3, 8, rng)]
+    if p == 1.5:
+        mus.append(cross_measure(3))
+    for mu in mus:
+        res = volume(body_Zp(mu, p))
+        v_out = tangent_body_volume_hsi(grid, body_Zp(mu, p).fn(grid))
+        v_in = float(scipy.spatial.ConvexHull(zp_touch_point(mu, p, grid)
+                                              ).volume)
+        assert abs(_outer_bound(res) - v_out) <= 1e-12 * v_out
+        mid = 0.5 * (v_out + v_in)
+        assert abs(res.value - mid) <= 1e-12 * mid
+        # the bar is a difference of the two volumes, so it carries their
+        # rounding on the volume scale
+        bar = 0.5 * (v_out - v_in) + EXACT_REL_ERR * mid
+        assert abs(res.abs_error - bar) <= 1e-12 * mid
+        assert res.method == "QUADRATURE"
+
+
+def test_support_sandwich_n3_makes_two_hull_calls(monkeypatch):
+    # one hull of the dual points (outer) and one of the touch points (inner)
+    sphere_grid(3)                          # the cached grid is built once
+    hulls, halfspaces = [], []
+    real = bodies.ConvexHull
+    monkeypatch.setattr(bodies, "ConvexHull",
+                        lambda *a, **k: hulls.append(1) or real(*a, **k))
+    monkeypatch.setattr(scipy.spatial, "HalfspaceIntersection",
+                        lambda *a, **k: halfspaces.append(1))
+    res = volume(body_Zp(cross_measure(3), 1.5))
+    assert res.value > 0.0
+    assert len(hulls) == 2 and halfspaces == []
+
+
+def test_no_halfspace_intersection_left():
+    assert not hasattr(bodies, "HalfspaceIntersection")
+    assert not hasattr(metrics, "HalfspaceIntersection")

@@ -12,7 +12,7 @@ from isozonoid.harness import (REPORT_CSV_FIELDS, area_conv_support,
                                reverse_isoperimetric_suite, s1_sharp_suite,
                                sandwich_M_vertices, theorem_B_suite,
                                truncated_cube_body, zpmustab_consistency)
-from isozonoid.measures import check_isotropy
+from isozonoid.measures import check_isotropy, cross_measure
 
 
 def test_family_equiangular_m3_is_hexagonal():
@@ -40,6 +40,20 @@ def test_theorem_b_cross_equality(nu2):
     assert r.extra["V_Zp"] == pytest.approx(2.0, abs=1e-9)
     assert r.extra["V_Zp_star"] == pytest.approx(4.0, abs=1e-9)
     assert r.extra.get("equality_flagged", False)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_theorem_b_says_how_epsilon_was_obtained(n):
+    # the cross measure sits at equality, so its report needs delta_WO
+    r, = theorem_B_suite(n, 1.5, [cross_measure(n)])
+    assert r.extra["equality_flagged"] and r.epsilon <= 1e-10
+    d = r.to_dict()
+    if n == 2:
+        assert d["epsilon_method"] == "kink-enumeration"
+        assert "epsilon_nfev" not in d
+    else:
+        assert d["epsilon_method"] == "multistart-nelder-mead"
+        assert d["epsilon_nfev"] > 0
 
 
 def test_theorem_b_hexagon_exact_areas(hexm):

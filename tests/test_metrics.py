@@ -10,7 +10,7 @@ from isozonoid.harness import (john_normalize, perturbation_family,
                                tilted_pair_measure, truncated_cube_body)
 from isozonoid.measures import (AtomicMeasure, cross_measure,
                                 equiangular_measure, unit_vector)
-from isozonoid import metrics
+from isozonoid import bodies, metrics
 from isozonoid.metrics import (_cross_transport_dual, _hausdorff_to_cross_batch,
                                _intersection_volume, _intersection_volumes,
                                _lockstep_nelder_mead,
@@ -638,20 +638,30 @@ def test_intersection_volumes_non_centred_batch(n):
 
 
 def test_intersection_volumes_qhull_calls(monkeypatch, rng):
-    # n = 2 is closed form; n = 3 is one hull per system, and metrics has
-    # no halfspace intersection left
+    # n = 2 is closed form; n = 3 is one hull per system (the polar-dual
+    # kernel lives in bodies), and metrics has no halfspace intersection
     calls = []
-    real = metrics.ConvexHull
-    monkeypatch.setattr(metrics, "ConvexHull",
+    real = bodies.ConvexHull
+    monkeypatch.setattr(bodies, "ConvexHull",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
     for n in (2, 3):
-        del calls[:]
         A, b = _intersection_batches(n, rng)[1]
+        del calls[:]
         _intersection_volumes(A, b)
         assert len(calls) == (0 if n == 2 else len(A))
-    del calls[:]
+    # the n = 2 search makes no hull call (its setup's conversions do)
+    searched = []
+    real_volumes = metrics._intersection_volumes
+
+    def counted_volumes(A, b):
+        start = len(calls)
+        out = real_volumes(A, b)
+        searched.append(len(calls) - start)
+        return out
+
+    monkeypatch.setattr(metrics, "_intersection_volumes", counted_volumes)
     volume_distance(_reviso_body(2, "cut", 0.25), cube_body(2), restarts=2)
-    assert calls == []
+    assert searched and set(searched) == {0}
     assert not hasattr(metrics, "HalfspaceIntersection")
 
 
