@@ -15,8 +15,9 @@ Exact volumes come from facet enumeration / simplicial decomposition (Qhull)
 for V and H bodies.  Support oracles are sandwiched between the hull of
 touching points and the intersection of tangent halfspaces over a direction
 grid; gauge oracles use the polar-radial formula V = (1/n) int r^n with
-r = 1/gauge, plus a seeded Monte-Carlo cross-check.  All errors are
-reported, never hidden.
+r = 1/gauge, plus a seeded Monte-Carlo cross-check that calls the oracle
+only in the shell between certified radial bounds (``BodyRep.radii``).
+All errors are reported, never hidden.
 
 Halfspace systems go through one polar-dual kernel.  With the origin
 inside, {x : <a_i, x> <= b_i} is the polar of conv{a_i / b_i}: its area is
@@ -45,6 +46,7 @@ from .errors import (DimensionUnsupportedError, UnboundedBodyError)
 ANGLE_GRID_2D = 4096            # uniform angles for 2-D direction grids
 ICOSPHERE_SUBDIV = 5            # 10242 nodes, the n = 3 direction grid
 MC_SAMPLES = 2 * 10 ** 6
+SHELL_MARGIN = 1e-9             # relative slack around the certified radii
 EXACT_REL_ERR = 1e-12
 
 
@@ -99,6 +101,16 @@ def icosphere(subdiv: int = ICOSPHERE_SUBDIV) -> np.ndarray:
     return V
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(k: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per k and
+    process; the arrays are read-only."""
+    x, w = np.polynomial.legendre.leggauss(k)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def sphere_grid(n: int, size_2d: int = ANGLE_GRID_2D,
                 subdiv_3d: int = ICOSPHERE_SUBDIV) -> np.ndarray:
     if n == 2:
@@ -132,6 +144,10 @@ class BodyRep:
     fn: Optional[Callable] = None               # support or gauge callable
     touch_fn: Optional[Callable] = None         # direction -> boundary point
     origin_symmetric: bool = True
+    # Certified bounds (r_lo, r_hi) on the radial function 1 / gauge of a
+    # gauge body: r_lo <= rho_K(u) <= r_hi for every unit u, so |x| < r_lo
+    # is inside K and |x| > r_hi outside.  None means (0, inf).
+    radii: Optional[tuple] = None
 
     # constructors -----------------------------------------------------
 
@@ -171,9 +187,16 @@ class BodyRep:
                    origin_symmetric=origin_symmetric)
 
     @classmethod
-    def from_gauge(cls, dim, fn, origin_symmetric=True) -> "BodyRep":
+    def from_gauge(cls, dim, fn, origin_symmetric=True,
+                   radii=None) -> "BodyRep":
+        if radii is not None:
+            r_lo, r_hi = map(float, radii)
+            if not 0.0 <= r_lo <= r_hi:
+                raise ValueError(f"radial bounds need 0 <= r_lo <= r_hi, "
+                                 f"got {radii!r}")
+            radii = (r_lo, r_hi)
         return cls(dim=dim, kind="gauge", fn=fn,
-                   origin_symmetric=origin_symmetric)
+                   origin_symmetric=origin_symmetric, radii=radii)
 
     # evaluation ---------------------------------------------------------
 
@@ -548,7 +571,7 @@ def _radial_integral_2d(gauge_fn, m) -> float:
 
 
 def _radial_integral_3d(gauge_fn, nz, nphi) -> float:
-    z, wz = np.polynomial.legendre.leggauss(nz)
+    z, wz = _gauss_legendre(nz)
     phi = (np.arange(nphi) + 0.5) * (2.0 * np.pi / nphi)
     s = np.sqrt(1.0 - z ** 2)
     total = 0.0
@@ -566,10 +589,22 @@ def _gauge_mc_volume(body, nsamples, seed):
     Equal sample counts per orthant; unbiased for any body and lower
     variance for the roughly orthant-symmetric bodies handled here.
     Deterministic given the seed; hit counts are summed exactly.
+
+    Each orthant draws u in [0, 1)^n and the sample x = u * rmax * sgn.
+    With certified radii r_lo <= rho_K <= r_hi (``BodyRep.radii``), a
+    sample with |x| < r_lo is a hit and one with |x| > r_hi a miss, so the
+    oracle runs only on the shell in between.  The test is on s = |u|^2
+    against (r (1 -+ SHELL_MARGIN) / rmax)^2; the margin covers the
+    rounding of s, of the radii and of the oracle, so the hit counts, and
+    (vol, err), are those of evaluating every sample.  Without radii every
+    sample is in the shell.
     """
     n = body.dim
     dirs = sphere_grid(n, size_2d=256, subdiv_3d=2)
     rmax = float(np.max(1.0 / _eval_fn(body.fn, dirs))) * 1.05
+    r_lo, r_hi = body.radii or (0.0, math.inf)
+    s_in = (r_lo * (1.0 - SHELL_MARGIN) / rmax) ** 2
+    s_out = (r_hi * (1.0 + SHELL_MARGIN) / rmax) ** 2
     rng = np.random.default_rng(seed)
     orthants = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
     per = max(nsamples // len(orthants), 1)
@@ -577,8 +612,13 @@ def _gauge_mc_volume(body, nsamples, seed):
     vol = 0.0
     var = 0.0
     for sgn in orthants:
-        pts = rng.random((per, n)) * rmax * sgn
-        frac = float(np.mean(_eval_fn(body.fn, pts) <= 1.0))
+        u = rng.random((per, n))
+        s = (u * u) @ np.ones(n)
+        shell = (s >= s_in) & (s <= s_out)
+        pts = u.compress(shell, axis=0) * rmax * sgn
+        hits = int(np.count_nonzero(s < s_in)) + int(np.count_nonzero(
+            _eval_fn(body.fn, pts) <= 1.0))
+        frac = hits / per
         vol += frac * cell
         var += cell ** 2 * max(frac * (1.0 - frac), 1e-12) / per
     return vol, math.sqrt(var)

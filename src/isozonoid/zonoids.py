@@ -42,8 +42,8 @@ import math
 import numpy as np
 from scipy.optimize import linprog, minimize
 
-from .bodies import (BodyRep, VolumeResult, polar_of_vrep, volume,
-                     zonotope_vertices, zonotope_volume)
+from .bodies import (BodyRep, VolumeResult, _gauss_legendre, polar_of_vrep,
+                     volume, zonotope_vertices, zonotope_volume)
 from .errors import DegenerateMeasureError, DimensionUnsupportedError, NonConvergedError
 from .measures import AtomicMeasure
 
@@ -83,11 +83,15 @@ def norm_Zp_star(mu: AtomicMeasure, p, x):
     single = x.ndim == 1
     X = np.atleast_2d(x)
     U, c = mu.folded
+    # |<x, u_i>|^p in place: the Monte-Carlo check passes ~10^5 rows, where
+    # every fresh temporary costs time
     dots = X @ U.T
+    np.abs(dots, out=dots)
     if np.isinf(p):
-        out = np.max(np.abs(dots), axis=1)
+        out = np.max(dots, axis=1)
     else:
-        out = (np.abs(dots) ** p @ c) ** (1.0 / p)
+        dots **= p
+        out = (dots @ c) ** (1.0 / p)
     return float(out[0]) if single else out
 
 
@@ -131,7 +135,11 @@ def body_Zp(mu: AtomicMeasure, p) -> BodyRep:
 
 
 def body_Zp_star(mu: AtomicMeasure, p) -> BodyRep:
-    """Z*_p(mu): exact polytope for p = inf (and p = 1 in n <= 3), gauge oracle otherwise."""
+    """Z*_p(mu): exact polytope for p = inf (and p = 1 in n <= 3), gauge oracle otherwise.
+
+    The gauge body carries certified radial bounds (``_gauge_radii``), so
+    its Monte-Carlo cross-check calls the oracle only between them.
+    """
     p = _check_pz(p)
     _require_full_dimensional(mu)
     if np.isinf(p):
@@ -141,7 +149,45 @@ def body_Zp_star(mu: AtomicMeasure, p) -> BodyRep:
         zono = body_Zp(mu, 1.0)
         if zono.kind == "V":
             return polar_of_vrep(zono.vertices)
-    return BodyRep.from_gauge(mu.dim, lambda x: norm_Zp_star(mu, p, x))
+    return BodyRep.from_gauge(mu.dim, lambda x: norm_Zp_star(mu, p, x),
+                              radii=_gauge_radii(mu, p))
+
+
+def _gauge_radii(mu: AtomicMeasure, p: float):
+    """Certified (r_lo, r_hi) with r_lo <= rho_{Z*_p(mu)}(u) <= r_hi, p finite.
+
+    The gauge is g(x)^p = sum c_i |<x, u_i>|^p over the folded atoms.  Let
+    M = sum c_i u_i u_i^T have extreme eigenvalues l_min, l_max and let
+    m = sum c_i.  For |x| = 1 every t_i = <x, u_i> has |t_i| <= 1, so
+    |t_i|^p >= t_i^2 for p <= 2 and |t_i|^p <= t_i^2 for p >= 2, while
+    Jensen's inequality for (t^2)^(p/2) under the weights c_i / m gives the
+    other side:
+
+        p <= 2:  l_min <= g^p <= m^(1 - p/2) l_max^(p/2),
+        p >= 2:  m^(1 - p/2) l_min^(p/2) <= g^p <= l_max.
+
+    Then r_lo = upper^(-1/p) and r_hi = lower^(-1/p) (inf when the lower
+    coefficient is not positive).  For isotropic mu and p <= 2 this is
+    |x| <= g(x) <= n^(1/p - 1/2) |x|.  The eigenvalues are widened by
+    4 (k + n) n eps m, above the rounding of forming M from k atoms and of
+    ``eigvalsh``, so the bounds hold for ill-conditioned measures too.
+    Atoms are unit only to 1e-12, which moves g by about as much relative,
+    far inside the sampler's ``SHELL_MARGIN``.
+    """
+    U, c = mu.folded
+    M = (U * c[:, None]).T @ U
+    m = float(np.sum(c))
+    n = mu.dim
+    pad = 4.0 * (len(c) + n) * n * np.finfo(float).eps * m
+    lam = np.linalg.eigvalsh(M)
+    lo, hi = float(lam[0]) - pad, float(lam[-1]) + pad
+    if p <= 2.0:
+        lower, upper = lo, m ** (1.0 - p / 2.0) * hi ** (p / 2.0)
+    else:
+        lower = m ** (1.0 - p / 2.0) * max(lo, 0.0) ** (p / 2.0)
+        upper = hi
+    r_hi = lower ** (-1.0 / p) if lower > 0.0 else math.inf
+    return upper ** (-1.0 / p), r_hi
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +304,7 @@ def volume_Zp_star_ball_integral(mu: AtomicMeasure, p, nodes: int = None,
 def _axis_nodes(L, half_nodes, gamma=6.0):
     """Symmetric 1-D nodes on [-L, L], split at 0 and exponentially
     concentrated near the origin (where the integrand lives)."""
-    u, wu = np.polynomial.legendre.leggauss(half_nodes)
+    u, wu = _gauss_legendre(half_nodes)
     u = (u + 1.0) / 2.0
     wu = wu / 2.0
     scale = L / (math.exp(gamma) - 1.0)

@@ -7,8 +7,9 @@ combinatorial vertex enumeration or exact rational polygon clipping, orbit
 minima from dense grids, the multistart searches (n = 3 orbit,
 Banach-Mazur, volume distance) from one scipy Nelder-Mead run per start on
 a scalar objective, zonoid sums over every atom (no antipodal folding), the
-ball integral over the full tensor grid, and halfspace intersections from
-Qhull's halfspace mode (no polar-dual hull).
+ball integral over the full tensor grid, halfspace intersections from
+Qhull's halfspace mode (no polar-dual hull), and the gauge Monte-Carlo
+check from the oracle at every sample (no certified shell).
 """
 
 import itertools
@@ -382,3 +383,25 @@ def s1_transport_to_cross(mu, phis):
     before = np.cumsum(cs, axis=1) - cs
     x = np.clip(1.0 - before, 0.0, cs)
     return b @ c + np.sum(x * gain, axis=1)
+
+
+def gauge_mc_volume_full(body, nsamples, seed):
+    """The gauge body's stratified hit-or-miss with the oracle evaluated at
+    every sample: same bounding box, seed, orthant order and draws as
+    ``bodies._gauge_mc_volume``."""
+    from isozonoid.bodies import sphere_grid
+    n = body.dim
+    dirs = sphere_grid(n, size_2d=256, subdiv_3d=2)
+    rmax = float(np.max(1.0 / np.asarray(body.fn(dirs)))) * 1.05
+    rng = np.random.default_rng(seed)
+    orthants = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+    per = max(nsamples // len(orthants), 1)
+    cell = rmax ** n
+    vol = 0.0
+    var = 0.0
+    for sgn in orthants:
+        pts = rng.random((per, n)) * rmax * sgn
+        frac = float(np.mean(np.asarray(body.fn(pts)) <= 1.0))
+        vol += frac * cell
+        var += cell ** 2 * max(frac * (1.0 - frac), 1e-12) / per
+    return vol, math.sqrt(var)

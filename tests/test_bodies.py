@@ -19,8 +19,9 @@ from isozonoid.harness import (octagon_Q_body, random_even_isotropic,
 from isozonoid.measures import cross_measure
 from isozonoid.zonoids import body_Zp, zp_touch_point
 
-from oracles import (central_difference_touch_points, halfspace_vertices_hsi,
-                     tangent_body_volume_hsi, vertex_enum_combinatorial)
+from oracles import (central_difference_touch_points, gauge_mc_volume_full,
+                     halfspace_vertices_hsi, tangent_body_volume_hsi,
+                     vertex_enum_combinatorial)
 
 
 def test_cube_volume_exact():
@@ -285,3 +286,46 @@ def test_support_sandwich_n3_makes_two_hull_calls(monkeypatch):
 def test_no_halfspace_intersection_left():
     assert not hasattr(bodies, "HalfspaceIntersection")
     assert not hasattr(metrics, "HalfspaceIntersection")
+
+
+def _euclidean(X):
+    X = np.atleast_2d(X)
+    return np.sqrt(np.einsum("ij,ij->i", X, X))
+
+
+def test_gauge_radii_contract():
+    for bad in ((-0.1, 1.0), (2.0, 1.0), (math.nan, 1.0), (0.5, math.nan)):
+        with pytest.raises(ValueError):
+            BodyRep.from_gauge(2, _euclidean, radii=bad)
+    assert BodyRep.from_gauge(2, _euclidean).radii is None
+    assert BodyRep.from_gauge(2, _euclidean, radii=(0, math.inf)).radii == (
+        0.0, math.inf)
+    assert BodyRep.from_gauge(2, _euclidean, radii=(1, 1)).radii == (1.0, 1.0)
+
+
+class _SphereDraws:
+    """Stand-in for the sampler's generator: every draw u puts the sample
+    u * rmax within a few ulp of the unit sphere."""
+
+    def __init__(self, rmax):
+        self.rmax = rmax
+        self.rng = np.random.Generator(np.random.PCG64(17))
+
+    def random(self, shape):
+        d = np.abs(self.rng.standard_normal(shape))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        ulps = self.rng.integers(-4, 5, size=(shape[0], 1))
+        return d * (1.0 + ulps * np.finfo(float).eps) / self.rmax
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_shell_margin_sends_boundary_samples_to_the_oracle(n, monkeypatch):
+    # the unit ball with exact radii (1, 1): only the margin keeps samples
+    # on its boundary, where the oracle's rounding decides, in the shell
+    ball = BodyRep.from_gauge(n, _euclidean, radii=(1.0, 1.0))
+    rmax = float(np.max(1.0 / _euclidean(sphere_grid(n, 256, 2)))) * 1.05
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: _SphereDraws(rmax))
+    got = bodies._gauge_mc_volume(ball, 40_000, 0)
+    assert 0.0 < got[0] < rmax ** n * 2 ** n
+    assert got == gauge_mc_volume_full(ball, 40_000, 0)

@@ -1,21 +1,27 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from isozonoid.bodies import (_eval_fn, circle_grid, icosphere,
-                              unit_ball_volume, volume, zonotope_volume)
+from isozonoid import bodies, zonoids
+from isozonoid.bodies import (MC_SAMPLES, _eval_fn, _gauge_mc_volume,
+                              _gauge_radial_volume, circle_grid, icosphere,
+                              sphere_grid, unit_ball_volume, volume,
+                              zonotope_volume)
 from isozonoid.errors import DegenerateMeasureError
 from isozonoid.harness import random_even_isotropic
 from isozonoid.measures import (AtomicMeasure, cross_measure,
-                                equiangular_measure, unit_vector)
+                                equiangular_measure, second_moment_matrix,
+                                unit_vector)
 from isozonoid.zonoids import (_exp_integral, body_Zp, body_Zp_star, mp_body,
                                mp_gauge, norm_Zp_star, reference_volume,
                                support_Zp, volume_Zp, volume_Zp_star,
                                volume_Zp_star_ball_integral, zp_touch_point)
 
-from oracles import (exp_integral_full_grid, norm_Zp_star_unfolded,
-                     support_Zp_unfolded, zp_touch_point_unfolded)
+from oracles import (exp_integral_full_grid, gauge_mc_volume_full,
+                     norm_Zp_star_unfolded, support_Zp_unfolded,
+                     zp_touch_point_unfolded)
 
 
 def _non_even_isotropic(n):
@@ -302,3 +308,164 @@ def test_theorem_b_direction_spot(rng):
                 vzs = volume_Zp_star(mu, p)
                 assert vz.value >= ref_z - vz.abs_error - 1e-9
                 assert vzs.value <= ref_zs + vzs.abs_error + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# certified radial shell of the gauge Monte-Carlo check
+
+SHELL_PS = [1.0, 1.2, 1.5, 2.0, 3.0, 4.0]
+
+
+def _random_measure(n, k, rng):
+    """Random atoms and weights: neither even nor isotropic."""
+    U = rng.standard_normal((k, n))
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    return AtomicMeasure(n, U, rng.uniform(0.2, 2.0, k))
+
+
+def _shell_cases(n, rng):
+    return [cross_measure(n), random_even_isotropic(n, n * (n + 1) // 2 + 3, rng),
+            _non_even_isotropic(n), _random_measure(n, 2 * n + 2, rng)]
+
+
+def _ill_conditioned_measure():
+    """Even measure whose moment matrix has condition number about 1.5e8:
+    weights 1, 1e-4 and 1e-8 on a rotated orthonormal frame, plus one atom
+    pair near the first frame vector."""
+    R, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
+    extra = R[:, 0] + 1e-3 * R[:, 1]
+    D = np.vstack([R.T, extra / np.linalg.norm(extra)])
+    w = np.array([1.0, 1e-4, 1e-8, 0.5])
+    return AtomicMeasure(3, np.vstack([D, -D]), np.concatenate([w, w]),
+                         even=True)
+
+
+def _gauge_bodies(mu, ps):
+    """(p, body) for the p at which Z*_p(mu) is a gauge body."""
+    out = [(p, body_Zp_star(mu, p)) for p in ps]
+    return [(p, b) for p, b in out if b.kind == "gauge"]
+
+
+@pytest.mark.parametrize("p", SHELL_PS)
+@pytest.mark.parametrize("n", [2, 3])
+def test_shell_mc_equals_full_evaluation(n, p, rng):
+    for mu in _shell_cases(n, rng):
+        for _, body in _gauge_bodies(mu, [p]):
+            assert body.radii is not None
+            got = _gauge_mc_volume(body, 400_000, 5)
+            assert got == gauge_mc_volume_full(body, 400_000, 5)
+
+
+def test_shell_mc_of_ill_conditioned_measure():
+    mu = _ill_conditioned_measure()
+    assert 1e7 < np.linalg.cond(second_moment_matrix(mu)) < 1e9
+    for p, body in _gauge_bodies(mu, [1.2, 1.5, 2.0, 3.0, 4.0]):
+        got = _gauge_mc_volume(body, 400_000, 5)
+        assert got[0] > 0.0
+        assert got == gauge_mc_volume_full(body, 400_000, 5)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_certified_radii_hold(n, rng):
+    cases = _shell_cases(n, rng) + ([_ill_conditioned_measure()] if n == 3 else [])
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+    for mu in cases:
+        M = second_moment_matrix(mu)
+        U = rng.standard_normal((20_000, n))
+        # random directions, the axes, the diagonals, the atoms and the
+        # eigenvectors of the moment matrix, where the bounds can be tight
+        U = np.vstack([U, np.eye(n), signs, mu.directions,
+                       np.linalg.eigh(M)[1].T])
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        for p, body in _gauge_bodies(mu, SHELL_PS):
+            r_lo, r_hi = body.radii
+            rho = 1.0 / norm_Zp_star(mu, p, U)
+            assert r_lo * (1.0 - 1e-12) <= rho.min()
+            assert rho.max() <= r_hi * (1.0 + 1e-12)
+            if np.allclose(M, np.eye(n), atol=1e-9):
+                # |x| <= g(x) <= n^(1/p - 1/2) |x| for p <= 2, reversed above
+                far = n ** (0.5 - 1.0 / p)
+                want = (far, 1.0) if p <= 2.0 else (1.0, far)
+                np.testing.assert_allclose(body.radii, want, rtol=1e-8)
+
+
+def test_shell_mc_evaluates_a_thin_shell(monkeypatch, rng):
+    mu = random_even_isotropic(3, 9, rng)
+    rows = []
+
+    def counted(mu, p, x):
+        rows.append(len(np.atleast_2d(x)))
+        return norm(mu, p, x)
+
+    norm = zonoids.norm_Zp_star
+    monkeypatch.setattr(zonoids, "norm_Zp_star", counted)
+    grid = len(sphere_grid(3, size_2d=256, subdiv_3d=2))
+    body = body_Zp_star(mu, 1.5)
+    got = _gauge_mc_volume(body, MC_SAMPLES, 0)
+    assert grid < sum(rows) <= grid + 0.30 * MC_SAMPLES
+    rows.clear()
+    assert got == gauge_mc_volume_full(body, MC_SAMPLES, 0)
+    assert sum(rows) == grid + MC_SAMPLES
+    rows.clear()
+    # at p = 2 the gauge is |x| and the shell only the 1e-9 margin
+    _gauge_mc_volume(body_Zp_star(mu, 2.0), MC_SAMPLES, 0)
+    assert sum(rows) == grid
+    # without radii every sample goes to the oracle
+    rows.clear()
+    _gauge_mc_volume(bodies.BodyRep.from_gauge(3, body.fn), 80_000, 0)
+    assert sum(rows) == grid + 80_000
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_shell_mc_evaluates_the_full_paths_points(n, rng):
+    mu = _random_measure(n, 2 * n + 2, rng)
+    body = body_Zp_star(mu, 1.5)
+    calls = {"shell": [], "full": []}
+
+    def recorder(key):
+        def fn(X):
+            calls[key].append(np.array(X))
+            return body.fn(X)
+        return bodies.BodyRep.from_gauge(n, fn, radii=body.radii)
+
+    _gauge_mc_volume(recorder("shell"), 80_000, 2)
+    gauge_mc_volume_full(recorder("full"), 80_000, 2)
+    assert len(calls["shell"]) == len(calls["full"]) == 1 + 2 ** n
+    assert np.array_equal(calls["shell"][0], calls["full"][0])
+    for S, F in zip(calls["shell"][1:], calls["full"][1:]):
+        full = {row.tobytes() for row in F}
+        assert 0 < len(S) < len(F)
+        assert all(row.tobytes() in full for row in S)
+
+
+def test_shell_mc_pinned_values():
+    """(vol, err) as bit patterns, so a change of the sampling shows."""
+    cases = [(_non_even_isotropic(3), 1.5,
+              "0x1.76cedc29a178ap+1", "0x1.485c65a2a098bp-9"),
+             (cross_measure(2), 3.0,
+              "0x1.c45c3ead976e6p+1", "0x1.ef8862d3f1957p-10")]
+    for mu, p, vol, err in cases:
+        got = _gauge_mc_volume(body_Zp_star(mu, p), MC_SAMPLES, 0)
+        assert got == (float.fromhex(vol), float.fromhex(err))
+
+
+def test_gauss_legendre_cache_is_bit_equal(monkeypatch, rng):
+    x, w = bodies._gauss_legendre(64)
+    assert bodies._gauss_legendre(64)[0] is x
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    ref = np.polynomial.legendre.leggauss(64)
+    assert np.array_equal(x, ref[0]) and np.array_equal(w, ref[1])
+    mus = [random_even_isotropic(n, n * (n + 1) // 2 + 3, rng) for n in (2, 3)]
+
+    def volumes():
+        return [(volume_Zp_star_ball_integral(mu, 1.5),
+                 _gauge_radial_volume(body_Zp_star(mu, 1.5), check_mc=False))
+                for mu in mus]
+
+    cached = volumes()
+    fresh = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(bodies, "_gauss_legendre", fresh)
+    monkeypatch.setattr(zonoids, "_gauss_legendre", fresh)
+    assert volumes() == cached
