@@ -12,7 +12,7 @@ from .caps import (beta_dr, cap_dichotomy, dvoretzky_rogers_caps,
                    verify_isotropic_cap_bound)
 from .bodies import (BodyRep, VolumeResult, body_from_json, cross_polytope_body,
                      cube_body, unit_ball_volume, volume, zonotope_volume)
-from .zonoids import (body_Zp, body_Zp_star, mp_body, mp_gauge, norm_Zp_star,
+from .zonoids import (body_Zp, body_Zp_star, mp_body, norm_Zp_star,
                       reference_volume, support_Zp, volume_Zp, volume_Zp_star,
                       volume_Zp_star_ball_integral)
 from .transport import (TransportMap, cdf_rho_p, p2est_bound, phi_p,

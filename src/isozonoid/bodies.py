@@ -143,7 +143,6 @@ class BodyRep:
     halfspaces: Optional[tuple] = None          # (A, b) with <a_j, x> <= b_j
     fn: Optional[Callable] = None               # support or gauge callable
     touch_fn: Optional[Callable] = None         # direction -> boundary point
-    origin_symmetric: bool = True
     # Certified bounds (r_lo, r_hi) on the radial function 1 / gauge of a
     # gauge body: r_lo <= rho_K(u) <= r_hi for every unit u, so |x| < r_lo
     # is inside K and |x| > r_hi outside.  None means (0, inf).
@@ -152,18 +151,16 @@ class BodyRep:
     # constructors -----------------------------------------------------
 
     @classmethod
-    def from_vertices(cls, vertices, origin_symmetric=True) -> "BodyRep":
+    def from_vertices(cls, vertices) -> "BodyRep":
         V = np.atleast_2d(np.asarray(vertices, dtype=float))
         if np.linalg.matrix_rank(V, tol=1e-12) < V.shape[1]:
             raise ValueError("vertex list does not span R^n")
         V = V.copy()
         V.flags.writeable = False
-        return cls(dim=V.shape[1], kind="V", vertices=V,
-                   origin_symmetric=origin_symmetric)
+        return cls(dim=V.shape[1], kind="V", vertices=V)
 
     @classmethod
-    def from_halfspaces(cls, A, b, origin_symmetric=True,
-                        check_bounded=True) -> "BodyRep":
+    def from_halfspaces(cls, A, b, check_bounded=True) -> "BodyRep":
         A = np.atleast_2d(np.asarray(A, dtype=float))
         b = np.asarray(b, dtype=float)
         if check_bounded:
@@ -171,32 +168,27 @@ class BodyRep:
         A = A.copy(); b = b.copy()
         A.flags.writeable = False
         b.flags.writeable = False
-        return cls(dim=A.shape[1], kind="H", halfspaces=(A, b),
-                   origin_symmetric=origin_symmetric)
+        return cls(dim=A.shape[1], kind="H", halfspaces=(A, b))
 
     @classmethod
-    def from_support(cls, dim, fn, touch_fn=None, origin_symmetric=True,
-                     rng_check=True) -> "BodyRep":
+    def from_support(cls, dim, fn, touch_fn=None, rng_check=True) -> "BodyRep":
         if rng_check:
             rng = np.random.default_rng(11)
             for _ in range(4):
                 v = rng.normal(size=dim)
                 if abs(fn(2.0 * v) - 2.0 * fn(v)) > 1e-10 * (1.0 + abs(fn(v))):
                     raise ValueError("support oracle is not positively homogeneous")
-        return cls(dim=dim, kind="support", fn=fn, touch_fn=touch_fn,
-                   origin_symmetric=origin_symmetric)
+        return cls(dim=dim, kind="support", fn=fn, touch_fn=touch_fn)
 
     @classmethod
-    def from_gauge(cls, dim, fn, origin_symmetric=True,
-                   radii=None) -> "BodyRep":
+    def from_gauge(cls, dim, fn, radii=None) -> "BodyRep":
         if radii is not None:
             r_lo, r_hi = map(float, radii)
             if not 0.0 <= r_lo <= r_hi:
                 raise ValueError(f"radial bounds need 0 <= r_lo <= r_hi, "
                                  f"got {radii!r}")
             radii = (r_lo, r_hi)
-        return cls(dim=dim, kind="gauge", fn=fn,
-                   origin_symmetric=origin_symmetric, radii=radii)
+        return cls(dim=dim, kind="gauge", fn=fn, radii=radii)
 
     # evaluation ---------------------------------------------------------
 
@@ -234,8 +226,7 @@ class BodyRep:
             A, b = self.halfspaces
             pts = halfspace_vertices(A, b)
             hull = ConvexHull(pts)
-            return BodyRep.from_vertices(pts[hull.vertices],
-                                         origin_symmetric=self.origin_symmetric)
+            return BodyRep.from_vertices(pts[hull.vertices])
         raise ValueError(f"cannot convert kind {self.kind!r} to V")
 
     def to_hrep(self) -> "BodyRep":
@@ -243,8 +234,7 @@ class BodyRep:
             return self
         if self.kind == "V":
             A, b = vertices_to_halfspaces(self.vertices)
-            return BodyRep.from_halfspaces(A, b, check_bounded=False,
-                                           origin_symmetric=self.origin_symmetric)
+            return BodyRep.from_halfspaces(A, b, check_bounded=False)
         raise ValueError(f"cannot convert kind {self.kind!r} to H")
 
     def to_json_dict(self):
@@ -542,8 +532,7 @@ def _outer_polygon_area(dirs, hvals) -> float:
     return 0.5 * abs(float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
 
 
-def _gauge_radial_volume(body, mc_samples=MC_SAMPLES, seed=0,
-                         check_mc=True) -> VolumeResult:
+def _gauge_radial_volume(body, mc_samples=MC_SAMPLES, seed=0) -> VolumeResult:
     n = body.dim
     if n == 2:
         coarse = _radial_integral_2d(body.fn, ANGLE_GRID_2D // 2)
@@ -554,13 +543,10 @@ def _gauge_radial_volume(body, mc_samples=MC_SAMPLES, seed=0,
     else:
         raise DimensionUnsupportedError("gauge quadrature needs n <= 3")
     quad_err = abs(fine - coarse) + EXACT_REL_ERR * abs(fine)
-    err = quad_err
-    if check_mc:
-        mc, mc_err = _gauge_mc_volume(body, mc_samples, seed)
-        # cross-check; inflate the error bar if the two estimates disagree
-        gap = abs(mc - fine)
-        if gap > quad_err + 4.0 * mc_err:
-            err = gap
+    mc, mc_err = _gauge_mc_volume(body, mc_samples, seed)
+    # cross-check; inflate the error bar if the two estimates disagree
+    gap = abs(mc - fine)
+    err = gap if gap > quad_err + 4.0 * mc_err else quad_err
     return VolumeResult(fine, err, "QUADRATURE")
 
 

@@ -177,11 +177,13 @@ def _run_caps(args, seed):
         v /= np.linalg.norm(v)
         alpha = rng.uniform(0.1, np.pi / 2 - 0.1)
         lhs, rhs, ok1 = verify_isotropic_cap_bound(mu, v, alpha)
-        _, beta = dvoretzky_rogers_caps(mu)
+        V, beta = dvoretzky_rogers_caps(mu)
         reps.append(harness.StabilityReport(
             suite="caps", label=f"{i}", n=n, p=None, epsilon=alpha,
             deficit=lhs - rhs, bound=rhs, passed=ok1,
-            tolerances={"cap": 1e-12}))
+            tolerances={"cap": 1e-12},
+            extra={"dr_det": abs(float(np.linalg.det(V))),
+                   "dr_bound": 4.0 * n * beta}))
     return reps
 
 

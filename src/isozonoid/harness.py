@@ -294,13 +294,13 @@ def find_separated_pair(mu: AtomicMeasure, eta: float):
     return None
 
 
-def s1_sharp_suite(family, check_ingredients: bool = True):
+def s1_sharp_suite(family):
     """Sharp S^1 stability: V(Z_inf) >= (1+eps/4) 2 and V(Z*_inf) <= (1-eps/10) 4.
 
     eps is the orbit-minimized Hausdorff distance of the support from the
-    cross; areas are exact polygon areas.  Optionally re-verifies the proof
-    ingredients (tangent-sum monotonicity, sine-sum decrease, the angle-sum
-    inequality, and existence of an eta-separated support pair).
+    cross; areas are exact polygon areas.  Each report also re-verifies the
+    proof ingredients (tangent-sum monotonicity, sine-sum decrease, the
+    angle-sum inequality, and existence of an eta-separated support pair).
     """
     from .errors import NotIsotropicError
 
@@ -318,16 +318,15 @@ def s1_sharp_suite(family, check_ingredients: bool = True):
         ok = v_inf >= b_inf - 1e-9 and v_star <= b_star + 1e-9
         extra = {"V_Zinf": v_inf, "V_Zinf_star": v_star,
                  "bound_inf": b_inf, "bound_star": b_star}
-        if check_ingredients:
-            grid = np.linspace(0.0, np.pi / 2 * 0.999, 9)
-            extra["tangent_monotone"] = all(
-                tangent_sum_increasing(a, b) for a in grid for b in grid if b <= a)
-            extra["sine_decreasing"] = all(
-                sine_sum_decreasing(a, b) for a in grid for b in grid if b <= a)
-            if 0.0 < eps < np.pi / 4:
-                extra["angle_sum_ok"] = angle_sum_lower_bound(eps)
-                extra["separated_pair"] = find_separated_pair(mu, eps) is not None
-                ok = ok and extra["angle_sum_ok"] and extra["separated_pair"]
+        grid = np.linspace(0.0, np.pi / 2 * 0.999, 9)
+        extra["tangent_monotone"] = all(
+            tangent_sum_increasing(a, b) for a in grid for b in grid if b <= a)
+        extra["sine_decreasing"] = all(
+            sine_sum_decreasing(a, b) for a in grid for b in grid if b <= a)
+        if 0.0 < eps < np.pi / 4:
+            extra["angle_sum_ok"] = angle_sum_lower_bound(eps)
+            extra["separated_pair"] = find_separated_pair(mu, eps) is not None
+            ok = ok and extra["angle_sum_ok"] and extra["separated_pair"]
         reports.append(StabilityReport(
             suite="s1", label=f"{idx}", n=2, p=math.inf, epsilon=eps,
             deficit=min(v_inf - 2.0, 4.0 - v_star), bound=min(b_inf, b_star),
@@ -343,7 +342,9 @@ def s1_sharp_suite(family, check_ingredients: bool = True):
 def zpmustab_consistency(n: int, p, family, eps_tol: float = 1e-6):
     """Records (delta_WO, volume deficits) and checks the contrapositive:
     positive orbit distance forces positive deficit, and deficits grow
-    monotonically along one-parameter families (input order).
+    monotonically along one-parameter families (input order).  A deficit
+    is shown positive when both dZ - barZ and dZs - barZs are, each deficit
+    against its own volume's bar; their minimum is ``deficit_lower``.
 
     Each report says how its epsilon was obtained: the delta_WO
     certificate's ``method`` as ``epsilon_method`` and, for the n = 3
@@ -352,7 +353,6 @@ def zpmustab_consistency(n: int, p, family, eps_tol: float = 1e-6):
     ref_z = reference_volume("Z", n, p)
     ref_zs = reference_volume("Z_STAR", n, p)
     reports = []
-    deficits = []
     for idx, mu in enumerate(family):
         eps, _, cert = wasserstein_to_cross(mu)
         vz = volume_Zp(mu, p)
@@ -360,20 +360,22 @@ def zpmustab_consistency(n: int, p, family, eps_tol: float = 1e-6):
         dz = vz.value / ref_z - 1.0
         dzs = 1.0 - vzs.value / ref_zs
         deficit = min(dz, dzs)
-        err = (vz.abs_error / ref_z + vzs.abs_error / ref_zs)
-        ok = True
+        err_z, err_zs = vz.abs_error / ref_z, vzs.abs_error / ref_zs
+        err = err_z + err_zs
+        # each deficit clears its own bar: a certified lower bound of min(dZ, dZs)
+        lower = min(dz - err_z, dzs - err_zs)
         if eps > eps_tol:
-            ok = deficit > err
+            ok = lower > 0.0
         else:
             ok = deficit >= -err - 1e-9
-        deficits.append(deficit)
-        extra = {"deficit_Z": dz, "deficit_Zstar": dzs,
+        extra = {"deficit_Z": dz, "deficit_Zstar": dzs, "deficit_lower": lower,
                  "gamma_note": "direction-only; n^{-cn^3} not falsifiable",
                  **_epsilon_provenance(cert)}
         reports.append(StabilityReport(
             suite="zpstab", label=f"{idx}", n=n, p=p, epsilon=eps,
             deficit=deficit, bound=0.0, passed=ok,
-            tolerances={"eps_tol": eps_tol, "vol_err": err},
+            tolerances={"eps_tol": eps_tol, "vol_err": err,
+                        "vol_err_Z": err_z, "vol_err_Zstar": err_zs},
             extra=extra))
     return reports
 

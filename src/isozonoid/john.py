@@ -81,12 +81,11 @@ def _normalized_facets(body: BodyRep):
     return A / b[:, None]
 
 
-def john_ellipsoid(body: BodyRep, certify: bool = True) -> Ellipsoid:
+def john_ellipsoid(body: BodyRep) -> Ellipsoid:
     """Maximum volume inscribed ellipsoid of an origin symmetric body, n <= 3.
 
     Newton barrier ascent on log det Q with facet constraints; certified by
-    the isotropy residual of the contact decomposition (<= 1e-6) unless
-    ``certify`` is disabled.
+    the isotropy residual of the contact decomposition (<= 1e-6).
     """
     if body.dim > 3:
         raise DimensionUnsupportedError("john_ellipsoid implemented for n <= 3")
@@ -94,14 +93,13 @@ def john_ellipsoid(body: BodyRep, certify: bool = True) -> Ellipsoid:
     Q = _max_logdet_shape(F, body.dim)
     A = np.linalg.inv(Q)
     ell = Ellipsoid(0.5 * (A + A.T))
-    if certify:
-        # normalize so the ellipsoid becomes B^n, then demand John contacts
-        L = np.linalg.cholesky(ell.shape)
-        Fn = F @ np.linalg.inv(L).T     # facets of L^T K
-        resid = _john_residual(Fn)
-        if resid > 1e-6:
-            raise PreconditionViolatedError(
-                f"John optimality certificate failed (residual {resid:.2e})")
+    # normalize so the ellipsoid becomes B^n, then demand John contacts
+    L = np.linalg.cholesky(ell.shape)
+    Fn = F @ np.linalg.inv(L).T         # facets of L^T K
+    resid = _john_residual(Fn)
+    if resid > 1e-6:
+        raise PreconditionViolatedError(
+            f"John optimality certificate failed (residual {resid:.2e})")
     return ell
 
 

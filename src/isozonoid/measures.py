@@ -165,23 +165,12 @@ def _merge_close_atoms(U, c):
 
 
 def _check_evenness(U, c):
-    k = len(c)
-    matched = np.zeros(k, dtype=bool)
-    for i in range(k):
-        if matched[i]:
-            continue
-        found = False
-        for j in range(k):
-            if j == i or matched[j]:
-                continue
-            if sphere_angle(U[i], -U[j]) <= MERGE_ANGLE:
-                if abs(c[i] - c[j]) > EVEN_WEIGHT_TOL:
-                    raise ValueError("even measure has unequal antipodal weights")
-                matched[i] = matched[j] = True
-                found = True
-                break
-        if not found:
-            raise ValueError("even measure misses an antipodal atom")
+    try:
+        pair_of = _pair_indices(U)
+    except InfeasibleWeightsError:
+        raise ValueError("even measure misses an antipodal atom") from None
+    if any(abs(c[i] - c[j]) > EVEN_WEIGHT_TOL for i, j in pair_of.items()):
+        raise ValueError("even measure has unequal antipodal weights")
 
 
 def measure_from_json(data) -> AtomicMeasure:

@@ -18,8 +18,7 @@ at the winning frame certifies the value: it is the number reported, and
 a dual/LP gap above 1e-12 raises.
 
 Hausdorff distance on the sphere is the standard symmetric max of the two
-one-sided max-min deviations; the one-sided minimum form is also exposed
-(``form="min"``) for comparison, but every consumer here uses the max form.
+one-sided max-min deviations.
 
 Orbit searches.  In n = 2 both orbit distances are exact: each objective is
 piecewise linear in the frame angle, so its minimum sits at a kink and all
@@ -344,12 +343,9 @@ def _orbit_minimize_3d(objective):
 # spherical Hausdorff
 
 
-def hausdorff_spherical(X, Y, form: str = "max") -> float:
-    """Hausdorff distance between finite subsets of the sphere.
-
-    ``form="max"`` is the standard symmetric distance; ``form="min"`` takes
-    the smaller one-sided deviation instead (reported for comparison only).
-    """
+def hausdorff_spherical(X, Y) -> float:
+    """Hausdorff distance between finite subsets of the sphere: the larger
+    of the two one-sided max-min deviations."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if len(X) == 0 or len(Y) == 0:
@@ -357,11 +353,7 @@ def hausdorff_spherical(X, Y, form: str = "max") -> float:
     D = angle_matrix(X, Y)
     one = float(np.max(np.min(D, axis=1)))
     two = float(np.max(np.min(D, axis=0)))
-    if form == "max":
-        return max(one, two)
-    if form == "min":
-        return min(one, two)
-    raise ValueError("form must be 'max' or 'min'")
+    return max(one, two)
 
 
 def _hausdorff_to_cross_batch(X, R) -> np.ndarray:

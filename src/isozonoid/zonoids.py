@@ -17,10 +17,13 @@ the ball integral sum over ``AtomicMeasure.folded``: one atom per
 antipodal pair with weight 2 c_i (a non-even measure is not folded).  The
 Z_1 zonotope takes its generators 2 c_j u_j from the same fold.
 
-M_p(mu) = { sum c_i theta_i u_i : sum c_i |theta_i|^p <= 1 } is handled
-through its defining infimum (a small convex program per gauge call);
-Hoelder gives M_p(mu) subset Z_{p*}(mu) with 1/p + 1/p* = 1, which the
-test-suite checks as a two-route consistency statement.
+M_p(mu) = { sum c_i theta_i u_i : sum c_i |theta_i|^p <= 1 } needs no
+solver.  Its support function at v is the norm dual to theta ->
+sum c_i theta_i u_i, that is ( sum_i c_i |<u_i, v>|^{p'} )^{1/p'} with
+1/p + 1/p' = 1, so M_p(mu) = Z_{p'}(mu): M_1 = conv{+-u_i} and
+M_inf = Z_1, the zonotope.  ``mp_body`` builds it as the Z_{p'} body of the
+evenized measure; the test-suite checks it against the representation
+infimum solved directly.
 
 The extremal volumes of Theorem B are closed forms.  For the cross measure
 h_{Z_p(nu_n)}(v) = ||v||_p, so Z_p(nu_n) is the unit ball of l_q with
@@ -40,7 +43,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import linprog, minimize
 
 from .bodies import (BodyRep, VolumeResult, _gauss_legendre, polar_of_vrep,
                      volume, zonotope_vertices, zonotope_volume)
@@ -194,61 +196,18 @@ def _gauge_radii(mu: AtomicMeasure, p: float):
 # the auxiliary body M_p
 
 
-def mp_gauge(mu: AtomicMeasure, p, x):
-    """||x||_{M_p} via the representation infimum (one solve per row of x).
+def mp_body(mu: AtomicMeasure, p) -> BodyRep:
+    """M_p(mu) = Z_{p'}(mu~) with 1/p + 1/p' = 1, for p in [1, inf].
 
-    Minimizes sum c_i |theta_i|^p over representations x = sum c_i theta_i u_i
-    (a linear program for p = 1, a smooth convex program for p in (1, inf)).
-    The returned value can only overestimate the true gauge, so points scaled
-    by it land inside M_p.
+    mu~ is mu made even (``AtomicMeasure.symmetrized``), which leaves every
+    Z_{p'} with finite p' unchanged and makes M_1 = conv{+-u_i}.
     """
     p = _check_pz(p)
-    if np.isinf(p):
-        raise ValueError("use mp_body for p = inf (zonotope)")
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 2:
-        return np.array([mp_gauge(mu, p, row) for row in x])
-    U, c = mu.directions, mu.weights
-    k = mu.natoms
-    A = (U * c[:, None]).T                          # x = A theta
+    if not mu.even:
+        mu = AtomicMeasure.symmetrized(mu.directions, mu.weights)
     if p == 1.0:
-        cost = np.concatenate([c, c])
-        Aeq = np.hstack([A, -A])
-        res = linprog(cost, A_eq=Aeq, b_eq=x, bounds=(0, None), method="highs")
-        if not res.success:
-            raise NonConvergedError("M_1 gauge LP failed")
-        return float(res.fun)
-    theta0, *_ = np.linalg.lstsq(A, x, rcond=None)
-
-    def obj(th):
-        return float(np.sum(c * np.abs(th) ** p))
-
-    def grad(th):
-        return p * c * np.abs(th) ** (p - 1.0) * np.sign(th)
-
-    res = minimize(obj, theta0, jac=grad, method="SLSQP",
-                   constraints=[{"type": "eq", "fun": lambda th: A @ th - x,
-                                 "jac": lambda th: A}],
-                   options={"maxiter": 300, "ftol": 1e-14})
-    feas = float(np.linalg.norm(A @ res.x - x))
-    if feas > 1e-8 * (1.0 + float(np.linalg.norm(x))):
-        raise NonConvergedError(f"M_p gauge solve infeasible by {feas:.2e}")
-    return float(obj(res.x)) ** (1.0 / p)
-
-
-def mp_body(mu: AtomicMeasure, p) -> BodyRep:
-    """M_p(mu): zonotope for p = inf, representation-gauge oracle for finite p."""
-    p = _check_pz(p)
-    _require_full_dimensional(mu)
-    if np.isinf(p):
-        G = mu.weights[:, None] * mu.directions
-        if len(G) <= 20 and mu.dim <= 4:
-            return BodyRep.from_vertices(zonotope_vertices(G))
-        fn = lambda v: np.abs(np.asarray(v) @ G.T).sum(axis=-1)
-        # the gradient of h: a vertex sum sign(<v, g_i>) g_i of the zonotope
-        touch = lambda v: np.sign(np.asarray(v) @ G.T) @ G
-        return BodyRep.from_support(mu.dim, fn, touch_fn=touch, rng_check=False)
-    return BodyRep.from_gauge(mu.dim, lambda x: mp_gauge(mu, p, x))
+        return body_Zp(mu, math.inf)
+    return body_Zp(mu, 1.0 if np.isinf(p) else p / (p - 1.0))
 
 
 # ---------------------------------------------------------------------------

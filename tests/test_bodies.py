@@ -239,8 +239,7 @@ def test_halfspace_vertices_off_centre_box(n):
     for c in corners:
         assert np.min(np.max(np.abs(got - c), axis=1)) <= 1e-12
     assert np.array_equal(got, halfspace_vertices_hsi(A, b))
-    assert volume(BodyRep.from_halfspaces(A, b, origin_symmetric=False)
-                  ).value == pytest.approx(np.prod(hi - lo), rel=1e-12)
+    assert volume(BodyRep.from_halfspaces(A, b)).value == pytest.approx(np.prod(hi - lo), rel=1e-12)
 
 
 def _outer_bound(res):

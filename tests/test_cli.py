@@ -116,7 +116,7 @@ def test_verify_zpstab_n3_pinf(tmp_path, capsys):
     out = tmp_path / "zp3.json"
     rc = main(["verify", "--suite", "zpstab", "--n", "3", "--p", "inf",
                "--out", str(out)])
-    assert rc in (0, 1)
+    assert rc == 0
     assert "Traceback" not in capsys.readouterr().err
     rows = json.loads(out.read_text(), parse_constant=_reject_constant)
     header = (tmp_path / "zp3.csv").read_text().splitlines()[0]
@@ -136,7 +136,7 @@ def test_verify_zpstab_n3_p15_default_family(tmp_path, capsys):
     out = tmp_path / "zp3.json"
     rc = main(["verify", "--suite", "zpstab", "--n", "3", "--p", "1.5",
                "--out", str(out)])
-    assert rc in (0, 1)
+    assert rc == 0
     assert "Traceback" not in capsys.readouterr().err
     rows = json.loads(out.read_text(), parse_constant=_reject_constant)
     header = (tmp_path / "zp3.csv").read_text().splitlines()[0]

@@ -131,10 +131,10 @@ def test_atom_canonicalization_merges():
 
 
 def test_evenness_validation_rejects_unpaired():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="misses an antipodal atom"):
         AtomicMeasure(2, np.array([[1.0, 0.0], [0.0, 1.0]]),
                       np.array([0.5, 0.5]), even=True)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unequal antipodal weights"):
         AtomicMeasure(2, np.array([[1.0, 0.0], [-1.0, 0.0]]),
                       np.array([0.5, 0.4]), even=True)
 

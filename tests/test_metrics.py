@@ -261,13 +261,10 @@ def test_hausdorff_examples(hexm, nu2):
     assert hausdorff_spherical(rot.directions, nu2.directions) == pytest.approx(0.2, abs=1e-12)
     val0, _, _ = hausdorff_to_cross(rot.directions)
     assert val0 == pytest.approx(0.0, abs=1e-9)
-
-
-def test_hausdorff_min_form_is_one_sided(nu2):
+    # the cross sits inside the octagon support, so only the octagon's
+    # one-sided deviation is positive, and it is the distance
     oct8 = equiangular_measure(4).directions
-    # the cross sits inside the octagon support: min form collapses to 0
-    assert hausdorff_spherical(oct8, nu2.directions, form="min") == pytest.approx(0.0, abs=1e-12)
-    assert hausdorff_spherical(oct8, nu2.directions, form="max") == pytest.approx(np.pi / 4, abs=1e-12)
+    assert hausdorff_spherical(oct8, nu2.directions) == pytest.approx(np.pi / 4, abs=1e-12)
 
 
 def test_orbit_search_invariance_under_prerotation(hexm):
@@ -683,8 +680,7 @@ def test_intersection_volume_empty_and_invalid():
 def test_volume_distance_disjoint_non_centred_body():
     # a triangle away from the origin: its volume-normalized copy misses the
     # cube under every map the search tries, so every intersection is empty
-    far = BodyRep.from_vertices(np.array([[3.0, 0.0], [4.0, 0.0], [3.0, 1.0]]),
-                                origin_symmetric=False)
+    far = BodyRep.from_vertices(np.array([[3.0, 0.0], [4.0, 0.0], [3.0, 1.0]]))
     val, cert = volume_distance(far, cube_body(2), restarts=2)
     assert val == 2.0
     assert cert["nfev"] > 0

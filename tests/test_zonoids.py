@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from isozonoid import bodies, zonoids
-from isozonoid.bodies import (MC_SAMPLES, _eval_fn, _gauge_mc_volume,
+from isozonoid.bodies import (MC_SAMPLES, _gauge_mc_volume,
                               _gauge_radial_volume, circle_grid, icosphere,
                               sphere_grid, unit_ball_volume, volume,
                               zonotope_volume)
@@ -15,13 +15,13 @@ from isozonoid.measures import (AtomicMeasure, cross_measure,
                                 equiangular_measure, second_moment_matrix,
                                 unit_vector)
 from isozonoid.zonoids import (_exp_integral, body_Zp, body_Zp_star, mp_body,
-                               mp_gauge, norm_Zp_star, reference_volume,
-                               support_Zp, volume_Zp, volume_Zp_star,
+                               norm_Zp_star, reference_volume, support_Zp,
+                               volume_Zp, volume_Zp_star,
                                volume_Zp_star_ball_integral, zp_touch_point)
 
 from oracles import (exp_integral_full_grid, gauge_mc_volume_full,
-                     norm_Zp_star_unfolded, support_Zp_unfolded,
-                     zp_touch_point_unfolded)
+                     mp_gauge_solver, norm_Zp_star_unfolded,
+                     support_Zp_unfolded, zp_touch_point_unfolded)
 
 
 def _non_even_isotropic(n):
@@ -131,10 +131,10 @@ def test_mp_infinity_is_zonotope(nu2):
 
 
 def test_mp_infinity_support_oracle_is_vectorized():
-    # more than 20 atoms: a support oracle instead of sign enumeration; it
-    # maps rows to values, and its sandwich volume brackets the zonotope
-    # volume from minors
-    mu = equiangular_measure(11)
+    # more than 16 antipodal pairs: a support oracle instead of sign
+    # enumeration; it maps rows to values, and its sandwich volume brackets
+    # the zonotope volume from minors
+    mu = equiangular_measure(17)
     body = mp_body(mu, math.inf)
     assert body.kind == "support"
     V = circle_grid(16)
@@ -169,28 +169,35 @@ def test_zp1_support_oracle_touch_points_are_vertices(n):
 
 
 def test_mp_gauge_on_rows(rng):
+    # the solver maps rows to values, and the rows of mp_body's touch points
+    # have gauge 1
     mu = random_even_isotropic(2, 3, rng)
     X = rng.standard_normal((5, 2))
     for p in (1.0, 2.5):
-        rows = mp_gauge(mu, p, X)
+        rows = mp_gauge_solver(mu, p, X)
         assert rows.shape == (5,)
-        assert np.array_equal(rows, [mp_gauge(mu, p, x) for x in X])
-        assert np.array_equal(_eval_fn(mp_body(mu, p).fn, X), rows)
+        assert np.array_equal(rows, [mp_gauge_solver(mu, p, x) for x in X])
+    V = circle_grid(5)
+    touch = mp_body(mu, 2.5).touch_fn(V)
+    assert np.allclose(mp_gauge_solver(mu, 2.5, touch), 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_mp_gauge_at_basis_directions(nu2, nu3):
+    # M_p of the cross is the unit ball of l_p
     for mu, n in ((nu2, 2), (nu3, 3)):
         for p in (1.5, 2.0, 3.0):
             e1 = np.zeros(n)
             e1[0] = 1.0
-            assert mp_gauge(mu, p, e1) == pytest.approx(1.0, abs=1e-7)
+            assert mp_gauge_solver(mu, p, e1) == pytest.approx(1.0, abs=1e-7)
+            assert mp_body(mu, p).support(e1) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_mp_inside_z_pstar(rng):
-    # 100 random boundary-ish points of M_p lie in Z_{p*} (Hoelder)
+    # 100 random boundary-ish points of M_p lie in Z_{p*} (Hoelder), the
+    # body mp_body builds
     mu = random_even_isotropic(2, 5, rng)
     for p in (1.5, 3.0):
-        pstar = p / (p - 1.0)
+        body = mp_body(mu, p)
         U, c = mu.directions, mu.weights
         for _ in range(50):
             th = rng.normal(size=mu.natoms)
@@ -199,7 +206,7 @@ def test_mp_inside_z_pstar(rng):
             # support comparison on a grid of directions
             for ang in np.linspace(0, 2 * np.pi, 33):
                 v = np.array([math.cos(ang), math.sin(ang)])
-                assert x @ v <= support_Zp(mu, pstar, v) + 1e-10
+                assert x @ v <= body.support(v) + 1e-10
 
 
 def test_mp_gauge_consistent_with_representation(rng):
@@ -209,8 +216,46 @@ def test_mp_gauge_consistent_with_representation(rng):
         th = rng.normal(size=mu.natoms)
         th /= (np.sum(mu.weights * np.abs(th) ** p)) ** (1.0 / p)
         x = (mu.weights * th) @ mu.directions
-        g = mp_gauge(mu, p, x)
+        g = mp_gauge_solver(mu, p, x)
         assert g <= 1.0 + 1e-7        # the solver can only overestimate
+
+
+def _mp_cases(n, rng):
+    return [random_even_isotropic(n, n * (n + 1) // 2 + 3, rng),
+            _non_even_isotropic(n)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_mp_body_touch_points_have_solver_gauge_one(n, rng):
+    # M_p = Z_{p'}: the representation infimum is 1 on the boundary points
+    # of the Z_{p'} body, for even and non-even measures
+    V = circle_grid(8) if n == 2 else icosphere(0)
+    for mu in _mp_cases(n, rng):
+        for p in (1.2, 1.5, 2.0, 3.0, 6.0):
+            body = mp_body(mu, p)
+            assert body.kind == "support"
+            touch = body.touch_fn(V)
+            assert np.allclose(mp_gauge_solver(mu, p, touch), 1.0,
+                               rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_mp_endpoints_are_hull_and_zonotope(n, rng):
+    # M_1 = conv{+-u_i}: every +-u_i is a vertex at solver gauge 1;
+    # M_inf = Z_1: the zonotope of the segments [-c_i u_i, c_i u_i]
+    for mu in _mp_cases(n, rng):
+        U = np.vstack([mu.directions, -mu.directions])
+        m1 = mp_body(mu, 1.0)
+        assert m1.kind == "V"
+        assert sorted(map(tuple, m1.vertices)) == sorted(set(map(tuple, U)))
+        assert np.allclose(mp_gauge_solver(mu, 1.0, U), 1.0, rtol=0.0, atol=1e-12)
+        G = mu.weights[:, None] * mu.directions
+        m_inf = mp_body(mu, math.inf)
+        assert m_inf.kind == "V"
+        assert volume(m_inf).value == pytest.approx(zonotope_volume(G), rel=1e-12)
+        V = circle_grid(16) if n == 2 else icosphere(1)
+        assert np.allclose(np.max(V @ m_inf.vertices.T, axis=1),
+                           np.abs(V @ G.T).sum(axis=1), rtol=1e-13, atol=0.0)
 
 
 def test_touch_points_on_boundary(nu2):
@@ -461,7 +506,7 @@ def test_gauss_legendre_cache_is_bit_equal(monkeypatch, rng):
 
     def volumes():
         return [(volume_Zp_star_ball_integral(mu, 1.5),
-                 _gauge_radial_volume(body_Zp_star(mu, 1.5), check_mc=False))
+                 _gauge_radial_volume(body_Zp_star(mu, 1.5)))
                 for mu in mus]
 
     cached = volumes()
