@@ -10,6 +10,8 @@ A body carries one of four representations:
 Oracles (support, gauge and touch callables) are vectorized: a point (n,)
 maps to a scalar (a touch point to a point) and rows (k, n) map to k
 values (k points); an output of any other shape raises ValueError.
+``BodyRep.support`` and ``BodyRep.gauge`` take a point or rows in the same
+way for every kind they evaluate.
 
 Exact volumes come from facet enumeration / simplicial decomposition (Qhull)
 for V and H bodies.  Support oracles are sandwiched between the hull of
@@ -192,27 +194,28 @@ class BodyRep:
 
     # evaluation ---------------------------------------------------------
 
-    def support(self, d) -> float:
+    def support(self, d):
+        """h_K(d): a direction (n,) gives a float, rows (k, n) give k values."""
         d = np.asarray(d, dtype=float)
-        if self.kind == "V":
-            return float(np.max(self.vertices @ d))
         if self.kind == "support":
-            return float(self.fn(d))
-        if self.kind == "H":
-            return float(np.max(self.to_vrep().vertices @ d))
-        raise ValueError("no support evaluation for gauge oracles")
+            h = self.fn(d)
+        elif self.kind in ("V", "H"):
+            h = np.max(d @ self.to_vrep().vertices.T, axis=-1)
+        else:
+            raise ValueError("no support evaluation for gauge oracles")
+        return float(h) if d.ndim == 1 else np.asarray(h, dtype=float)
 
-    def gauge(self, x) -> float:
+    def gauge(self, x):
+        """||x||_K: a point (n,) gives a float, rows (k, n) give k values."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "H":
-            A, b = self.halfspaces
-            return float(np.max((A @ x) / b))
         if self.kind == "gauge":
-            return float(self.fn(x))
-        if self.kind == "V":
+            g = self.fn(x)
+        elif self.kind in ("V", "H"):
             A, b = self.to_hrep().halfspaces
-            return float(np.max((A @ x) / b))
-        raise ValueError("no gauge evaluation for support oracles")
+            g = np.max((x @ A.T) / b, axis=-1)
+        else:
+            raise ValueError("no gauge evaluation for support oracles")
+        return float(g) if x.ndim == 1 else np.asarray(g, dtype=float)
 
     def contains(self, x, tol=1e-9) -> bool:
         return self.gauge(x) <= 1.0 + tol
@@ -220,16 +223,17 @@ class BodyRep:
     # conversions ---------------------------------------------------------
 
     def to_vrep(self) -> "BodyRep":
+        """This polytope as a V-body: self for a V-body; for an H-body the
+        vertices of ``halfspace_vertices``, as they are (two Qhull hulls)."""
         if self.kind == "V":
             return self
         if self.kind == "H":
-            A, b = self.halfspaces
-            pts = halfspace_vertices(A, b)
-            hull = ConvexHull(pts)
-            return BodyRep.from_vertices(pts[hull.vertices])
+            return BodyRep.from_vertices(halfspace_vertices(*self.halfspaces))
         raise ValueError(f"cannot convert kind {self.kind!r} to V")
 
     def to_hrep(self) -> "BodyRep":
+        """This polytope as an H-body: self for an H-body; for a V-body the
+        facets of ``vertices_to_halfspaces``."""
         if self.kind == "H":
             return self
         if self.kind == "V":
@@ -301,9 +305,9 @@ def halfspace_vertices(A, b) -> np.ndarray:
     the polar of conv{a_j / b'_j} with b' = b - A pt, so each facet
     (nu, off) of that one hull is the vertex nu / (-off) + pt.  b' is
     summed coordinate by coordinate from -b, the order Qhull's halfspace
-    mode uses, so the vertices are bit-identical to its intersections.
-    Triangulated dual facets repeat vertices; one hull of the points
-    removes them.
+    mode uses, so the points are bit-identical to its intersections.
+    Triangulated dual facets repeat vertices, exactly or to the last bits;
+    Qhull's vertex set of the points drops the repeats, in every dimension.
     """
     A = np.asarray(A, dtype=float)
     pt = _interior_point(A, b)
@@ -312,9 +316,7 @@ def halfspace_vertices(A, b) -> np.ndarray:
         dist = dist + A[:, k] * pt[k]
     eqs = ConvexHull(A / -dist[:, None]).equations
     pts = eqs[:, :-1] / -eqs[:, -1:] + pt
-    hull = ConvexHull(pts)
-    return pts[hull.vertices] if A.shape[1] == 2 else np.unique(
-        np.round(pts[np.unique(hull.simplices)], 12), axis=0)
+    return pts[ConvexHull(pts).vertices]
 
 
 def _polar_areas(P):

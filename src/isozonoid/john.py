@@ -26,9 +26,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .bodies import (BodyRep, VolumeResult, hull_volume_area, unit_ball_volume)
+from .bodies import (BodyRep, VolumeResult, hull_volume_area, polar_of_vrep,
+                     unit_ball_volume)
 from .errors import (DimensionUnsupportedError, HypothesisFailedError,
                      InfeasibleWeightsError, NoContactsError,
                      PreconditionViolatedError)
@@ -270,15 +270,6 @@ def xi_region_volume(u, u0, nsamples: int = 10 ** 7, seed: int = 0) -> VolumeRes
 # cube comparison lemmas
 
 
-def _polytope_support(A, b, d):
-    """Exact support function of {Ax <= b} in direction d, by LP."""
-    res = linprog(-np.asarray(d, dtype=float), A_ub=A, b_ub=b,
-                  bounds=(None, None), method="highs")
-    if not res.success:
-        raise PreconditionViolatedError("support LP failed")
-    return float(-res.fun)
-
-
 def cube_sandwich_check(mu: AtomicMeasure, alpha: float) -> dict:
     """Exact inclusion check e^{-n a} W^n <= Z*_inf(mu) <= e^{2 n a} W^n.
 
@@ -311,14 +302,7 @@ def cube_sandwich_check(mu: AtomicMeasure, alpha: float) -> dict:
             break
     # outer: h_{Z*_inf}(+-e_i) <= e^{2 n alpha}, exact polytope support
     r_out = math.exp(2.0 * n * alpha)
-    outer_ok = True
-    ones = np.ones(len(U))
-    for i in range(n):
-        for sgn in (1.0, -1.0):
-            e = np.zeros(n)
-            e[i] = sgn
-            if _polytope_support(U, ones, e) > r_out + 1e-12:
-                outer_ok = False
+    outer_ok = bool(np.all(polar_of_vrep(U).support(cross) <= r_out + 1e-12))
     return {"alpha": alpha, "delta_H": dH, "inner_ok": inner_ok,
             "outer_ok": outer_ok, "passed": inner_ok and outer_ok}
 
@@ -335,16 +319,12 @@ def bmkzw_check(K: BodyRep, Z: BodyRep, tau: float) -> dict:
     if not (0.0 < tau < 0.25):
         raise HypothesisFailedError("tau must lie in (0, 1/4)")
     VK = K.to_vrep().vertices
-    ZH = Z.to_hrep()
-    AZ, bZ = ZH.halfspaces
-    if np.max(_gauge_rows(AZ, bZ, VK)) > 1.0 + 1e-10:
+    if np.max(Z.gauge(VK)) > 1.0 + 1e-10:
         raise HypothesisFailedError("K is not contained in Z")
     cube_vertices = np.array(list(it.product((-1.0, 1.0), repeat=n)))
-    if np.max(_gauge_rows(AZ, bZ, (1.0 - tau) * cube_vertices)) > 1.0 + 1e-10:
+    if np.max(Z.gauge((1.0 - tau) * cube_vertices)) > 1.0 + 1e-10:
         raise HypothesisFailedError("(1 - tau) W^n is not contained in Z")
-    KH = K.to_hrep()
-    AK, bK = KH.halfspaces
-    if np.max(_gauge_rows(AK, bK, (1.0 - 2.0 * tau) * cube_vertices)) <= 1.0 + 1e-10:
+    if np.max(K.gauge((1.0 - 2.0 * tau) * cube_vertices)) <= 1.0 + 1e-10:
         raise HypothesisFailedError("(1 - 2 tau) W^n is contained in K")
     volW = 2.0 ** n
     volZ = hull_volume_area(Z.to_vrep().vertices)[0]
@@ -353,7 +333,3 @@ def bmkzw_check(K: BodyRep, Z: BodyRep, tau: float) -> dict:
     volK = hull_volume_area(VK)[0]
     bound = (1.0 - tau ** n / 2.0 ** n) * volW
     return {"vol_K": volK, "bound": bound, "passed": volK <= bound + 1e-10}
-
-
-def _gauge_rows(A, b, X):
-    return np.max((np.atleast_2d(X) @ A.T) / b, axis=1)

@@ -529,12 +529,6 @@ def fit_cross_frame(U, t: float) -> CrossFit:
 # body distances (certified upper bounds)
 
 
-def _both_reps(body: BodyRep):
-    v = body.to_vrep() if body.kind != "V" else body
-    h = body.to_hrep() if body.kind != "H" else body
-    return v.vertices, h.halfspaces
-
-
 def _body_starts(n, restarts, scale, seed):
     """The identity, then restarts - 1 random perturbations of it, as rows."""
     if restarts < 1:
@@ -568,8 +562,8 @@ def banach_mazur(K: BodyRep, M: BodyRep, restarts: int = 24, seed: int = 0):
     n = K.dim
     if n not in (2, 3):
         raise DimensionUnsupportedError("banach_mazur implemented for n in {2, 3}")
-    VK, (AK, bK) = _both_reps(K)
-    VM, (AM, bM) = _both_reps(M)
+    VK, (AK, bK) = K.to_vrep().vertices, K.to_hrep().halfspaces
+    VM, (AM, bM) = M.to_vrep().vertices, M.to_hrep().halfspaces
 
     def lam(X):
         Phi, ok = _normalized_frames(X, n)
@@ -632,11 +626,6 @@ def _intersection_volumes(A, b):
     return out
 
 
-def _intersection_volume(A, b):
-    """Volume of the polytope {x : Ax <= b}, 0 when it has no interior."""
-    return float(_intersection_volumes(np.asarray(A, dtype=float)[None], b)[0])
-
-
 def volume_distance(K: BodyRep, M: BodyRep, restarts: int = 12, seed: int = 0):
     """Upper bound on delta_vol(K, M): min over SL(n) of the symmetric
     difference volume of the volume-normalized bodies.
@@ -654,8 +643,8 @@ def volume_distance(K: BodyRep, M: BodyRep, restarts: int = 12, seed: int = 0):
     1500).  Returns (value, certificate).
     """
     n = K.dim
-    VK, (AK, bK) = _both_reps(K)
-    VM, (AM, bM) = _both_reps(M)
+    VK, (AK, bK) = K.to_vrep().vertices, K.to_hrep().halfspaces
+    VM, (AM, bM) = M.to_vrep().vertices, M.to_hrep().halfspaces
     alpha = hull_volume_area(VK)[0] ** (-1.0 / n)
     beta = hull_volume_area(VM)[0] ** (-1.0 / n)
     b = np.concatenate([bK * alpha, bM * beta])     # alpha K and beta M

@@ -215,13 +215,12 @@ def mp_body(mu: AtomicMeasure, p) -> BodyRep:
 
 
 def volume_Zp(mu: AtomicMeasure, p, **kw) -> VolumeResult:
-    body = body_Zp(mu, p)
-    if p == 1.0 and mu.even:
-        # minor-expansion oracle, independent of the hull code
-        G = _antipodal_pair_generators(mu)
-        v = zonotope_volume(G)
+    if _check_pz(p) == 1.0 and mu.even:
+        # minor-expansion formula, independent of the hull code
+        _require_full_dimensional(mu)
+        v = zonotope_volume(_antipodal_pair_generators(mu))
         return VolumeResult(v, 1e-12 * v, "EXACT")
-    return volume(body, **kw)
+    return volume(body_Zp(mu, p), **kw)
 
 
 def volume_Zp_star(mu: AtomicMeasure, p, **kw) -> VolumeResult:

@@ -8,7 +8,8 @@ minima from dense grids, the multistart searches (n = 3 orbit,
 Banach-Mazur, volume distance) from one scipy Nelder-Mead run per start on
 a scalar objective, zonoid sums over every atom (no antipodal folding), the
 ball integral over the full tensor grid, halfspace intersections from
-Qhull's halfspace mode (no polar-dual hull), the gauge Monte-Carlo
+Qhull's halfspace mode (no polar-dual hull), polytope support functions
+from one LP per direction (no vertex list), the gauge Monte-Carlo
 check from the oracle at every sample (no certified shell), and the gauge
 of M_p from its representation infimum (one LP or SLSQP solve per point,
 not the Z_{p'} duality).
@@ -201,8 +202,8 @@ def banach_mazur_per_start(K, M, restarts, seed=0):
 
 def halfspace_vertices_hsi(A, b):
     """Vertices of {x : Ax <= b} from scipy's ``HalfspaceIntersection``
-    about ``bodies._interior_point``, then a hull that removes duplicate
-    intersection points (hull order in n = 2, rounded and sorted in n = 3)."""
+    about ``bodies._interior_point``, then Qhull's vertex set of the
+    intersection points, which drops the repeats."""
     from scipy.spatial import ConvexHull, HalfspaceIntersection
 
     from isozonoid.bodies import _interior_point
@@ -211,9 +212,21 @@ def halfspace_vertices_hsi(A, b):
     pt = _interior_point(A, b)
     hs = np.hstack([A, -np.asarray(b, dtype=float)[:, None]])
     pts = HalfspaceIntersection(hs, pt).intersections
-    hull = ConvexHull(pts)
-    return pts[hull.vertices] if A.shape[1] == 2 else np.unique(
-        np.round(pts[np.unique(hull.simplices)], 12), axis=0)
+    return pts[ConvexHull(pts).vertices]
+
+
+def polytope_support_lp(A, b, d):
+    """Support function of {x : Ax <= b} at a direction d (n,) by one HiGHS
+    LP, or at rows d (k, n) by one LP per row."""
+    from scipy.optimize import linprog
+
+    d = np.asarray(d, dtype=float)
+    if d.ndim == 2:
+        return np.array([polytope_support_lp(A, b, row) for row in d])
+    res = linprog(-d, A_ub=A, b_ub=b, bounds=(None, None), method="highs")
+    if not res.success:
+        raise RuntimeError("support LP failed")
+    return float(-res.fun)
 
 
 def tangent_body_volume_hsi(dirs, hvals):

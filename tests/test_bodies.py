@@ -17,11 +17,11 @@ from isozonoid.errors import UnboundedBodyError
 from isozonoid.harness import (octagon_Q_body, random_even_isotropic,
                                regular_polygon_body, truncated_cube_body)
 from isozonoid.measures import cross_measure
-from isozonoid.zonoids import body_Zp, zp_touch_point
+from isozonoid.zonoids import body_Zp, body_Zp_star, zp_touch_point
 
 from oracles import (central_difference_touch_points, gauge_mc_volume_full,
-                     halfspace_vertices_hsi, tangent_body_volume_hsi,
-                     vertex_enum_combinatorial)
+                     halfspace_vertices_hsi, polytope_support_lp,
+                     tangent_body_volume_hsi, vertex_enum_combinatorial)
 
 
 def test_cube_volume_exact():
@@ -240,6 +240,65 @@ def test_halfspace_vertices_off_centre_box(n):
         assert np.min(np.max(np.abs(got - c), axis=1)) <= 1e-12
     assert np.array_equal(got, halfspace_vertices_hsi(A, b))
     assert volume(BodyRep.from_halfspaces(A, b)).value == pytest.approx(np.prod(hi - lo), rel=1e-12)
+
+
+def test_halfspace_vertices_are_hull_vertices_off_centre():
+    # every row is a vertex of the hull of the rows, so no row repeats
+    # another or lies inside the hull of the others
+    rng = np.random.default_rng(1)
+    for _ in range(300):
+        A, b = vertices_to_halfspaces(rng.normal(size=(10, 3)) + 3.0)
+        got = halfspace_vertices(A, b)
+        assert len(scipy.spatial.ConvexHull(got).vertices) == len(got)
+
+
+@pytest.mark.parametrize("n, nverts", [(2, 8), (3, 24)])
+def test_to_vrep_of_hbody_makes_two_hulls(n, nverts, monkeypatch):
+    # one hull of the dual points, one of the dual-facet points
+    hulls = []
+    real = bodies.ConvexHull
+    monkeypatch.setattr(bodies, "ConvexHull",
+                        lambda *a, **k: hulls.append(1) or real(*a, **k))
+    V = truncated_cube_body(n, 0.1).to_vrep().vertices
+    assert len(hulls) == 2 and len(V) == nverts
+
+
+def _polytope_bodies(rng):
+    out = []
+    for n in (2, 3):
+        mu = random_even_isotropic(n, n * (n + 1) // 2 + 2, rng)
+        out += [cube_body(n), truncated_cube_body(n, 0.25),
+                polar_of_vrep(mu.directions), cross_polytope_body(n),
+                BodyRep.from_vertices(zonotope_vertices(
+                    rng.normal(size=(4, n))))]
+    return out
+
+
+def test_polytope_support_and_gauge_rows_match_scalar_calls_and_lp(rng):
+    # h_K from the LP over K's facets; ||.||_K = h_{K polar} from the LP over
+    # {y : <y, v> <= 1} for the vertices v of K
+    for K in _polytope_bodies(rng):
+        X = rng.normal(size=(30, K.dim))
+        h, g = K.support(X), K.gauge(X)
+        assert h.shape == g.shape == (len(X),)
+        assert isinstance(K.support(X[0]), float)
+        assert isinstance(K.gauge(X[0]), float)
+        V = K.to_vrep().vertices
+        for got, want in ((h, [K.support(x) for x in X]),
+                          (g, [K.gauge(x) for x in X]),
+                          (h, polytope_support_lp(*K.to_hrep().halfspaces, X)),
+                          (g, polytope_support_lp(V, np.ones(len(V)), X))):
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, got))
+
+
+def test_oracle_support_and_gauge_rows(rng):
+    mu = random_even_isotropic(3, 8, rng)
+    X = rng.normal(size=(20, 3))
+    for K, f in ((body_Zp(mu, 1.5), "support"), (body_Zp_star(mu, 1.5), "gauge")):
+        rows = getattr(K, f)(X)
+        assert rows.shape == (len(X),)
+        assert np.array_equal(rows, K.fn(X))
+        assert np.allclose(rows, [getattr(K, f)(x) for x in X], rtol=1e-14, atol=0)
 
 
 def _outer_bound(res):

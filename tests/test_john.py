@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from isozonoid.bodies import BodyRep, cube_body, unit_ball_volume
+from isozonoid import john
+from isozonoid.bodies import BodyRep, cube_body, polar_of_vrep, unit_ball_volume
 from isozonoid.errors import (HypothesisFailedError, NoContactsError,
                               PreconditionViolatedError)
 from isozonoid.harness import (john_normalize, regular_polygon_body,
@@ -12,6 +13,8 @@ from isozonoid.john import (bmkzw_check, contact_measure, cube_sandwich_check,
                             isoperimetric_ratio, john_ellipsoid, surface_area,
                             xi_region_volume)
 from isozonoid.measures import check_isotropy
+
+from oracles import polytope_support_lp
 
 
 def test_john_of_cube_is_ball():
@@ -139,6 +142,25 @@ def test_cube_sandwich_sweep(rng):
         mu = tilted_pair_measure(2, alpha * 0.9)
         rep = cube_sandwich_check(mu, alpha)
         assert rep["passed"]
+
+
+def test_cube_sandwich_outer_check_matches_lp(rng):
+    # the measures of test_cube_sandwich_sweep: h_{Z*_inf}(+-e_i) from the
+    # vertices of Z*_inf against one LP per direction, and the same verdict
+    cross = np.vstack([np.eye(2), -np.eye(2)])
+    for _ in range(50):
+        alpha = rng.uniform(0.005, 0.15)
+        mu = tilted_pair_measure(2, alpha * 0.9)
+        U = mu.directions
+        h_lp = polytope_support_lp(U, np.ones(len(U)), cross)
+        assert np.max(np.abs(polar_of_vrep(U).support(cross) - h_lp)) <= 1e-12
+        outer_lp = bool(np.all(h_lp <= math.exp(4.0 * alpha) + 1e-12))
+        assert cube_sandwich_check(mu, alpha)["outer_ok"] == outer_lp
+
+
+def test_john_solves_no_lp():
+    assert not hasattr(john, "linprog")
+    assert "scipy.optimize" not in open(john.__file__).read()
 
 
 def test_cube_sandwich_hypothesis(nu2, hexm):

@@ -12,7 +12,7 @@ from isozonoid.measures import (AtomicMeasure, cross_measure,
                                 equiangular_measure, unit_vector)
 from isozonoid import bodies, metrics
 from isozonoid.metrics import (_cross_transport_dual, _hausdorff_to_cross_batch,
-                               _intersection_volume, _intersection_volumes,
+                               _intersection_volumes,
                                _lockstep_nelder_mead,
                                banach_mazur,
                                deep_hole, fit_cross_frame, hausdorff_spherical,
@@ -579,7 +579,7 @@ def test_intersection_volume_matches_three_call_path(n, rng):
     for A, b in _intersection_batches(n, rng):
         batch = _intersection_volumes(A, b)
         for Ak, got in zip(A, batch):
-            assert got == _intersection_volume(Ak, b)
+            assert got == _intersection_volumes(Ak[None], b)[0]
             assert got > 0.0
             assert abs(got - intersection_volume_three_call(Ak, b)) <= 1e-12
 
@@ -667,14 +667,15 @@ def test_intersection_volume_empty_and_invalid():
     # disjoint squares [0, 1]^2 and [2, 3]^2, and two touching ones
     disjoint = np.array([1.0, 1.0, 0.0, 0.0, 3.0, 3.0, -2.0, -2.0])
     touching = np.array([1.0, 1.0, 0.0, 0.0, 2.0, 2.0, -1.0, -1.0])
+    A2 = np.vstack([A, A])[None]
     for b in (disjoint, touching):
-        assert _intersection_volume(np.vstack([A, A]), b) == 0.0
+        assert _intersection_volumes(A2, b)[0] == 0.0
         assert polygon_clip_area_exact(np.vstack([A, A]), b) == 0
     # an off-centre overlap: the unit square at the origin and at (0.5, 0.5)
     b = np.array([1.0, 1.0, 0.0, 0.0, 1.5, 1.5, -0.5, -0.5])
-    assert _intersection_volume(np.vstack([A, A]), b) == pytest.approx(0.25)
+    assert _intersection_volumes(A2, b)[0] == pytest.approx(0.25)
     with pytest.raises(ValueError):         # a malformed system is a bug
-        _intersection_volume(np.vstack([A, A]), b[:-1])
+        _intersection_volumes(A2, b[:-1])
 
 
 def test_volume_distance_disjoint_non_centred_body():

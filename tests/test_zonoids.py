@@ -89,6 +89,25 @@ def test_degenerate_measure_rejected(monkeypatch):
     assert len(calls) == 3               # one rank per measure
 
 
+def test_volume_Zp_p1_even_builds_no_body(monkeypatch, rng):
+    # the minor expansion needs neither the sign enumeration nor a hull
+    calls = []
+    monkeypatch.setattr(zonoids, "body_Zp", lambda *a: calls.append(1))
+    mus = [random_even_isotropic(n, n * (n + 1) // 2 + 2, rng) for n in (2, 3)]
+    for mu in mus:
+        U, c = mu.folded
+        v = zonotope_volume(c[:, None] * U)
+        res = volume_Zp(mu, 1)
+        assert (res.value, res.abs_error, res.method) == (v, 1e-12 * v, "EXACT")
+    assert calls == []
+    flat = AtomicMeasure(2, np.array([[1.0, 0.0], [-1.0, 0.0]]),
+                         np.array([1.0, 1.0]), even=True)
+    with pytest.raises(DegenerateMeasureError):
+        volume_Zp(flat, 1.0)
+    with pytest.raises(ValueError):
+        volume_Zp(mus[0], 0.5)
+
+
 def test_bodies_p_infinity(nu2, nu3):
     zs = body_Zp_star(nu2, math.inf)
     assert zs.kind == "H"
