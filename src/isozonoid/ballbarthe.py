@@ -80,8 +80,12 @@ def subset_expansion(sys: DecompositionSystem, t):
     and t_0 = sqrt(sum of terms).  det_value comes from direct elimination;
     the identity det_value = sum(terms) is verified to 1e-9 relative.
     """
-    t = _check_t(sys, t)
-    V, n = sys.vectors, sys.dim
+    return _cauchy_binet(sys, _check_t(sys, t))[:3]
+
+
+def _cauchy_binet(sys: DecompositionSystem, t):
+    """``subset_expansion`` for a checked t, plus the squared minors it used."""
+    V = sys.vectors
     M = (V.T * t) @ V
     det_value = float(np.linalg.det(M))
     dets2 = _subset_det_squares(V)
@@ -95,7 +99,7 @@ def subset_expansion(sys: DecompositionSystem, t):
     if abs(det_value - total) > REL_TOL * max(abs(det_value), abs(total), 1e-300):
         raise AssertionError(
             f"Cauchy-Binet identity violated: {det_value} vs {total}")
-    return det_value, math.sqrt(total), terms
+    return det_value, math.sqrt(total), terms, dets2
 
 
 def _subset_det_squares(V):
@@ -130,9 +134,8 @@ def theta_star(sys: DecompositionSystem, t):
     t = _check_t(sys, t)
     if sys.k <= sys.dim:
         raise KTooSmallError("theta* needs k >= n+1 vectors")
-    det_value, t0, terms = subset_expansion(sys, t)
+    det_value, t0, _, dets2 = _cauchy_binet(sys, t)
     V = sys.vectors
-    dets2 = _subset_det_squares(V)
     acc = []
     for S, d2 in dets2.items():
         ratio = math.sqrt(float(np.prod(t[list(S)]))) / t0
@@ -174,15 +177,15 @@ def random_decomposition_system(n: int, nframes: int, rng) -> DecompositionSyste
 
     Convex mixture of Haar-random orthonormal frames: each frame scaled by
     the square root of a Dirichlet coefficient sums to a multiple of the
-    identity, and the mixture restores Id_n exactly.
+    identity, and the mixture restores Id_n exactly.  A frame is the Q of a
+    Gaussian matrix with the signs of R's diagonal moved into it, the draw
+    of scipy's ``ortho_group.rvs``.
     """
-    from scipy.stats import ortho_group
-
     if nframes < 2:
         raise ValueError("need at least two frames for k >= n+1")
     coeffs = rng.dirichlet(np.ones(nframes))
     rows = []
     for f in range(nframes):
-        Q = ortho_group.rvs(n, random_state=rng)
-        rows.append(math.sqrt(coeffs[f]) * Q)
+        q, r = np.linalg.qr(rng.normal(size=(n, n)))
+        rows.append(math.sqrt(coeffs[f]) * (q * np.sign(np.diag(r))))
     return DecompositionSystem(np.vstack(rows))

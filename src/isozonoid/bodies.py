@@ -420,16 +420,31 @@ def cross_polytope_body(n: int, r: float = 1.0) -> BodyRep:
     return BodyRep.from_vertices(r * np.vstack([np.eye(n), -np.eye(n)]))
 
 
-def zonotope_vertices(generators) -> np.ndarray:
-    """Vertices of sum_j [-g_j, g_j] by sign enumeration (m <= 20)."""
+def zonotope_facets(generators):
+    """Facet halfspaces (N, h) of the zonotope sum_j [-g_j, g_j]: <nu, x> <= h.
+
+    Every facet is parallel to n - 1 generators, so its normal is the
+    cofactor vector nu_S of such a subset S (<nu_S, x> = det[x; G_S]), at
+    offset h(nu_S) = sum_j |<g_j, nu_S>|, the support value.  The rows are
+    +-nu_S / |nu_S| over every (n - 1)-subset, with offsets h / |nu_S|; only
+    rows with h = 0 (dependent subsets, nu_S = 0) are dropped.  Every other
+    row is a supporting halfspace, so subsets spanning the same hyperplane
+    (repeated facets) or nearly dependent ones (redundant rows) are
+    harmless.  The polar of the zonotope is conv{N_i / h_i}.
+    """
     G = np.atleast_2d(np.asarray(generators, dtype=float))
-    m = len(G)
-    if m > 20:
-        raise DimensionUnsupportedError("too many generators for sign enumeration")
-    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
-    pts = signs @ G
-    hull = ConvexHull(pts)
-    return pts[hull.vertices] if G.shape[1] == 2 else pts[np.unique(hull.simplices)]
+    m, n = G.shape
+    S = np.array(list(itertools.combinations(range(m), n - 1)), dtype=int)
+    GS = G[S.reshape(-1, n - 1)]
+    cols = np.arange(n)
+    nu = np.stack([(-1.0) ** i * np.linalg.det(GS[:, :, cols != i])
+                   for i in range(n)], axis=1)
+    h = np.sum(np.abs(nu @ G.T), axis=1)
+    keep = h > 0.0
+    scale = np.linalg.norm(nu[keep], axis=1)
+    N = nu[keep] / scale[:, None]
+    h = h[keep] / scale
+    return np.vstack([N, -N]), np.concatenate([h, h])
 
 
 def zonotope_volume(generators) -> float:

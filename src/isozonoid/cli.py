@@ -187,10 +187,18 @@ def _run_caps(args, seed):
     return reps
 
 
-SUITES = {"theoremB": _run_theoremB, "s1": _run_s1, "zpstab": _run_zpstab,
-          "reviso": _run_reviso, "planar": _run_planar,
-          "transport": _run_transport, "ballbarthe": _run_ballbarthe,
-          "caps": _run_caps}
+# suite -> (runner, the suite-specific flags it reads).  --seed, --jobs and
+# --out apply to every suite; any other flag a suite does not read is an
+# input error rather than silently ignored.
+SUITES = {"theoremB": (_run_theoremB, ("n", "p", "count")),
+          "s1": (_run_s1, ()),
+          "zpstab": (_run_zpstab, ("n", "p")),
+          "reviso": (_run_reviso, ("n",)),
+          "planar": (_run_planar, ()),
+          "transport": (_run_transport, ("grid",)),
+          "ballbarthe": (_run_ballbarthe, ("count",)),
+          "caps": (_run_caps, ("n", "count"))}
+VERIFY_DEFAULTS = {"n": 2, "p": math.inf, "count": 20, "grid": 64}
 
 
 def _reports_csv(reports) -> str:
@@ -204,8 +212,13 @@ def _reports_csv(reports) -> str:
 
 
 def _cmd_verify(args) -> int:
-    seed = _seed_from(args)
-    reports = SUITES[args.suite](args, seed)
+    run, reads = SUITES[args.suite]
+    for flag, default in VERIFY_DEFAULTS.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif flag not in reads:
+            raise ValueError(f"suite {args.suite} does not read --{flag}")
+    reports = run(args, _seed_from(args))
     text = _dump_json([r.to_dict() for r in reports])
     _write_output(args.out, text)
     if args.out not in (None, "-"):
@@ -316,10 +329,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("--suite", required=True, choices=sorted(SUITES))
-    v.add_argument("--n", type=int, default=2)
-    v.add_argument("--p", type=_parse_p, default=math.inf)
-    v.add_argument("--count", type=int, default=20)
-    v.add_argument("--grid", type=int, default=64)
+    for flag, kind in (("n", int), ("p", _parse_p), ("count", int),
+                       ("grid", int)):
+        readers = ", ".join(k for k, (_, reads) in SUITES.items()
+                            if flag in reads)
+        v.add_argument(f"--{flag}", type=kind, default=None,
+                       help=f"default {VERIFY_DEFAULTS[flag]}; read by {readers}")
     v.add_argument("--seed", type=int, default=DEFAULT_SEED)
     v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--out", default=None)

@@ -52,16 +52,20 @@ class StabilityReport:
              "p": self.p, "epsilon": self.epsilon, "deficit": self.deficit,
              "bound": self.bound, "passed": self.passed,
              "tolerances": self.tolerances}
-        d.update({k: v for k, v in self.extra.items()
-                  if isinstance(v, (int, float, str, bool))})
+        d.update(self.extra)
         return {k: _json_safe(v) for k, v in d.items()}
 
 
 def _json_safe(v):
-    """Strict-JSON scalars: numpy scalars become Python ones and non-finite
-    floats become strings."""
+    """Strict-JSON values: dicts and sequences are converted item by item,
+    numpy scalars and arrays become Python ones and non-finite floats
+    become strings."""
     if isinstance(v, dict):
         return {k: _json_safe(x) for k, x in v.items()}
+    if isinstance(v, np.ndarray):
+        v = v.tolist()
+    if isinstance(v, (list, tuple)):
+        return [_json_safe(x) for x in v]
     if isinstance(v, (np.bool_, np.integer, np.floating)):
         v = v.item()
     if isinstance(v, float):

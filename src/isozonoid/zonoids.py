@@ -8,14 +8,21 @@ For an even measure mu on S^{n-1} not concentrated on a great subsphere:
 
 so the gauge of Z*_p is available in closed form (it equals h_{Z_p}),
 while Z*_inf = { x : <x, u> <= 1 on supp mu } is an exact polytope.
-Z_1 is a classical zonotope: the Minkowski sum of the weighted atom
-segments, with an exact minor-expansion volume.
+Z_1 is a classical zonotope, Z_1(mu) = sum_j [-g_j, g_j] with g_j = c_j u_j
+over the folded atoms.  Each facet is parallel to n - 1 generators, so its
+normal nu_S is their cofactor vector and its offset h(nu_S) =
+sum_j |<g_j, nu_S>| (``bodies.zonotope_facets``).  That one list of facets
+gives Z_1 as an exact V-body (the vertices of the halfspaces) and its polar
+as Z*_1(mu) = conv{ +-nu_S / h(nu_S) }; V(Z_1) is the minor expansion.  For
+finite p every Z_p depends only on the even part of mu, so these exact
+p = 1 bodies hold for every full-dimensional mu, even or not, with exact
+volumes up to n = 4.
 
 Evenness halves the work.  Every term c_i |<u_i, v>|^p is unchanged under
 u_i -> -u_i, so the support function, the gauge, the touching points and
 the ball integral sum over ``AtomicMeasure.folded``: one atom per
 antipodal pair with weight 2 c_i (a non-even measure is not folded).  The
-Z_1 zonotope takes its generators 2 c_j u_j from the same fold.
+Z_1 zonotope takes its generators from the same fold.
 
 M_p(mu) = { sum c_i theta_i u_i : sum c_i |theta_i|^p <= 1 } needs no
 solver.  Its support function at v is the norm dual to theta ->
@@ -44,8 +51,9 @@ import math
 
 import numpy as np
 
-from .bodies import (BodyRep, VolumeResult, _gauss_legendre, polar_of_vrep,
-                     volume, zonotope_vertices, zonotope_volume)
+from .bodies import (BodyRep, VolumeResult, _gauss_legendre,
+                     halfspace_vertices, volume, zonotope_facets,
+                     zonotope_volume)
 from .errors import DegenerateMeasureError, DimensionUnsupportedError, NonConvergedError
 from .measures import AtomicMeasure
 
@@ -97,8 +105,9 @@ def norm_Zp_star(mu: AtomicMeasure, p, x):
     return float(out[0]) if single else out
 
 
-def _antipodal_pair_generators(mu: AtomicMeasure):
-    """One zonotope generator 2 c_j u_j per antipodal atom pair."""
+def _zonotope_generators(mu: AtomicMeasure):
+    """Generators g_j = c_j u_j of Z_1(mu) = sum_j [-g_j, g_j] over the
+    folded atoms: 2 c_j u_j per antipodal pair of an even measure."""
     U, c = mu.folded
     return c[:, None] * U
 
@@ -122,35 +131,40 @@ def zp_touch_point(mu: AtomicMeasure, p, v):
 
 
 def body_Zp(mu: AtomicMeasure, p) -> BodyRep:
-    """Z_p(mu): exact polytope for p in {1, inf}, support oracle otherwise."""
+    """Z_p(mu): exact V-body for p in {1, inf}, support oracle otherwise.
+
+    Z_1 is the zonotope: its vertices come from its facet halfspaces
+    (``zonotope_facets``), for every full-dimensional mu.
+    """
     p = _check_pz(p)
     _require_full_dimensional(mu)
     if np.isinf(p):
         return BodyRep.from_vertices(mu.directions)
-    if p == 1.0 and mu.even:
-        G = _antipodal_pair_generators(mu)
-        if len(G) <= 16 and mu.dim <= 4:
-            return BodyRep.from_vertices(zonotope_vertices(G))
+    if p == 1.0:
+        N, h = zonotope_facets(_zonotope_generators(mu))
+        return BodyRep.from_vertices(halfspace_vertices(N, h))
     fn = lambda v: support_Zp(mu, p, v)
     touch = lambda v: zp_touch_point(mu, p, v)
     return BodyRep.from_support(mu.dim, fn, touch_fn=touch, rng_check=False)
 
 
 def body_Zp_star(mu: AtomicMeasure, p) -> BodyRep:
-    """Z*_p(mu): exact polytope for p = inf (and p = 1 in n <= 3), gauge oracle otherwise.
+    """Z*_p(mu): exact polytope for p in {1, inf}, gauge oracle otherwise.
 
-    The gauge body carries certified radial bounds (``_gauge_radii``), so
-    its Monte-Carlo cross-check calls the oracle only between them.
+    Z*_inf is the H-body {x : <x, u_i> <= 1}.  Z*_1 is the V-body
+    conv{N_i / h_i} over the zonotope's facet halfspaces (N, h), for every
+    full-dimensional mu.  The gauge body carries certified radial bounds
+    (``_gauge_radii``), so its Monte-Carlo cross-check calls the oracle only
+    between them.
     """
     p = _check_pz(p)
     _require_full_dimensional(mu)
     if np.isinf(p):
         return BodyRep.from_halfspaces(mu.directions, np.ones(mu.natoms),
                                        check_bounded=False)
-    if p == 1.0 and mu.even and mu.dim <= 3:
-        zono = body_Zp(mu, 1.0)
-        if zono.kind == "V":
-            return polar_of_vrep(zono.vertices)
+    if p == 1.0:
+        N, h = zonotope_facets(_zonotope_generators(mu))
+        return BodyRep.from_vertices(N / h[:, None])
     return BodyRep.from_gauge(mu.dim, lambda x: norm_Zp_star(mu, p, x),
                               radii=_gauge_radii(mu, p))
 
@@ -214,17 +228,17 @@ def mp_body(mu: AtomicMeasure, p) -> BodyRep:
 # volumes
 
 
-def volume_Zp(mu: AtomicMeasure, p, **kw) -> VolumeResult:
-    if _check_pz(p) == 1.0 and mu.even:
+def volume_Zp(mu: AtomicMeasure, p) -> VolumeResult:
+    if _check_pz(p) == 1.0:
         # minor-expansion formula, independent of the hull code
         _require_full_dimensional(mu)
-        v = zonotope_volume(_antipodal_pair_generators(mu))
+        v = zonotope_volume(_zonotope_generators(mu))
         return VolumeResult(v, 1e-12 * v, "EXACT")
-    return volume(body_Zp(mu, p), **kw)
+    return volume(body_Zp(mu, p))
 
 
-def volume_Zp_star(mu: AtomicMeasure, p, **kw) -> VolumeResult:
-    return volume(body_Zp_star(mu, p), **kw)
+def volume_Zp_star(mu: AtomicMeasure, p) -> VolumeResult:
+    return volume(body_Zp_star(mu, p))
 
 
 def volume_Zp_star_ball_integral(mu: AtomicMeasure, p, nodes: int = None,

@@ -7,7 +7,8 @@ combinatorial vertex enumeration or exact rational polygon clipping, orbit
 minima from dense grids, the multistart searches (n = 3 orbit,
 Banach-Mazur, volume distance) from one scipy Nelder-Mead run per start on
 a scalar objective, zonoid sums over every atom (no antipodal folding), the
-ball integral over the full tensor grid, halfspace intersections from
+ball integral over the full tensor grid, zonotope vertices from all 2^m
+sign vectors (no facet normals), halfspace intersections from
 Qhull's halfspace mode (no polar-dual hull), polytope support functions
 from one LP per direction (no vertex list), the gauge Monte-Carlo
 check from the oracle at every sample (no certified shell), and the gauge
@@ -212,6 +213,17 @@ def halfspace_vertices_hsi(A, b):
     pt = _interior_point(A, b)
     hs = np.hstack([A, -np.asarray(b, dtype=float)[:, None]])
     pts = HalfspaceIntersection(hs, pt).intersections
+    return pts[ConvexHull(pts).vertices]
+
+
+def zonotope_vertices(generators):
+    """Vertices of sum_j [-g_j, g_j]: the sums of all 2^m sign vectors,
+    then Qhull's vertex set of them (m <= 20)."""
+    from scipy.spatial import ConvexHull
+
+    G = np.atleast_2d(np.asarray(generators, dtype=float))
+    assert len(G) <= 20
+    pts = np.array(list(itertools.product((-1.0, 1.0), repeat=len(G)))) @ G
     return pts[ConvexHull(pts).vertices]
 
 

@@ -112,7 +112,7 @@ def test_criterion_05_ball_barthe_stability():
         nframes = int(rng.integers(2, 6 if n == 2 else 4))   # k <= 10
         sys_ = random_decomposition_system(n, nframes, rng)
         t = np.exp(rng.normal(size=sys_.k))
-        # subset_expansion (inside theta_star) verifies Cauchy-Binet to 1e-9
+        # theta_star's Cauchy-Binet expansion verifies the identity to 1e-9
         theta, ok = theta_star(sys_, t)
         assert ok and theta >= 1.0 - 1e-12
         min_theta = min(min_theta, theta)

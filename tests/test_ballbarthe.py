@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isozonoid import ballbarthe
 from isozonoid.ballbarthe import (DecompositionSystem, ball_inequality,
                                   random_decomposition_system, subset_expansion,
                                   theta_star, vector_estimate, xab_gap)
@@ -92,6 +93,41 @@ def test_theta_star_random_sweep(rng):
         # theta* = 1 strengthening implies the plain inequality
         lhs, rhs, plain = ball_inequality(sys_, t)
         assert plain
+
+
+def test_theta_star_enumerates_the_minors_once(monkeypatch, rng):
+    # bit-equal to the formula over subset_expansion's t_0 and a second
+    # enumeration of the minors, from one enumeration
+    real = ballbarthe._subset_det_squares
+    calls = []
+    for _ in range(20):
+        n = int(rng.integers(2, 4))
+        sys_ = random_decomposition_system(n, int(rng.integers(2, 4)), rng)
+        t = np.exp(rng.normal(size=sys_.k))
+        _, t0, _ = subset_expansion(sys_, t)
+        acc = [d2 * (math.sqrt(float(np.prod(t[list(S)]))) / t0 - 1.0) ** 2
+               for S, d2 in real(sys_.vectors).items()]
+        with monkeypatch.context() as m:
+            m.setattr(ballbarthe, "_subset_det_squares",
+                      lambda V: calls.append(1) or real(V))
+            theta, _ = theta_star(sys_, t)
+        assert theta == 1.0 + 0.5 * math.fsum(acc)
+    assert len(calls) == 20
+
+
+def test_random_frames_are_ortho_group_draws():
+    # the inlined QR draw is scipy's ortho_group.rvs, bit for bit
+    from scipy.stats import ortho_group
+
+    for seed in range(50):
+        for n, nframes in ((2, 3), (3, 2)):
+            got = random_decomposition_system(
+                n, nframes, np.random.default_rng(seed)).vectors
+            rng = np.random.default_rng(seed)
+            coeffs = rng.dirichlet(np.ones(nframes))
+            want = np.vstack([math.sqrt(c) * ortho_group.rvs(n, random_state=rng)
+                              for c in coeffs])
+            assert np.array_equal(got, want)
 
 
 def test_theta_star_needs_k_at_least_n_plus_one():

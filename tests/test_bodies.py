@@ -12,7 +12,7 @@ from isozonoid.bodies import (EXACT_REL_ERR, BodyRep, _eval_fn, _touch_points,
                               halfspace_vertices, icosphere,
                               polar_of_vrep, sphere_grid, unit_ball_volume,
                               vertices_to_halfspaces, volume,
-                              zonotope_vertices, zonotope_volume)
+                              zonotope_facets, zonotope_volume)
 from isozonoid.errors import UnboundedBodyError
 from isozonoid.harness import (octagon_Q_body, random_even_isotropic,
                                regular_polygon_body, truncated_cube_body)
@@ -21,7 +21,8 @@ from isozonoid.zonoids import body_Zp, body_Zp_star, zp_touch_point
 
 from oracles import (central_difference_touch_points, gauge_mc_volume_full,
                      halfspace_vertices_hsi, polytope_support_lp,
-                     tangent_body_volume_hsi, vertex_enum_combinatorial)
+                     tangent_body_volume_hsi, vertex_enum_combinatorial,
+                     zonotope_vertices)
 
 
 def test_cube_volume_exact():
@@ -124,6 +125,39 @@ def test_zonotope_volume_against_hull(rng):
             verts = zonotope_vertices(G)
             v_hull = volume(BodyRep.from_vertices(verts)).value
             assert v_minors == pytest.approx(v_hull, rel=1e-9)
+
+
+def test_zonotope_facets_of_boxes_and_dependent_generators():
+    # a box: the 2n facets +-e_i at the half-widths; the dependent pair
+    # {e_1, 2 e_1} has no normal and is dropped, the repeated +-e_3 stays
+    G = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.5, 0.0],
+                  [0.0, 0.0, 0.25]])
+    N, h = zonotope_facets(G)
+    assert N.shape == (10, 3) and h.shape == (10,)
+    assert np.allclose(np.linalg.norm(N, axis=1), 1.0, rtol=0.0, atol=1e-15)
+    assert np.allclose(h, np.abs(N @ G.T).sum(axis=1), rtol=1e-15, atol=0.0)
+    want = {(1, 0, 0, 3.0), (-1, 0, 0, 3.0), (0, 1, 0, 0.5), (0, -1, 0, 0.5),
+            (0, 0, 1, 0.25), (0, 0, -1, 0.25)}
+    got = {tuple(np.round(np.append(a, b), 12) + 0.0) for a, b in zip(N, h)}
+    assert got == want
+    assert volume(BodyRep.from_vertices(halfspace_vertices(N, h))).value \
+        == pytest.approx(zonotope_volume(G), rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_zonotope_facets_are_the_sign_enumeration_facets(n, rng):
+    # every row supports the hull of the 2^m sign sums, and together the
+    # rows cut out exactly that hull (same volume, same support)
+    G = rng.normal(size=(n + 3, n))
+    N, h = zonotope_facets(G)
+    V = zonotope_vertices(G)
+    assert np.allclose(np.max(N @ V.T, axis=1), h, rtol=1e-13, atol=0.0)
+    W = halfspace_vertices(N, h)
+    X = rng.normal(size=(200, n))
+    assert np.allclose(np.max(X @ W.T, axis=1), np.max(X @ V.T, axis=1),
+                       rtol=1e-13, atol=0.0)
+    assert volume(BodyRep.from_vertices(W)).value == pytest.approx(
+        zonotope_volume(G), rel=1e-12)
 
 
 def test_volume_orthogonal_invariance_and_scaling(rng):

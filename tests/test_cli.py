@@ -7,7 +7,7 @@ import pytest
 
 from isozonoid import harness
 from isozonoid.bodies import cube_body
-from isozonoid.cli import main
+from isozonoid.cli import SUITES, main
 from isozonoid.harness import REPORT_CSV_FIELDS
 from isozonoid.measures import cross_measure, hexagonal_measure
 from isozonoid.metrics import wasserstein
@@ -132,9 +132,10 @@ def test_verify_zpstab_n3_pinf(tmp_path, capsys):
         assert row["epsilon_nfev"] > 0
 
 
-def test_verify_zpstab_n3_p15_default_family(tmp_path, capsys):
+@pytest.mark.parametrize("p", ["1.5", "1"])
+def test_verify_zpstab_n3_default_family(p, tmp_path, capsys):
     out = tmp_path / "zp3.json"
-    rc = main(["verify", "--suite", "zpstab", "--n", "3", "--p", "1.5",
+    rc = main(["verify", "--suite", "zpstab", "--n", "3", "--p", p,
                "--out", str(out)])
     assert rc == 0
     assert "Traceback" not in capsys.readouterr().err
@@ -224,6 +225,45 @@ def test_env_seed_override(tmp_path, monkeypatch):
 def test_usage_error_exit_2(tmp_path):
     assert main(["volume", "--body", str(tmp_path / "missing.json")]) == 2
     assert main(["nonsense"]) == 2
+
+
+def test_verify_rejects_flags_a_suite_does_not_read(tmp_path, capsys):
+    # every (suite, flag) pair outside the table exits 2 before running,
+    # naming both, and writes no report
+    given = {"n": "4", "p": "1.5", "count": "3", "grid": "16"}
+    pairs = [(suite, flag) for suite, (_, reads) in SUITES.items()
+             for flag in given if flag not in reads]
+    assert ("s1", "n") in pairs and len(pairs) == 22
+    out = tmp_path / "r.json"
+    for suite, flag in pairs:
+        rc = main(["verify", "--suite", suite, f"--{flag}", given[flag],
+                   "--seed", "1", "--jobs", "1", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"suite {suite} does not read --{flag}" in err
+        assert not out.exists()
+
+
+def test_verify_suites_leave_scipy_stats_unimported(tmp_path):
+    # scipy.stats costs about a second and 19 MB on import; no suite needs it
+    import subprocess
+    import sys
+
+    import isozonoid
+
+    code = (
+        "import sys\n"
+        "from isozonoid.cli import main\n"
+        "for argv in (['--suite', 'ballbarthe', '--count', '3'],\n"
+        "             ['--suite', 'caps', '--count', '2'],\n"
+        "             ['--suite', 'transport', '--grid', '8']):\n"
+        "    assert main(['verify', *argv, '--out', sys.argv[1]]) == 0\n"
+        "print('scipy.stats' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(isozonoid.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", code, str(tmp_path / "r.json")],
+                         env=env, capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"
 
 
 def test_help_exits_cleanly(capsys):

@@ -1,10 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from isozonoid.bodies import cube_body
-from isozonoid.harness import (REPORT_CSV_FIELDS, area_conv_support,
+from isozonoid.harness import (REPORT_CSV_FIELDS, StabilityReport,
+                               area_conv_support,
                                area_polar_support, deficits_monotone,
                                max_area_inscribed_parallelogram,
                                octagon_Q_body, perturbation_family,
@@ -216,3 +218,21 @@ def test_report_dict_and_csv_fields(nu2):
     d = r.to_dict()
     for f in REPORT_CSV_FIELDS:
         assert f in d
+
+
+def test_report_dict_keeps_every_extra():
+    # nested extras reach the report as strict JSON, none is dropped
+    r = StabilityReport(
+        suite="x", label="0", n=2, p=math.inf, epsilon=0.0, deficit=0.0,
+        bound=0.0, passed=True,
+        extra={"cert": {"method": "m", "nfev": np.int64(7),
+                        "bracket": (0.5, math.inf)},
+               "flags": [np.bool_(True), False], "rows": np.eye(2),
+               "lam": np.float64(math.nan)})
+    d = r.to_dict()
+    assert d["cert"] == {"method": "m", "nfev": 7, "bracket": [0.5, "inf"]}
+    assert d["flags"] == [True, False]
+    assert d["rows"] == [[1.0, 0.0], [0.0, 1.0]]
+    assert d["lam"] == "nan" and d["p"] == "inf"
+    assert type(d["cert"]["nfev"]) is int and type(d["flags"][0]) is bool
+    json.dumps(d, allow_nan=False)

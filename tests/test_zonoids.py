@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from isozonoid import bodies, zonoids
-from isozonoid.bodies import (MC_SAMPLES, _gauge_mc_volume,
+from isozonoid.bodies import (MC_SAMPLES, BodyRep, _gauge_mc_volume,
                               _gauge_radial_volume, circle_grid, icosphere,
                               sphere_grid, unit_ball_volume, volume,
                               zonotope_volume)
 from isozonoid.errors import DegenerateMeasureError
-from isozonoid.harness import random_even_isotropic
-from isozonoid.measures import (AtomicMeasure, cross_measure,
+from isozonoid.harness import random_even_isotropic, tilted_pair_measure
+from isozonoid.measures import (AtomicMeasure, check_isotropy, cross_measure,
                                 equiangular_measure, second_moment_matrix,
                                 unit_vector)
 from isozonoid.zonoids import (_exp_integral, body_Zp, body_Zp_star, mp_body,
@@ -20,8 +20,9 @@ from isozonoid.zonoids import (_exp_integral, body_Zp, body_Zp_star, mp_body,
                                volume_Zp_star_ball_integral, zp_touch_point)
 
 from oracles import (exp_integral_full_grid, gauge_mc_volume_full,
-                     mp_gauge_solver, norm_Zp_star_unfolded,
-                     support_Zp_unfolded, zp_touch_point_unfolded)
+                     halfspace_vertices_hsi, mp_gauge_solver,
+                     norm_Zp_star_unfolded, support_Zp_unfolded,
+                     zonotope_vertices, zp_touch_point_unfolded)
 
 
 def _non_even_isotropic(n):
@@ -149,42 +150,83 @@ def test_mp_infinity_is_zonotope(nu2):
     assert volume(m).value == pytest.approx(4.0, abs=1e-12)
 
 
-def test_mp_infinity_support_oracle_is_vectorized():
-    # more than 16 antipodal pairs: a support oracle instead of sign
-    # enumeration; it maps rows to values, and its sandwich volume brackets
-    # the zonotope volume from minors
+def test_mp_infinity_of_17_pairs_is_exact():
+    # 17 antipodal pairs: M_inf = Z_1 is an exact V-body whose support is
+    # sum_j |<g_j, v>| and whose volume is the minor expansion
     mu = equiangular_measure(17)
     body = mp_body(mu, math.inf)
-    assert body.kind == "support"
+    assert body.kind == "V"
     V = circle_grid(16)
     G = mu.weights[:, None] * mu.directions
     h = np.abs(V @ G.T).sum(axis=1)
-    assert body.fn(V).shape == (16,)
-    assert np.allclose(body.fn(V), h, rtol=1e-14, atol=0.0)
-    assert body.support(V[3]) == pytest.approx(h[3], rel=1e-14)
-    # the touch points are zonotope vertices, so the sandwich's inner hull
-    # lies inside the body and its bar covers the volume from minors
-    touch = body.touch_fn(V)
-    assert np.allclose(np.sum(touch * V, axis=1), h, rtol=1e-14, atol=0.0)
+    assert np.allclose(body.support(V), h, rtol=1e-14, atol=0.0)
     res = volume(body)
-    exact = zonotope_volume(G)
-    assert abs(res.value - exact) <= res.abs_error
+    assert res.method == "EXACT"
+    assert res.value == pytest.approx(zonotope_volume(G), rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_zp1_support_oracle_touch_points_are_vertices(n):
-    # a non-even measure takes the support-oracle path at p = 1; its touch
-    # points are zonotope vertices sum_i c_i sign(<v, u_i>) u_i, so the
-    # sandwich's inner hull lies inside the body
+def test_zp1_of_non_even_measure_is_exact(n, rng):
+    # a non-even measure has an exact Z_1 too (its volume is checked in
+    # test_p1_bodies_match_sign_enumeration_and_minors); at directions with
+    # no <v, u_i> = 0 the touch points sum_i c_i sign(<v, u_i>) u_i are its
+    # vertices
     mu = _non_even_isotropic(n)
     body = body_Zp(mu, 1.0)
-    assert body.kind == "support"
-    V = circle_grid(64) if n == 2 else icosphere(2)
+    assert body.kind == "V"
+    V = rng.normal(size=(100, n))
     G = mu.weights[:, None] * mu.directions
-    assert np.allclose(body.touch_fn(V), np.sign(V @ mu.directions.T) @ G,
+    touch = zp_touch_point(mu, 1.0, V)
+    assert np.allclose(touch, np.sign(V @ mu.directions.T) @ G,
                        rtol=0.0, atol=1e-15)
-    res = volume(body)
-    assert abs(res.value - zonotope_volume(G)) <= res.abs_error
+    dist = np.linalg.norm(touch[:, None, :] - body.vertices[None], axis=2)
+    assert np.max(np.min(dist, axis=1)) <= 1e-14
+
+
+def _p1_cases(n, rng):
+    """Even and non-even measures, 17 pairs (n = 2) and tilted pairs (n = 3,
+    three coplanar generators, so repeated facet normals)."""
+    cases = [cross_measure(n), random_even_isotropic(n, n * (n + 1) // 2 + 2, rng),
+             _random_measure(n, 2 * n + 2, rng)]
+    if n == 2:
+        cases += [_non_even_isotropic(2), equiangular_measure(17)]
+    if n == 3:
+        cases += [_non_even_isotropic(3), tilted_pair_measure(3, 0.1),
+                  tilted_pair_measure(3, 0.4)]
+    return cases
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_p1_bodies_match_sign_enumeration_and_minors(n, rng):
+    X = rng.normal(size=(200, n))
+    for mu in _p1_cases(n, rng):
+        U, c = mu.folded
+        G = c[:, None] * U
+        V = zonotope_vertices(G)
+        z1, z1s = body_Zp(mu, 1), body_Zp_star(mu, 1)
+        assert z1.kind == z1s.kind == "V"
+        # Z_1: the sign-enumeration hull and the minor expansion
+        v = zonotope_volume(G)
+        assert volume_Zp(mu, 1).value == v
+        assert volume(z1).value == pytest.approx(v, rel=1e-12)
+        np.testing.assert_allclose(z1.support(X), np.max(X @ V.T, axis=1),
+                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(z1.support(X), support_Zp(mu, 1, X),
+                                   rtol=1e-12, atol=0.0)
+        # Z*_1: the polar of the sign-enumeration hull, by Qhull's
+        # halfspace mode; its vertices have gauge 1
+        polar = halfspace_vertices_hsi(V, np.ones(len(V)))
+        res = volume_Zp_star(mu, 1)
+        assert res.method == "EXACT"
+        assert res.value == pytest.approx(
+            volume(BodyRep.from_vertices(polar)).value, rel=1e-12)
+        np.testing.assert_allclose(norm_Zp_star(mu, 1, z1s.vertices), 1.0,
+                                   rtol=0.0, atol=1e-14)
+        if mu.even and check_isotropy(mu, 1e-9).is_isotropic:
+            # Theorem B at p = 1: the cube bounds Z_1 below and the cross
+            # polytope bounds Z*_1 above
+            assert v >= 2.0 ** n * (1.0 - 1e-12)
+            assert res.value <= 2.0 ** n / math.factorial(n) * (1.0 + 1e-12)
 
 
 def test_mp_gauge_on_rows(rng):
