@@ -13,8 +13,8 @@ values (k points); an output of any other shape raises ValueError.
 ``BodyRep.support`` and ``BodyRep.gauge`` take a point or rows in the same
 way for every kind they evaluate.
 
-Exact volumes come from facet enumeration / simplicial decomposition (Qhull)
-for V and H bodies.  Support oracles are sandwiched between the hull of
+Exact volumes of V and H bodies (n <= 4) are the Qhull hull volume of the
+vertices.  Support oracles are sandwiched between the hull of
 touching points and the intersection of tangent halfspaces over a direction
 grid; gauge oracles use the polar-radial formula V = (1/n) int r^n with
 r = 1/gauge, plus a seeded Monte-Carlo cross-check that calls the oracle
@@ -28,6 +28,14 @@ hull of the dual points (``_polar_volumes``), and the facets of that hull
 are its vertices (``halfspace_vertices``).  The n = 3 outer sandwich bound,
 H -> V conversion and the delta_vol intersection volumes in ``metrics`` all
 use it; no Qhull halfspace intersection is left.
+
+Boundedness is decided there too, by polarity: with every offset positive,
+{x : <a_i, x> <= b_i} is bounded exactly when the origin lies strictly
+inside conv{a_i / b_i}.  ``halfspace_vertices`` raises UnboundedBodyError
+when that hull is flat or has a facet through or in front of the origin.
+``from_halfspaces`` checks nothing; ``body_from_json``, the one path for
+outside input, converts H data once at load so unbounded data is rejected
+there.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (DimensionUnsupportedError, UnboundedBodyError)
 
@@ -162,18 +170,20 @@ class BodyRep:
         return cls(dim=V.shape[1], kind="V", vertices=V)
 
     @classmethod
-    def from_halfspaces(cls, A, b, check_bounded=True) -> "BodyRep":
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        b = np.asarray(b, dtype=float)
-        if check_bounded:
-            _assert_bounded(A, b)
-        A = A.copy(); b = b.copy()
+    def from_halfspaces(cls, A, b) -> "BodyRep":
+        """{x : Ax <= b}, unchecked; ``halfspace_vertices`` decides whether
+        it is bounded."""
+        A = np.atleast_2d(np.asarray(A, dtype=float)).copy()
+        b = np.asarray(b, dtype=float).copy()
         A.flags.writeable = False
         b.flags.writeable = False
         return cls(dim=A.shape[1], kind="H", halfspaces=(A, b))
 
     @classmethod
-    def from_support(cls, dim, fn, touch_fn=None, rng_check=True) -> "BodyRep":
+    def from_support(cls, dim, fn, touch_fn, rng_check=True) -> "BodyRep":
+        """Support oracle fn with its touch oracle: touch_fn(d) is a
+        boundary point x with <x, d> = h(d), so the hull of touch points
+        is a certified inner body."""
         if rng_check:
             rng = np.random.default_rng(11)
             for _ in range(4):
@@ -238,7 +248,7 @@ class BodyRep:
             return self
         if self.kind == "V":
             A, b = vertices_to_halfspaces(self.vertices)
-            return BodyRep.from_halfspaces(A, b, check_bounded=False)
+            return BodyRep.from_halfspaces(A, b)
         raise ValueError(f"cannot convert kind {self.kind!r} to H")
 
     def to_json_dict(self):
@@ -260,27 +270,14 @@ def body_from_json(data) -> BodyRep:
     if kind == "V":
         return BodyRep.from_vertices(arr)
     if kind == "H":
-        return BodyRep.from_halfspaces(arr[:, :-1], arr[:, -1])
+        A, b = arr[:, :-1], arr[:, -1]
+        halfspace_vertices(A, b)                # raises if unbounded
+        return BodyRep.from_halfspaces(A, b)
     raise ValueError(f"unknown body kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
 # polytope plumbing
-
-
-def _assert_bounded(A, b):
-    """LP check in each +/- coordinate direction."""
-    n = A.shape[1]
-    for i in range(n):
-        for sgn in (1.0, -1.0):
-            c = np.zeros(n)
-            c[i] = -sgn
-            res = linprog(c, A_ub=A, b_ub=b, bounds=(None, None),
-                          method="highs")
-            if res.status == 3:
-                raise UnboundedBodyError(f"unbounded in direction {sgn:+.0f}e_{i}")
-            if not res.success:
-                raise UnboundedBodyError("halfspace system infeasible or ill-posed")
 
 
 def _interior_point(A, b):
@@ -308,13 +305,25 @@ def halfspace_vertices(A, b) -> np.ndarray:
     mode uses, so the points are bit-identical to its intersections.
     Triangulated dual facets repeat vertices, exactly or to the last bits;
     Qhull's vertex set of the points drops the repeats, in every dimension.
+
+    The shifted system is bounded exactly when the origin lies strictly
+    inside the dual hull, so this raises UnboundedBodyError when the hull
+    is flat or a facet offset is not negative (the origin on or outside
+    it), and when there is no interior point.
     """
     A = np.asarray(A, dtype=float)
     pt = _interior_point(A, b)
     dist = -np.asarray(b, dtype=float)
     for k in range(A.shape[1]):
         dist = dist + A[:, k] * pt[k]
-    eqs = ConvexHull(A / -dist[:, None]).equations
+    try:
+        eqs = ConvexHull(A / -dist[:, None]).equations
+    except QhullError:
+        raise UnboundedBodyError("unbounded: the dual points a_i / b_i "
+                                 "span a flat hull") from None
+    if not np.all(eqs[:, -1] < 0.0):
+        raise UnboundedBodyError("unbounded: the dual points a_i / b_i do "
+                                 "not surround the interior point")
     pts = eqs[:, :-1] / -eqs[:, -1:] + pt
     return pts[ConvexHull(pts).vertices]
 
@@ -401,7 +410,7 @@ def vertices_to_halfspaces(V):
 def polar_of_vrep(V) -> BodyRep:
     """Polar { x : <x, v_i> <= 1 } of conv(V) for origin-interior hulls."""
     V = np.atleast_2d(np.asarray(V, dtype=float))
-    return BodyRep.from_halfspaces(V, np.ones(len(V)), check_bounded=False)
+    return BodyRep.from_halfspaces(V, np.ones(len(V)))
 
 
 def hull_volume_area(V):
@@ -413,7 +422,7 @@ def hull_volume_area(V):
 def cube_body(n: int, r: float = 1.0) -> BodyRep:
     """r W^n = [-r, r]^n as halfspaces."""
     A = np.vstack([np.eye(n), -np.eye(n)])
-    return BodyRep.from_halfspaces(A, np.full(2 * n, r), check_bounded=False)
+    return BodyRep.from_halfspaces(A, np.full(2 * n, r))
 
 
 def cross_polytope_body(n: int, r: float = 1.0) -> BodyRep:
@@ -463,14 +472,9 @@ def zonotope_volume(generators) -> float:
 def volume(body: BodyRep, grid=None, mc_samples: int = MC_SAMPLES,
            seed: int = 0) -> VolumeResult:
     """Volume with an explicit error bar; method depends on representation."""
-    if body.kind == "V":
+    if body.kind in ("V", "H"):
         if body.dim > 4:
-            raise DimensionUnsupportedError("exact V-rep volume needs n <= 4")
-        v, _ = hull_volume_area(body.vertices)
-        return VolumeResult(v, EXACT_REL_ERR * v, "EXACT")
-    if body.kind == "H":
-        if body.dim > 3:
-            raise DimensionUnsupportedError("exact H-rep volume needs n <= 3")
+            raise DimensionUnsupportedError("exact polytope volume needs n <= 4")
         v, _ = hull_volume_area(body.to_vrep().vertices)
         return VolumeResult(v, EXACT_REL_ERR * v, "EXACT")
     if body.kind == "support":
@@ -490,20 +494,11 @@ def _eval_fn(fn, X):
 
 
 def _touch_points(body, dirs):
-    if body.touch_fn is not None:
-        out = np.asarray(body.touch_fn(dirs), dtype=float)
-        if out.shape != dirs.shape:
-            raise ValueError(f"touch oracle gave shape {out.shape} for "
-                             f"directions of shape {dirs.shape}")
-        return out
-    # central-difference gradient of the support function: one oracle call
-    # on the grid shifted by +-h along every axis
-    n = body.dim
-    h = 1e-6
-    step = h * np.eye(n)[:, None, :]
-    shifted = np.concatenate([dirs + step, dirs - step])       # (2n, m, n)
-    vals = _eval_fn(body.fn, shifted.reshape(-1, n)).reshape(2, n, len(dirs))
-    return ((vals[0] - vals[1]) / (2.0 * h)).T
+    out = np.asarray(body.touch_fn(dirs), dtype=float)
+    if out.shape != dirs.shape:
+        raise ValueError(f"touch oracle gave shape {out.shape} for "
+                         f"directions of shape {dirs.shape}")
+    return out
 
 
 def _support_sandwich_volume(body, grid=None) -> VolumeResult:

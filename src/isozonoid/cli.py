@@ -69,38 +69,19 @@ def _seed_from(args) -> int:
 # suite runners
 
 
-def _parallel_over_inputs(fn, inputs, jobs):
-    """Map a one-input suite over inputs; report order and labels follow
-    the input index regardless of completion order."""
-    import dataclasses
-
-    if jobs <= 1 or len(inputs) <= 1:
-        chunks = [fn([x]) for x in inputs]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            chunks = list(ex.map(lambda x: fn([x]), inputs))
-    out = []
-    for idx, chunk in enumerate(chunks):
-        out.extend(dataclasses.replace(r, label=str(idx)) for r in chunk)
-    return out
-
-
 def _run_theoremB(args, seed):
     n, p = args.n, args.p
     npairs = n * (n + 1) // 2 + 4       # enough pairs for feasible moment solves
     fam = harness.perturbation_family("RANDOM_ISOTROPIC", n,
                                       (args.count, npairs), seed=seed)
-    return _parallel_over_inputs(
-        lambda sub: harness.theorem_B_suite(n, p, sub), fam, args.jobs)
+    return harness.theorem_B_suite(n, p, fam)
 
 
 def _run_s1(args, seed):
     fam = harness.perturbation_family("EQUIANGULAR", 2, [2, 3, 4, 6])
     fam += harness.perturbation_family(
         "TILTED_PAIR", 2, np.linspace(0.0, 0.35, 8))
-    return _parallel_over_inputs(harness.s1_sharp_suite, fam, args.jobs)
+    return harness.s1_sharp_suite(fam)
 
 
 def _run_zpstab(args, seed):
@@ -201,13 +182,13 @@ SUITES = {"theoremB": (_run_theoremB, ("n", "p", "count")),
 VERIFY_DEFAULTS = {"n": 2, "p": math.inf, "count": 20, "grid": 64}
 
 
-def _reports_csv(reports) -> str:
+def _reports_csv(rows) -> str:
+    """CSV summary of report dicts: the REPORT_CSV_FIELDS of each row."""
     buf = io.StringIO()
     w = csv.DictWriter(buf, fieldnames=harness.REPORT_CSV_FIELDS,
                        extrasaction="ignore")
     w.writeheader()
-    for r in reports:
-        w.writerow({k: r.to_dict().get(k) for k in harness.REPORT_CSV_FIELDS})
+    w.writerows(rows)
     return buf.getvalue()
 
 
@@ -219,12 +200,12 @@ def _cmd_verify(args) -> int:
         elif flag not in reads:
             raise ValueError(f"suite {args.suite} does not read --{flag}")
     reports = run(args, _seed_from(args))
-    text = _dump_json([r.to_dict() for r in reports])
-    _write_output(args.out, text)
+    rows = [r.to_dict() for r in reports]
+    _write_output(args.out, _dump_json(rows))
     if args.out not in (None, "-"):
         csv_path = os.path.splitext(args.out)[0] + ".csv"
         with open(csv_path, "w") as fh:
-            fh.write(_reports_csv(reports))
+            fh.write(_reports_csv(rows))
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -336,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
         v.add_argument(f"--{flag}", type=kind, default=None,
                        help=f"default {VERIFY_DEFAULTS[flag]}; read by {readers}")
     v.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    v.add_argument("--jobs", type=int, default=1)
+    # accepted for existing scripts; suites run in one thread
+    v.add_argument("--jobs", type=int, choices=[1], default=1)
     v.add_argument("--out", default=None)
     v.set_defaults(func=_cmd_verify)
 

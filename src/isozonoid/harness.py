@@ -411,16 +411,14 @@ def truncated_cube_body(n: int, cut: float) -> BodyRep:
         corners = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
         A.append(corners / math.sqrt(n))
         b.append(np.full(len(corners), math.sqrt(n) - cut))
-    return BodyRep.from_halfspaces(np.vstack(A), np.concatenate(b),
-                                   check_bounded=False)
+    return BodyRep.from_halfspaces(np.vstack(A), np.concatenate(b))
 
 
 def regular_polygon_body(m: int, inradius: float = 1.0) -> BodyRep:
     """Regular 2m-gon circumscribed about the circle of given inradius."""
     ang = np.arange(2 * m) * np.pi / m
     A = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    return BodyRep.from_halfspaces(A, np.full(2 * m, inradius),
-                                   check_bounded=False)
+    return BodyRep.from_halfspaces(A, np.full(2 * m, inradius))
 
 
 def reverse_isoperimetric_suite(bodies, labels=None, distances: bool = True,

@@ -339,13 +339,7 @@ def isotropic_measure_from_directions(directions, even: bool = False) -> AtomicM
     """Solve for weights and build the measure, dropping zero-weight atoms."""
     U = np.atleast_2d(np.asarray(directions, dtype=float))
     w = solve_isotropic_weights(U, even=even)
-    keep = w > 1e-12
-    if even:
-        # keep pairs together so evenness survives the pruning
-        pair_of = _pair_indices(U)
-        for i in range(len(w)):
-            if keep[i] and not keep[pair_of[i]]:
-                keep[i] = False
+    keep = w > 1e-12        # an even solve gives both atoms of a pair one float
     if np.linalg.matrix_rank(U[keep], tol=1e-10) < U.shape[1]:
         raise DegenerateMeasureError("positive-weight support does not span")
     return AtomicMeasure(dim=U.shape[1], directions=U[keep], weights=w[keep],

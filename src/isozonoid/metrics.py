@@ -218,7 +218,7 @@ def wasserstein_to_cross(mu: AtomicMeasure):
         dual, frame, cert = _orbit_minimize_3d(
             lambda Rs: _cross_transport_dual(U, w, Rs))
     else:
-        raise ValueError("orbit search implemented for n in {2, 3}")
+        raise DimensionUnsupportedError("orbit search implemented for n in {2, 3}")
     value, _ = wasserstein(mu, rotated_cross_measure(n, frame))
     if abs(value - dual) > 1e-12:
         raise AssertionError(f"transport dual {dual!r} and LP {value!r} "
@@ -403,7 +403,7 @@ def hausdorff_to_cross(X):
         return float(vals[b]), frames[b], cert
     if n == 3:
         return _orbit_minimize_3d(lambda R: _hausdorff_to_cross_batch(X, R))
-    raise ValueError("orbit search implemented for n in {2, 3}")
+    raise DimensionUnsupportedError("orbit search implemented for n in {2, 3}")
 
 
 def wasserstein_hausdorff_bound(mu: AtomicMeasure, nu: AtomicMeasure,

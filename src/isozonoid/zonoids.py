@@ -160,8 +160,7 @@ def body_Zp_star(mu: AtomicMeasure, p) -> BodyRep:
     p = _check_pz(p)
     _require_full_dimensional(mu)
     if np.isinf(p):
-        return BodyRep.from_halfspaces(mu.directions, np.ones(mu.natoms),
-                                       check_bounded=False)
+        return BodyRep.from_halfspaces(mu.directions, np.ones(mu.natoms))
     if p == 1.0:
         N, h = zonotope_facets(_zonotope_generators(mu))
         return BodyRep.from_vertices(N / h[:, None])

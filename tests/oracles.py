@@ -298,20 +298,6 @@ def volume_distance_per_start(K, M, restarts, seed=0):
     return best, int(np.argmin(fun)), int(nfev.sum())
 
 
-def central_difference_touch_points(fn, dirs, h=1e-6):
-    """Gradient of a support function at each direction by central
-    differences, one scalar oracle call per shifted direction."""
-    pts = []
-    for d in dirs:
-        g = np.zeros(len(d))
-        for i in range(len(d)):
-            e = np.zeros(len(d))
-            e[i] = h
-            g[i] = (fn(d + e) - fn(d - e)) / (2.0 * h)
-        pts.append(g)
-    return np.array(pts)
-
-
 def polygon_clip_area_exact(A, b, box=64):
     """Exact area of {x : Ax <= b} in the plane: the square [-box, box]^2
     clipped by each halfplane in rational arithmetic (the float data are

@@ -6,20 +6,20 @@ import pytest
 import scipy.spatial
 
 from isozonoid import bodies, metrics
-from isozonoid.bodies import (EXACT_REL_ERR, BodyRep, _eval_fn, _touch_points,
+from isozonoid.bodies import (EXACT_REL_ERR, BodyRep, _eval_fn,
                               body_from_json, circle_grid,
                               cross_polytope_body, cube_body,
                               halfspace_vertices, icosphere,
                               polar_of_vrep, sphere_grid, unit_ball_volume,
                               vertices_to_halfspaces, volume,
                               zonotope_facets, zonotope_volume)
-from isozonoid.errors import UnboundedBodyError
+from isozonoid.errors import DimensionUnsupportedError, UnboundedBodyError
 from isozonoid.harness import (octagon_Q_body, random_even_isotropic,
                                regular_polygon_body, truncated_cube_body)
 from isozonoid.measures import cross_measure
 from isozonoid.zonoids import body_Zp, body_Zp_star, zp_touch_point
 
-from oracles import (central_difference_touch_points, gauge_mc_volume_full,
+from oracles import (gauge_mc_volume_full,
                      halfspace_vertices_hsi, polytope_support_lp,
                      tangent_body_volume_hsi, vertex_enum_combinatorial,
                      zonotope_vertices)
@@ -82,11 +82,7 @@ def test_vertex_enum_matches_combinatorial_oracle(rng):
         A = rng.standard_normal((m, 2))
         A = np.vstack([A, -A])
         b = np.concatenate([np.ones(m), np.ones(m)]) + 0.2
-        K = BodyRep.from_halfspaces(A, b, check_bounded=False)
-        try:
-            mine = K.to_vrep().vertices
-        except Exception:
-            continue
+        mine = BodyRep.from_halfspaces(A, b).to_vrep().vertices
         oracle = vertex_enum_combinatorial(A, b)
         assert len(mine) == len(oracle)
         for x in mine:
@@ -94,14 +90,74 @@ def test_vertex_enum_matches_combinatorial_oracle(rng):
 
 
 def test_unbounded_hrep_raises():
+    # construction checks nothing; the H -> V conversion and the JSON load
+    # of outside data reject the quadrant
+    A, b = np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0])
+    K = BodyRep.from_halfspaces(A, b)
+    for convert in (K.to_vrep, lambda: volume(K), lambda: K.support([1.0, 0.0]),
+                    lambda: body_from_json(K.to_json_dict())):
+        with pytest.raises(UnboundedBodyError):
+            convert()
+
+
+_UNBOUNDED = {
+    # dual points span a flat hull
+    "strip": ([[0.0, 1.0], [0.0, -1.0]], [1.0, 1.0]),
+    "quadrant": ([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+    "half-plane": ([[1.0, 1.0]], [2.0]),
+    "slab-3d": ([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], [1.0, 1.0]),
+    # a full-dimensional dual hull with the origin outside: the pyramid
+    # z <= 1 - |x|, z <= 1 - |y| cut at z <= 1/2, open below
+    "open-pyramid": ([[1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], [0.0, 1.0, 1.0],
+                      [0.0, -1.0, 1.0], [0.0, 0.0, 1.0]],
+                     [1.0, 1.0, 1.0, 1.0, 0.5]),
+    # 2 <= x <= 3 misses the origin: taken about its Chebyshev centre
+    "off-centre-strip": ([[1.0, 0.0], [-1.0, 0.0]], [3.0, -2.0]),
+    # x <= 1, |y| <= 1: the origin lies on an edge of the dual triangle, so
+    # a facet offset is 0
+    "half-strip": ([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1.0, 1.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNBOUNDED))
+def test_halfspace_vertices_rejects_unbounded(name):
+    A, b = (np.array(x, dtype=float) for x in _UNBOUNDED[name])
     with pytest.raises(UnboundedBodyError):
-        BodyRep.from_halfspaces(np.array([[1.0, 0.0], [0.0, 1.0]]),
-                                np.array([1.0, 1.0]))
+        halfspace_vertices(A, b)
+
+
+def _nearest(P, Q):
+    """max over rows q of Q of the distance to the nearest row of P."""
+    return max(np.min(np.linalg.norm(P - q, axis=1)) for q in Q)
+
+
+def test_hrep_volume_in_four_dimensions():
+    # closed forms for H-bodies at n = 4: the cube, an off-centre box and
+    # the cross-polytope as the polar of the cube's vertices; V -> H -> V
+    # keeps every vertex; n = 5 stays out of the exact path
+    cube = cube_body(4)
+    A, b = cube.halfspaces
+    corners = np.array(list(np.ndindex(2, 2, 2, 2)), dtype=float) * 2.0 - 1.0
+    box = BodyRep.from_halfspaces(A, b + A @ np.full(4, 0.25))
+    cross = polar_of_vrep(corners)
+    for K, want, verts in ((cube, 16.0, corners), (box, 16.0, corners + 0.25),
+                           (cross, 16.0 / 24.0, A)):
+        res = volume(K)
+        assert res.method == "EXACT"
+        assert res.value == pytest.approx(want, rel=1e-12)
+        V = K.to_vrep().vertices
+        assert len(V) == len(verts)
+        assert _nearest(V, verts) <= 1e-12
+        back = BodyRep.from_vertices(V).to_hrep().to_vrep().vertices
+        assert len(back) == len(V) and _nearest(back, V) <= 1e-12
+    with pytest.raises(DimensionUnsupportedError):
+        volume(cube_body(5))
 
 
 def test_support_homogeneity_check():
     with pytest.raises(ValueError):
-        BodyRep.from_support(2, lambda v: _ball_support(v) + 1.0)
+        BodyRep.from_support(2, lambda v: _ball_support(v) + 1.0,
+                             touch_fn=_ball_touch)
 
 
 def test_gauge_and_support_evaluations():
@@ -211,21 +267,6 @@ def test_scalar_oracles_are_rejected():
                                      touch_fn=lambda v: _ball_touch(v)[0])
     with pytest.raises(ValueError):
         volume(bad_touch)
-
-
-def test_central_difference_touch_points_match_per_direction_loop(rng):
-    # no touch oracle: the gradient of the support function, every shifted
-    # grid in one oracle call, against the former loop over directions
-    for n, dirs in ((2, circle_grid(64)), (3, icosphere(2))):
-        G = rng.standard_normal((7, n))
-        body = BodyRep.from_support(
-            n, lambda v: np.sum(np.abs(np.asarray(v) @ G.T), axis=-1))
-        got = _touch_points(body, dirs)
-        assert got.shape == dirs.shape
-        want = central_difference_touch_points(body.fn, dirs)
-        # batched and single-row products may differ in the last bits of
-        # support values of size ~5, which the quotient scales by 1/(2h)
-        assert np.max(np.abs(got - want)) <= 1e-8
 
 
 def _hrep_cases(rng):

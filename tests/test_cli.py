@@ -36,6 +36,17 @@ def test_volume_subcommand(cube3_json, tmp_path, capsys):
     assert data["method"] == "EXACT"
 
 
+def test_volume_of_unbounded_body_exits_2(tmp_path, capsys):
+    # the quadrant x <= 1, y <= 1 is rejected when the JSON is loaded
+    path = tmp_path / "quadrant.json"
+    path.write_text(json.dumps({"dim": 2, "kind": "H",
+                                "data": [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]}))
+    out = tmp_path / "vol.json"
+    assert main(["volume", "--body", str(path), "--out", str(out)]) == 2
+    assert "unbounded" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_distance_wassO(hex_json, tmp_path):
     out = tmp_path / "d.json"
     rc = main(["distance", "--kind", "wassO", "--measure", hex_json,
@@ -171,6 +182,30 @@ def test_verify_theoremB_matrix(n, p, tmp_path):
     s = 1.0 - 1.0 / float(p)
     ref = (2.0 * math.gamma(1.0 + s)) ** n / math.gamma(1.0 + n * s)
     assert all(r["ref_Zp"] == ref for r in rows)
+
+
+@pytest.mark.parametrize("suite, p, code", [
+    ("theoremB", "1", 0), ("theoremB", "inf", 0), ("theoremB", "1.5", 2),
+    ("zpstab", None, 2), ("reviso", None, 2)])
+def test_verify_at_n4(suite, p, code, tmp_path, capsys):
+    # n = 4 runs on the exact polytope paths (p in {1, inf}); quadrature,
+    # orbit searches and John solves stop with exit code 2
+    out = tmp_path / "n4.json"
+    argv = ["verify", "--suite", suite, "--n", "4", "--out", str(out)]
+    rc = main(argv + (["--p", p] if p else []))
+    assert rc == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        assert "error" in err and not out.exists()
+        return
+    rows = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert len(rows) == 20 and all(r["passed"] for r in rows)
+    if p == "inf":
+        # Ball's bound V(Z*_inf) <= 2^n, and V(Z_inf) >= 2^n / n!
+        assert all(r["ref_Zp_star"] == 16.0 for r in rows)
+        assert max(r["V_Zp_star"] for r in rows) <= 16.0
+        assert min(r["V_Zp"] for r in rows) >= 16.0 / 24.0
 
 
 def test_verify_reviso_n2(tmp_path):

@@ -82,6 +82,28 @@ def test_solve_weights_hexagonal():
     assert np.allclose(w, 1.0 / 3.0, atol=1e-12)
 
 
+def test_even_weights_are_one_float_per_pair(rng):
+    # both atoms of a pair get the same float, so pruning zero weights never
+    # splits a pair
+    for n, npairs in [(2, 5), (3, 9)]:
+        solved = 0
+        for _ in range(20):
+            U = rng.standard_normal((npairs, n))
+            U /= np.linalg.norm(U, axis=1, keepdims=True)
+            perm = rng.permutation(2 * npairs)
+            dirs = np.vstack([U, -U])[perm]
+            try:
+                w = solve_isotropic_weights(dirs, even=True)
+            except InfeasibleWeightsError:
+                continue
+            partner = np.argsort(perm)[(perm + npairs) % (2 * npairs)]
+            assert np.array_equal(w, w[partner])
+            mu = isotropic_measure_from_directions(dirs, even=True)
+            assert mu.natoms == np.count_nonzero(w > 1e-12)
+            solved += 1
+        assert solved >= 5
+
+
 def test_solve_weights_rank_deficient_infeasible():
     with pytest.raises(InfeasibleWeightsError):
         solve_isotropic_weights(np.array([[1.0, 0.0], [-1.0, 0.0]]), even=True)

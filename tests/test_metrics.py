@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from isozonoid.bodies import BodyRep, cube_body, hull_volume_area
-from isozonoid.errors import HypothesisFailedError, MassMismatchError
+from isozonoid.errors import (DimensionUnsupportedError, HypothesisFailedError,
+                              MassMismatchError)
 from isozonoid.harness import (john_normalize, perturbation_family,
                                random_even_isotropic, regular_polygon_body,
                                tilted_pair_measure, truncated_cube_body)
@@ -454,8 +455,7 @@ def test_banach_mazur_disc_vs_square():
 def test_volume_distance_positive_for_different_bodies():
     hexb = BodyRep.from_halfspaces(
         np.stack([np.cos(np.arange(6) * np.pi / 3),
-                  np.sin(np.arange(6) * np.pi / 3)], axis=1), np.ones(6),
-        check_bounded=False)
+                  np.sin(np.arange(6) * np.pi / 3)], axis=1), np.ones(6))
     val, cert = volume_distance(hexb, cube_body(2), restarts=4)
     assert val > 0.05
     assert cert["upper_bound_only"]
@@ -538,6 +538,15 @@ def test_volume_distance_not_above_per_start_scipy(n, shape, param):
     assert 0.0 <= val <= o_val + 1e-9
     assert 0 <= cert["best_start"] < restarts
     assert cert["nfev"] >= restarts * (n * n + 1)
+
+
+def test_orbit_searches_stop_at_n4():
+    # an input error (exit code 2), not a bug
+    nu4 = cross_measure(4)
+    with pytest.raises(DimensionUnsupportedError):
+        wasserstein_to_cross(nu4)
+    with pytest.raises(DimensionUnsupportedError):
+        hausdorff_to_cross(nu4.directions)
 
 
 def test_body_searches_need_a_start():
