@@ -14,20 +14,23 @@ values (k points); an output of any other shape raises ValueError.
 way for every kind they evaluate.
 
 Exact volumes of V and H bodies (n <= 4) are the Qhull hull volume of the
-vertices.  Support oracles are sandwiched between the hull of
-touching points and the intersection of tangent halfspaces over a direction
-grid; gauge oracles use the polar-radial formula V = (1/n) int r^n with
-r = 1/gauge, plus a seeded Monte-Carlo cross-check that calls the oracle
-only in the shell between certified radial bounds (``BodyRep.radii``).
-All errors are reported, never hidden.
+vertices.  A support oracle h of a body K is sandwiched over a direction
+grid v_j (``support_sandwich``): its touch points x_j span an inner body
+I = conv{x_j} and its tangent halfspaces an outer body
+O = {x : <x, v_j> <= h(v_j)}.  By polarity, I c K c O gives
+O^o = conv{v_j / h(v_j)} c K^o c I^o = {y : <y, x_j> <= 1}, so one kernel
+that returns (V(conv P), V(P^o)) for a point set P (``_hull_polar_volumes``),
+applied to {v_j / h(v_j)} and to {x_j}, brackets both V(K) and V(K^o).
+Gauge bodies are for evaluation only; they have no volume path.  All
+errors are reported, never hidden.
 
-Halfspace systems go through one polar-dual kernel.  With the origin
+Halfspace systems go through the same polar duality.  With the origin
 inside, {x : <a_i, x> <= b_i} is the polar of conv{a_i / b_i}: its area is
 a closed-form arc sum (``_polar_areas``), its volume comes from one Qhull
 hull of the dual points (``_polar_volumes``), and the facets of that hull
-are its vertices (``halfspace_vertices``).  The n = 3 outer sandwich bound,
-H -> V conversion and the delta_vol intersection volumes in ``metrics`` all
-use it; no Qhull halfspace intersection is left.
+are its vertices (``halfspace_vertices``).  The n = 3 sandwich, H -> V
+conversion and the delta_vol intersection volumes in ``metrics`` all use
+it; no Qhull halfspace intersection is left.
 
 Boundedness is decided there too, by polarity: with every offset positive,
 {x : <a_i, x> <= b_i} is bounded exactly when the origin lies strictly
@@ -55,8 +58,6 @@ from .errors import (DimensionUnsupportedError, UnboundedBodyError)
 
 ANGLE_GRID_2D = 4096            # uniform angles for 2-D direction grids
 ICOSPHERE_SUBDIV = 5            # 10242 nodes, the n = 3 direction grid
-MC_SAMPLES = 2 * 10 ** 6
-SHELL_MARGIN = 1e-9             # relative slack around the certified radii
 EXACT_REL_ERR = 1e-12
 
 
@@ -78,7 +79,10 @@ def circle_grid(m: int = ANGLE_GRID_2D) -> np.ndarray:
 def icosphere(subdiv: int = ICOSPHERE_SUBDIV) -> np.ndarray:
     """Subdivided icosahedron projected to S^2; subdiv=5 gives 10242 nodes.
 
-    Built once per subdivision level and process; the array is read-only.
+    Each level appends the normalized midpoints of the edges i -> j,
+    j -> k, k -> i of every face, face by face, each edge at its first
+    visit, and splits every face in four.  Built once per subdivision level
+    and process; the array is read-only.
     """
     phi = (1.0 + 5.0 ** 0.5) / 2.0
     verts = []
@@ -89,36 +93,23 @@ def icosphere(subdiv: int = ICOSPHERE_SUBDIV) -> np.ndarray:
     V /= np.linalg.norm(V, axis=1, keepdims=True)
     faces = ConvexHull(V).simplices
     for _ in range(subdiv):
-        new_v = list(map(tuple, V))
-        mids = {}
-
-        def midpoint(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in mids:
-                m = V[i] + V[j]
-                m = m / np.linalg.norm(m)
-                mids[key] = len(new_v)
-                new_v.append(tuple(m))
-            return mids[key]
-
-        new_f = []
-        for (i, j, k) in faces:
-            a, b, c = midpoint(i, j), midpoint(j, k), midpoint(k, i)
-            new_f += [(i, a, c), (j, b, a), (k, c, b), (a, b, c)]
-        V = np.array(new_v)
-        faces = np.array(new_f)
+        E = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        key = np.min(E, axis=1) * len(V) + np.max(E, axis=1)
+        _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+        order = np.argsort(first)                   # edges by first visit
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        a, b, c = (len(V) + rank[inv.ravel()]).reshape(-1, 3).T
+        i, j, k = faces.T
+        faces = np.stack([i, a, c, j, b, a, k, c, b, a, b, c],
+                         axis=1).reshape(-1, 3)
+        edges = E[first[order]]
+        M = V[edges[:, 0]] + V[edges[:, 1]]
+        # |m| as a dot product per row, the rounding of np.linalg.norm(m)
+        norm = np.sqrt((M[:, None, :] @ M[:, :, None])[:, 0, 0])
+        V = np.vstack([V, M / norm[:, None]])
     V.flags.writeable = False
     return V
-
-
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(k: int):
-    """Gauss-Legendre nodes and weights on [-1, 1], built once per k and
-    process; the arrays are read-only."""
-    x, w = np.polynomial.legendre.leggauss(k)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
 
 
 def sphere_grid(n: int, size_2d: int = ANGLE_GRID_2D,
@@ -153,10 +144,6 @@ class BodyRep:
     halfspaces: Optional[tuple] = None          # (A, b) with <a_j, x> <= b_j
     fn: Optional[Callable] = None               # support or gauge callable
     touch_fn: Optional[Callable] = None         # direction -> boundary point
-    # Certified bounds (r_lo, r_hi) on the radial function 1 / gauge of a
-    # gauge body: r_lo <= rho_K(u) <= r_hi for every unit u, so |x| < r_lo
-    # is inside K and |x| > r_hi outside.  None means (0, inf).
-    radii: Optional[tuple] = None
 
     # constructors -----------------------------------------------------
 
@@ -193,14 +180,9 @@ class BodyRep:
         return cls(dim=dim, kind="support", fn=fn, touch_fn=touch_fn)
 
     @classmethod
-    def from_gauge(cls, dim, fn, radii=None) -> "BodyRep":
-        if radii is not None:
-            r_lo, r_hi = map(float, radii)
-            if not 0.0 <= r_lo <= r_hi:
-                raise ValueError(f"radial bounds need 0 <= r_lo <= r_hi, "
-                                 f"got {radii!r}")
-            radii = (r_lo, r_hi)
-        return cls(dim=dim, kind="gauge", fn=fn, radii=radii)
+    def from_gauge(cls, dim, fn) -> "BodyRep":
+        """Gauge oracle fn, for evaluation only: ``volume`` rejects it."""
+        return cls(dim=dim, kind="gauge", fn=fn)
 
     # evaluation ---------------------------------------------------------
 
@@ -281,7 +263,12 @@ def body_from_json(data) -> BodyRep:
 
 
 def _interior_point(A, b):
-    """Chebyshev center; for symmetric bodies with b > 0 the origin suffices."""
+    """Chebyshev center; for symmetric bodies with b > 0 the origin suffices.
+
+    Raises UnboundedBodyError with one message when the Chebyshev LP is
+    unbounded (the system holds balls of every radius) and another when its
+    largest ball has radius <= 0 (the system is empty or flat).
+    """
     if np.all(b > 1e-12):
         return np.zeros(A.shape[1])
     n = A.shape[1]
@@ -290,8 +277,12 @@ def _interior_point(A, b):
     c[-1] = -1.0
     A_ub = np.hstack([A, norms[:, None]])
     res = linprog(c, A_ub=A_ub, b_ub=b, bounds=(None, None), method="highs")
+    if res.status == 3:
+        raise UnboundedBodyError("unbounded: the halfspaces hold balls of "
+                                 "every radius")
     if not res.success or res.x[-1] <= 0:
-        raise UnboundedBodyError("no interior point found")
+        raise UnboundedBodyError("empty: the halfspaces have no interior "
+                                 "point")
     return res.x[:-1]
 
 
@@ -364,8 +355,9 @@ def _triple(a, b, c):
 
 
 def _polar_volumes(P):
-    """Volumes of the polytopes {x : <p_i, x> <= 1} for dual points P
-    (B, m, 3) whose convex hulls contain the origin in their interiors.
+    """Volumes (V(conv P_k), V(P_k^o)) of the hulls of the point sets P
+    (B, m, 3) and of their polars {x : <p_i, x> <= 1}, for hulls that
+    contain the origin in their interiors; two arrays of B.
 
     One Qhull hull of each point set.  A hull facet (nu, off) is the vertex
     x = nu / (-off) of the polytope, and the facet of plane i, with foot
@@ -375,9 +367,11 @@ def _polar_volumes(P):
     """
     B, m, _ = P.shape
     S, N, E, owner = [], [], [], []
+    hull_vols = np.empty(B)
     nf = 0
     for k in range(B):
         hull = ConvexHull(P[k])
+        hull_vols[k] = hull.volume
         S.append(hull.simplices + k * m)
         N.append(hull.neighbors + nf)
         E.append(hull.equations)
@@ -394,7 +388,37 @@ def _polar_volumes(P):
     foot = Q / np.sum(Q * Q, axis=1)[:, None]
     # edge S[f, r] -> S[f, r + 1] is shared with facet N[f, r + 2]
     dets = _triple(foot[S], X[N[:, [2, 0, 1]]], X[:, None, :])
-    return np.bincount(owner, weights=dets.sum(axis=1), minlength=B) / 6.0
+    return hull_vols, np.bincount(owner, weights=dets.sum(axis=1),
+                                  minlength=B) / 6.0
+
+
+def _hull_polar_volumes(P):
+    """(V(conv P), V(P^o)) for a point set P (m, n), n in {2, 3}, whose hull
+    contains the origin in its interior; P^o = {y : <y, p_i> <= 1}.
+
+    n = 3 is ``_polar_volumes``.  In n = 2 the polar vertex dual to the
+    hull edge x_k -> x_{k+1} (counterclockwise) is J d / cross(x_k, d) with
+    d = x_{k+1} - x_k and J d = (d_2, -d_1).  Near vertices of a body the
+    hull points cluster; their difference d is exact there, where
+    cross(x_k, x_{k+1}) would cancel.
+    """
+    if P.shape[1] == 3:
+        v_hull, v_polar = _polar_volumes(P[None])
+        return float(v_hull[0]), float(v_polar[0])
+    if P.shape[1] != 2:
+        raise DimensionUnsupportedError("hull and polar volumes need n <= 3")
+    hull = ConvexHull(P)
+    X = P[hull.vertices]                        # counterclockwise in 2-D
+    d = np.roll(X, -1, axis=0) - X
+    Y = np.stack([d[:, 1], -d[:, 0]], axis=1) / (
+        X[:, 0] * d[:, 1] - X[:, 1] * d[:, 0])[:, None]
+    return float(hull.volume), polygon_area(Y)
+
+
+def polygon_area(V) -> float:
+    """Shoelace area of the polygon with vertices V (m, 2) in order."""
+    x, y = V[:, 0], V[:, 1]
+    return 0.5 * abs(float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
 
 
 def vertices_to_halfspaces(V):
@@ -469,8 +493,7 @@ def zonotope_volume(generators) -> float:
 # volume dispatch
 
 
-def volume(body: BodyRep, grid=None, mc_samples: int = MC_SAMPLES,
-           seed: int = 0) -> VolumeResult:
+def volume(body: BodyRep, grid=None) -> VolumeResult:
     """Volume with an explicit error bar; method depends on representation."""
     if body.kind in ("V", "H"):
         if body.dim > 4:
@@ -478,9 +501,10 @@ def volume(body: BodyRep, grid=None, mc_samples: int = MC_SAMPLES,
         v, _ = hull_volume_area(body.to_vrep().vertices)
         return VolumeResult(v, EXACT_REL_ERR * v, "EXACT")
     if body.kind == "support":
-        return _support_sandwich_volume(body, grid=grid)
+        return support_sandwich(body, grid=grid)[0]
     if body.kind == "gauge":
-        return _gauge_radial_volume(body, mc_samples=mc_samples, seed=seed)
+        raise ValueError("gauge bodies have no volume path: sandwich the "
+                         "support body of their polar (support_sandwich)")
     raise ValueError(f"unknown body kind {body.kind!r}")
 
 
@@ -501,122 +525,26 @@ def _touch_points(body, dirs):
     return out
 
 
-def _support_sandwich_volume(body, grid=None) -> VolumeResult:
-    """Volume between the hull of the touch points (inner) and the body
-    {x : <u_i, x> <= h(u_i)} of the tangent halfspaces over the grid
-    (outer); the value is the midpoint and the bar half the gap.
+def support_sandwich(body, grid=None):
+    """Certified brackets of V(K) and V(K^o) for a support body K, n <= 3.
 
-    In n = 2 the outer polygon comes from consecutive tangent lines; in
-    n = 3 the outer body is the polar of conv{u_i / h(u_i)}, whose volume
-    is one hull of the dual points (``_polar_volumes``, the kernel shared
-    with H -> V and delta_vol).
+    Over the unit directions v_j of the grid, the touch points x_j and the
+    tangent halfspaces give I = conv{x_j} c K c O = {x : <x, v_j> <= h(v_j)},
+    so O^o = conv{v_j / h(v_j)} c K^o c I^o.
+    ``_hull_polar_volumes`` of {v_j / h(v_j)} and of {x_j} gives all four
+    volumes.  Each result is the midpoint of its bracket with half the gap
+    as its bar: value -+ abs_error is [V(I), V(O)] and [V(O^o), V(I^o)].
     """
-    n = body.dim
     if grid is None:
-        grid = sphere_grid(n)
+        grid = sphere_grid(body.dim)
     hvals = _eval_fn(body.fn, grid)
     if np.any(hvals <= 0):
         raise ValueError("support oracle not positive on the grid")
-    if n == 2:
-        v_out = _outer_polygon_area(grid, hvals)
-    elif n == 3:
-        v_out = float(_polar_volumes((grid / hvals[:, None])[None])[0])
-    else:
-        raise DimensionUnsupportedError("support sandwich needs n <= 3")
-    v_in = float(ConvexHull(_touch_points(body, grid)).volume)
-    mid = 0.5 * (v_out + v_in)
-    return VolumeResult(mid, 0.5 * (v_out - v_in) + EXACT_REL_ERR * mid,
+    v_dual_in, v_out = _hull_polar_volumes(grid / hvals[:, None])
+    v_in, v_dual_out = _hull_polar_volumes(_touch_points(body, grid))
+    return _bracket(v_in, v_out), _bracket(v_dual_in, v_dual_out)
+
+
+def _bracket(lower, upper) -> VolumeResult:
+    return VolumeResult(0.5 * (lower + upper), 0.5 * (upper - lower),
                         "QUADRATURE")
-
-
-def _outer_polygon_area(dirs, hvals) -> float:
-    """Area of the intersection of tangent halfplanes over a dense angle grid.
-
-    Consecutive tangent lines <x, d_i> = h_i intersect in the outer polygon
-    vertex; valid because the angular spacing is far below pi.
-    """
-    m = len(dirs)
-    nxt = np.roll(np.arange(m), -1)
-    D = np.stack([dirs, dirs[nxt]], axis=1)            # (m, 2, 2) line pairs
-    rhs = np.stack([hvals, hvals[nxt]], axis=1)
-    pts = np.linalg.solve(D, rhs[..., None])[..., 0]
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * abs(float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
-
-
-def _gauge_radial_volume(body, mc_samples=MC_SAMPLES, seed=0) -> VolumeResult:
-    n = body.dim
-    if n == 2:
-        coarse = _radial_integral_2d(body.fn, ANGLE_GRID_2D // 2)
-        fine = _radial_integral_2d(body.fn, ANGLE_GRID_2D)
-    elif n == 3:
-        coarse = _radial_integral_3d(body.fn, 64, 128)
-        fine = _radial_integral_3d(body.fn, 128, 256)
-    else:
-        raise DimensionUnsupportedError("gauge quadrature needs n <= 3")
-    quad_err = abs(fine - coarse) + EXACT_REL_ERR * abs(fine)
-    mc, mc_err = _gauge_mc_volume(body, mc_samples, seed)
-    # cross-check; inflate the error bar if the two estimates disagree
-    gap = abs(mc - fine)
-    err = gap if gap > quad_err + 4.0 * mc_err else quad_err
-    return VolumeResult(fine, err, "QUADRATURE")
-
-
-def _radial_integral_2d(gauge_fn, m) -> float:
-    dirs = circle_grid(m)
-    r = 1.0 / _eval_fn(gauge_fn, dirs)
-    return 0.5 * float(np.mean(r ** 2)) * 2.0 * np.pi
-
-
-def _radial_integral_3d(gauge_fn, nz, nphi) -> float:
-    z, wz = _gauss_legendre(nz)
-    phi = (np.arange(nphi) + 0.5) * (2.0 * np.pi / nphi)
-    s = np.sqrt(1.0 - z ** 2)
-    total = 0.0
-    for zi, wi, si in zip(z, wz, s):
-        dirs = np.stack([si * np.cos(phi), si * np.sin(phi),
-                         np.full(nphi, zi)], axis=1)
-        r = 1.0 / _eval_fn(gauge_fn, dirs)
-        total += wi * float(np.sum(r ** 3)) * (2.0 * np.pi / nphi)
-    return total / 3.0
-
-
-def _gauge_mc_volume(body, nsamples, seed):
-    """Hit-or-miss in the bounding box, stratified over orthants.
-
-    Equal sample counts per orthant; unbiased for any body and lower
-    variance for the roughly orthant-symmetric bodies handled here.
-    Deterministic given the seed; hit counts are summed exactly.
-
-    Each orthant draws u in [0, 1)^n and the sample x = u * rmax * sgn.
-    With certified radii r_lo <= rho_K <= r_hi (``BodyRep.radii``), a
-    sample with |x| < r_lo is a hit and one with |x| > r_hi a miss, so the
-    oracle runs only on the shell in between.  The test is on s = |u|^2
-    against (r (1 -+ SHELL_MARGIN) / rmax)^2; the margin covers the
-    rounding of s, of the radii and of the oracle, so the hit counts, and
-    (vol, err), are those of evaluating every sample.  Without radii every
-    sample is in the shell.
-    """
-    n = body.dim
-    dirs = sphere_grid(n, size_2d=256, subdiv_3d=2)
-    rmax = float(np.max(1.0 / _eval_fn(body.fn, dirs))) * 1.05
-    r_lo, r_hi = body.radii or (0.0, math.inf)
-    s_in = (r_lo * (1.0 - SHELL_MARGIN) / rmax) ** 2
-    s_out = (r_hi * (1.0 + SHELL_MARGIN) / rmax) ** 2
-    rng = np.random.default_rng(seed)
-    orthants = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
-    per = max(nsamples // len(orthants), 1)
-    cell = rmax ** n
-    vol = 0.0
-    var = 0.0
-    for sgn in orthants:
-        u = rng.random((per, n))
-        s = (u * u) @ np.ones(n)
-        shell = (s >= s_in) & (s <= s_out)
-        pts = u.compress(shell, axis=0) * rmax * sgn
-        hits = int(np.count_nonzero(s < s_in)) + int(np.count_nonzero(
-            _eval_fn(body.fn, pts) <= 1.0))
-        frac = hits / per
-        vol += frac * cell
-        var += cell ** 2 * max(frac * (1.0 - frac), 1e-12) / per
-    return vol, math.sqrt(var)

@@ -10,7 +10,8 @@ Subcommands
 Exit codes: 0 all checks passed, 1 a verification failed (report still
 written), 2 usage or input error.  JSON floats round-trip double precision;
 identical (config, seed) pairs produce byte-identical output.  The
-environment variable ISOZONOID_SEED overrides the default seed.
+environment variable ISOZONOID_SEED overrides the default seed of verify
+and distance; volume, john and transport draw nothing and take no seed.
 """
 
 from __future__ import annotations
@@ -211,7 +212,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_volume(args) -> int:
     body = body_from_json(_load_json(args.body))
-    res = volume(body, seed=_seed_from(args))
+    res = volume(body)
     _write_output(args.out, _dump_json(res.to_json_dict()))
     return 0
 
@@ -324,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     vol = sub.add_parser("volume", help="volume of a body JSON file")
     vol.add_argument("--body", required=True)
-    vol.add_argument("--seed", type=int, default=DEFAULT_SEED)
     vol.add_argument("--out", default=None)
     vol.set_defaults(func=_cmd_volume)
 
@@ -341,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     j = sub.add_parser("john", help="John ellipsoid and contact measure")
     j.add_argument("--body", required=True)
-    j.add_argument("--seed", type=int, default=DEFAULT_SEED)
     j.add_argument("--out", default=None)
     j.set_defaults(func=_cmd_john)
 
@@ -349,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--p", type=_parse_p, required=True)
     t.add_argument("--grid", type=int, default=256)
     t.add_argument("--check", required=True, choices=["box", "second", "mass"])
-    t.add_argument("--seed", type=int, default=DEFAULT_SEED)
     t.add_argument("--out", default=None)
     t.set_defaults(func=_cmd_transport)
     return ap

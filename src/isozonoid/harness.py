@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bodies import BodyRep, cube_body
+from .bodies import (ANGLE_GRID_2D, ICOSPHERE_SUBDIV, BodyRep, cube_body,
+                     polygon_area, sphere_grid)
 from .errors import HypothesisFailedError, InfeasibleWeightsError
 from .john import (contact_measure, cube_isoperimetric_ratio, cube_sandwich_check,
                    isoperimetric_ratio, john_ellipsoid)
@@ -26,7 +27,7 @@ from .measures import (AtomicMeasure, check_isotropy, equiangular_measure,
                        isotropic_measure_from_directions)
 from .metrics import (banach_mazur, hausdorff_spherical, hausdorff_to_cross,
                       volume_distance, wasserstein_to_cross)
-from .zonoids import reference_volume, volume_Zp, volume_Zp_star
+from .zonoids import reference_volume, zonoid_volumes
 
 DEFAULT_SEED = 0x5EED
 
@@ -199,6 +200,7 @@ def _epsilon_provenance(cert) -> dict:
 def theorem_B_suite(n: int, p, family, equality_tol: float = 1e-6):
     """V(Z_p(mu)) >= V(Z_p(nu_n)) and V(Z*_p(mu)) <= V(Z*_p(nu_n)) over a family.
 
+    Both volumes of a measure come from one ``zonoid_volumes`` call.
     Equality (within volume error) is flagged as legitimate only when the
     orbit distance delta_WO(mu, nu_n) is below ``equality_tol``.  Such a
     report says how its epsilon was obtained, as ``zpmustab_consistency``
@@ -208,8 +210,7 @@ def theorem_B_suite(n: int, p, family, equality_tol: float = 1e-6):
     ref_zs = reference_volume("Z_STAR", n, p)
     reports = []
     for idx, mu in enumerate(family):
-        vz = volume_Zp(mu, p)
-        vzs = volume_Zp_star(mu, p)
+        vz, vzs = zonoid_volumes(mu, p)
         err = vz.abs_error + vzs.abs_error
         ok_z = vz.value >= ref_z - vz.abs_error - 1e-9
         ok_zs = vzs.value <= ref_zs + vzs.abs_error + 1e-9
@@ -350,6 +351,12 @@ def zpmustab_consistency(n: int, p, family, eps_tol: float = 1e-6):
     is shown positive when both dZ - barZ and dZs - barZs are, each deficit
     against its own volume's bar; their minimum is ``deficit_lower``.
 
+    At finite p the bars are the certified brackets of ``zonoid_volumes``.
+    When epsilon > eps_tol and the default grid leaves deficit_lower <= 0,
+    the measure's volumes are recomputed once on the next finer grid
+    (4 times the directions: ``icosphere(ICOSPHERE_SUBDIV + 1)`` in n = 3),
+    and ``volume_grid_nodes`` gives its size.
+
     Each report says how its epsilon was obtained: the delta_WO
     certificate's ``method`` as ``epsilon_method`` and, for the n = 3
     search, its objective evaluations as ``epsilon_nfev``.
@@ -359,15 +366,21 @@ def zpmustab_consistency(n: int, p, family, eps_tol: float = 1e-6):
     reports = []
     for idx, mu in enumerate(family):
         eps, _, cert = wasserstein_to_cross(mu)
-        vz = volume_Zp(mu, p)
-        vzs = volume_Zp_star(mu, p)
-        dz = vz.value / ref_z - 1.0
-        dzs = 1.0 - vzs.value / ref_zs
+        grid = None
+        while True:
+            vz, vzs = zonoid_volumes(mu, p, grid)
+            dz = vz.value / ref_z - 1.0
+            dzs = 1.0 - vzs.value / ref_zs
+            err_z, err_zs = vz.abs_error / ref_z, vzs.abs_error / ref_zs
+            # each deficit clears its own bar: a certified lower bound of
+            # min(dZ, dZs)
+            lower = min(dz - err_z, dzs - err_zs)
+            if (grid is not None or eps <= eps_tol or lower > 0.0
+                    or vz.method == "EXACT"):
+                break
+            grid = sphere_grid(n, 4 * ANGLE_GRID_2D, ICOSPHERE_SUBDIV + 1)
         deficit = min(dz, dzs)
-        err_z, err_zs = vz.abs_error / ref_z, vzs.abs_error / ref_zs
         err = err_z + err_zs
-        # each deficit clears its own bar: a certified lower bound of min(dZ, dZs)
-        lower = min(dz - err_z, dzs - err_zs)
         if eps > eps_tol:
             ok = lower > 0.0
         else:
@@ -375,6 +388,8 @@ def zpmustab_consistency(n: int, p, family, eps_tol: float = 1e-6):
         extra = {"deficit_Z": dz, "deficit_Zstar": dzs, "deficit_lower": lower,
                  "gamma_note": "direction-only; n^{-cn^3} not falsifiable",
                  **_epsilon_provenance(cert)}
+        if grid is not None:
+            extra["volume_grid_nodes"] = len(grid)
         reports.append(StabilityReport(
             suite="zpstab", label=f"{idx}", n=n, p=p, epsilon=eps,
             deficit=deficit, bound=0.0, passed=ok,
@@ -504,11 +519,6 @@ def sandwich_M_vertices(t1: float, t2: float) -> np.ndarray:
 def polygon_perimeter(V) -> float:
     diffs = np.roll(V, -1, axis=0) - V
     return float(np.sum(np.linalg.norm(diffs, axis=1)))
-
-
-def polygon_area(V) -> float:
-    x, y = V[:, 0], V[:, 1]
-    return 0.5 * abs(float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
 
 
 def planar_suite(K: BodyRep) -> StabilityReport:

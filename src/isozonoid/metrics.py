@@ -622,7 +622,7 @@ def _intersection_volumes(A, b):
     if len(keep) == 0:
         return out
     P = A[keep] / offsets[..., None]
-    out[keep] = _polar_areas(P) if n == 2 else _polar_volumes(P)
+    out[keep] = _polar_areas(P) if n == 2 else _polar_volumes(P)[1]
     return out
 
 

@@ -8,6 +8,12 @@ For an even measure mu on S^{n-1} not concentrated on a great subsphere:
 
 so the gauge of Z*_p is available in closed form (it equals h_{Z_p}),
 while Z*_inf = { x : <x, u> <= 1 on supp mu } is an exact polytope.
+For finite p, Z*_p is a gauge body for evaluation only: its volume comes
+with that of Z_p from one support sandwich of Z_p
+(``bodies.support_sandwich``).  The touch points x_j and the tangent
+halfspaces over a direction grid v_j give I c Z_p c O, so by polarity
+conv{v_j / h(v_j)} = O^o c Z*_p c I^o = {y : <y, x_j> <= 1}, and two hulls
+certify a bracket of each volume (``zonoid_volumes``).
 Z_1 is a classical zonotope, Z_1(mu) = sum_j [-g_j, g_j] with g_j = c_j u_j
 over the folded atoms.  Each facet is parallel to n - 1 generators, so its
 normal nu_S is their cofactor vector and its offset h(nu_S) =
@@ -47,12 +53,13 @@ nonnegative half of the last axis and doubles the sum.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .bodies import (BodyRep, VolumeResult, _gauss_legendre,
-                     halfspace_vertices, volume, zonotope_facets,
+from .bodies import (BodyRep, VolumeResult, halfspace_vertices,
+                     support_sandwich, volume, zonotope_facets,
                      zonotope_volume)
 from .errors import DegenerateMeasureError, DimensionUnsupportedError, NonConvergedError
 from .measures import AtomicMeasure
@@ -93,15 +100,11 @@ def norm_Zp_star(mu: AtomicMeasure, p, x):
     single = x.ndim == 1
     X = np.atleast_2d(x)
     U, c = mu.folded
-    # |<x, u_i>|^p in place: the Monte-Carlo check passes ~10^5 rows, where
-    # every fresh temporary costs time
-    dots = X @ U.T
-    np.abs(dots, out=dots)
+    dots = np.abs(X @ U.T)
     if np.isinf(p):
         out = np.max(dots, axis=1)
     else:
-        dots **= p
-        out = (dots @ c) ** (1.0 / p)
+        out = (dots ** p @ c) ** (1.0 / p)
     return float(out[0]) if single else out
 
 
@@ -153,9 +156,8 @@ def body_Zp_star(mu: AtomicMeasure, p) -> BodyRep:
 
     Z*_inf is the H-body {x : <x, u_i> <= 1}.  Z*_1 is the V-body
     conv{N_i / h_i} over the zonotope's facet halfspaces (N, h), for every
-    full-dimensional mu.  The gauge body carries certified radial bounds
-    (``_gauge_radii``), so its Monte-Carlo cross-check calls the oracle only
-    between them.
+    full-dimensional mu.  The gauge body is for evaluation; its volume
+    comes from ``zonoid_volumes``.
     """
     p = _check_pz(p)
     _require_full_dimensional(mu)
@@ -164,45 +166,7 @@ def body_Zp_star(mu: AtomicMeasure, p) -> BodyRep:
     if p == 1.0:
         N, h = zonotope_facets(_zonotope_generators(mu))
         return BodyRep.from_vertices(N / h[:, None])
-    return BodyRep.from_gauge(mu.dim, lambda x: norm_Zp_star(mu, p, x),
-                              radii=_gauge_radii(mu, p))
-
-
-def _gauge_radii(mu: AtomicMeasure, p: float):
-    """Certified (r_lo, r_hi) with r_lo <= rho_{Z*_p(mu)}(u) <= r_hi, p finite.
-
-    The gauge is g(x)^p = sum c_i |<x, u_i>|^p over the folded atoms.  Let
-    M = sum c_i u_i u_i^T have extreme eigenvalues l_min, l_max and let
-    m = sum c_i.  For |x| = 1 every t_i = <x, u_i> has |t_i| <= 1, so
-    |t_i|^p >= t_i^2 for p <= 2 and |t_i|^p <= t_i^2 for p >= 2, while
-    Jensen's inequality for (t^2)^(p/2) under the weights c_i / m gives the
-    other side:
-
-        p <= 2:  l_min <= g^p <= m^(1 - p/2) l_max^(p/2),
-        p >= 2:  m^(1 - p/2) l_min^(p/2) <= g^p <= l_max.
-
-    Then r_lo = upper^(-1/p) and r_hi = lower^(-1/p) (inf when the lower
-    coefficient is not positive).  For isotropic mu and p <= 2 this is
-    |x| <= g(x) <= n^(1/p - 1/2) |x|.  The eigenvalues are widened by
-    4 (k + n) n eps m, above the rounding of forming M from k atoms and of
-    ``eigvalsh``, so the bounds hold for ill-conditioned measures too.
-    Atoms are unit only to 1e-12, which moves g by about as much relative,
-    far inside the sampler's ``SHELL_MARGIN``.
-    """
-    U, c = mu.folded
-    M = (U * c[:, None]).T @ U
-    m = float(np.sum(c))
-    n = mu.dim
-    pad = 4.0 * (len(c) + n) * n * np.finfo(float).eps * m
-    lam = np.linalg.eigvalsh(M)
-    lo, hi = float(lam[0]) - pad, float(lam[-1]) + pad
-    if p <= 2.0:
-        lower, upper = lo, m ** (1.0 - p / 2.0) * hi ** (p / 2.0)
-    else:
-        lower = m ** (1.0 - p / 2.0) * max(lo, 0.0) ** (p / 2.0)
-        upper = hi
-    r_hi = lower ** (-1.0 / p) if lower > 0.0 else math.inf
-    return upper ** (-1.0 / p), r_hi
+    return BodyRep.from_gauge(mu.dim, lambda x: norm_Zp_star(mu, p, x))
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +191,31 @@ def mp_body(mu: AtomicMeasure, p) -> BodyRep:
 # volumes
 
 
-def volume_Zp(mu: AtomicMeasure, p) -> VolumeResult:
-    if _check_pz(p) == 1.0:
-        # minor-expansion formula, independent of the hull code
-        _require_full_dimensional(mu)
+def zonoid_volumes(mu: AtomicMeasure, p, grid=None):
+    """(V(Z_p(mu)), V(Z*_p(mu))) as VolumeResults.
+
+    Exact at p in {1, inf}: V(Z_1) is the minor expansion, independent of
+    the hull code, and the other three are polytope volumes.  For finite
+    p > 1 both come from one support sandwich of Z_p over ``grid`` (the
+    default direction grid when None): each value is its certified
+    bracket's midpoint and each bar half its gap.
+    """
+    p = _check_pz(p)
+    _require_full_dimensional(mu)
+    if p == 1.0:
         v = zonotope_volume(_zonotope_generators(mu))
-        return VolumeResult(v, 1e-12 * v, "EXACT")
-    return volume(body_Zp(mu, p))
+        return VolumeResult(v, 1e-12 * v, "EXACT"), volume(body_Zp_star(mu, p))
+    if np.isinf(p):
+        return volume(body_Zp(mu, p)), volume(body_Zp_star(mu, p))
+    return support_sandwich(body_Zp(mu, p), grid)
+
+
+def volume_Zp(mu: AtomicMeasure, p) -> VolumeResult:
+    return zonoid_volumes(mu, p)[0]
 
 
 def volume_Zp_star(mu: AtomicMeasure, p) -> VolumeResult:
-    return volume(body_Zp_star(mu, p))
+    return zonoid_volumes(mu, p)[1]
 
 
 def volume_Zp_star_ball_integral(mu: AtomicMeasure, p, nodes: int = None,
@@ -270,6 +248,16 @@ def volume_Zp_star_ball_integral(mu: AtomicMeasure, p, nodes: int = None,
     if target is not None and err > target:
         raise NonConvergedError(f"ball integral error {err:.2e} misses {target:.2e}")
     return VolumeResult(value, err, "QUADRATURE")
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(k: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per k and
+    process; the arrays are read-only."""
+    x, w = np.polynomial.legendre.leggauss(k)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def _axis_nodes(L, half_nodes, gamma=6.0):

@@ -6,7 +6,7 @@ import pytest
 import scipy.spatial
 
 from isozonoid import bodies, metrics
-from isozonoid.bodies import (EXACT_REL_ERR, BodyRep, _eval_fn,
+from isozonoid.bodies import (BodyRep, _eval_fn,
                               body_from_json, circle_grid,
                               cross_polytope_body, cube_body,
                               halfspace_vertices, icosphere,
@@ -19,8 +19,8 @@ from isozonoid.harness import (octagon_Q_body, random_even_isotropic,
 from isozonoid.measures import cross_measure
 from isozonoid.zonoids import body_Zp, body_Zp_star, zp_touch_point
 
-from oracles import (gauge_mc_volume_full,
-                     halfspace_vertices_hsi, polytope_support_lp,
+from oracles import (gauge_radial_volume, halfspace_vertices_hsi,
+                     icosphere_loop, polytope_support_lp,
                      tangent_body_volume_hsi, vertex_enum_combinatorial,
                      zonotope_vertices)
 
@@ -60,10 +60,18 @@ def test_support_oracle_ball_volume_3d():
 
 
 def test_gauge_oracle_ball():
+    # a gauge body evaluates, and its volume is left to the radial rule of
+    # the oracles: the package has no gauge volume path
     for n in (2, 3):
-        body = BodyRep.from_gauge(n, lambda x: np.linalg.norm(np.atleast_2d(x), axis=1))
-        res = volume(body, mc_samples=200000)
-        assert res.value == pytest.approx(unit_ball_volume(n), rel=1e-6)
+        norm = lambda x: np.linalg.norm(x, axis=-1)
+        body = BodyRep.from_gauge(n, norm)
+        x = np.arange(1.0, n + 1.0)
+        assert body.gauge(x) == pytest.approx(np.linalg.norm(x), rel=1e-15)
+        with pytest.raises(ValueError, match="no volume path"):
+            volume(body)
+        value, gap = gauge_radial_volume(norm, n)
+        assert value == pytest.approx(unit_ball_volume(n), rel=1e-12)
+        assert gap <= 1e-12
 
 
 def test_hrep_to_vrep_and_back():
@@ -235,6 +243,27 @@ def test_direction_grids():
     assert np.allclose(np.linalg.norm(g, axis=1), 1.0, atol=1e-12)
 
 
+def test_icosphere_bit_equal_to_face_loop():
+    # the vectorized subdivision keeps the node order and every bit of the
+    # face-by-face construction
+    for level in range(7):
+        got = icosphere(level)
+        assert len(got) == 10 * 4 ** level + 2
+        assert np.array_equal(got, icosphere_loop(level))
+
+
+def test_interior_point_tells_unbounded_from_empty():
+    # the half-plane x >= 2 holds balls of every radius; x <= -1 and x >= 1
+    # hold none; both stay UnboundedBodyError for the callers that catch it
+    cases = {"unbounded": ([[-1.0, 0.0]], [-2.0]),
+             "empty": ([[1.0, 0.0], [-1.0, 0.0]], [-1.0, -1.0])}
+    for word, (A, b) in cases.items():
+        with pytest.raises(UnboundedBodyError, match=f"^{word}:"):
+            halfspace_vertices(np.array(A), np.array(b))
+    assert metrics._intersection_volumes(
+        np.array(cases["empty"][0])[None], np.array(cases["empty"][1]))[0] == 0.0
+
+
 def test_body_json_round_trip():
     K = cube_body(2)
     data = K.to_json_dict()
@@ -253,8 +282,7 @@ def test_scalar_oracles_are_rejected():
     with pytest.raises(ValueError):
         volume(scalar)
     with pytest.raises(ValueError):
-        volume(BodyRep.from_gauge(2, lambda x: float(np.linalg.norm(x))),
-               mc_samples=1000)
+        _eval_fn(lambda x: float(np.linalg.norm(x)), circle_grid(8))
 
     def rows_only(v):
         if np.ndim(v) == 2:
@@ -378,7 +406,7 @@ def test_oracle_support_and_gauge_rows(rng):
 
 def _outer_bound(res):
     """v_out of a support sandwich from its midpoint and bar."""
-    return res.value + (res.abs_error - EXACT_REL_ERR * res.value)
+    return res.value + res.abs_error
 
 
 @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 4.0])
@@ -397,7 +425,7 @@ def test_support_sandwich_outer_bound_matches_halfspace_intersection(p, rng):
         assert abs(res.value - mid) <= 1e-12 * mid
         # the bar is a difference of the two volumes, so it carries their
         # rounding on the volume scale
-        bar = 0.5 * (v_out - v_in) + EXACT_REL_ERR * mid
+        bar = 0.5 * (v_out - v_in)
         assert abs(res.abs_error - bar) <= 1e-12 * mid
         assert res.method == "QUADRATURE"
 
@@ -419,46 +447,3 @@ def test_support_sandwich_n3_makes_two_hull_calls(monkeypatch):
 def test_no_halfspace_intersection_left():
     assert not hasattr(bodies, "HalfspaceIntersection")
     assert not hasattr(metrics, "HalfspaceIntersection")
-
-
-def _euclidean(X):
-    X = np.atleast_2d(X)
-    return np.sqrt(np.einsum("ij,ij->i", X, X))
-
-
-def test_gauge_radii_contract():
-    for bad in ((-0.1, 1.0), (2.0, 1.0), (math.nan, 1.0), (0.5, math.nan)):
-        with pytest.raises(ValueError):
-            BodyRep.from_gauge(2, _euclidean, radii=bad)
-    assert BodyRep.from_gauge(2, _euclidean).radii is None
-    assert BodyRep.from_gauge(2, _euclidean, radii=(0, math.inf)).radii == (
-        0.0, math.inf)
-    assert BodyRep.from_gauge(2, _euclidean, radii=(1, 1)).radii == (1.0, 1.0)
-
-
-class _SphereDraws:
-    """Stand-in for the sampler's generator: every draw u puts the sample
-    u * rmax within a few ulp of the unit sphere."""
-
-    def __init__(self, rmax):
-        self.rmax = rmax
-        self.rng = np.random.Generator(np.random.PCG64(17))
-
-    def random(self, shape):
-        d = np.abs(self.rng.standard_normal(shape))
-        d /= np.linalg.norm(d, axis=1, keepdims=True)
-        ulps = self.rng.integers(-4, 5, size=(shape[0], 1))
-        return d * (1.0 + ulps * np.finfo(float).eps) / self.rmax
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_shell_margin_sends_boundary_samples_to_the_oracle(n, monkeypatch):
-    # the unit ball with exact radii (1, 1): only the margin keeps samples
-    # on its boundary, where the oracle's rounding decides, in the shell
-    ball = BodyRep.from_gauge(n, _euclidean, radii=(1.0, 1.0))
-    rmax = float(np.max(1.0 / _euclidean(sphere_grid(n, 256, 2)))) * 1.05
-    monkeypatch.setattr(np.random, "default_rng",
-                        lambda seed: _SphereDraws(rmax))
-    got = bodies._gauge_mc_volume(ball, 40_000, 0)
-    assert 0.0 < got[0] < rmax ** n * 2 ** n
-    assert got == gauge_mc_volume_full(ball, 40_000, 0)

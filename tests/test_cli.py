@@ -34,6 +34,11 @@ def test_volume_subcommand(cube3_json, tmp_path, capsys):
     data = json.loads(out.read_text())
     assert data["value"] == pytest.approx(8.0, abs=1e-9)
     assert data["method"] == "EXACT"
+    # volume, john and transport draw nothing, so they take no --seed
+    for argv in (["volume", "--body", cube3_json],
+                 ["john", "--body", cube3_json],
+                 ["transport", "--p", "1.5", "--check", "box"]):
+        assert main(argv + ["--seed", "1"]) == 2
 
 
 def test_volume_of_unbounded_body_exits_2(tmp_path, capsys):
@@ -143,7 +148,7 @@ def test_verify_zpstab_n3_pinf(tmp_path, capsys):
         assert row["epsilon_nfev"] > 0
 
 
-@pytest.mark.parametrize("p", ["1.5", "1"])
+@pytest.mark.parametrize("p", ["1.5", "1", "3"])
 def test_verify_zpstab_n3_default_family(p, tmp_path, capsys):
     out = tmp_path / "zp3.json"
     rc = main(["verify", "--suite", "zpstab", "--n", "3", "--p", p,
@@ -155,6 +160,11 @@ def test_verify_zpstab_n3_default_family(p, tmp_path, capsys):
     assert header.split(",") == REPORT_CSV_FIELDS
     assert [r["label"] for r in rows] == [str(i) for i in range(9)]
     assert rows[0]["epsilon"] <= 1e-10          # label 0 is the cross
+    # a tilt the level-5 brackets leave undecided is recomputed at level 6
+    refined = [r for r in rows if "volume_grid_nodes" in r]
+    assert all(r["volume_grid_nodes"] == 40962 and r["epsilon"] > 1e-6
+               and r["deficit_lower"] > 0.0 for r in refined)
+    assert (refined == []) == (p == "1")
 
 
 def test_verify_s1_reports_are_byte_identical(tmp_path):

@@ -1,28 +1,27 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from isozonoid import bodies, zonoids
-from isozonoid.bodies import (MC_SAMPLES, BodyRep, _gauge_mc_volume,
-                              _gauge_radial_volume, circle_grid, icosphere,
-                              sphere_grid, unit_ball_volume, volume,
-                              zonotope_volume)
+from isozonoid.bodies import (BodyRep, circle_grid, icosphere, sphere_grid,
+                              unit_ball_volume, volume, zonotope_volume)
 from isozonoid.errors import DegenerateMeasureError
 from isozonoid.harness import random_even_isotropic, tilted_pair_measure
 from isozonoid.measures import (AtomicMeasure, check_isotropy, cross_measure,
-                                equiangular_measure, second_moment_matrix,
-                                unit_vector)
+                                equiangular_measure, unit_vector)
 from isozonoid.zonoids import (_exp_integral, body_Zp, body_Zp_star, mp_body,
                                norm_Zp_star, reference_volume, support_Zp,
                                volume_Zp, volume_Zp_star,
-                               volume_Zp_star_ball_integral, zp_touch_point)
+                               volume_Zp_star_ball_integral, zonoid_volumes,
+                               zp_touch_point)
 
-from oracles import (exp_integral_full_grid, gauge_mc_volume_full,
+from oracles import (exp_integral_full_grid, gauge_radial_volume,
                      halfspace_vertices_hsi, mp_gauge_solver,
-                     norm_Zp_star_unfolded, support_Zp_unfolded,
-                     zonotope_vertices, zp_touch_point_unfolded)
+                     norm_Zp_star_unfolded, polar_polygon_area_radial,
+                     support_Zp_unfolded, zonotope_vertices,
+                     zp_touch_point_unfolded)
 
 
 def _non_even_isotropic(n):
@@ -339,11 +338,15 @@ def test_reference_volume_table():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_reference_volume_z_closed_form_inside_sandwich(n):
-    # Z_p(cross) is the l_q ball; its closed form lies in the bar of the
-    # support sandwich of the cross measure's Z_p
+    # Z_p(cross) is the l_q ball and Z*_p(cross) the l_p ball; each closed
+    # form lies strictly inside its certified bracket, so a sandwich with
+    # inner and outer bodies swapped, [upper, lower], misses it
     for p in (1.2, 1.5, 3.0, 4.0):
-        res = volume_Zp(cross_measure(n), p)
-        assert abs(reference_volume("Z", n, p) - res.value) <= res.abs_error
+        for res, kind in zip(zonoid_volumes(cross_measure(n), p), ("Z", "Z_STAR")):
+            lower, upper = res.value - res.abs_error, res.value + res.abs_error
+            ref = reference_volume(kind, n, p)
+            assert lower < ref < upper
+            assert not upper <= ref <= lower
 
 
 def test_reference_volume_z_exact_anchors_unchanged():
@@ -392,11 +395,21 @@ def test_ball_integral_matches_closed_form(n, p):
 
 
 def test_ball_integral_agrees_with_body_volume(rng):
-    mu = random_even_isotropic(2, 5, rng)
-    for p in (1.0, 3.0):
-        bi = volume_Zp_star_ball_integral(mu, p)
-        bv = volume_Zp_star(mu, p)
-        assert abs(bi.value - bv.value) <= bi.abs_error + bv.abs_error + 1e-9
+    # two estimates that use no hull, the exponential integral and the
+    # gauge radial rule, each meet the certified bracket of V(Z*_p) within
+    # their own bars (and the exact Z*_1 volume)
+    for n in (2, 3):
+        mus = [tilted_pair_measure(n, 0.1),
+               random_even_isotropic(n, n * (n + 1) // 2 + 3, rng)]
+        for mu in mus:
+            for p in (1.0, 1.5, 3.0):
+                bi = volume_Zp_star_ball_integral(mu, p)
+                bv = volume_Zp_star(mu, p)
+                assert abs(bi.value - bv.value) <= bi.abs_error + bv.abs_error + 1e-9
+                if p > 1.0:
+                    value, gap = gauge_radial_volume(
+                        lambda x: norm_Zp_star(mu, p, x), n)
+                    assert abs(value - bv.value) <= gap + bv.abs_error
 
 
 def test_volume_zp_star_infinity_limit(nu2):
@@ -416,12 +429,6 @@ def test_theorem_b_direction_spot(rng):
                 assert vzs.value <= ref_zs + vzs.abs_error + 1e-9
 
 
-# ---------------------------------------------------------------------------
-# certified radial shell of the gauge Monte-Carlo check
-
-SHELL_PS = [1.0, 1.2, 1.5, 2.0, 3.0, 4.0]
-
-
 def _random_measure(n, k, rng):
     """Random atoms and weights: neither even nor isotropic."""
     U = rng.standard_normal((k, n))
@@ -429,135 +436,59 @@ def _random_measure(n, k, rng):
     return AtomicMeasure(n, U, rng.uniform(0.2, 2.0, k))
 
 
-def _shell_cases(n, rng):
-    return [cross_measure(n), random_even_isotropic(n, n * (n + 1) // 2 + 3, rng),
-            _non_even_isotropic(n), _random_measure(n, 2 * n + 2, rng)]
+# ---------------------------------------------------------------------------
+# the polar sandwich: certified brackets of V(Z_p) and V(Z*_p)
 
 
-def _ill_conditioned_measure():
-    """Even measure whose moment matrix has condition number about 1.5e8:
-    weights 1, 1e-4 and 1e-8 on a rotated orthonormal frame, plus one atom
-    pair near the first frame vector."""
-    R, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
-    extra = R[:, 0] + 1e-3 * R[:, 1]
-    D = np.vstack([R.T, extra / np.linalg.norm(extra)])
-    w = np.array([1.0, 1e-4, 1e-8, 0.5])
-    return AtomicMeasure(3, np.vstack([D, -D]), np.concatenate([w, w]),
-                         even=True)
-
-
-def _gauge_bodies(mu, ps):
-    """(p, body) for the p at which Z*_p(mu) is a gauge body."""
-    out = [(p, body_Zp_star(mu, p)) for p in ps]
-    return [(p, b) for p, b in out if b.kind == "gauge"]
-
-
-@pytest.mark.parametrize("p", SHELL_PS)
-@pytest.mark.parametrize("n", [2, 3])
-def test_shell_mc_equals_full_evaluation(n, p, rng):
-    for mu in _shell_cases(n, rng):
-        for _, body in _gauge_bodies(mu, [p]):
-            assert body.radii is not None
-            got = _gauge_mc_volume(body, 400_000, 5)
-            assert got == gauge_mc_volume_full(body, 400_000, 5)
-
-
-def test_shell_mc_of_ill_conditioned_measure():
-    mu = _ill_conditioned_measure()
-    assert 1e7 < np.linalg.cond(second_moment_matrix(mu)) < 1e9
-    for p, body in _gauge_bodies(mu, [1.2, 1.5, 2.0, 3.0, 4.0]):
-        got = _gauge_mc_volume(body, 400_000, 5)
-        assert got[0] > 0.0
-        assert got == gauge_mc_volume_full(body, 400_000, 5)
+def _sandwich_hulls(mu, p, grid):
+    """[V(I), V(O)] and [V(O^o), V(I^o)] from plain Qhull volumes and the
+    polar kernel, with I = conv{x_j} and O^o = conv{v_j / h_j}."""
+    h = support_Zp(mu, p, grid)
+    X = zp_touch_point(mu, p, grid)
+    D = grid / h[:, None]
+    v_out = bodies._hull_polar_volumes(D)[1]
+    v_dual_out = bodies._hull_polar_volumes(X)[1]
+    return ((ConvexHull(X).volume, v_out), (ConvexHull(D).volume, v_dual_out))
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_certified_radii_hold(n, rng):
-    cases = _shell_cases(n, rng) + ([_ill_conditioned_measure()] if n == 3 else [])
-    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
-    for mu in cases:
-        M = second_moment_matrix(mu)
-        U = rng.standard_normal((20_000, n))
-        # random directions, the axes, the diagonals, the atoms and the
-        # eigenvectors of the moment matrix, where the bounds can be tight
-        U = np.vstack([U, np.eye(n), signs, mu.directions,
-                       np.linalg.eigh(M)[1].T])
-        U /= np.linalg.norm(U, axis=1, keepdims=True)
-        for p, body in _gauge_bodies(mu, SHELL_PS):
-            r_lo, r_hi = body.radii
-            rho = 1.0 / norm_Zp_star(mu, p, U)
-            assert r_lo * (1.0 - 1e-12) <= rho.min()
-            assert rho.max() <= r_hi * (1.0 + 1e-12)
-            if np.allclose(M, np.eye(n), atol=1e-9):
-                # |x| <= g(x) <= n^(1/p - 1/2) |x| for p <= 2, reversed above
-                far = n ** (0.5 - 1.0 / p)
-                want = (far, 1.0) if p <= 2.0 else (1.0, far)
-                np.testing.assert_allclose(body.radii, want, rtol=1e-8)
+def test_zonoid_volumes_are_the_sandwich_brackets(n, rng):
+    # value -+ abs_error is [V(I), V(O)] for Z_p and [V(O^o), V(I^o)] for
+    # Z*_p, both ordered, and volume_Zp / volume_Zp_star read the same pair
+    mus = [cross_measure(n), tilted_pair_measure(n, 0.05),
+           random_even_isotropic(n, n * (n + 1) // 2 + 3, rng),
+           _random_measure(n, 2 * n + 2, rng)]
+    assert zonoid_volumes(mus[0], 1.2) == (volume_Zp(mus[0], 1.2),
+                                          volume_Zp_star(mus[0], 1.2))
+    for mu in mus:
+        for p in (1.2, 3.0):
+            got = zonoid_volumes(mu, p)
+            for res, (lo, hi) in zip(got, _sandwich_hulls(mu, p, sphere_grid(n))):
+                assert 0.0 < lo < hi
+                assert res.value - res.abs_error == pytest.approx(lo, rel=1e-15)
+                assert res.value + res.abs_error == pytest.approx(hi, rel=1e-15)
 
 
-def test_shell_mc_evaluates_a_thin_shell(monkeypatch, rng):
-    mu = random_even_isotropic(3, 9, rng)
-    rows = []
-
-    def counted(mu, p, x):
-        rows.append(len(np.atleast_2d(x)))
-        return norm(mu, p, x)
-
-    norm = zonoids.norm_Zp_star
-    monkeypatch.setattr(zonoids, "norm_Zp_star", counted)
-    grid = len(sphere_grid(3, size_2d=256, subdiv_3d=2))
-    body = body_Zp_star(mu, 1.5)
-    got = _gauge_mc_volume(body, MC_SAMPLES, 0)
-    assert grid < sum(rows) <= grid + 0.30 * MC_SAMPLES
-    rows.clear()
-    assert got == gauge_mc_volume_full(body, MC_SAMPLES, 0)
-    assert sum(rows) == grid + MC_SAMPLES
-    rows.clear()
-    # at p = 2 the gauge is |x| and the shell only the 1e-9 margin
-    _gauge_mc_volume(body_Zp_star(mu, 2.0), MC_SAMPLES, 0)
-    assert sum(rows) == grid
-    # without radii every sample goes to the oracle
-    rows.clear()
-    _gauge_mc_volume(bodies.BodyRep.from_gauge(3, body.fn), 80_000, 0)
-    assert sum(rows) == grid + 80_000
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_shell_mc_evaluates_the_full_paths_points(n, rng):
-    mu = _random_measure(n, 2 * n + 2, rng)
-    body = body_Zp_star(mu, 1.5)
-    calls = {"shell": [], "full": []}
-
-    def recorder(key):
-        def fn(X):
-            calls[key].append(np.array(X))
-            return body.fn(X)
-        return bodies.BodyRep.from_gauge(n, fn, radii=body.radii)
-
-    _gauge_mc_volume(recorder("shell"), 80_000, 2)
-    gauge_mc_volume_full(recorder("full"), 80_000, 2)
-    assert len(calls["shell"]) == len(calls["full"]) == 1 + 2 ** n
-    assert np.array_equal(calls["shell"][0], calls["full"][0])
-    for S, F in zip(calls["shell"][1:], calls["full"][1:]):
-        full = {row.tobytes() for row in F}
-        assert 0 < len(S) < len(F)
-        assert all(row.tobytes() in full for row in S)
-
-
-def test_shell_mc_pinned_values():
-    """(vol, err) as bit patterns, so a change of the sampling shows."""
-    cases = [(_non_even_isotropic(3), 1.5,
-              "0x1.76cedc29a178ap+1", "0x1.485c65a2a098bp-9"),
-             (cross_measure(2), 3.0,
-              "0x1.c45c3ead976e6p+1", "0x1.ef8862d3f1957p-10")]
-    for mu, p, vol, err in cases:
-        got = _gauge_mc_volume(body_Zp_star(mu, p), MC_SAMPLES, 0)
-        assert got == (float.fromhex(vol), float.fromhex(err))
+@pytest.mark.parametrize("p", [40.0, 200.0])
+def test_planar_sandwich_near_vertices_matches_radial_integral(p):
+    # at large p the touch points cluster at the vertices of Z_p; the polar
+    # polygons of the kernel match a 2^20-angle radial integral of the same
+    # polygons, and both brackets stay ordered
+    mu = tilted_pair_measure(2, 0.05)
+    grid = circle_grid(4096)
+    h = support_Zp(mu, p, grid)
+    X = zp_touch_point(mu, p, grid)
+    for P in (grid / h[:, None], X):
+        _, v_polar = bodies._hull_polar_volumes(P)
+        assert v_polar == pytest.approx(polar_polygon_area_radial(P), rel=1e-10)
+    z, zs = zonoid_volumes(mu, p)
+    assert 0.0 < z.abs_error < 1e-4 * z.value
+    assert 0.0 < zs.abs_error < 1e-4 * zs.value
 
 
 def test_gauss_legendre_cache_is_bit_equal(monkeypatch, rng):
-    x, w = bodies._gauss_legendre(64)
-    assert bodies._gauss_legendre(64)[0] is x
+    x, w = zonoids._gauss_legendre(64)
+    assert zonoids._gauss_legendre(64)[0] is x
     assert not x.flags.writeable and not w.flags.writeable
     with pytest.raises(ValueError):
         w[0] = 0.0
@@ -566,12 +497,10 @@ def test_gauss_legendre_cache_is_bit_equal(monkeypatch, rng):
     mus = [random_even_isotropic(n, n * (n + 1) // 2 + 3, rng) for n in (2, 3)]
 
     def volumes():
-        return [(volume_Zp_star_ball_integral(mu, 1.5),
-                 _gauge_radial_volume(body_Zp_star(mu, 1.5)))
-                for mu in mus]
+        return [volume_Zp_star_ball_integral(mu, p)
+                for mu in mus for p in (1.5, 3.0)]
 
     cached = volumes()
     fresh = np.polynomial.legendre.leggauss
-    monkeypatch.setattr(bodies, "_gauss_legendre", fresh)
     monkeypatch.setattr(zonoids, "_gauss_legendre", fresh)
     assert volumes() == cached
