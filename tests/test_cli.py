@@ -218,6 +218,19 @@ def test_verify_at_n4(suite, p, code, tmp_path, capsys):
         assert min(r["V_Zp"] for r in rows) >= 16.0 / 24.0
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_verify_caps_matrix(n, tmp_path, capsys):
+    out = tmp_path / "caps.json"
+    rc = main(["verify", "--suite", "caps", "--n", str(n), "--count", "2",
+               "--out", str(out)])
+    assert rc == 0
+    assert "Traceback" not in capsys.readouterr().err
+    rows = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert len(rows) == 2 and all(r["n"] == n for r in rows)
+    header = (tmp_path / "caps.csv").read_text().splitlines()[0]
+    assert header.split(",") == REPORT_CSV_FIELDS
+
+
 def test_verify_reviso_n2(tmp_path):
     out = tmp_path / "reviso.json"
     rc = main(["verify", "--suite", "reviso", "--n", "2", "--out", str(out)])

@@ -386,6 +386,31 @@ def test_half_grid_ball_integral_matches_full_grid(rng):
             assert got == pytest.approx(ref, rel=1e-13, abs=0)
 
 
+@pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 4.0])
+def test_decay_ball_rule_matches_full_cube(p, rng):
+    # on [-R, R]^n the rule drops every node outside the ball |x| <= R; the
+    # full cube of the oracle keeps them, and they carry below e^{-46}
+    for mu in _fold_cases(rng):
+        L = zonoids._decay_radius(mu.dim, p)
+        got = _exp_integral(mu, p, L, 30)
+        ref = exp_integral_full_grid(mu, p, L, 30)
+        assert got == pytest.approx(ref, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("case, value, abs_error", [
+    ("random", 2.919687041572662, 2.3182348033468408e-05),
+    ("tilted", 2.941474952951594, 1.3600404252256438e-07)])
+def test_ball_integral_pinned_n3(case, value, abs_error):
+    # recorded from the rule that evaluated every node of the cube; the bar
+    # is a difference of two such values, so it is held to 1e-14 of the
+    # volume, not of itself
+    mu = (random_even_isotropic(3, 9, np.random.default_rng(17))
+          if case == "random" else tilted_pair_measure(3, 0.1))
+    res = volume_Zp_star_ball_integral(mu, 1.5)
+    assert res.value == pytest.approx(value, rel=1e-14, abs=0)
+    assert abs(res.abs_error - abs_error) <= 1e-14 * value
+
+
 @pytest.mark.parametrize("n,p", [(2, 1), (2, 2), (2, 4), (3, 1), (3, 2), (3, 4)])
 def test_ball_integral_matches_closed_form(n, p):
     mu = cross_measure(n)
