@@ -64,7 +64,3 @@ class KTooSmallError(IsozonoidError):
 
 class NoContactsError(IsozonoidError):
     """No touching directions found after John normalization."""
-
-
-class NonConvergedError(IsozonoidError):
-    """An iterative estimate missed its error target within budget."""

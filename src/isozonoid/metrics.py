@@ -18,7 +18,10 @@ at the winning frame certifies the value: it is the number reported, and
 a dual/LP gap above 1e-12 raises.
 
 Hausdorff distance on the sphere is the standard symmetric max of the two
-one-sided max-min deviations.
+one-sided max-min deviations.  The orbit searches score a stack of frames
+with ``_hausdorff_to_cross_batch``: one chord and one arcsin per atom-axis
+pair, to the nearer of +-r, the farther read as pi minus it, bit for bit
+the value of ``hausdorff_spherical`` on the cross.
 
 Orbit searches.  In n = 2 both orbit distances are exact: each objective is
 piecewise linear in the frame angle, so its minimum sits at a kink and all
@@ -40,8 +43,10 @@ dual points in n = 3.
 Every multistart search here runs on ``_lockstep_nelder_mead``: the starts
 advance in lockstep, each taking exactly the steps of scipy's Nelder-Mead,
 with every pending simplex point of every running start evaluated in one
-batched objective call.  Certificates record the winning start
-(``best_start``) and the objective evaluations of all starts (``nfev``).
+batched objective call.  Only the running starts are tested and stepped.
+Certificates record the winning start (``best_start``), the objective
+evaluations of all starts (``nfev``) and the objective calls
+(``batches``).
 """
 
 from __future__ import annotations
@@ -248,6 +253,11 @@ def _orbit_start_points():
     return starts
 
 
+# (c_b, c_w) of the second trial point c_b xbar + c_w x_w of a Nelder-Mead
+# step: expansion, outside contraction, inside contraction
+_NM_SECOND_POINT = np.array([[3.0, -2.0], [1.5, -0.5], [0.5, 0.5]])
+
+
 def _lockstep_nelder_mead(objective, x0, xatol, fatol, maxiter):
     """Nelder-Mead from every row of ``x0`` (S, N), all starts in lockstep.
 
@@ -259,68 +269,82 @@ def _lockstep_nelder_mead(objective, x0, xatol, fatol, maxiter):
     converges; each step sends the pending points of all running starts to
     ``objective`` in one call.  Returns per-start (values (S,), best
     vertices (S, N), evaluation counts (S,)), as scipy's ``fun``, ``x`` and
-    ``nfev``.
+    ``nfev``, and the number of ``objective`` calls.
+
+    Only the running starts are tested and stepped: their simplices are
+    held compactly and written back to the per-start results when a start
+    leaves.  A step evaluates the reflection x_r = 2 xbar - x_w of every
+    running start; the starts that do not accept it take one second point
+    c_b xbar + c_w x_w, the expansion (3, -2), the outside contraction
+    (1.5, -0.5) or the inside contraction (0.5, 0.5), which are scipy's
+    (1 + rho chi, -rho chi), (1 + psi rho, -psi rho) and (1 - psi, psi) at
+    rho = 1, chi = 2, psi = 1/2, bit for bit.
     """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    nonzdelt, zdelt = 0.05, 0.00025
+    sigma, nonzdelt, zdelt = 0.5, 0.05, 0.00025
     x0 = np.asarray(x0, dtype=float)
     S, N = x0.shape
-    nfev = np.zeros(S, dtype=int)
+    batches = 0
 
-    def f(W, idx, per=1):
-        nfev[idx] += per
-        if len(W) == 0:
-            return np.empty(0)
+    def f(W):
+        nonlocal batches
+        batches += 1
         return np.asarray(objective(W), dtype=float)
 
-    def order(sim, fsim):
-        ind = np.argsort(fsim, axis=1)
-        rows = np.arange(len(ind))[:, None]
-        return sim[rows, ind], fsim[rows, ind]
+    def order(s, fs, rows):
+        ind = np.argsort(fs, axis=1)
+        return s[rows, ind], fs[rows, ind]
 
     sim = np.repeat(x0[:, None, :], N + 1, axis=1)
     k = np.arange(N)
     y = sim[:, k + 1, k]
     sim[:, k + 1, k] = np.where(y != 0, (1 + nonzdelt) * y, zdelt)
-    fsim = f(sim.reshape(-1, N), slice(None), N + 1).reshape(S, N + 1)
-    sim, fsim = order(*order(sim, fsim))
-    running = np.ones(S, dtype=bool)
+    fsim = f(sim.reshape(-1, N)).reshape(S, N + 1)
+    rows = np.arange(S)[:, None]
+    sim, fsim = order(*order(sim, fsim, rows), rows)
+    nfev = np.full(S, N + 1)
+    run, s, fs, ne = rows[:, 0], sim, fsim, nfev.copy()     # the running starts
     for _ in range(1, maxiter):
-        running &= ~((np.max(np.abs(sim[:, 1:] - sim[:, :1]), axis=(1, 2))
-                      <= xatol)
-                     & (np.max(np.abs(fsim[:, :1] - fsim[:, 1:]), axis=1)
-                        <= fatol))
-        a = np.flatnonzero(running)
-        if len(a) == 0:
-            break
-        s, fs = sim[a], fsim[a]
+        # scipy's test max_j |f_0 - f_j| <= fatol is f_N - f_0 <= fatol on
+        # the sorted values (rounding is monotone), and it fails on most steps
+        done = fs[:, -1] - fs[:, 0] <= fatol
+        if done.any():
+            done &= np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol
+            if done.any():
+                out, keep = run[done], ~done
+                sim[out], fsim[out], nfev[out] = s[done], fs[done], ne[done]
+                run, s, fs, ne = run[keep], s[keep], fs[keep], ne[keep]
+                if len(run) == 0:
+                    break
+                rows = rows[:len(run)]
         xbar = np.add.reduce(s[:, :-1], 1) / N
         worst = s[:, -1]
-        xr = (1 + rho) * xbar - rho * worst
-        fxr = f(xr, a)
-        expand = fxr < fs[:, 0]
-        accept = ~expand & (fxr < fs[:, -2])
-        contract = ~expand & ~accept
-        outside = contract & (fxr < fs[:, -1])
-        x2 = np.where(expand[:, None],
-                      (1 + rho * chi) * xbar - rho * chi * worst,
-                      np.where(outside[:, None],
-                               (1 + psi * rho) * xbar - psi * rho * worst,
-                               (1 - psi) * xbar + psi * worst))
-        f2 = np.full(len(a), np.nan)
-        f2[~accept] = f(x2[~accept], a[~accept])
-        take2 = ((expand & (f2 < fxr)) | (outside & (f2 <= fxr))
-                 | (contract & ~outside & (f2 < fs[:, -1])))
-        shrink = contract & ~take2
-        take_r = (expand | accept) & ~take2
-        s[take_r, -1], fs[take_r, -1] = xr[take_r], fxr[take_r]
-        s[take2, -1], fs[take2, -1] = x2[take2], f2[take2]
-        shr, fshr = s[shrink], fs[shrink]
-        shr[:, 1:] = shr[:, :1] + sigma * (shr[:, 1:] - shr[:, :1])
-        fshr[:, 1:] = f(shr[:, 1:].reshape(-1, N), a[shrink], N).reshape(-1, N)
-        s[shrink], fs[shrink] = shr, fshr
-        sim[a], fsim[a] = order(s, fs)
-    return fsim[:, 0], sim[:, 0], nfev
+        xnew = 2.0 * xbar - worst                   # the reflections x_r
+        fnew = f(xnew)
+        ne += 1
+        expand = fnew < fs[:, 0]
+        i = np.flatnonzero(~(fnew < fs[:, -2]) | expand)  # x_r not accepted
+        shrink = ()
+        if len(i):
+            e, fr, fw = expand[i], fnew[i], fs[i, -1]
+            kind = np.where(e, 0, 2 - (fr < fw))    # expand, outside, inside
+            c = _NM_SECOND_POINT[kind]
+            x2 = c[:, :1] * xbar[i] + c[:, 1:] * worst[i]
+            f2 = f(x2)
+            ne[i] += 1
+            take = np.choose(kind, (f2 < fr, f2 <= fr, f2 < fw))
+            xnew[i[take]], fnew[i[take]] = x2[take], f2[take]
+            shrink = i[~(take | e)]                 # contraction refused
+        if len(shrink):                 # shrink towards x_0, old x_w included
+            v = s[shrink]
+            v[:, 1:] = v[:, :1] + sigma * (v[:, 1:] - v[:, :1])
+        s[:, -1], fs[:, -1] = xnew, fnew
+        if len(shrink):
+            s[shrink] = v
+            fs[shrink, 1:] = f(v[:, 1:].reshape(-1, N)).reshape(-1, N)
+            ne[shrink] += N
+        s, fs = order(s, fs, rows)
+    sim[run], fsim[run], nfev[run] = s, fs, ne
+    return fsim[:, 0], sim[:, 0], nfev, batches
 
 
 def _orbit_minimize_3d(objective):
@@ -330,12 +354,12 @@ def _orbit_minimize_3d(objective):
     ``objective`` maps a stack of rotation matrices (B, 3, 3) to B values.
     The best start wins, the lowest index on ties.
     """
-    fun, x, nfev = _lockstep_nelder_mead(
+    fun, x, nfev, batches = _lockstep_nelder_mead(
         lambda W: objective(_rotvec_matrix(W)),
         np.array(_orbit_start_points()), 1e-9, 1e-12, 400)
     best = int(np.argmin(fun))
     cert = {"method": "multistart-nelder-mead", "starts": len(fun),
-            "best_start": best, "nfev": int(nfev.sum())}
+            "best_start": best, "nfev": int(nfev.sum()), "batches": batches}
     return float(fun[best]), _rotvec_matrix(x[best]), cert
 
 
@@ -359,18 +383,41 @@ def hausdorff_spherical(X, Y) -> float:
 def _hausdorff_to_cross_batch(X, R) -> np.ndarray:
     """delta_H(X, {+-rows of R_b}) for every frame of a stack R (B, n, n).
 
-    ``angle_matrix``'s chord-stable formula, broadcast over the batch; the
-    -R half reuses the +R chords (x - (-r) = x + r exactly), so each value
-    equals ``hausdorff_spherical(X, np.vstack([R_b, -R_b]))`` bit for bit.
+    ``angle_matrix``'s chord-stable formula with one chord per atom-axis
+    pair: x - r where <x, r> >= 0 and x + r (= x - (-r) exactly) otherwise,
+    the chord to the nearer of +-r.  Its squares are summed coordinate by
+    coordinate in ``np.linalg.norm``'s order, so a = 2 arcsin(|chord| / 2)
+    is ``angle_matrix``'s near angle bit for bit, and the far point of the
+    pair is read as pi - a, as ``angle_matrix`` does.  At an exact right
+    angle, <x, r> == 0, ``angle_matrix`` takes the near formula for both
+    +-r, so there alone the far chord x + r is formed.  Each value equals
+    ``hausdorff_spherical(X, np.vstack([R_b, -R_b]))`` bit for bit.  The
+    arrays are laid out (atom, axis, frame), so the min and max over atoms
+    and axes run across contiguous frames.
     """
-    diff = np.linalg.norm(X[None, :, None, :] - R[:, None, :, :], axis=3)
-    summ = np.linalg.norm(X[None, :, None, :] + R[:, None, :, :], axis=3)
-    near = 2.0 * np.arcsin(np.minimum(diff / 2.0, 1.0))
-    far = 2.0 * np.arcsin(np.minimum(summ / 2.0, 1.0))
-    dots = X @ R.transpose(0, 2, 1)
-    D = np.concatenate([np.where(dots >= 0.0, near, np.pi - far),
-                        np.where(dots <= 0.0, far, np.pi - near)], axis=2)
-    return np.maximum(D.min(axis=2).max(axis=1), D.min(axis=1).max(axis=1))
+    dots = (X @ R.transpose(0, 2, 1)).transpose(1, 2, 0)     # (k, n, B)
+    pos = dots >= 0.0
+    sign = np.where(pos, 1.0, -1.0)
+    sq = np.zeros(dots.shape)
+    t = np.empty(dots.shape)
+    for m, Rm in enumerate(R.transpose(2, 1, 0)):            # Rm[j, b] = R[b, j, m]
+        np.multiply(sign, Rm, out=t)
+        np.subtract(X[:, m, None, None], t, out=t)
+        t *= t
+        sq += t
+    a = np.sqrt(sq, out=sq)
+    a /= 2.0
+    np.arcsin(np.minimum(a, 1.0, out=a), out=a)
+    a *= 2.0                                                 # angle to the nearer of +-r
+    far = np.pi - a
+    if not dots.all():
+        i, j, b = np.nonzero(dots == 0.0)
+        chord = np.linalg.norm(X[i] + R[b, j], axis=1)
+        far[i, j, b] = 2.0 * np.arcsin(np.minimum(chord / 2.0, 1.0))
+    atoms = np.minimum(a, far).min(axis=1).max(axis=0)
+    plus = np.where(pos, a, far).min(axis=0)                 # per point +r_j
+    minus = np.where(pos, far, a).min(axis=0)                # per point -r_j
+    return np.maximum(atoms, np.maximum(plus, minus).max(axis=0))
 
 
 def hausdorff_to_cross(X):
@@ -576,13 +623,13 @@ def banach_mazur(K: BodyRep, M: BodyRep, restarts: int = 24, seed: int = 0):
         out[ok] = inner * outer
         return out
 
-    fun, _, nfev = _lockstep_nelder_mead(
+    fun, _, nfev, batches = _lockstep_nelder_mead(
         lam, _body_starts(n, restarts, 0.3, seed), 1e-10, 1e-12, 2000)
     best = int(np.argmin(fun))
     value = math.log(max(fun[best], 1.0))
     cert = {"restarts": restarts, "lambda": float(fun[best]),
             "upper_bound_only": True, "best_start": best,
-            "nfev": int(nfev.sum())}
+            "nfev": int(nfev.sum()), "batches": batches}
     return value, cert
 
 
@@ -658,10 +705,10 @@ def volume_distance(K: BodyRep, M: BodyRep, restarts: int = 12, seed: int = 0):
         out[ok] = np.maximum(2.0 - 2.0 * _intersection_volumes(A, b), 0.0)
         return out
 
-    fun, _, nfev = _lockstep_nelder_mead(
+    fun, _, nfev, batches = _lockstep_nelder_mead(
         sym_diff, _body_starts(n, restarts, 0.25, seed), 1e-9, 1e-12, 1500)
     best = int(np.argmin(fun))
     cert = {"restarts": restarts, "method": "polar-dual-exact",
             "upper_bound_only": True, "best_start": best,
-            "nfev": int(nfev.sum())}
+            "nfev": int(nfev.sum()), "batches": batches}
     return float(fun[best]), cert

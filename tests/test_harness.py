@@ -56,6 +56,8 @@ def test_theorem_b_says_how_epsilon_was_obtained(n):
     else:
         assert d["epsilon_method"] == "multistart-nelder-mead"
         assert d["epsilon_nfev"] > 0
+    # the search's batch count stays in its certificate, out of the report
+    assert not any("batches" in key for key in d)
 
 
 def test_theorem_b_hexagon_exact_areas(hexm):

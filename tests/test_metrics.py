@@ -298,6 +298,20 @@ def test_hausdorff_to_cross_batch_matches_scalar(rng):
             batch = _hausdorff_to_cross_batch(X, R)
             scalar = [hausdorff_spherical(X, np.vstack([r, -r])) for r in R]
             assert np.array_equal(batch, scalar)
+    # exact right angles, <x, r> == 0, where angle_matrix takes the near
+    # formula for both +-r: random frames never reach them
+    for n in (2, 3):
+        E = np.eye(n)
+        quarter = np.eye(n)
+        quarter[:2, :2] = [[0.0, -1.0], [1.0, 0.0]]
+        R = np.stack([E, quarter, quarter.T, -E, E[::-1]])
+        diagonal = np.full((1, n), 1.0 / math.sqrt(n))
+        for X in (E[:2], E, np.vstack([E, -E]), np.vstack([E[:1], -E[1:]]),
+                  np.vstack([E[1:], diagonal])):
+            assert np.any(X @ R.transpose(0, 2, 1) == 0.0)
+            batch = _hausdorff_to_cross_batch(X, R)
+            scalar = [hausdorff_spherical(X, np.vstack([r, -r])) for r in R]
+            assert np.array_equal(batch, scalar)
 
 
 def test_hausdorff_to_cross_2d_matches_dense_grid(rng):
@@ -329,6 +343,7 @@ def test_orbit_search_3d_matches_per_start_scipy(rng):
         assert np.array_equal(R, o_R)
         assert (cert["best_start"], cert["nfev"]) == (o_start, o_nfev)
         assert cert["starts"] == 61
+        assert 1 < cert["batches"] < cert["nfev"]
 
 
 def test_wasserstein_hausdorff_bound_examples(nu2):
@@ -489,20 +504,51 @@ def _stepped_rows(X):
     return np.floor(4.0 * np.sum(np.abs(X - 0.3), axis=1)) / 4.0
 
 
-@pytest.mark.parametrize("objective,N,maxiter", [
-    (_rosenbrock_rows, 4, 250), (_rosenbrock_rows, 4, 3000),
-    (_kinked_rows, 9, 400), (_kinked_rows, 9, 4000),
-    (_stepped_rows, 4, 400), (_stepped_rows, 9, 400)])
-def test_lockstep_nelder_mead_matches_scipy_per_start(objective, N, maxiter):
-    rng = np.random.default_rng(N * maxiter)
-    x0 = np.vstack([np.zeros(N), rng.normal(size=(7, N))])
-    x0[1, ::2] = 0.0                 # zero entries take scipy's zdelt step
-    fun, x, nfev = _lockstep_nelder_mead(objective, x0, 1e-8, 1e-10, maxiter)
+# Rosenbrock starts that converge after 179, 309, 355 and 492 iterations
+FAR_APART = np.array([np.ones(4), np.full(4, 0.3), np.full(4, 3.0),
+                      np.full(4, 10.0)])
+
+
+def _lockstep_case(objective, N, maxiter, x0=None, tag=None):
+    name = f"{objective.__name__}-{N}-{maxiter}"
+    return pytest.param(objective, N, maxiter, x0,
+                        id=name if tag is None else f"{name}-{tag}")
+
+
+@pytest.mark.parametrize("objective,N,maxiter,x0", [
+    _lockstep_case(_rosenbrock_rows, 4, 250),
+    _lockstep_case(_rosenbrock_rows, 4, 3000),
+    _lockstep_case(_kinked_rows, 9, 400), _lockstep_case(_kinked_rows, 9, 4000),
+    _lockstep_case(_stepped_rows, 4, 400), _lockstep_case(_stepped_rows, 9, 400),
+    # starts that leave hundreds of steps apart; at maxiter 420 the last
+    # one stops there, long after the others have left
+    _lockstep_case(_rosenbrock_rows, 4, 3000, FAR_APART, "far-apart"),
+    _lockstep_case(_rosenbrock_rows, 4, 420, FAR_APART, "maxiter")])
+def test_lockstep_nelder_mead_matches_scipy_per_start(objective, N, maxiter,
+                                                      x0):
+    if x0 is None:
+        rng = np.random.default_rng(N * maxiter)
+        x0 = np.vstack([np.zeros(N), rng.normal(size=(7, N))])
+        x0[1, ::2] = 0.0             # zero entries take scipy's zdelt step
+    fun, x, nfev, batches = _lockstep_nelder_mead(objective, x0, 1e-8, 1e-10,
+                                                  maxiter)
     o_fun, o_x, o_nfev = multistart_nelder_mead(
         lambda w: float(objective(w[None])[0]), x0, 1e-8, 1e-10, maxiter)
     assert np.array_equal(fun, o_fun)
     assert np.array_equal(x, o_x)
     assert np.array_equal(nfev, o_nfev)
+    # one call for the initial simplices, then one to three per step
+    assert 1 < batches < o_nfev.sum()
+
+
+def test_lockstep_nelder_mead_far_apart_premise():
+    # with room for every start, only the last one of FAR_APART moves
+    # past maxiter 420: it alone stopped there
+    short = _lockstep_nelder_mead(_rosenbrock_rows, FAR_APART, 1e-8, 1e-10, 420)
+    full = _lockstep_nelder_mead(_rosenbrock_rows, FAR_APART, 1e-8, 1e-10, 3000)
+    moved = short[2] != full[2]
+    assert moved.tolist() == [False, False, False, True]
+    assert full[2].max() - full[2].min() >= 300     # evaluations apart
 
 
 def _reviso_body(n, shape, param):
@@ -527,6 +573,7 @@ def test_banach_mazur_equals_per_start_scipy(n, shape, param):
     assert val == o_val
     assert cert["lambda"] == o_lam
     assert (cert["best_start"], cert["nfev"]) == (o_start, o_nfev)
+    assert 1 < cert["batches"] < cert["nfev"]
 
 
 @pytest.mark.parametrize("n,shape,param", REVISO_BODIES)
@@ -538,6 +585,7 @@ def test_volume_distance_not_above_per_start_scipy(n, shape, param):
     assert 0.0 <= val <= o_val + 1e-9
     assert 0 <= cert["best_start"] < restarts
     assert cert["nfev"] >= restarts * (n * n + 1)
+    assert 1 < cert["batches"] < cert["nfev"]
 
 
 def test_orbit_searches_stop_at_n4():
@@ -655,19 +703,27 @@ def test_intersection_volumes_qhull_calls(monkeypatch, rng):
         del calls[:]
         _intersection_volumes(A, b)
         assert len(calls) == (0 if n == 2 else len(A))
-    # the n = 2 search makes no hull call (its setup's conversions do)
+    # every objective call of the search: no hull in n = 2 (its setup's
+    # conversions make some), one per trial map in n = 3
     searched = []
-    real_volumes = metrics._intersection_volumes
+    real_driver = metrics._lockstep_nelder_mead
 
-    def counted_volumes(A, b):
-        start = len(calls)
-        out = real_volumes(A, b)
-        searched.append(len(calls) - start)
-        return out
+    def counted_driver(objective, *args):
+        def counted(X):
+            start = len(calls)
+            out = objective(X)
+            searched.append((len(calls) - start, len(X)))
+            return out
+        return real_driver(counted, *args)
 
-    monkeypatch.setattr(metrics, "_intersection_volumes", counted_volumes)
-    volume_distance(_reviso_body(2, "cut", 0.25), cube_body(2), restarts=2)
-    assert searched and set(searched) == {0}
+    monkeypatch.setattr(metrics, "_lockstep_nelder_mead", counted_driver)
+    for n, shape, param, restarts in ((2, "cut", 0.25, 2), (3, "cut", 0.1, 1)):
+        del searched[:]
+        volume_distance(_reviso_body(n, shape, param), cube_body(n),
+                        restarts=restarts)
+        assert searched
+        assert all(hulls == (0 if n == 2 else maps)
+                   for hulls, maps in searched)
     assert not hasattr(metrics, "HalfspaceIntersection")
 
 
