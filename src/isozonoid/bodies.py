@@ -319,7 +319,7 @@ def halfspace_vertices(A, b) -> np.ndarray:
     return pts[ConvexHull(pts).vertices]
 
 
-def _polar_areas(P):
+def _polar_areas(P, own=None):
     """Areas of the polygons {x : <p_i, x> <= 1} for dual points P (B, m, 2)
     whose convex hulls contain the origin in their interiors.
 
@@ -330,6 +330,13 @@ def _polar_areas(P):
     (s_hi - s_lo) / (2 |p_i|^2), the triangle from the origin to edge i.
     The differences p_i - p_j are formed first, so nearly coincident dual
     points give accurate crossings; exact duplicates go to the lower index.
+
+    ``own`` (B, m), if given, marks each system's own points; the others
+    repeat an own point that comes before them, padding systems of different
+    sizes to one stack.  A repeat is a later exact duplicate, so it leaves
+    every other arc alone, and each area is summed over its own points
+    only, in their order: numpy's pairwise sum groups terms by their count,
+    so a sum over the padded row would move the last bits.
     """
     m = P.shape[1]
     D = P[:, :, None, :] - P[:, None, :, :]            # d_ij = p_i - p_j
@@ -343,8 +350,15 @@ def _polar_areas(P):
     later = np.arange(m)[None, :] < np.arange(m)[:, None]          # j < i
     dead = (beta == 0) & ((alpha < 0) | ((alpha == 0) & later))
     hi[dead.any(axis=2)] = -np.inf
-    return np.sum(np.maximum(hi - lo, 0.0) / (2.0 * np.sum(P * P, axis=2)),
-                  axis=1)
+    terms = np.maximum(hi - lo, 0.0) / (2.0 * np.sum(P * P, axis=2))
+    if own is None:
+        return np.sum(terms, axis=1)
+    count = own.sum(axis=1)
+    out = np.empty(len(P))
+    for c in np.unique(count):
+        rows = count == c
+        out[rows] = np.sum(terms[rows][own[rows]].reshape(-1, c), axis=1)
+    return out
 
 
 def _triple(a, b, c):
@@ -355,30 +369,34 @@ def _triple(a, b, c):
 
 
 def _polar_volumes(P):
-    """Volumes (V(conv P_k), V(P_k^o)) of the hulls of the point sets P
-    (B, m, 3) and of their polars {x : <p_i, x> <= 1}, for hulls that
-    contain the origin in their interiors; two arrays of B.
+    """Volumes (V(conv P_k), V(P_k^o)) of the hulls of the point sets P_k
+    (m_k, 3), given as a stack P (B, m, 3) or as a list of sets of any
+    sizes, and of their polars {x : <p_i, x> <= 1}, for hulls that contain
+    the origin in their interiors; two arrays of B.
 
     One Qhull hull of each point set.  A hull facet (nu, off) is the vertex
     x = nu / (-off) of the polytope, and the facet of plane i, with foot
     f_i = p_i / |p_i|^2, is fanned from f_i over its edges x_F x_G: the
     two hull facets F, G that share the dual edge i -> j.  Summing
     det(f_i, x_G, x_F) / 6 over the oriented dual edges gives the volume.
+    The fan runs over the facets of all sets at once; ``bincount`` sums
+    each set's terms in its own facet order.
     """
-    B, m, _ = P.shape
+    B = len(P)
     S, N, E, owner = [], [], [], []
     hull_vols = np.empty(B)
-    nf = 0
-    for k in range(B):
-        hull = ConvexHull(P[k])
+    nf = nv = 0
+    for k, Pk in enumerate(P):
+        hull = ConvexHull(Pk)
         hull_vols[k] = hull.volume
-        S.append(hull.simplices + k * m)
+        S.append(hull.simplices + nv)
         N.append(hull.neighbors + nf)
         E.append(hull.equations)
         owner.append(np.full(len(hull.simplices), k))
         nf += len(hull.simplices)
+        nv += len(Pk)
     S, N, E, owner = (np.concatenate(x) for x in (S, N, E, owner))
-    Q = P.reshape(-1, 3)
+    Q = np.concatenate(P)
     X = E[:, :3] / -E[:, 3:]
     # orient every facet counterclockwise seen from outside
     V0, V1, V2 = Q[S[:, 0]], Q[S[:, 1]], Q[S[:, 2]]

@@ -442,12 +442,25 @@ def reverse_isoperimetric_suite(bodies, labels=None, distances: bool = True,
     chain K <= Z*_inf(contact measure) and the cube sandwich when applicable.
 
     Bodies are John-normalized first (the normalizing map is recorded).
+    The distance searches of all bodies of one dimension share one
+    lockstep per distance (one ``volume_distance`` and one
+    ``banach_mazur`` call on the list of them), each body's search bit for
+    bit the one it runs alone; the reports follow the input order.
     """
-    reports = []
     labels = labels or [str(i) for i in range(len(bodies))]
-    for body, label in zip(bodies, labels):
-        n = body.dim
-        K, Phi = john_normalize(body)
+    normalized = [john_normalize(body)[0] for body in bodies]
+    found = {}                                  # body index -> (dvol, dbm)
+    dims = sorted({K.dim for K in normalized}) if distances else []
+    for n in dims:
+        idx = [i for i, K in enumerate(normalized) if K.dim == n]
+        Ks, W = [normalized[i] for i in idx], cube_body(n)
+        vols = volume_distance(Ks, W, restarts=max(restarts // 2, 2))
+        bms = banach_mazur(Ks, W, restarts=restarts)
+        for i, (dvol, _), (dbm, _) in zip(idx, vols, bms):
+            found[i] = (dvol, dbm)
+    reports = []
+    for i, (K, label) in enumerate(zip(normalized, labels)):
+        n = K.dim
         ratio = isoperimetric_ratio(K)
         deficit = 1.0 - ratio / cube_isoperimetric_ratio(n)
         mu = contact_measure(K)
@@ -464,9 +477,7 @@ def reverse_isoperimetric_suite(bodies, labels=None, distances: bool = True,
         eps = float("nan")
         ok = incl and (sandwich is not False)
         if distances:
-            W = cube_body(n)
-            dvol, _ = volume_distance(K, W, restarts=max(restarts // 2, 2))
-            dbm, _ = banach_mazur(K, W, restarts=restarts)
+            dvol, dbm = found[i]
             extra.update({"delta_vol": dvol, "delta_BM": dbm})
             eps = dvol
             # direction-only consistency at a desk tolerance

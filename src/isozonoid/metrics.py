@@ -46,7 +46,14 @@ with every pending simplex point of every running start evaluated in one
 batched objective call.  Only the running starts are tested and stepped.
 Certificates record the winning start (``best_start``), the objective
 evaluations of all starts (``nfev``) and the objective calls
-(``batches``).
+(``batches``).  The body searches take one body or a list of bodies of
+one dimension, and the searches of a list share one lockstep per
+distance: the objective gets each row's start index and scores every
+row against its own body in one batch.  The bodies' vertex, facet and
+offset rows are padded to common lengths by repeating each one's last
+row, and every sum runs over a system's own rows only, so each body's
+search is bit for bit the one it runs alone; ``batches`` then counts the
+shared calls.
 """
 
 from __future__ import annotations
@@ -261,7 +268,14 @@ _NM_SECOND_POINT = np.array([[3.0, -2.0], [1.5, -0.5], [0.5, 0.5]])
 def _lockstep_nelder_mead(objective, x0, xatol, fatol, maxiter):
     """Nelder-Mead from every row of ``x0`` (S, N), all starts in lockstep.
 
-    ``objective`` maps a stack of points (B, N) to B values.  Every start
+    ``objective(W, starts)`` maps a stack of points W (B, N) to B values;
+    ``starts`` (B,) holds the start index of each row, so that starts may
+    search different functions; the orbit searches ignore it.  The body
+    searches of a ``reverse_isoperimetric_suite`` share one call per
+    distance and dimension, start s searching body s // restarts: their
+    objectives pad the bodies' rows to common lengths by repeating each
+    one's last row and sum each system over its own rows only, so every
+    start's values, and hence its steps, are those it has alone.  Every start
     takes exactly the steps of scipy's ``minimize(method="Nelder-Mead")``
     with adaptive=False and the given ``xatol``, ``fatol`` and ``maxiter``:
     the same initial simplex, the same reflect/expand/contract/shrink order
@@ -285,10 +299,10 @@ def _lockstep_nelder_mead(objective, x0, xatol, fatol, maxiter):
     S, N = x0.shape
     batches = 0
 
-    def f(W):
+    def f(W, starts):
         nonlocal batches
         batches += 1
-        return np.asarray(objective(W), dtype=float)
+        return np.asarray(objective(W, starts), dtype=float)
 
     def order(s, fs, rows):
         ind = np.argsort(fs, axis=1)
@@ -298,7 +312,8 @@ def _lockstep_nelder_mead(objective, x0, xatol, fatol, maxiter):
     k = np.arange(N)
     y = sim[:, k + 1, k]
     sim[:, k + 1, k] = np.where(y != 0, (1 + nonzdelt) * y, zdelt)
-    fsim = f(sim.reshape(-1, N)).reshape(S, N + 1)
+    fsim = f(sim.reshape(-1, N), np.repeat(np.arange(S), N + 1)).reshape(
+        S, N + 1)
     rows = np.arange(S)[:, None]
     sim, fsim = order(*order(sim, fsim, rows), rows)
     nfev = np.full(S, N + 1)
@@ -319,7 +334,7 @@ def _lockstep_nelder_mead(objective, x0, xatol, fatol, maxiter):
         xbar = np.add.reduce(s[:, :-1], 1) / N
         worst = s[:, -1]
         xnew = 2.0 * xbar - worst                   # the reflections x_r
-        fnew = f(xnew)
+        fnew = f(xnew, run)
         ne += 1
         expand = fnew < fs[:, 0]
         i = np.flatnonzero(~(fnew < fs[:, -2]) | expand)  # x_r not accepted
@@ -329,7 +344,7 @@ def _lockstep_nelder_mead(objective, x0, xatol, fatol, maxiter):
             kind = np.where(e, 0, 2 - (fr < fw))    # expand, outside, inside
             c = _NM_SECOND_POINT[kind]
             x2 = c[:, :1] * xbar[i] + c[:, 1:] * worst[i]
-            f2 = f(x2)
+            f2 = f(x2, run[i])
             ne[i] += 1
             take = np.choose(kind, (f2 < fr, f2 <= fr, f2 < fw))
             xnew[i[take]], fnew[i[take]] = x2[take], f2[take]
@@ -340,7 +355,8 @@ def _lockstep_nelder_mead(objective, x0, xatol, fatol, maxiter):
         s[:, -1], fs[:, -1] = xnew, fnew
         if len(shrink):
             s[shrink] = v
-            fs[shrink, 1:] = f(v[:, 1:].reshape(-1, N)).reshape(-1, N)
+            fs[shrink, 1:] = f(v[:, 1:].reshape(-1, N),
+                               np.repeat(run[shrink], N)).reshape(-1, N)
             ne[shrink] += N
         s, fs = order(s, fs, rows)
     sim[run], fsim[run], nfev[run] = s, fs, ne
@@ -355,7 +371,7 @@ def _orbit_minimize_3d(objective):
     The best start wins, the lowest index on ties.
     """
     fun, x, nfev, batches = _lockstep_nelder_mead(
-        lambda W: objective(_rotvec_matrix(W)),
+        lambda W, _: objective(_rotvec_matrix(W)),
         np.array(_orbit_start_points()), 1e-9, 1e-12, 400)
     best = int(np.argmin(fun))
     cert = {"method": "multistart-nelder-mead", "starts": len(fun),
@@ -595,7 +611,53 @@ def _normalized_frames(X, n):
     return mats[ok] / (np.abs(det[ok]) ** (1.0 / n))[:, None, None], ok
 
 
-def banach_mazur(K: BodyRep, M: BodyRep, restarts: int = 24, seed: int = 0):
+def _body_list(K):
+    """(bodies, single): a list of bodies of one dimension, one body as a
+    list of one."""
+    single = isinstance(K, BodyRep)
+    bodies = [K] if single else list(K)
+    if len({body.dim for body in bodies}) != 1:
+        raise ValueError("need one body or a list of bodies of one dimension")
+    return bodies, single
+
+
+def _padded(arrays):
+    """Arrays (m_k, ...) stacked to (len, max m_k, ...), each padded by
+    repeating its last row, and a mask (len, max m_k) of each one's own
+    rows, None when nothing was padded."""
+    m = max(len(a) for a in arrays)
+    out = np.array([np.concatenate([a, np.repeat(a[-1:], m - len(a), axis=0)])
+                    for a in arrays])
+    own = np.arange(m) < np.array([len(a) for a in arrays])[:, None]
+    return out, (None if own.all() else own)
+
+
+def _by_body(restarts, *arrays):
+    """A map from the start indices of a batch of rows to the per-body
+    ``arrays`` (one entry per body, or None) taken at each row's body,
+    start s searching body s // restarts.  With one body its entries are
+    returned as they are, to broadcast over the batch, with no gather."""
+    if len(arrays[0]) == 1:
+        one = [None if a is None else a[0] for a in arrays]
+        return lambda starts: one
+    return lambda starts: [None if a is None else a[starts // restarts]
+                           for a in arrays]
+
+
+def _body_searches(objective, bodies, restarts, scale, seed, xatol, maxiter):
+    """The searches of all ``bodies`` in one lockstep: ``restarts`` starts
+    (``_body_starts``) per body, start s searching body s // restarts.
+    Returns per body (best value, best start, evaluations), and the number
+    of objective calls."""
+    x0 = _body_starts(bodies[0].dim, restarts, scale, seed)
+    fun, _, nfev, batches = _lockstep_nelder_mead(
+        objective, np.tile(x0, (len(bodies), 1)), xatol, 1e-12, maxiter)
+    fun, nfev = fun.reshape(-1, restarts), nfev.reshape(-1, restarts)
+    return [(float(f[s]), int(s), int(e.sum()))
+            for f, e, s in zip(fun, nfev, np.argmin(fun, axis=1))], batches
+
+
+def banach_mazur(K, M: BodyRep, restarts: int = 24, seed: int = 0):
     """Upper bound on delta_BM(K, M) = log min { lam : K <= Phi M <= lam K }.
 
     For a trial Phi the optimal lam is computed exactly from vertex gauges:
@@ -604,76 +666,104 @@ def banach_mazur(K: BodyRep, M: BodyRep, restarts: int = 24, seed: int = 0):
     ``restarts`` Nelder-Mead starts (the identity, then random
     perturbations of it) run in lockstep through ``_lockstep_nelder_mead``
     (xatol 1e-10, fatol 1e-12, maxiter 2000), with lam evaluated for every
-    pending Phi of every start in one batch.  Returns (value, certificate).
+    pending Phi of every start in one batch.
+
+    ``K`` is one body or a list of bodies of one dimension, searched in one
+    lockstep: each objective call scores the pending Phi of every body's
+    running starts in one batch, each against its own body.  The bodies'
+    vertices and facets are padded to common lengths by repeating each
+    one's last row, which leaves the maxima of lam exact, so every body's
+    search is bit for bit the one it runs alone.  Returns (value,
+    certificate), or a list of them for a list; ``batches`` counts the
+    objective calls of the shared lockstep.
     """
-    n = K.dim
+    bodies, single = _body_list(K)
+    n = bodies[0].dim
     if n not in (2, 3):
         raise DimensionUnsupportedError("banach_mazur implemented for n in {2, 3}")
-    VK, (AK, bK) = K.to_vrep().vertices, K.to_hrep().halfspaces
+    hreps = [body.to_hrep().halfspaces for body in bodies]
+    VK, _ = _padded([body.to_vrep().vertices for body in bodies])
+    AK, _ = _padded([A for A, _ in hreps])
+    bK, _ = _padded([b for _, b in hreps])
+    by_body = _by_body(restarts, VK, AK.transpose(0, 2, 1), bK[:, None, :])
     VM, (AM, bM) = M.to_vrep().vertices, M.to_hrep().halfspaces
 
-    def lam(X):
+    def lam(X, starts):
         Phi, ok = _normalized_frames(X, n)
+        VKr, AKTr, bKr = by_body(starts[ok])
         Phi_inv = np.linalg.inv(Phi)
-        inner = np.max(((VK @ Phi_inv.transpose(0, 2, 1)) @ AM.T) / bM,
+        inner = np.max(((VKr @ Phi_inv.transpose(0, 2, 1)) @ AM.T) / bM,
                        axis=(1, 2))
-        outer = np.max(((VM @ Phi.transpose(0, 2, 1)) @ AK.T) / bK,
+        outer = np.max(((VM @ Phi.transpose(0, 2, 1)) @ AKTr) / bKr,
                        axis=(1, 2))
         out = np.full(len(ok), np.inf)
         out[ok] = inner * outer
         return out
 
-    fun, _, nfev, batches = _lockstep_nelder_mead(
-        lam, _body_starts(n, restarts, 0.3, seed), 1e-10, 1e-12, 2000)
-    best = int(np.argmin(fun))
-    value = math.log(max(fun[best], 1.0))
-    cert = {"restarts": restarts, "lambda": float(fun[best]),
-            "upper_bound_only": True, "best_start": best,
-            "nfev": int(nfev.sum()), "batches": batches}
-    return value, cert
+    searches, batches = _body_searches(lam, bodies, restarts, 0.3, seed,
+                                       1e-10, 2000)
+    out = [(math.log(max(fun, 1.0)),
+            {"restarts": restarts, "lambda": fun, "upper_bound_only": True,
+             "best_start": best, "nfev": nfev, "batches": batches})
+           for fun, best, nfev in searches]
+    return out[0] if single else out
 
 
-def _intersection_volumes(A, b):
-    """Volumes of the polytopes {x : A_k x <= b} for a stack A (B, m, n),
-    n in {2, 3}, and one offset vector b (m,); 0 where one has no interior.
+def _intersection_volumes(A, b, own=None):
+    """Volumes of the polytopes {x : A_k x <= b_k} for a stack A (B, m, n),
+    n in {2, 3}, and one offset vector b (m,) or one per system (B, m); 0
+    where one has no interior.
 
     With the origin inside, {x : Ax <= b} is the polar of conv{a_i / b_i},
     so each volume follows from the dual points through the polar-dual
     kernel of ``bodies`` (shared with the support sandwich and H -> V):
     ``_polar_areas`` (closed form, no Qhull) or ``_polar_volumes`` (one
-    hull).  The origin is the
-    centre when every b_i > 1e-12; otherwise each system is shifted to its
-    Chebyshev centre (``_interior_point``), and one without an interior
-    point (empty or flat) has volume 0.
+    hull).  The origin is the centre of a system when all its b_i >
+    1e-12; otherwise the system is shifted to its Chebyshev centre
+    (``_interior_point``), and one without an interior point (empty or
+    flat) has volume 0.
+
+    ``own`` (B, m), if given, marks each system's own rows; the others
+    repeat an own row before them, padding systems of different sizes to
+    one stack.  Each volume is then that of the own rows alone, bit for
+    bit: in n = 2 the repeats leave the arcs alone and each area is summed
+    over its own rows only; the n = 3 hulls and the Chebyshev centres see
+    the own rows only.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     B, m, n = A.shape
-    if b.shape != (m,):
+    if b.shape not in ((m,), (B, m)):
         raise ValueError(f"offsets of shape {b.shape} for {m} halfspaces")
     if n not in (2, 3):
         raise DimensionUnsupportedError("intersection volume for n in {2, 3}")
+
+    def volumes(P, own):
+        if n == 2:
+            return _polar_areas(P, own)
+        return _polar_volumes(P if own is None else
+                              [Pk[o] for Pk, o in zip(P, own)])[1]
+
+    centred = (b > 1e-12).all(axis=-1)          # one flag, or one per system
+    if centred.all():
+        return volumes(A / b[..., None], own)
+    b, centred = np.broadcast_to(b, (B, m)), np.broadcast_to(centred, B)
     out = np.zeros(B)
-    if np.all(b > 1e-12):
-        keep, offsets = np.arange(B), b
-    else:
-        keep, offsets = [], []
-        for k in range(B):
-            try:
-                centre = _interior_point(A[k], b)
-            except UnboundedBodyError:          # empty or flat
-                continue
-            keep.append(k)
-            offsets.append(b - A[k] @ centre)
-        keep, offsets = np.array(keep, dtype=int), np.array(offsets)
-    if len(keep) == 0:
-        return out
-    P = A[keep] / offsets[..., None]
-    out[keep] = _polar_areas(P) if n == 2 else _polar_volumes(P)[1]
+    for k in np.flatnonzero(~centred):
+        rows = slice(None) if own is None else own[k]
+        Ak, bk = A[k, rows], b[k, rows]
+        try:
+            centre = _interior_point(Ak, bk)
+        except UnboundedBodyError:              # empty or flat
+            continue
+        out[k] = volumes((Ak / (bk - Ak @ centre)[:, None])[None], None)[0]
+    if centred.any():
+        out[centred] = volumes(A[centred] / b[centred][..., None],
+                               None if own is None else own[centred])
     return out
 
 
-def volume_distance(K: BodyRep, M: BodyRep, restarts: int = 12, seed: int = 0):
+def volume_distance(K, M: BodyRep, restarts: int = 12, seed: int = 0):
     """Upper bound on delta_vol(K, M): min over SL(n) of the symmetric
     difference volume of the volume-normalized bodies.
 
@@ -687,28 +777,51 @@ def volume_distance(K: BodyRep, M: BodyRep, restarts: int = 12, seed: int = 0):
     start in one call.  ``restarts`` Nelder-Mead
     starts (the identity, then random perturbations of it) run in lockstep
     through ``_lockstep_nelder_mead`` (xatol 1e-9, fatol 1e-12, maxiter
-    1500).  Returns (value, certificate).
-    """
-    n = K.dim
-    VK, (AK, bK) = K.to_vrep().vertices, K.to_hrep().halfspaces
-    VM, (AM, bM) = M.to_vrep().vertices, M.to_hrep().halfspaces
-    alpha = hull_volume_area(VK)[0] ** (-1.0 / n)
-    beta = hull_volume_area(VM)[0] ** (-1.0 / n)
-    b = np.concatenate([bK * alpha, bM * beta])     # alpha K and beta M
+    1500).
 
-    def sym_diff(X):
+    ``K`` is one body or a list of bodies of one dimension, searched in one
+    lockstep: each objective call scores the pending maps of every body's
+    running starts in one kernel call.  The bodies' facets and offsets are
+    padded to a common length by repeating each one's last row, and
+    ``_intersection_volumes`` sums each system over its own rows only, so
+    every body's search is bit for bit the one it runs alone.  Returns
+    (value, certificate), or a list of them for a list; ``batches`` counts
+    the objective calls of the shared lockstep.
+    """
+    bodies, single = _body_list(K)
+    n = bodies[0].dim
+    VM, (AM, bM) = M.to_vrep().vertices, M.to_hrep().halfspaces
+    beta = hull_volume_area(VM)[0] ** (-1.0 / n)
+    AK, bK = [], []
+    for body in bodies:
+        A, b = body.to_hrep().halfspaces
+        AK.append(A)
+        bK.append(b * hull_volume_area(body.to_vrep().vertices)[0]
+                  ** (-1.0 / n))
+    AK, own = _padded(AK)
+    bK, _ = _padded(bK)
+    # the rows of alpha K, padded, then those of beta M
+    b = np.concatenate([bK, np.tile(bM * beta, (len(bodies), 1))], axis=1)
+    if own is not None:
+        own = np.concatenate([own, np.ones((len(bodies), len(bM)), bool)],
+                             axis=1)
+    by_body = _by_body(restarts, AK, b, own)
+
+    def sym_diff(X, starts):
         Phi, ok = _normalized_frames(X, n)
-        AKp = AK @ np.linalg.inv(Phi)
+        AKr, br, ownr = by_body(starts[ok])
+        AKp = AKr @ np.linalg.inv(Phi)
         A = np.concatenate(
             [AKp, np.broadcast_to(AM, (len(AKp),) + AM.shape)], axis=1)
         out = np.full(len(ok), 2.0)
-        out[ok] = np.maximum(2.0 - 2.0 * _intersection_volumes(A, b), 0.0)
+        out[ok] = np.maximum(2.0 - 2.0 * _intersection_volumes(A, br, ownr),
+                             0.0)
         return out
 
-    fun, _, nfev, batches = _lockstep_nelder_mead(
-        sym_diff, _body_starts(n, restarts, 0.25, seed), 1e-9, 1e-12, 1500)
-    best = int(np.argmin(fun))
-    cert = {"restarts": restarts, "method": "polar-dual-exact",
-            "upper_bound_only": True, "best_start": best,
-            "nfev": int(nfev.sum()), "batches": batches}
-    return float(fun[best]), cert
+    searches, batches = _body_searches(sym_diff, bodies, restarts, 0.25,
+                                       seed, 1e-9, 1500)
+    out = [(fun, {"restarts": restarts, "method": "polar-dual-exact",
+                  "upper_bound_only": True, "best_start": best, "nfev": nfev,
+                  "batches": batches})
+           for fun, best, nfev in searches]
+    return out[0] if single else out

@@ -153,6 +153,35 @@ def test_reverse_isoperimetric_hexagon():
     assert r.extra["delta_BM"] >= math.log(1.5) - 1e-9
 
 
+def test_reverse_isoperimetric_mixed_dimensions(monkeypatch):
+    # one shared search per dimension and distance; reports in input order,
+    # each equal to the body's own suite run
+    from isozonoid import harness
+
+    bodies = [cube_body(2), truncated_cube_body(3, 0.1),
+              regular_polygon_body(3)]
+    labels = ["cube", "cut3", "hex"]
+    single = [reverse_isoperimetric_suite([body], [label], restarts=2)[0]
+              for body, label in zip(bodies, labels)]
+    calls = []
+
+    def counted(name):
+        real = getattr(harness, name)
+
+        def search(Ks, *args, **kwargs):
+            calls.append((name, Ks[0].dim, len(Ks)))
+            return real(Ks, *args, **kwargs)
+        return search
+
+    for name in ("banach_mazur", "volume_distance"):
+        monkeypatch.setattr(harness, name, counted(name))
+    reps = reverse_isoperimetric_suite(bodies, labels, restarts=2)
+    assert sorted(calls) == [("banach_mazur", 2, 2), ("banach_mazur", 3, 1),
+                             ("volume_distance", 2, 2),
+                             ("volume_distance", 3, 1)]
+    assert [r.to_dict() for r in reps] == [r.to_dict() for r in single]
+
+
 def test_planar_square_zero_slack():
     r = planar_suite(cube_body(2))
     assert r.passed

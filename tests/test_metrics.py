@@ -486,12 +486,14 @@ def test_dwo_zero_iff_cross_fit(nu2, rng):
     assert val2 > 1e-3
 
 
-def _rosenbrock_rows(X):
+# objectives of a stack of points (B, N); like the orbit searches they
+# ignore the start index of each row that the driver passes
+def _rosenbrock_rows(X, starts=None):
     return np.sum(100.0 * (X[:, 1:] - X[:, :-1] ** 2) ** 2
                   + (1.0 - X[:, :-1]) ** 2, axis=1)
 
 
-def _kinked_rows(X):
+def _kinked_rows(X, starts=None):
     # nonsmooth and not a rotation objective: an l1 term plus a max of
     # affine functions, with flat directions to trigger contractions
     C = np.linspace(-1.0, 1.0, X.shape[1])
@@ -499,7 +501,7 @@ def _kinked_rows(X):
             + np.max(np.stack([X[:, 0] + X[:, -1], 0.5 - X[:, 1]]), axis=0))
 
 
-def _stepped_rows(X):
+def _stepped_rows(X, starts=None):
     # piecewise constant: equal values, hence every tie-break, are common
     return np.floor(4.0 * np.sum(np.abs(X - 0.3), axis=1)) / 4.0
 
@@ -551,6 +553,38 @@ def test_lockstep_nelder_mead_far_apart_premise():
     assert full[2].max() - full[2].min() >= 300     # evaluations apart
 
 
+@pytest.mark.parametrize("objective,together", [(_rosenbrock_rows, 1),
+                                                (_stepped_rows, 2)],
+                         ids=["rosenbrock", "stepped"])
+def test_lockstep_nelder_mead_per_start_objectives(objective, together):
+    # start s minimizes its own f_s(x) = f(x - c_s), so every row of every
+    # call (initial simplices, reflections, second points and shrinks) must
+    # carry its own start's index; the stepped objective shrinks several
+    # starts in one step
+    rng = np.random.default_rng(11)
+    C = rng.normal(size=(6, 4))
+    x0 = np.vstack([np.zeros(4), rng.normal(size=(5, 4))])
+    calls = []
+
+    def shifted(X, starts):
+        calls.append(np.array(starts))
+        return objective(X - C[starts])
+
+    fun, x, nfev, batches = _lockstep_nelder_mead(shifted, x0, 1e-8, 1e-10,
+                                                  3000)
+    for s, c in enumerate(C):
+        o_fun, o_x, o_nfev = multistart_nelder_mead(
+            lambda w: float(objective((w - c)[None])[0]), x0[s:s + 1],
+            1e-8, 1e-10, 3000)
+        assert fun[s] == o_fun[0]
+        assert np.array_equal(x[s], o_x[0])
+        assert nfev[s] == o_nfev[0]
+    assert batches == len(calls)
+    # only a shrink sends a start more than one row (N, one per vertex)
+    shrinks = [c for c in calls[1:] if len(np.unique(c)) < len(c)]
+    assert max(len(np.unique(c)) for c in shrinks) >= together
+
+
 def _reviso_body(n, shape, param):
     if shape == "cube":
         return john_normalize(cube_body(n))[0]
@@ -595,6 +629,68 @@ def test_orbit_searches_stop_at_n4():
         wasserstein_to_cross(nu4)
     with pytest.raises(DimensionUnsupportedError):
         hausdorff_to_cross(nu4.directions)
+
+
+def _search_keys(result, keys):
+    value, cert = result
+    return [value] + [cert[k] for k in keys]
+
+
+# mixed facet counts: 4, 8, 8 and 6
+MIXED_2D = [(2, "cube", None), (2, "cut", 0.1), (2, "cut", 0.25),
+            (2, "hexagon", None)]
+FAR_TRIANGLE = np.array([[3.0, 0.0], [4.0, 0.0], [3.0, 1.0]])
+BM_KEYS, VOL_KEYS = ("lambda", "best_start", "nfev"), ("best_start", "nfev")
+
+
+@pytest.fixture(scope="module")
+def single_2d():
+    """The MIXED_2D bodies and the triangle, each searched alone."""
+    W = cube_body(2)
+    Ks = [_reviso_body(*body) for body in MIXED_2D]
+    Ks.append(BodyRep.from_vertices(FAR_TRIANGLE))
+    bm = [_search_keys(banach_mazur(K, W, restarts=8), BM_KEYS)
+          for K in Ks[:-1]]
+    vol = [_search_keys(volume_distance(K, W, restarts=4), VOL_KEYS)
+           for K in Ks]
+    return Ks, bm, vol
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+def test_body_searches_many_equal_single_2d(order, single_2d):
+    # one shared lockstep per distance, each body's search bit for bit its
+    # own; the off-centre triangle (index 4) takes the Chebyshev-centre
+    # fallback inside the mixed volume batch
+    Ks, bm, vol = single_2d
+    W = cube_body(2)
+    idx = list(range(4))[::order]
+    many = banach_mazur([Ks[i] for i in idx], W, restarts=8)
+    assert [_search_keys(got, BM_KEYS) for got in many] == [bm[i] for i in idx]
+    idx = idx[:2] + [4] + idx[2:]
+    many = volume_distance([Ks[i] for i in idx], W, restarts=4)
+    assert [_search_keys(got, VOL_KEYS) for got in many] == \
+        [vol[i] for i in idx]
+    assert many[2][0] == 2.0
+    # every certificate counts the calls of the one shared lockstep
+    assert len({cert["batches"] for _, cert in many}) == 1
+
+
+def test_body_searches_many_equal_single_3d():
+    Ks = [_reviso_body(3, "cube", None), _reviso_body(3, "cut", 0.1)]
+    W = cube_body(3)
+    for fn, keys in ((banach_mazur, BM_KEYS), (volume_distance, VOL_KEYS)):
+        many = fn(Ks, W, restarts=2)
+        for K, got in zip(Ks, many):
+            assert _search_keys(got, keys) == _search_keys(
+                fn(K, W, restarts=2), keys)
+
+
+def test_body_searches_need_one_dimension():
+    for fn in (banach_mazur, volume_distance):
+        with pytest.raises(ValueError):
+            fn([cube_body(2), cube_body(3)], cube_body(2), restarts=2)
+        with pytest.raises(ValueError):
+            fn([], cube_body(2), restarts=2)
 
 
 def test_body_searches_need_a_start():
@@ -672,16 +768,20 @@ def test_polar_volume_of_boxes_under_diagonal_maps(rng):
         <= 1e-12
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_intersection_volumes_non_centred_batch(n):
-    # [0, 1]^n against s [0.5, 1.5]^n for s in a batch: overlaps of side
-    # min(1, 1.5 s) - 0.5 s, touching at s = 2 and disjoint at s = 3, all
-    # through the Chebyshev-centre shift
+def _non_centred_batch(n):
+    """[0, 1]^n against s [0.5, 1.5]^n for a batch of s: overlaps of side
+    min(1, 1.5 s) - 0.5 s, touching at s = 2 and disjoint at s = 3."""
     cube = np.vstack([np.eye(n), -np.eye(n)])
     b = np.concatenate([np.ones(n), np.zeros(n), np.full(n, 1.5),
                         np.full(n, -0.5)])
     s = np.array([1.0, 0.5, 0.8, 1.9, 2.0, 3.0])
-    A = np.array([np.vstack([cube, cube / si]) for si in s])
+    return np.array([np.vstack([cube, cube / si]) for si in s]), b, s
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_intersection_volumes_non_centred_batch(n):
+    # all through the Chebyshev-centre shift
+    A, b, s = _non_centred_batch(n)
     got = _intersection_volumes(A, b)
     side = np.maximum(np.minimum(1.0, 1.5 * s) - 0.5 * s, 0.0)
     assert np.max(np.abs(got - side ** n)) <= 1e-12
@@ -689,6 +789,32 @@ def test_intersection_volumes_non_centred_batch(n):
     if n == 2:
         exact = [float(polygon_clip_area_exact(Ak, b)) for Ak in A]
         assert np.max(np.abs(got - exact)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_intersection_volumes_padded_stack(n, rng):
+    # systems of different sizes in one stack, each padded by repeating its
+    # last row, with offsets per system: every volume is its own system's
+    # bit for bit, centred or not
+    batches = _intersection_batches(n, rng) + [_non_centred_batch(n)[:2]]
+    m = max(A.shape[1] for A, _ in batches)
+    stack, offsets, own, alone = [], [], [], []
+    for A, b in batches:
+        # as in volume_distance: the first body's rows, its last one
+        # repeated, then the 2n rows of the second
+        k, pad = len(b) - 2 * n, m - len(b)
+        rows = np.concatenate([np.arange(k), np.full(pad, k - 1),
+                               np.arange(k, len(b))])
+        mine = np.ones(m, bool)
+        mine[k:k + pad] = False
+        stack.append(A[:, rows])
+        offsets.append(np.tile(b[rows], (len(A), 1)))
+        own.append(np.tile(mine, (len(A), 1)))
+        alone.append(_intersection_volumes(A, b))
+    got = _intersection_volumes(np.concatenate(stack),
+                                np.concatenate(offsets), np.concatenate(own))
+    assert np.array_equal(got, np.concatenate(alone))
+    assert len({A.shape[1] for A, _ in batches}) > 1
 
 
 def test_intersection_volumes_qhull_calls(monkeypatch, rng):
@@ -709,9 +835,9 @@ def test_intersection_volumes_qhull_calls(monkeypatch, rng):
     real_driver = metrics._lockstep_nelder_mead
 
     def counted_driver(objective, *args):
-        def counted(X):
+        def counted(X, starts):
             start = len(calls)
-            out = objective(X)
+            out = objective(X, starts)
             searched.append((len(calls) - start, len(X)))
             return out
         return real_driver(counted, *args)
