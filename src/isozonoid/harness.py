@@ -12,6 +12,7 @@ which are fully quantitative.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -287,6 +288,17 @@ def angle_sum_lower_bound(eps, npts=256) -> bool:
     return bool(np.all(np.sin(a) + np.cos(a) >= 1.0 + 0.5 * eps - 1e-12))
 
 
+@functools.cache
+def _s1_ingredients():
+    """The measure-free S^1 proof ingredients, checked once per process on a
+    9 x 9 grid of angles b <= a in [0, 0.999 pi/2]: (tangent-sum
+    monotonicity, sine-sum decrease)."""
+    grid = np.linspace(0.0, np.pi / 2 * 0.999, 9)
+    pairs = [(a, b) for a in grid for b in grid if b <= a]
+    return (all(tangent_sum_increasing(a, b) for a, b in pairs),
+            all(sine_sum_decreasing(a, b) for a, b in pairs))
+
+
 def find_separated_pair(mu: AtomicMeasure, eta: float):
     """Support pair with eta <= angle <= pi/2 - eta (exists for proper
     supports with orbit distance >= eta); None when the search fails."""
@@ -303,9 +315,11 @@ def s1_sharp_suite(family):
     """Sharp S^1 stability: V(Z_inf) >= (1+eps/4) 2 and V(Z*_inf) <= (1-eps/10) 4.
 
     eps is the orbit-minimized Hausdorff distance of the support from the
-    cross; areas are exact polygon areas.  Each report also re-verifies the
-    proof ingredients (tangent-sum monotonicity, sine-sum decrease, the
-    angle-sum inequality, and existence of an eta-separated support pair).
+    cross; areas are exact polygon areas.  Each report also carries the
+    proof ingredients: tangent-sum monotonicity and sine-sum decrease, which
+    read no measure and are checked once per process (``_s1_ingredients``),
+    and, per measure, the angle-sum inequality and the existence of an
+    eta-separated support pair.
     """
     from .errors import NotIsotropicError
 
@@ -323,11 +337,7 @@ def s1_sharp_suite(family):
         ok = v_inf >= b_inf - 1e-9 and v_star <= b_star + 1e-9
         extra = {"V_Zinf": v_inf, "V_Zinf_star": v_star,
                  "bound_inf": b_inf, "bound_star": b_star}
-        grid = np.linspace(0.0, np.pi / 2 * 0.999, 9)
-        extra["tangent_monotone"] = all(
-            tangent_sum_increasing(a, b) for a in grid for b in grid if b <= a)
-        extra["sine_decreasing"] = all(
-            sine_sum_decreasing(a, b) for a in grid for b in grid if b <= a)
+        extra["tangent_monotone"], extra["sine_decreasing"] = _s1_ingredients()
         if 0.0 < eps < np.pi / 4:
             extra["angle_sum_ok"] = angle_sum_lower_bound(eps)
             extra["separated_pair"] = find_separated_pair(mu, eps) is not None

@@ -21,7 +21,9 @@ Hausdorff distance on the sphere is the standard symmetric max of the two
 one-sided max-min deviations.  The orbit searches score a stack of frames
 with ``_hausdorff_to_cross_batch``: one chord and one arcsin per atom-axis
 pair, to the nearer of +-r, the farther read as pi minus it, bit for bit
-the value of ``hausdorff_spherical`` on the cross.
+the value of ``hausdorff_spherical`` on the cross.  A set closed under exact
+negation, the support of an even measure, is scored on one atom per
+antipodal pair, with the same bits.
 
 Orbit searches.  In n = 2 both orbit distances are exact: each objective is
 piecewise linear in the frame angle, so its minimum sits at a kink and all
@@ -396,7 +398,7 @@ def hausdorff_spherical(X, Y) -> float:
     return max(one, two)
 
 
-def _hausdorff_to_cross_batch(X, R) -> np.ndarray:
+def _hausdorff_to_cross_batch(X, R, closed=False) -> np.ndarray:
     """delta_H(X, {+-rows of R_b}) for every frame of a stack R (B, n, n).
 
     ``angle_matrix``'s chord-stable formula with one chord per atom-axis
@@ -410,6 +412,13 @@ def _hausdorff_to_cross_batch(X, R) -> np.ndarray:
     ``hausdorff_spherical(X, np.vstack([R_b, -R_b]))`` bit for bit.  The
     arrays are laid out (atom, axis, frame), so the min and max over atoms
     and axes run across contiguous frames.
+
+    ``closed=True`` scores the set X u -X from one row per antipodal pair
+    (``_antipodal_half``).  The chords of -x are exact negations of those
+    of x, so -x has x's distance to the cross and adds to +r_j exactly
+    what x adds to -r_j: both cross points of an axis then take
+    min(plus, minus) over the half, and the value is bit for bit that of
+    the full set.
     """
     dots = (X @ R.transpose(0, 2, 1)).transpose(1, 2, 0)     # (k, n, B)
     pos = dots >= 0.0
@@ -433,7 +442,20 @@ def _hausdorff_to_cross_batch(X, R) -> np.ndarray:
     atoms = np.minimum(a, far).min(axis=1).max(axis=0)
     plus = np.where(pos, a, far).min(axis=0)                 # per point +r_j
     minus = np.where(pos, far, a).min(axis=0)                # per point -r_j
-    return np.maximum(atoms, np.maximum(plus, minus).max(axis=0))
+    cross = np.minimum(plus, minus) if closed else np.maximum(plus, minus)
+    return np.maximum(atoms, cross.max(axis=0))
+
+
+def _antipodal_half(X):
+    """One row per antipodal pair of X, or None when X is not closed under
+    exact negation.  Values are compared, so +-0.0 match; a set that is
+    even only within ``MERGE_ANGLE`` is not closed.  The row kept from
+    each pair is the lexicographically larger of x and -x."""
+    rows = [tuple(x) for x in X.tolist()]
+    neg = [tuple(-v for v in x) for x in rows]
+    if not set(neg) <= set(rows):
+        return None
+    return X[[x >= m for x, m in zip(rows, neg)]]
 
 
 def hausdorff_to_cross(X):
@@ -444,29 +466,46 @@ def hausdorff_to_cross(X):
     +-(phi - theta_i) + j pi/2 for a point angle theta_i, and pi/2-periodic;
     so every local minimum is a crossing of a falling and a rising piece,
     at phi = (theta_i + theta_j)/2 + k pi/4 (mod pi/2).  All such kink
-    candidates are evaluated in batches and the best is returned.
-    n = 3: the lockstep multistart Nelder-Mead of ``_orbit_minimize_3d``
-    (an upper bound).  Returns (value, frame, certificate).
+    candidates, taken from the full X, are evaluated in batches and the
+    best is returned.  n = 3: the lockstep multistart Nelder-Mead of
+    ``_orbit_minimize_3d`` (an upper bound).
+
+    When X is closed under exact negation (the support of an even measure)
+    the frames are scored on one row per antipodal pair, with
+    ``_hausdorff_to_cross_batch(..., closed=True)``, bit for bit the value
+    on the full X; any other X is scored as it is.  The certificate's
+    ``atoms`` is the number of rows scored.  Returns (value, frame,
+    certificate).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if len(X) == 0:
         raise EmptySetError("empty support")
     n = X.shape[1]
+    if n not in (2, 3):
+        raise DimensionUnsupportedError("orbit search implemented for n in {2, 3}")
+    half = _antipodal_half(X)
+    closed = half is not None
+    H = half if closed else X
+
+    def score(R):
+        return _hausdorff_to_cross_batch(H, R, closed)
+
     if n == 2:
         t = np.unique(np.arctan2(X[:, 1], X[:, 0]) % (np.pi / 2))
         i, j = np.triu_indices(len(t))
         mid = (t[i] + t[j]) / 2.0
         phis = np.unique(np.concatenate([mid, mid + np.pi / 4]) % (np.pi / 2))
         frames = _frames_2d(phis)
-        step = max(1, 2 ** 20 // (8 * len(X)))      # bounds the batch arrays
-        vals = np.concatenate([_hausdorff_to_cross_batch(X, frames[k:k + step])
+        step = max(1, 2 ** 20 // (8 * len(H)))      # bounds the batch arrays
+        vals = np.concatenate([score(frames[k:k + step])
                                for k in range(0, len(frames), step)])
         b = int(np.argmin(vals))
+        value, frame = float(vals[b]), frames[b]
         cert = {"method": "kink-enumeration", "candidates": len(phis)}
-        return float(vals[b]), frames[b], cert
-    if n == 3:
-        return _orbit_minimize_3d(lambda R: _hausdorff_to_cross_batch(X, R))
-    raise DimensionUnsupportedError("orbit search implemented for n in {2, 3}")
+    else:
+        value, frame, cert = _orbit_minimize_3d(score)
+    cert["atoms"] = len(H)
+    return value, frame, cert
 
 
 def wasserstein_hausdorff_bound(mu: AtomicMeasure, nu: AtomicMeasure,

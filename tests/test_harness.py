@@ -12,7 +12,8 @@ from isozonoid.harness import (REPORT_CSV_FIELDS, StabilityReport,
                                octagon_Q_body, perturbation_family,
                                planar_suite, regular_polygon_body,
                                reverse_isoperimetric_suite, s1_sharp_suite,
-                               sandwich_M_vertices, theorem_B_suite,
+                               sandwich_M_vertices, sine_sum_decreasing,
+                               tangent_sum_increasing, theorem_B_suite,
                                truncated_cube_body, zpmustab_consistency)
 from isozonoid.measures import check_isotropy, cross_measure
 
@@ -99,6 +100,19 @@ def test_s1_suite_octagon():
     assert r.passed
     assert r.epsilon == pytest.approx(np.pi / 8, abs=1e-9)
     assert r.extra["V_Zinf"] == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
+
+
+def test_s1_ingredients_checked_once_on_the_grid(hexm, nu2):
+    from isozonoid.harness import _s1_ingredients
+
+    grid = np.linspace(0.0, np.pi / 2 * 0.999, 9)
+    pairs = [(a, b) for a in grid for b in grid if b <= a]
+    want = (all(tangent_sum_increasing(a, b) for a, b in pairs),
+            all(sine_sum_decreasing(a, b) for a, b in pairs))
+    assert want == (True, True)
+    assert _s1_ingredients() == want
+    for r in s1_sharp_suite([hexm, nu2]):
+        assert (r.extra["tangent_monotone"], r.extra["sine_decreasing"]) == want
 
 
 def test_s1_bounds_beat_cubic_rate():

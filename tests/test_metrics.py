@@ -12,7 +12,8 @@ from isozonoid.harness import (john_normalize, perturbation_family,
 from isozonoid.measures import (AtomicMeasure, cross_measure,
                                 equiangular_measure, unit_vector)
 from isozonoid import bodies, metrics
-from isozonoid.metrics import (_cross_transport_dual, _hausdorff_to_cross_batch,
+from isozonoid.metrics import (_antipodal_half, _cross_transport_dual,
+                               _hausdorff_to_cross_batch,
                                _intersection_volumes,
                                _lockstep_nelder_mead,
                                banach_mazur,
@@ -280,6 +281,19 @@ def _unit_rows(rng, m, n):
     return X / np.linalg.norm(X, axis=1, keepdims=True)
 
 
+def _assert_batch_matches_scalar(X, R):
+    """The kernel on X, and on its half with closed=True when X is closed
+    under negation, equals hausdorff_spherical on the full X bit for bit;
+    returns whether the folded path was taken."""
+    scalar = [hausdorff_spherical(X, np.vstack([r, -r])) for r in R]
+    assert np.array_equal(_hausdorff_to_cross_batch(X, R), scalar)
+    H = _antipodal_half(X)
+    if H is not None:
+        assert np.array_equal(_hausdorff_to_cross_batch(H, R, closed=True),
+                              scalar)
+    return H is not None
+
+
 def test_hausdorff_to_cross_batch_matches_scalar(rng):
     from scipy.spatial.transform import Rotation
 
@@ -295,9 +309,11 @@ def test_hausdorff_to_cross_batch_matches_scalar(rng):
                               for phi in rng.uniform(0.0, 2.0 * np.pi, 16)])
             if trial % 5 == 0:
                 X = np.vstack([X, R[0], -R[1]])     # points on the cross
-            batch = _hausdorff_to_cross_batch(X, R)
-            scalar = [hausdorff_spherical(X, np.vstack([r, -r])) for r in R]
-            assert np.array_equal(batch, scalar)
+            if trial % 2 and trial % 5 == 0:
+                X = np.vstack([X, -R[0], R[1]])     # keep it closed
+            if trial % 3 == 0:
+                X = X[rng.permutation(len(X))]      # shuffled pair order
+            assert _assert_batch_matches_scalar(X, R) == bool(trial % 2)
     # exact right angles, <x, r> == 0, where angle_matrix takes the near
     # formula for both +-r: random frames never reach them
     for n in (2, 3):
@@ -306,12 +322,40 @@ def test_hausdorff_to_cross_batch_matches_scalar(rng):
         quarter[:2, :2] = [[0.0, -1.0], [1.0, 0.0]]
         R = np.stack([E, quarter, quarter.T, -E, E[::-1]])
         diagonal = np.full((1, n), 1.0 / math.sqrt(n))
-        for X in (E[:2], E, np.vstack([E, -E]), np.vstack([E[:1], -E[1:]]),
-                  np.vstack([E[1:], diagonal])):
+        for X, closed in ((E[:2], False), (E, False),
+                          (np.vstack([E, -E]), True),
+                          (np.vstack([-E[::-1], E]), True),
+                          (np.vstack([E[:1], -E[1:]]), False),
+                          (np.vstack([E[1:], diagonal]), False),
+                          (np.vstack([E, diagonal, -diagonal, -E]), True)):
             assert np.any(X @ R.transpose(0, 2, 1) == 0.0)
-            batch = _hausdorff_to_cross_batch(X, R)
-            scalar = [hausdorff_spherical(X, np.vstack([r, -r])) for r in R]
-            assert np.array_equal(batch, scalar)
+            assert _assert_batch_matches_scalar(X, R) == closed
+
+
+def test_hausdorff_to_cross_folds_closed_sets_only(rng):
+    """A set closed under exact negation is scored on one row per pair
+    (cert ``atoms`` k/2), any other set on all k rows, with the value of
+    the full set either way."""
+    from scipy.spatial.transform import Rotation
+
+    # JSON-style pair: +0.0 where exact negation gives -0.0
+    json_pair = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0],
+                          [0.6, 0.0, 0.8], [-0.6, 0.0, -0.8]])
+    assert (-json_pair[0]).tobytes() != json_pair[1].tobytes()
+    # even only within MERGE_ANGLE: the partner of x is -x turned by 1e-12
+    x = _unit_rows(rng, 4, 3)
+    y = -x + 1e-12 * _unit_rows(rng, 4, 3)
+    near = np.vstack([x, y / np.linalg.norm(y, axis=1, keepdims=True)])
+    assert np.max(np.linalg.norm(near[:4] + near[4:], axis=1)) <= 1e-9
+    other = _unit_rows(rng, 7, 3)
+    R = Rotation.random(16, random_state=rng).as_matrix()
+    for X, closed in ((json_pair, True), (near, False), (other, False)):
+        assert _assert_batch_matches_scalar(X, R) == closed
+        for Y in (X, X[:, :2] / np.linalg.norm(X[:, :2], axis=1,
+                                                keepdims=True)):
+            val, frame, cert = hausdorff_to_cross(Y)
+            assert cert["atoms"] == (len(Y) // 2 if closed else len(Y))
+            assert hausdorff_spherical(Y, np.vstack([frame, -frame])) == val
 
 
 def test_hausdorff_to_cross_2d_matches_dense_grid(rng):
