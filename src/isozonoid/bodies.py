@@ -368,23 +368,22 @@ def _triple(a, b, c):
             + a[..., 2] * (b[..., 0] * c[..., 1] - b[..., 1] * c[..., 0]))
 
 
-def _polar_volumes(P):
-    """Volumes (V(conv P_k), V(P_k^o)) of the hulls of the point sets P_k
-    (m_k, 3), given as a stack P (B, m, 3) or as a list of sets of any
-    sizes, and of their polars {x : <p_i, x> <= 1}, for hulls that contain
-    the origin in their interiors; two arrays of B.
+def _polar_fan(P):
+    """The fan of the polars {x : <p_i, x> <= 1} of the point sets of a
+    stack P (B, m, 3), for hulls that contain the origin in their
+    interiors.
 
     One Qhull hull of each point set.  A hull facet (nu, off) is the vertex
     x = nu / (-off) of the polytope, and the facet of plane i, with foot
     f_i = p_i / |p_i|^2, is fanned from f_i over its edges x_F x_G: the
-    two hull facets F, G that share the dual edge i -> j.  Summing
-    det(f_i, x_G, x_F) / 6 over the oriented dual edges gives the volume.
-    The fan runs over the facets of all sets at once; ``bincount`` sums
-    each set's terms in its own facet order.
+    two hull facets F, G that share the dual edge i -> j.  The fan runs
+    over the facets of all sets at once.  Returns the hull volumes (B,), the
+    set of each hull facet F, and per oriented dual edge (F, 3) its plane i
+    (an index into the concatenated points), the corners f_i and x_G, the
+    corner x_F (broadcast over the edges of F) and det(f_i, x_G, x_F).
     """
-    B = len(P)
     S, N, E, owner = [], [], [], []
-    hull_vols = np.empty(B)
+    hull_vols = np.empty(len(P))
     nf = nv = 0
     for k, Pk in enumerate(P):
         hull = ConvexHull(Pk)
@@ -403,11 +402,48 @@ def _polar_volumes(P):
     flip = _triple(E[:, :3], V1 - V0, V2 - V0) < 0
     S[flip, 1:] = S[flip, :0:-1]
     N[flip, 1:] = N[flip, :0:-1]
-    foot = Q / np.sum(Q * Q, axis=1)[:, None]
+    foot = (Q / np.sum(Q * Q, axis=1)[:, None])[S]
     # edge S[f, r] -> S[f, r + 1] is shared with facet N[f, r + 2]
-    dets = _triple(foot[S], X[N[:, [2, 0, 1]]], X[:, None, :])
+    x_G, x_F = X[N[:, [2, 0, 1]]], X[:, None, :]
+    return hull_vols, owner, S, foot, x_G, x_F, _triple(foot, x_G, x_F)
+
+
+def _polar_volumes(P):
+    """Volumes (V(conv P_k), V(P_k^o)) of the hulls of the point sets of a
+    stack P (B, m, 3), and of their polars {x : <p_i, x> <= 1}, for hulls
+    that contain the origin in their interiors; two arrays of B.
+
+    Summing det(f_i, x_G, x_F) / 6 over the oriented dual edges of
+    ``_polar_fan`` gives the volume; ``bincount`` sums each set's terms in
+    its own facet order.
+    """
+    hull_vols, owner, _, _, _, _, dets = _polar_fan(P)
     return hull_vols, np.bincount(owner, weights=dets.sum(axis=1),
-                                  minlength=B) / 6.0
+                                  minlength=len(P)) / 6.0
+
+
+def _polar_moments(P):
+    """(V(P^o), a, M) for one point set P (m, 3) whose hull contains the
+    origin in its interior: the volume of ``_polar_volumes``, bit for bit,
+    and per plane i the area a_i of the facet of P^o on <p_i, x> = 1 and its
+    first moment M_i = a_i c_i (c_i its centroid); both are 0 for a plane
+    that holds no facet.
+
+    Each fan triangle (f_i, x_G, x_F) of ``_polar_fan`` is a piece of facet
+    i, of centroid (f_i + x_G + x_F) / 3 and signed area
+    <(x_G - f_i) x (x_F - f_i), n_i> / 2 with n_i = p_i / |p_i|, which is
+    |p_i| det(f_i, x_G, x_F) / 2: f_i = n_i / |p_i| is orthogonal to the
+    other terms of the product.
+    """
+    m = len(P)
+    _, owner, S, foot, x_G, x_F, dets = _polar_fan(P[None])
+    volume = np.bincount(owner, weights=dets.sum(axis=1))[0] / 6.0
+    area = dets * np.sqrt(np.sum(P * P, axis=1))[S] / 2.0
+    moment = area[..., None] * (foot + x_G + x_F) / 3.0
+    a = np.bincount(S.ravel(), weights=area.ravel(), minlength=m)
+    M = np.stack([np.bincount(S.ravel(), weights=moment[..., j].ravel(),
+                              minlength=m) for j in range(3)], axis=1)
+    return volume, a, M
 
 
 def _hull_polar_volumes(P):

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import harness
 from .bodies import body_from_json, cube_body, volume
-from .errors import IsozonoidError
+from .errors import DimensionUnsupportedError, IsozonoidError
 from .john import contact_measure, isoperimetric_ratio, john_ellipsoid
 from .measures import measure_from_json
 from .metrics import (banach_mazur, hausdorff_spherical, hausdorff_to_cross,
@@ -70,7 +70,21 @@ def _seed_from(args) -> int:
 # suite runners
 
 
+# theoremB and caps draw even isotropic measures on n(n + 1)/2 + 4 random
+# pairs; past n = 4 the weight solve of such a draw usually fails
+DRAWN_DIMS = (2, 3, 4)
+
+
+def _check_drawn_dim(args):
+    """Refuse, before any draw, an n the random families are not drawn in."""
+    if args.n not in DRAWN_DIMS:
+        raise DimensionUnsupportedError(
+            f"suite {args.suite} draws its measures in n = 2, 3 or 4 only, "
+            f"not n = {args.n}")
+
+
 def _run_theoremB(args, seed):
+    _check_drawn_dim(args)
     n, p = args.n, args.p
     npairs = n * (n + 1) // 2 + 4       # enough pairs for feasible moment solves
     fam = harness.perturbation_family("RANDOM_ISOTROPIC", n,
@@ -150,6 +164,7 @@ def _run_ballbarthe(args, seed):
 def _run_caps(args, seed):
     from .caps import dvoretzky_rogers_caps, verify_isotropic_cap_bound
 
+    _check_drawn_dim(args)
     rng = np.random.default_rng(seed)
     reps = []
     for i in range(args.count):

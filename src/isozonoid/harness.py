@@ -452,10 +452,11 @@ def reverse_isoperimetric_suite(bodies, labels=None, distances: bool = True,
     chain K <= Z*_inf(contact measure) and the cube sandwich when applicable.
 
     Bodies are John-normalized first (the normalizing map is recorded).
-    The distance searches of all bodies of one dimension share one
-    lockstep per distance (one ``volume_distance`` and one
-    ``banach_mazur`` call on the list of them), each body's search bit for
-    bit the one it runs alone; the reports follow the input order.
+    The bodies of one dimension go to one ``volume_distance`` and one
+    ``banach_mazur`` call on the list of them; their Nelder-Mead searches
+    share one lockstep per distance, each body's search bit for bit the
+    one it runs alone (the n = 3 delta_vol search runs body by body); the
+    reports follow the input order.
     """
     labels = labels or [str(i) for i in range(len(bodies))]
     normalized = [john_normalize(body)[0] for body in bodies]

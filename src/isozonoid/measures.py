@@ -202,13 +202,17 @@ def cross_measure(n: int, frame=None) -> AtomicMeasure:
 
 
 def equiangular_measure(m: int) -> AtomicMeasure:
-    """2m atoms equally spaced on S^1 with weights 1/m (isotropic, even)."""
+    """2m atoms equally spaced on S^1 with weights 1/m (isotropic, even).
+
+    Atoms 0..m-1 sit at the angles k pi / m, and atoms m..2m-1 are their
+    exact negations, so the support is closed under negation bit for bit
+    (the folds of ``metrics`` rely on it)."""
     if m < 2:
         raise ValueError("need m >= 2")
-    ang = np.arange(2 * m) * np.pi / m
+    ang = np.arange(m) * np.pi / m
     U = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    return AtomicMeasure(dim=2, directions=U, weights=np.full(2 * m, 1.0 / m),
-                         even=True)
+    return AtomicMeasure(dim=2, directions=np.vstack([U, -U]),
+                         weights=np.full(2 * m, 1.0 / m), even=True)
 
 
 def hexagonal_measure() -> AtomicMeasure:

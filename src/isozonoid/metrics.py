@@ -42,20 +42,27 @@ polar-dual kernel of ``bodies``: in closed form in n = 2 (an exact sum over
 the arcs where each facet is active, no Qhull call) and from one hull of the
 dual points in n = 3.
 
-Every multistart search here runs on ``_lockstep_nelder_mead``: the starts
-advance in lockstep, each taking exactly the steps of scipy's Nelder-Mead,
-with every pending simplex point of every running start evaluated in one
-batched objective call.  Only the running starts are tested and stepped.
-Certificates record the winning start (``best_start``), the objective
-evaluations of all starts (``nfev``) and the objective calls
-(``batches``).  The body searches take one body or a list of bodies of
-one dimension, and the searches of a list share one lockstep per
-distance: the objective gets each row's start index and scores every
-row against its own body in one batch.  The bodies' vertex, facet and
-offset rows are padded to common lengths by repeating each one's last
-row, and every sum runs over a system's own rows only, so each body's
-search is bit for bit the one it runs alone; ``batches`` then counts the
-shared calls.
+The n = 3 volume difference is smooth where the facet structure of the
+intersection is fixed, and its exact gradient comes from the same hull:
+each facet's area times the normal velocity of its centroid (Lasserre).
+Its search runs scipy's BFGS from each start, one body at a time, and its
+certificate records the iterations (``nit``) and the gradient at the
+returned point (``grad_norm``).
+
+Every other multistart search here runs on ``_lockstep_nelder_mead``: the
+starts advance in lockstep, each taking exactly the steps of scipy's
+Nelder-Mead, with every pending simplex point of every running start
+evaluated in one batched objective call.  Only the running starts are
+tested and stepped.  Certificates record the winning start
+(``best_start``), the objective evaluations of all starts (``nfev``) and
+the objective calls (``batches``).  The body searches take one body or a
+list of bodies of one dimension, and the Nelder-Mead searches of a list
+share one lockstep per distance: the objective gets each row's start
+index and scores every row against its own body in one batch.  The
+bodies' vertex, facet and offset rows are padded to common lengths by
+repeating each one's last row, and every sum runs over a system's own
+rows only, so each body's search is bit for bit the one it runs alone;
+``batches`` then counts the shared calls.
 """
 
 from __future__ import annotations
@@ -64,10 +71,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog, minimize
 
-from .bodies import (BodyRep, _interior_point, _polar_areas, _polar_volumes,
-                     hull_volume_area)
+from .bodies import (BodyRep, _interior_point, _polar_areas, _polar_moments,
+                     _polar_volumes, hull_volume_area)
 from .errors import (DimensionUnsupportedError, EmptySetError,
                      HypothesisFailedError, MassMismatchError,
                      UnboundedBodyError)
@@ -272,12 +279,13 @@ def _lockstep_nelder_mead(objective, x0, xatol, fatol, maxiter):
 
     ``objective(W, starts)`` maps a stack of points W (B, N) to B values;
     ``starts`` (B,) holds the start index of each row, so that starts may
-    search different functions; the orbit searches ignore it.  The body
-    searches of a ``reverse_isoperimetric_suite`` share one call per
-    distance and dimension, start s searching body s // restarts: their
-    objectives pad the bodies' rows to common lengths by repeating each
-    one's last row and sum each system over its own rows only, so every
-    start's values, and hence its steps, are those it has alone.  Every start
+    search different functions; the orbit searches ignore it.  The
+    Nelder-Mead body searches of a ``reverse_isoperimetric_suite`` share
+    one call per distance and dimension, start s searching body
+    s // restarts: their objectives pad the bodies' rows to common lengths
+    by repeating each one's last row and sum each system over its own rows
+    only, so every start's values, and hence its steps, are those it has
+    alone.  Every start
     takes exactly the steps of scipy's ``minimize(method="Nelder-Mead")``
     with adaptive=False and the given ``xatol``, ``fatol`` and ``maxiter``:
     the same initial simplex, the same reflect/expand/contract/shrink order
@@ -762,12 +770,11 @@ def _intersection_volumes(A, b, own=None):
     (``_interior_point``), and one without an interior point (empty or
     flat) has volume 0.
 
-    ``own`` (B, m), if given, marks each system's own rows; the others
+    ``own`` (B, m), n = 2 only, marks each system's own rows; the others
     repeat an own row before them, padding systems of different sizes to
-    one stack.  Each volume is then that of the own rows alone, bit for
-    bit: in n = 2 the repeats leave the arcs alone and each area is summed
-    over its own rows only; the n = 3 hulls and the Chebyshev centres see
-    the own rows only.
+    one stack.  Each area is then that of the own rows alone, bit for bit:
+    the repeats leave the arcs alone, each area is summed over its own rows
+    only, and the Chebyshev centres see the own rows only.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -776,12 +783,11 @@ def _intersection_volumes(A, b, own=None):
         raise ValueError(f"offsets of shape {b.shape} for {m} halfspaces")
     if n not in (2, 3):
         raise DimensionUnsupportedError("intersection volume for n in {2, 3}")
+    if own is not None and n != 2:
+        raise ValueError("padded stacks are scored in n = 2 only")
 
     def volumes(P, own):
-        if n == 2:
-            return _polar_areas(P, own)
-        return _polar_volumes(P if own is None else
-                              [Pk[o] for Pk, o in zip(P, own)])[1]
+        return _polar_areas(P, own) if n == 2 else _polar_volumes(P)[1]
 
     centred = (b > 1e-12).all(axis=-1)          # one flag, or one per system
     if centred.all():
@@ -802,6 +808,69 @@ def _intersection_volumes(A, b, own=None):
     return out
 
 
+def _intersection_moments(A, b):
+    """(V, a, M) of {x : Ax <= b} for one system A (m, 3), b (m,): its
+    volume, and per row i the area a_i of its facet on <a_i, x> = b_i and
+    that facet's first moment M_i = a_i c_i (``bodies._polar_moments``);
+    all 0 when the system has no interior point.  An off-centre system is
+    scored about its Chebyshev centre z, as in ``_intersection_volumes``,
+    and its moments are shifted back by a_i z."""
+    try:
+        z = _interior_point(A, b)
+    except UnboundedBodyError:                  # empty or flat
+        return 0.0, np.zeros(len(b)), np.zeros(A.shape)
+    V, a, M = _polar_moments(A / (b - A @ z)[:, None])
+    return V, a, M + a[:, None] * z
+
+
+def _sym_diff_3d(AK, b, AM):
+    """The n = 3 delta_vol objective of one body, with its exact gradient.
+
+    At X (a row of 9) it is 2 - 2 V with V the volume of
+    P = Phi alpha K cap beta M, Phi = X s, s = |det X|^(-1/3): the rows
+    ``AK`` Phi^-1 and ``AM`` with offsets ``b``.  Each call builds one hull
+    (``_intersection_moments``) and returns the value and its gradient.
+    Only the facets of Phi alpha K move, a point x of them with velocity
+    dPhi Phi^-1 x, so dV/dPhi = G = sum_i a_i n_i (Phi^-1 c_i)^T over K's
+    rows (Lasserre, JOTA 1983), and through the normalization
+    dV/dX = s (G - tr(X^T G) X^-T / 3).  A singular X (|det| < 1e-9) and an
+    empty intersection score 2 with a zero gradient.
+    """
+    k = len(AK)
+
+    def sym_diff(x):
+        X = x.reshape(3, 3)
+        det = abs(np.linalg.det(X))
+        if det < 1e-9:
+            return 2.0, np.zeros(9)
+        r = det ** (1.0 / 3.0)
+        Phi_inv = np.linalg.inv(X / r)
+        AKp = AK @ Phi_inv
+        V, _, M = _intersection_moments(np.vstack([AKp, AM]), b)
+        normals = AKp / np.linalg.norm(AKp, axis=1)[:, None]
+        G = normals.T @ M[:k] @ Phi_inv.T
+        dV = (G - np.sum(X * G) / r * Phi_inv.T / 3.0) / r
+        return max(2.0 - 2.0 * V, 0.0), -2.0 * dV.ravel()
+
+    return sym_diff
+
+
+def _bfgs_volume_search(objective, restarts, seed):
+    """scipy BFGS on an objective that returns (value, gradient) (gtol
+    1e-10), from each of ``_body_starts`` (n = 3, scale 0.25).  Returns
+    (value, certificate) of the best start, the lowest index on ties."""
+    runs = [minimize(objective, x0, jac=True, method="BFGS",
+                     options={"gtol": 1e-10})
+            for x0 in _body_starts(3, restarts, 0.25, seed)]
+    best = int(np.argmin([run.fun for run in runs]))
+    return float(runs[best].fun), {
+        "method": "bfgs-exact-gradient", "restarts": restarts,
+        "best_start": best, "nfev": sum(int(run.nfev) for run in runs),
+        "nit": sum(int(run.nit) for run in runs),
+        "grad_norm": float(np.max(np.abs(runs[best].jac))),
+        "upper_bound_only": True}
+
+
 def volume_distance(K, M: BodyRep, restarts: int = 12, seed: int = 0):
     """Upper bound on delta_vol(K, M): min over SL(n) of the symmetric
     difference volume of the volume-normalized bodies.
@@ -809,23 +878,30 @@ def volume_distance(K, M: BodyRep, restarts: int = 12, seed: int = 0):
     For polytope inputs the symmetric difference is computed exactly from
     the intersection volume (V(sym diff) = 2 - 2 V(intersection) after
     normalizing both bodies to volume 1).  That volume is the polar-dual
-    volume of ``_intersection_volumes``: the intersection is the polar of
-    the hull of the dual points a_i / b_i of both bodies' facets, so the
-    polar-dual kernel of ``bodies`` gives it as a closed-form arc sum in
-    n = 2 and one Qhull hull in n = 3, for every pending trial map of every
-    start in one call.  ``restarts`` Nelder-Mead
-    starts (the identity, then random perturbations of it) run in lockstep
-    through ``_lockstep_nelder_mead`` (xatol 1e-9, fatol 1e-12, maxiter
-    1500).
+    volume of the hull of the dual points a_i / b_i of both bodies'
+    facets: a closed-form arc sum in n = 2, one Qhull hull in n = 3.
+    ``restarts`` starts (the identity, then random perturbations of it)
+    search each body.
 
-    ``K`` is one body or a list of bodies of one dimension, searched in one
-    lockstep: each objective call scores the pending maps of every body's
-    running starts in one kernel call.  The bodies' facets and offsets are
-    padded to a common length by repeating each one's last row, and
-    ``_intersection_volumes`` sums each system over its own rows only, so
-    every body's search is bit for bit the one it runs alone.  Returns
-    (value, certificate), or a list of them for a list; ``batches`` counts
-    the objective calls of the shared lockstep.
+    n = 3: each body is searched on its own by ``_bfgs_volume_search``,
+    BFGS on the exact gradient of the intersection volume, read from the
+    same hull (``_sym_diff_3d``).  The certificate records ``method`` ("bfgs-exact-gradient"),
+    ``restarts``, ``best_start``, the evaluations ``nfev`` and iterations
+    ``nit`` of all starts, and ``grad_norm``, the largest gradient entry at
+    the returned point: a stationary point, not a global minimum.
+
+    n = 2: ``_lockstep_nelder_mead`` (xatol 1e-9, fatol 1e-12, maxiter
+    1500) over ``_intersection_volumes``, with every pending trial map of
+    every start scored in one call.  A list of bodies is searched in one
+    lockstep: the bodies' facets and offsets are padded to a common length
+    by repeating each one's last row, and ``_intersection_volumes`` sums
+    each system over its own rows only, so every body's search is bit for
+    bit the one it runs alone.  The certificate records ``method``
+    ("polar-dual-exact"), ``best_start``, ``nfev`` and ``batches``, the
+    objective calls of the shared lockstep.
+
+    Returns (value, certificate), or a list of them for a list of bodies
+    of one dimension.
     """
     bodies, single = _body_list(K)
     n = bodies[0].dim
@@ -837,6 +913,11 @@ def volume_distance(K, M: BodyRep, restarts: int = 12, seed: int = 0):
         AK.append(A)
         bK.append(b * hull_volume_area(body.to_vrep().vertices)[0]
                   ** (-1.0 / n))
+    if n == 3:
+        out = [_bfgs_volume_search(
+            _sym_diff_3d(A, np.concatenate([b, bM * beta]), AM), restarts,
+            seed) for A, b in zip(AK, bK)]
+        return out[0] if single else out
     AK, own = _padded(AK)
     bK, _ = _padded(bK)
     # the rows of alpha K, padded, then those of beta M

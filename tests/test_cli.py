@@ -218,6 +218,23 @@ def test_verify_at_n4(suite, p, code, tmp_path, capsys):
         assert min(r["V_Zp"] for r in rows) >= 16.0 / 24.0
 
 
+@pytest.mark.parametrize("n", ["5", "1"])
+@pytest.mark.parametrize("suite", ["theoremB", "caps"])
+def test_verify_drawn_suites_refuse_n_before_drawing(suite, n, tmp_path,
+                                                     capsys, monkeypatch):
+    drawn = []
+    real = harness.random_even_isotropic
+    monkeypatch.setattr(harness, "random_even_isotropic",
+                        lambda *a, **k: drawn.append(1) or real(*a, **k))
+    out = tmp_path / "x.json"
+    rc = main(["verify", "--suite", suite, "--n", n, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"draws its measures in n = 2, 3 or 4 only, not n = {n}" in err
+    assert not drawn and not out.exists()
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_verify_caps_matrix(n, tmp_path, capsys):
     out = tmp_path / "caps.json"
@@ -248,6 +265,29 @@ def test_verify_reviso_n2(tmp_path):
         bodies, ["cube", "cut-0.1", "cut-0.25", "hexagon"])
     want = json.loads(json.dumps([r.to_dict() for r in direct]))
     assert rows == want
+
+
+# delta_vol of the Nelder-Mead search that the n = 3 BFGS search replaced,
+# and delta_BM, which did not move
+REVISO_N3 = {"cube": (1.3631318296347672e-12, 2.273736754432062e-13),
+             "cut-0.1": (0.0017076692322408604, 0.059468756188760845),
+             "cut-0.25": (0.024927662172343323, 0.15587933493870088)}
+
+
+def test_verify_reviso_n3(tmp_path, capsys):
+    out = tmp_path / "reviso.json"
+    rc = main(["verify", "--suite", "reviso", "--n", "3", "--out", str(out)])
+    assert rc == 0
+    assert "Traceback" not in capsys.readouterr().err
+    rows = json.loads(out.read_text(), parse_constant=_reject_constant)
+    header = (tmp_path / "reviso.csv").read_text().splitlines()[0]
+    assert header.split(",") == REPORT_CSV_FIELDS
+    assert [r["label"] for r in rows] == list(REVISO_N3)
+    for row in rows:
+        dvol, dbm = REVISO_N3[row["label"]]
+        assert row["passed"] and row["n"] == 3
+        assert 0.0 <= row["delta_vol"] <= dvol + 1e-12
+        assert row["delta_BM"] == dbm
 
 
 def test_transport_subcommand(tmp_path):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from isozonoid.bodies import BodyRep, cube_body, hull_volume_area
+from isozonoid.bodies import (BodyRep, _polar_volumes, cube_body,
+                              hull_volume_area)
 from isozonoid.errors import (DimensionUnsupportedError, HypothesisFailedError,
                               MassMismatchError)
 from isozonoid.harness import (john_normalize, perturbation_family,
@@ -14,8 +15,8 @@ from isozonoid.measures import (AtomicMeasure, cross_measure,
 from isozonoid import bodies, metrics
 from isozonoid.metrics import (_antipodal_half, _cross_transport_dual,
                                _hausdorff_to_cross_batch,
-                               _intersection_volumes,
-                               _lockstep_nelder_mead,
+                               _intersection_moments, _intersection_volumes,
+                               _lockstep_nelder_mead, _sym_diff_3d,
                                banach_mazur,
                                deep_hole, fit_cross_frame, hausdorff_spherical,
                                hausdorff_to_cross, rotated_cross_measure,
@@ -358,6 +359,21 @@ def test_hausdorff_to_cross_folds_closed_sets_only(rng):
             assert hausdorff_spherical(Y, np.vstack([frame, -frame])) == val
 
 
+def test_equiangular_supports_fold():
+    # atoms m..2m-1 are the exact negations of atoms 0..m-1, so delta_HO
+    # scores one atom per pair for the four equiangular measures of s1, and
+    # the m = 3 kink enumeration takes 12 candidates (16 from cos/sin of
+    # k pi / m for all 2m atoms)
+    for m in (2, 3, 4, 6):
+        X = equiangular_measure(m).directions
+        assert np.array_equal(X[m:], -X[:m])
+        value, frame, cert = hausdorff_to_cross(X)
+        assert cert["atoms"] == m
+        assert hausdorff_spherical(X, np.vstack([frame, -frame])) == value
+    assert hausdorff_to_cross(equiangular_measure(3).directions)[2][
+        "candidates"] == 12
+
+
 def test_hausdorff_to_cross_2d_matches_dense_grid(rng):
     npts = 20000
     fam = perturbation_family("EQUIANGULAR", 2, [2, 3, 4, 6])
@@ -662,8 +678,16 @@ def test_volume_distance_not_above_per_start_scipy(n, shape, param):
     o_val, _, _ = volume_distance_per_start(K, cube_body(n), restarts)
     assert 0.0 <= val <= o_val + 1e-9
     assert 0 <= cert["best_start"] < restarts
-    assert cert["nfev"] >= restarts * (n * n + 1)
-    assert 1 < cert["batches"] < cert["nfev"]
+    if n == 2:
+        assert cert["nfev"] >= restarts * (n * n + 1)
+        assert 1 < cert["batches"] < cert["nfev"]
+        return
+    # n = 3: BFGS per start, no lockstep
+    assert list(cert) == ["method", "restarts", "best_start", "nfev", "nit",
+                          "grad_norm", "upper_bound_only"]
+    assert cert["method"] == "bfgs-exact-gradient"
+    assert restarts <= cert["nit"] < cert["nfev"]
+    assert 0.0 <= cert["grad_norm"] < 1e-5
 
 
 def test_orbit_searches_stop_at_n4():
@@ -835,7 +859,7 @@ def test_intersection_volumes_non_centred_batch(n):
         assert np.max(np.abs(got - exact)) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2])
 def test_intersection_volumes_padded_stack(n, rng):
     # systems of different sizes in one stack, each padded by repeating its
     # last row, with offsets per system: every volume is its own system's
@@ -861,6 +885,13 @@ def test_intersection_volumes_padded_stack(n, rng):
     assert len({A.shape[1] for A, _ in batches}) > 1
 
 
+def test_intersection_volumes_pad_n2_only(rng):
+    # n = 3 bodies are searched one by one, so no n = 3 stack is padded
+    A, b = _intersection_batches(3, rng)[0]
+    with pytest.raises(ValueError):
+        _intersection_volumes(A, b, np.ones(A.shape[:2], bool))
+
+
 def test_intersection_volumes_qhull_calls(monkeypatch, rng):
     # n = 2 is closed form; n = 3 is one hull per system (the polar-dual
     # kernel lives in bodies), and metrics has no halfspace intersection
@@ -874,19 +905,25 @@ def test_intersection_volumes_qhull_calls(monkeypatch, rng):
         _intersection_volumes(A, b)
         assert len(calls) == (0 if n == 2 else len(A))
     # every objective call of the search: no hull in n = 2 (its setup's
-    # conversions make some), one per trial map in n = 3
+    # conversions make some), one per trial map in n = 3, where each BFGS
+    # call scores one map and returns its gradient from the same hull
     searched = []
-    real_driver = metrics._lockstep_nelder_mead
+    real_driver, real_minimize = metrics._lockstep_nelder_mead, metrics.minimize
 
-    def counted_driver(objective, *args):
-        def counted(X, starts):
+    def counted(objective, maps):
+        def wrapped(X, *args):
             start = len(calls)
-            out = objective(X, starts)
-            searched.append((len(calls) - start, len(X)))
+            out = objective(X, *args)
+            searched.append((len(calls) - start, maps(X)))
             return out
-        return real_driver(counted, *args)
+        return wrapped
 
-    monkeypatch.setattr(metrics, "_lockstep_nelder_mead", counted_driver)
+    monkeypatch.setattr(
+        metrics, "_lockstep_nelder_mead", lambda objective, *args: real_driver(
+            counted(objective, len), *args))
+    monkeypatch.setattr(
+        metrics, "minimize", lambda objective, *args, **kw: real_minimize(
+            counted(objective, lambda x: 1), *args, **kw))
     for n, shape, param, restarts in ((2, "cut", 0.25, 2), (3, "cut", 0.1, 1)):
         del searched[:]
         volume_distance(_reviso_body(n, shape, param), cube_body(n),
@@ -895,6 +932,64 @@ def test_intersection_volumes_qhull_calls(monkeypatch, rng):
         assert all(hulls == (0 if n == 2 else maps)
                    for hulls, maps in searched)
     assert not hasattr(metrics, "HalfspaceIntersection")
+
+
+def _sym_diff_systems(shape, param):
+    """The n = 3 delta_vol objective of a reviso body against the cube, for
+    the body at its place and moved off the origin by (0.8, 0.1, 0): there
+    the intersection does not hold the origin."""
+    K, W = _reviso_body(3, shape, param), cube_body(3)
+    (AK, bK), (AM, bM) = K.to_hrep().halfspaces, W.halfspaces
+    bK = bK * hull_volume_area(K.to_vrep().vertices)[0] ** (-1.0 / 3.0)
+    bM = bM / 2.0
+    return [_sym_diff_3d(AK, np.concatenate([bK + AK @ t, bM]), AM)
+            for t in (np.zeros(3), np.array([0.8, 0.1, 0.0]))]
+
+
+@pytest.mark.parametrize("shape,param", [("cube", None), ("cut", 0.1),
+                                         ("cut", 0.25)])
+def test_sym_diff_3d_gradient_matches_central_differences(shape, param, rng):
+    h = 1e-6
+    for objective in _sym_diff_systems(shape, param):
+        for _ in range(4):
+            x = (np.eye(3) + 0.3 * rng.normal(size=(3, 3))).ravel()
+            value, grad = objective(x)
+            assert 0.0 < value < 2.0
+            fd = [(objective(x + h * e)[0] - objective(x - h * e)[0]) / (2 * h)
+                  for e in np.eye(9)]
+            assert np.max(np.abs(grad - fd)) <= 1e-7
+            # scale-invariant objective: the gradient is orthogonal to X
+            assert abs(grad @ x) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_sym_diff_3d_empty_and_singular():
+    objective = _sym_diff_systems("cut", 0.25)[0]
+    for x in (np.eye(3).ravel() * 1e-4, np.zeros(9)):     # |det| < 1e-9
+        value, grad = objective(x)
+        assert value == 2.0 and not grad.any()
+    K = _reviso_body(3, "cut", 0.25)
+    AK, bK = K.to_hrep().halfspaces
+    AM, bM = cube_body(3).halfspaces
+    far = _sym_diff_3d(AK, np.concatenate([bK + AK @ [5.0, 0, 0], bM]), AM)
+    value, grad = far(np.eye(3).ravel())
+    assert value == 2.0 and not grad.any()
+
+
+def test_intersection_moments_close_the_surface(rng):
+    # sum_i a_i n_i = 0 and (1/3) sum_i <n_i, M_i> = V (the divergence
+    # theorem), with V the volume of _polar_volumes, centred or not
+    systems = [(Ak, b) for A, b in _intersection_batches(3, rng) for Ak in A]
+    A, b, _ = _non_centred_batch(3)
+    systems += [(Ak, b) for Ak in A[:4]]
+    for Ak, bk in systems:
+        V, a, M = _intersection_moments(Ak, bk)
+        normals = Ak / np.linalg.norm(Ak, axis=1)[:, None]
+        assert np.max(np.abs(a @ normals)) <= 1e-12
+        assert abs(np.sum(normals * M) / 3.0 - V) <= 1e-12 * V
+        assert abs(V - _intersection_volumes(Ak[None], bk)[0]) <= 1e-12 * V
+        if (bk > 1e-12).all():
+            assert V == _polar_volumes((Ak / bk[:, None])[None])[1][0]
+    assert _intersection_moments(A[5], b)[0] == 0.0       # disjoint
 
 
 def test_intersection_volume_empty_and_invalid():
