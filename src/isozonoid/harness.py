@@ -453,10 +453,10 @@ def reverse_isoperimetric_suite(bodies, labels=None, distances: bool = True,
 
     Bodies are John-normalized first (the normalizing map is recorded).
     The bodies of one dimension go to one ``volume_distance`` and one
-    ``banach_mazur`` call on the list of them; their Nelder-Mead searches
-    share one lockstep per distance, each body's search bit for bit the
-    one it runs alone (the n = 3 delta_vol search runs body by body); the
-    reports follow the input order.
+    ``banach_mazur`` call on the list of them.  The n = 2 delta_vol
+    searches share one Nelder-Mead lockstep, each body's search bit for bit
+    the one it runs alone; the n = 3 delta_vol and every delta_BM search run
+    body by body.  The reports follow the input order.
     """
     labels = labels or [str(i) for i in range(len(bodies))]
     normalized = [john_normalize(body)[0] for body in bodies]

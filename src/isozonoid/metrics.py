@@ -33,9 +33,17 @@ vectors.  n = 3 values are upper bounds (local searches), not certified
 global minima.
 
 Body distances (Banach-Mazur, volume difference) are certified upper
-bounds obtained by multistart Nelder-Mead over a normalized GL(n) family;
-global optimality over GL(n) is out of desk scope and never claimed.  The
-volume difference needs the volume of {x : Ax <= b} for every trial map.
+bounds obtained by multistart local searches over GL(n), each value scored
+exactly at a map normalized to |det| = 1; global optimality over GL(n) is
+out of desk scope and never claimed.
+
+delta_BM, a minimax, is searched in its smooth epigraph form by scipy's
+SLSQP, one body at a time: minimize t subject to K <= XM <= tK, one
+inequality per vertex of one body and facet of the other, one vertex per
+antipodal pair when the facets are closed under exact negation.  The value
+is lambda recomputed from vertex gauges at the returned map.
+
+The volume difference needs the volume of {x : Ax <= b} for every trial map.
 With the origin inside, that polytope is the polar of the hull of the dual
 points a_i / b_i, so its volume is computed from them alone by the
 polar-dual kernel of ``bodies``: in closed form in n = 2 (an exact sum over
@@ -56,13 +64,13 @@ evaluated in one batched objective call.  Only the running starts are
 tested and stepped.  Certificates record the winning start
 (``best_start``), the objective evaluations of all starts (``nfev``) and
 the objective calls (``batches``).  The body searches take one body or a
-list of bodies of one dimension, and the Nelder-Mead searches of a list
-share one lockstep per distance: the objective gets each row's start
-index and scores every row against its own body in one batch.  The
-bodies' vertex, facet and offset rows are padded to common lengths by
-repeating each one's last row, and every sum runs over a system's own
-rows only, so each body's search is bit for bit the one it runs alone;
-``batches`` then counts the shared calls.
+list of bodies of one dimension, and the n = 2 volume-difference searches
+of a list share one lockstep: the objective gets each row's start index
+and scores every row against its own body in one batch.  The bodies'
+facet and offset rows are padded to a common length by repeating each
+one's last row, and every sum runs over a system's own rows only, so each
+body's search is bit for bit the one it runs alone; ``batches`` then
+counts the shared calls.
 """
 
 from __future__ import annotations
@@ -280,12 +288,11 @@ def _lockstep_nelder_mead(objective, x0, xatol, fatol, maxiter):
     ``objective(W, starts)`` maps a stack of points W (B, N) to B values;
     ``starts`` (B,) holds the start index of each row, so that starts may
     search different functions; the orbit searches ignore it.  The
-    Nelder-Mead body searches of a ``reverse_isoperimetric_suite`` share
-    one call per distance and dimension, start s searching body
-    s // restarts: their objectives pad the bodies' rows to common lengths
-    by repeating each one's last row and sum each system over its own rows
-    only, so every start's values, and hence its steps, are those it has
-    alone.  Every start
+    n = 2 volume-difference searches of a ``reverse_isoperimetric_suite``
+    share one call, start s searching body s // restarts: their objective
+    pads the bodies' rows to a common length by repeating each one's last
+    row and sums each system over its own rows only, so every start's
+    values, and hence its steps, are those it has alone.  Every start
     takes exactly the steps of scipy's ``minimize(method="Nelder-Mead")``
     with adaptive=False and the given ``xatol``, ``fatol`` and ``maxiter``:
     the same initial simplex, the same reflect/expand/contract/shrink order
@@ -691,68 +698,114 @@ def _by_body(restarts, *arrays):
                            for a in arrays]
 
 
-def _body_searches(objective, bodies, restarts, scale, seed, xatol, maxiter):
-    """The searches of all ``bodies`` in one lockstep: ``restarts`` starts
-    (``_body_starts``) per body, start s searching body s // restarts.
-    Returns per body (best value, best start, evaluations), and the number
-    of objective calls."""
-    x0 = _body_starts(bodies[0].dim, restarts, scale, seed)
-    fun, _, nfev, batches = _lockstep_nelder_mead(
-        objective, np.tile(x0, (len(bodies), 1)), xatol, 1e-12, maxiter)
-    fun, nfev = fun.reshape(-1, restarts), nfev.reshape(-1, restarts)
-    return [(float(f[s]), int(s), int(e.sum()))
-            for f, e, s in zip(fun, nfev, np.argmin(fun, axis=1))], batches
+def _fold(V, F):
+    """One row of V per antipodal pair when the rows F are closed under
+    exact negation (-v then repeats the constraints <f, v> of v), else V."""
+    half = None if _antipodal_half(F) is None else _antipodal_half(V)
+    return V if half is None else half
+
+
+def _bm_epigraph(K, M):
+    """(gauges, constraint) of the delta_BM(K, M) search.
+
+    ``gauges(X)`` = (max_v gauge_{XM}(v), max_w gauge_K(Xw)) over the
+    vertices v of K and w of M.  ``constraint`` is scipy's inequality
+    constraint K <= XM <= tK at z = (X row-major, t), each facet (a, b)
+    read as f = a / b: 1 - <f_j, X^-1 v> >= 0 per vertex v of K and facet
+    f_j of M, with gradient (X^-T f_j)(X^-1 v)^T in X, and t - <f_i, Xw>
+    >= 0 per vertex w of M and facet f_i of K, linear, its Jacobian built
+    once.  Vertices are folded by ``_fold``.
+    """
+    VK, (AK, bK) = K.to_vrep().vertices, K.to_hrep().halfspaces
+    VM, (AM, bM) = M.to_vrep().vertices, M.to_hrep().halfspaces
+    n = K.dim
+    FK, FM = AK / bK[:, None], AM / bM[:, None]
+    HK, HM = _fold(VK, FM), _fold(VM, FK)
+    J_out = np.hstack([-(HM[:, None, None, :] * FK[None, :, :, None]).reshape(
+        -1, n * n), np.ones((len(HM) * len(FK), 1))])
+    t_col = np.zeros((len(HK) * len(FM), 1))
+
+    def gauges(X):
+        return (np.max(((VK @ np.linalg.inv(X).T) @ AM.T) / bM),
+                np.max(((VM @ X.T) @ AK.T) / bK))
+
+    def fun(z):
+        X = z[:-1].reshape(n, n)
+        inner = 1.0 - (HK @ np.linalg.inv(X).T) @ FM.T
+        outer = z[-1] - (HM @ X.T) @ FK.T
+        return np.concatenate([inner.ravel(), outer.ravel()])
+
+    def jac(z):
+        X_inv = np.linalg.inv(z[:-1].reshape(n, n))
+        Y, Z = HK @ X_inv.T, FM @ X_inv           # rows X^-1 v and X^-T f_j
+        J_in = (Z[None, :, :, None] * Y[:, None, None, :]).reshape(-1, n * n)
+        return np.vstack([np.hstack([J_in, t_col]), J_out])
+
+    return gauges, {"type": "ineq", "fun": fun, "jac": jac}
+
+
+def _bm_search(K, M, restarts, seed):
+    """One SLSQP run per start of ``_body_starts`` (scale 0.3) on
+    ``_bm_epigraph``; (value, certificate) of the best start, the lowest
+    index on ties."""
+    n = K.dim
+    gauges, constraint = _bm_epigraph(K, M)
+    e_t = np.eye(n * n + 1)[-1]
+
+    def lam(x):
+        # (lam, map) at the map x normalized to |det| = 1; inf below 1e-9
+        Phi, ok = _normalized_frames(x, n)
+        if not ok[0]:
+            return math.inf, None
+        return math.prod(gauges(Phi[0])), Phi[0]
+
+    best, runs = [], []
+    for x0 in _body_starts(n, restarts, 0.3, seed):
+        inner, outer = gauges(x0.reshape(n, n))    # start with XM holding K
+        run = minimize(lambda z: z[-1], np.append(inner * x0, inner * outer),
+                       jac=lambda z: e_t, method="SLSQP",
+                       constraints=constraint,
+                       options={"ftol": 1e-14, "maxiter": 200})
+        runs.append(run)
+        best.append(min(lam(x0), lam(run.x[:-1]), key=lambda r: r[0]))
+    s = int(np.argmin([value for value, _ in best]))
+    value, Phi = best[s]
+    return math.log(max(value, 1.0)), {
+        "method": "slsqp-epigraph", "restarts": restarts,
+        "lambda": float(value), "best_start": s,
+        "nfev": sum(int(run.nfev) for run in runs),
+        "nit": sum(int(run.nit) for run in runs),
+        "converged": sum(bool(run.success) for run in runs),
+        "map": Phi.tolist(), "upper_bound_only": True}
 
 
 def banach_mazur(K, M: BodyRep, restarts: int = 24, seed: int = 0):
     """Upper bound on delta_BM(K, M) = log min { lam : K <= Phi M <= lam K }.
 
-    For a trial Phi the optimal lam is computed exactly from vertex gauges:
-    lam(Phi) = max_w gauge_{Phi M}(w) * max_v gauge_K(Phi v) over vertices
-    w of K and v of M.  Phi ranges over matrices normalized to |det| = 1;
-    ``restarts`` Nelder-Mead starts (the identity, then random
-    perturbations of it) run in lockstep through ``_lockstep_nelder_mead``
-    (xatol 1e-10, fatol 1e-12, maxiter 2000), with lam evaluated for every
-    pending Phi of every start in one batch.
+    For a map Phi the optimal lam is computed exactly from vertex gauges:
+    lam(Phi) = max_v gauge_{Phi M}(v) * max_w gauge_K(Phi w) over vertices
+    v of K and w of M.  The search minimizes t over (X, t) subject to
+    K <= XM <= tK, the smooth epigraph form of this minimax, by scipy's
+    SLSQP (Kraft 1988; ftol 1e-14, maxiter 200) with the exact constraint
+    Jacobians of ``_bm_epigraph``.  It runs from each of ``restarts``
+    starts (the identity, then random perturbations of it), begun feasible:
+    the start map scaled to hold K, and t its lam.  Each start scores the
+    smaller lam of its start map and its returned map, normalized to
+    |det| = 1 (inf below |det| 1e-9), so SLSQP's tolerances never reach
+    the value and it is never above lam(I).
 
-    ``K`` is one body or a list of bodies of one dimension, searched in one
-    lockstep: each objective call scores the pending Phi of every body's
-    running starts in one batch, each against its own body.  The bodies'
-    vertices and facets are padded to common lengths by repeating each
-    one's last row, which leaves the maxima of lam exact, so every body's
-    search is bit for bit the one it runs alone.  Returns (value,
-    certificate), or a list of them for a list; ``batches`` counts the
-    objective calls of the shared lockstep.
+    ``K`` is one body or a list of bodies of one dimension, each searched
+    on its own.  The certificate records ``method`` ("slsqp-epigraph"),
+    ``restarts``, ``lambda``, ``best_start``, the evaluations ``nfev`` and
+    iterations ``nit`` of all starts, ``converged`` (the starts whose SLSQP
+    run succeeded), ``map`` (the winning normalized map) and
+    ``upper_bound_only``.  Returns (value, certificate), or a list of them
+    for a list.
     """
     bodies, single = _body_list(K)
-    n = bodies[0].dim
-    if n not in (2, 3):
+    if bodies[0].dim not in (2, 3):
         raise DimensionUnsupportedError("banach_mazur implemented for n in {2, 3}")
-    hreps = [body.to_hrep().halfspaces for body in bodies]
-    VK, _ = _padded([body.to_vrep().vertices for body in bodies])
-    AK, _ = _padded([A for A, _ in hreps])
-    bK, _ = _padded([b for _, b in hreps])
-    by_body = _by_body(restarts, VK, AK.transpose(0, 2, 1), bK[:, None, :])
-    VM, (AM, bM) = M.to_vrep().vertices, M.to_hrep().halfspaces
-
-    def lam(X, starts):
-        Phi, ok = _normalized_frames(X, n)
-        VKr, AKTr, bKr = by_body(starts[ok])
-        Phi_inv = np.linalg.inv(Phi)
-        inner = np.max(((VKr @ Phi_inv.transpose(0, 2, 1)) @ AM.T) / bM,
-                       axis=(1, 2))
-        outer = np.max(((VM @ Phi.transpose(0, 2, 1)) @ AKTr) / bKr,
-                       axis=(1, 2))
-        out = np.full(len(ok), np.inf)
-        out[ok] = inner * outer
-        return out
-
-    searches, batches = _body_searches(lam, bodies, restarts, 0.3, seed,
-                                       1e-10, 2000)
-    out = [(math.log(max(fun, 1.0)),
-            {"restarts": restarts, "lambda": fun, "upper_bound_only": True,
-             "best_start": best, "nfev": nfev, "batches": batches})
-           for fun, best, nfev in searches]
+    out = [_bm_search(body, M, restarts, seed) for body in bodies]
     return out[0] if single else out
 
 
@@ -938,10 +991,13 @@ def volume_distance(K, M: BodyRep, restarts: int = 12, seed: int = 0):
                              0.0)
         return out
 
-    searches, batches = _body_searches(sym_diff, bodies, restarts, 0.25,
-                                       seed, 1e-9, 1500)
-    out = [(fun, {"restarts": restarts, "method": "polar-dual-exact",
-                  "upper_bound_only": True, "best_start": best, "nfev": nfev,
-                  "batches": batches})
-           for fun, best, nfev in searches]
+    # restarts starts per body, start s searching body s // restarts
+    x0 = np.tile(_body_starts(n, restarts, 0.25, seed), (len(bodies), 1))
+    fun, _, nfev, batches = _lockstep_nelder_mead(sym_diff, x0, 1e-9, 1e-12,
+                                                  1500)
+    fun, nfev = fun.reshape(-1, restarts), nfev.reshape(-1, restarts)
+    out = [(float(f[s]), {"restarts": restarts, "method": "polar-dual-exact",
+                          "upper_bound_only": True, "best_start": int(s),
+                          "nfev": int(e.sum()), "batches": batches})
+           for f, e, s in zip(fun, nfev, np.argmin(fun, axis=1))]
     return out[0] if single else out

@@ -175,24 +175,35 @@ def _body_starts_per_start(n, restarts, scale, seed):
             for r in range(restarts)]
 
 
+def banach_mazur_lambda(K, M):
+    """The map Phi -> lam(Phi) = max_v gauge_{Phi M}(v) * max_w
+    gauge_K(Phi w) over the vertices v of K and w of M, at an invertible
+    Phi as given: the least lam with K <= s Phi M <= lam K for some s > 0."""
+    VK, (AK, bK) = _vertices_and_halfspaces(K)
+    VM, (AM, bM) = _vertices_and_halfspaces(M)
+
+    def lam(Phi):
+        Phi_inv = np.linalg.inv(Phi)
+        inner = np.max(np.max(((VK @ Phi_inv.T) @ AM.T) / bM, axis=1))
+        outer = np.max(np.max(((VM @ Phi.T) @ AK.T) / bK, axis=1))
+        return inner * outer
+
+    return lam
+
+
 def banach_mazur_per_start(K, M, restarts, seed=0):
     """delta_BM upper bound as a loop: lam of one matrix at a time, one scipy
     Nelder-Mead run per start (xatol 1e-10, fatol 1e-12, maxiter 2000).
     Returns (value, lambda, best_start, nfev)."""
     n = K.dim
-    VK, (AK, bK) = _vertices_and_halfspaces(K)
-    VM, (AM, bM) = _vertices_and_halfspaces(M)
+    lam = banach_mazur_lambda(K, M)
 
     def lam_of(x):
         mat = x.reshape(n, n)
         det = np.linalg.det(mat)
         if abs(det) < 1e-9:
             return np.inf
-        Phi = mat / abs(det) ** (1.0 / n)
-        Phi_inv = np.linalg.inv(Phi)
-        inner = np.max(np.max(((VK @ Phi_inv.T) @ AM.T) / bM, axis=1))
-        outer = np.max(np.max(((VM @ Phi.T) @ AK.T) / bK, axis=1))
-        return inner * outer
+        return lam(mat / abs(det) ** (1.0 / n))
 
     fun, _, nfev = multistart_nelder_mead(
         lam_of, _body_starts_per_start(n, restarts, 0.3, seed),

@@ -82,6 +82,27 @@ def test_distance_hausO(hex_json, tmp_path):
     assert data["value"] == pytest.approx(np.pi / 6, abs=1e-9)
 
 
+def test_distance_bm(tmp_path):
+    # the John-normalized hexagon against the square: d_BM = 3/2
+    for name, body in (("hex", harness.john_normalize(
+            harness.regular_polygon_body(3))[0]), ("square", cube_body(2))):
+        (tmp_path / f"{name}.json").write_text(json.dumps(body.to_json_dict()))
+    out = tmp_path / "bm.json"
+    rc = main(["distance", "--kind", "bm", "--body",
+               str(tmp_path / "hex.json"), "--body2",
+               str(tmp_path / "square.json"), "--out", str(out)])
+    assert rc == 0
+    data = json.loads(out.read_text(), parse_constant=_reject_constant)
+    cert = data["certificate"]
+    # the CLI writes keys sorted
+    assert list(cert) == ["best_start", "converged", "lambda", "map",
+                          "method", "nfev", "nit", "restarts",
+                          "upper_bound_only"]
+    assert cert["method"] == "slsqp-epigraph"
+    assert cert["converged"] == cert["restarts"] == 24
+    assert abs(data["value"] - math.log(1.5)) <= 1e-12
+
+
 def test_john_subcommand(cube3_json, tmp_path):
     out = tmp_path / "john.json"
     rc = main(["john", "--body", cube3_json, "--out", str(out)])

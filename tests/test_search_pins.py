@@ -11,6 +11,13 @@ move the searches:
 
     PYTHONPATH=src python tests/test_search_pins.py
 
+The body searches and the reviso JSON are computed in a child interpreter
+with BLAS at one thread (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+``MKL_NUM_THREADS`` set to 1), as the benchmark runs them, both here and
+when recording: scipy's SLSQP, which searches delta_BM, takes different
+iterates at one and at two BLAS threads on the same problem, though each
+setting is deterministic.
+
 The pins are tied to the numerical toolchain they were recorded with
 (numpy 2.4.6 and scipy 1.17.1 on the OpenBLAS 0.3.31 of their wheels, an
 x86-64 CPU): BLAS matmul order and kernel choice, libm's arcsin, Qhull and
@@ -22,7 +29,10 @@ comparison.
 """
 
 import json
+import os
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +46,10 @@ from isozonoid.metrics import (banach_mazur, hausdorff_to_cross,
                                volume_distance, wasserstein_to_cross)
 
 PINS = Path(__file__).parent / "data" / "search_pins.json"
+SRC = Path(__file__).resolve().parent.parent / "src"
+ONE_BLAS_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS",
+                                          "OMP_NUM_THREADS",
+                                          "MKL_NUM_THREADS")}
 
 # the reviso bodies, searched at the restarts of the benchmark's reviso
 # workload: banach_mazur at 8 (n = 2) and 4 (n = 3), volume_distance at half
@@ -86,10 +100,26 @@ def body_outputs():
     return out
 
 
-def reviso_rows(tmp_dir):
-    out = Path(tmp_dir) / "reviso.json"
-    code = main(["verify", "--suite", "reviso", "--out", str(out)])
-    return [code, json.loads(out.read_text())]
+def reviso_rows():
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "reviso.json"
+        code = main(["verify", "--suite", "reviso", "--out", str(out)])
+        return [code, json.loads(out.read_text())]
+
+
+ONE_THREAD_OUTPUTS = {"bodies": body_outputs, "verify_reviso": reviso_rows}
+
+
+def one_thread_outputs(key):
+    """``ONE_THREAD_OUTPUTS[key]()`` computed by this file run in a child
+    interpreter with BLAS at one thread; it prints them as its last line."""
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, __file__, key], capture_output=True, text=True,
+        check=True, timeout=600,
+        env={**os.environ, **ONE_BLAS_THREAD, "PYTHONPATH": path})
+    return json.loads(child.stdout.splitlines()[-1])
 
 
 def _pinned(key):
@@ -101,19 +131,20 @@ def test_orbit_searches_pinned():
 
 
 def test_body_searches_pinned():
-    assert body_outputs() == _pinned("bodies")
+    assert one_thread_outputs("bodies") == _pinned("bodies")
 
 
-def test_verify_reviso_pinned(tmp_path):
-    assert reviso_rows(tmp_path) == _pinned("verify_reviso")
+def test_verify_reviso_pinned():
+    assert one_thread_outputs("verify_reviso") == _pinned("verify_reviso")
 
 
 if __name__ == "__main__":
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        pins = {"orbit": orbit_outputs(), "bodies": body_outputs(),
-                "verify_reviso": reviso_rows(tmp)}
+    if len(sys.argv) > 1:
+        sys.stdout.write(json.dumps(ONE_THREAD_OUTPUTS[sys.argv[1]](),
+                                    allow_nan=False) + "\n")
+        sys.exit()
+    pins = {"orbit": orbit_outputs()}
+    pins.update((key, one_thread_outputs(key)) for key in ONE_THREAD_OUTPUTS)
     PINS.parent.mkdir(exist_ok=True)
     PINS.write_text(json.dumps(pins, indent=1, allow_nan=False) + "\n")
     sys.stdout.write(f"wrote {PINS}\n")
