@@ -25,10 +25,12 @@ Gauge bodies are for evaluation only; they have no volume path.  All
 errors are reported, never hidden.
 
 Halfspace systems go through the same polar duality.  With the origin
-inside, {x : <a_i, x> <= b_i} is the polar of conv{a_i / b_i}: its area is
-a closed-form arc sum (``_polar_areas``), its volume comes from one Qhull
-hull of the dual points (``_polar_volumes``), and the facets of that hull
-are its vertices (``halfspace_vertices``).  The n = 3 sandwich, H -> V
+inside, {x : <a_i, x> <= b_i} is the polar of conv{a_i / b_i}: its area and
+edge moments are closed-form sums over the arcs where each constraint is
+active (``_polar_arcs``, no Qhull call), its volume and facet moments come
+from one Qhull hull of the dual points (``_polar_volumes``,
+``_polar_moments``), and the facets of that hull are its vertices
+(``halfspace_vertices``).  The n = 3 sandwich, H -> V
 conversion and the delta_vol intersection volumes in ``metrics`` all use
 it; no Qhull halfspace intersection is left.
 
@@ -319,46 +321,33 @@ def halfspace_vertices(A, b) -> np.ndarray:
     return pts[ConvexHull(pts).vertices]
 
 
-def _polar_areas(P, own=None):
-    """Areas of the polygons {x : <p_i, x> <= 1} for dual points P (B, m, 2)
-    whose convex hulls contain the origin in their interiors.
+def _polar_arcs(P):
+    """The arcs of the polygon {x : <p_i, x> <= 1} for dual points P (m, 2)
+    whose convex hull contains the origin in its interior.
 
-    The area is (1/2) int rho(theta)^2 dtheta with rho = 1 / max_i <p_i, u>.
     Constraint i is active on the arc where <p_i - p_j, u> >= 0 for every j;
     with u = p_i + s J p_i (J the quarter turn, s = tan of the angle from
-    p_i) each condition is linear in s, and the arc [s_lo, s_hi] adds
-    (s_hi - s_lo) / (2 |p_i|^2), the triangle from the origin to edge i.
-    The differences p_i - p_j are formed first, so nearly coincident dual
+    p_i) each condition is linear in s, and the arc is [s_lo, s_hi].  The
+    differences p_i - p_j are formed first, so nearly coincident dual
     points give accurate crossings; exact duplicates go to the lower index.
-
-    ``own`` (B, m), if given, marks each system's own points; the others
-    repeat an own point that comes before them, padding systems of different
-    sizes to one stack.  A repeat is a later exact duplicate, so it leaves
-    every other arc alone, and each area is summed over its own points
-    only, in their order: numpy's pairwise sum groups terms by their count,
-    so a sum over the padded row would move the last bits.
+    Returns s_lo and s_hi (m,), with s_hi = s_lo for a constraint that
+    holds no edge.
     """
-    m = P.shape[1]
-    D = P[:, :, None, :] - P[:, None, :, :]            # d_ij = p_i - p_j
-    Px, Py = P[:, :, None, 0], P[:, :, None, 1]
-    alpha = D[..., 0] * Px + D[..., 1] * Py              # <d_ij, p_i>
-    beta = D[..., 1] * Px - D[..., 0] * Py               # <d_ij, J p_i>
+    x, y = P[:, :1], P[:, 1:]
+    Dx, Dy = x - x.T, y - y.T                            # d_ij = p_i - p_j
+    alpha = Dx * x + Dy * y                              # <d_ij, p_i>
+    beta = Dy * x - Dx * y                               # <d_ij, J p_i>
     with np.errstate(divide="ignore", invalid="ignore"):
         s = -alpha / beta                                # alpha + s beta >= 0
-    lo = np.max(np.where(beta > 0, s, -np.inf), axis=2)
-    hi = np.min(np.where(beta < 0, s, np.inf), axis=2)
-    later = np.arange(m)[None, :] < np.arange(m)[:, None]          # j < i
-    dead = (beta == 0) & ((alpha < 0) | ((alpha == 0) & later))
-    hi[dead.any(axis=2)] = -np.inf
-    terms = np.maximum(hi - lo, 0.0) / (2.0 * np.sum(P * P, axis=2))
-    if own is None:
-        return np.sum(terms, axis=1)
-    count = own.sum(axis=1)
-    out = np.empty(len(P))
-    for c in np.unique(count):
-        rows = count == c
-        out[rows] = np.sum(terms[rows][own[rows]].reshape(-1, c), axis=1)
-    return out
+    lo = np.where(beta > 0, s, -np.inf).max(axis=1)
+    hi = np.where(beta < 0, s, np.inf).min(axis=1)
+    # p_j on the ray of p_i, at p_i or beyond it; past the diagonal, the
+    # ones beyond it and the exact duplicates j < i leave constraint i dead
+    dead = (beta == 0) & (alpha <= 0)
+    if np.count_nonzero(dead) > len(P):
+        dead &= (alpha < 0) | np.tri(len(P), k=-1, dtype=bool)
+        hi[dead.any(axis=1)] = -np.inf
+    return lo, np.maximum(hi, lo)
 
 
 def _triple(a, b, c):
@@ -422,19 +411,37 @@ def _polar_volumes(P):
                                   minlength=len(P)) / 6.0
 
 
-def _polar_moments(P):
-    """(V(P^o), a, M) for one point set P (m, 3) whose hull contains the
-    origin in its interior: the volume of ``_polar_volumes``, bit for bit,
-    and per plane i the area a_i of the facet of P^o on <p_i, x> = 1 and its
-    first moment M_i = a_i c_i (c_i its centroid); both are 0 for a plane
-    that holds no facet.
+# J^T, so that the rows of f @ _QUARTER_TURN are J f_i = (-f_i2, f_i1)
+_QUARTER_TURN = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
-    Each fan triangle (f_i, x_G, x_F) of ``_polar_fan`` is a piece of facet
-    i, of centroid (f_i + x_G + x_F) / 3 and signed area
+
+def _polar_moments(P):
+    """(V(P^o), a, M) for one point set P (m, n), n in {2, 3}, whose hull
+    contains the origin in its interior: the volume of the polar
+    P^o = {x : <p_i, x> <= 1}, and per plane i the area a_i of the facet of
+    P^o on <p_i, x> = 1 and its first moment M_i = a_i c_i (c_i its
+    centroid); both are 0 for a plane that holds no facet.
+
+    n = 2: edge i runs from f_i + s_lo J f_i to f_i + s_hi J f_i, with
+    f_i = p_i / |p_i|^2 and [s_lo, s_hi] its arc (``_polar_arcs``), so its
+    length is (s_hi - s_lo) / |p_i|, its moment the length times its
+    midpoint, and the triangle from the origin to it adds
+    (s_hi - s_lo) / (2 |p_i|^2) to the area.
+
+    n = 3: the volume of ``_polar_volumes``, bit for bit.  Each fan
+    triangle (f_i, x_G, x_F) of ``_polar_fan`` is a piece of facet i, of
+    centroid (f_i + x_G + x_F) / 3 and signed area
     <(x_G - f_i) x (x_F - f_i), n_i> / 2 with n_i = p_i / |p_i|, which is
     |p_i| det(f_i, x_G, x_F) / 2: f_i = n_i / |p_i| is orthogonal to the
     other terms of the product.
     """
+    if P.shape[1] == 2:
+        lo, hi = _polar_arcs(P)
+        sq, width = (P * P).sum(axis=1), hi - lo
+        f = P / sq[:, None]
+        a = width / np.sqrt(sq)
+        M = (f + ((lo + hi) / 2.0)[:, None] * (f @ _QUARTER_TURN)) * a[:, None]
+        return (width / sq).sum() / 2.0, a, M
     m = len(P)
     _, owner, S, foot, x_G, x_F, dets = _polar_fan(P[None])
     volume = np.bincount(owner, weights=dets.sum(axis=1))[0] / 6.0

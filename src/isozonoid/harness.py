@@ -451,26 +451,15 @@ def reverse_isoperimetric_suite(bodies, labels=None, distances: bool = True,
     """Isoperimetric deficit vs distance from the cube, plus the inclusion
     chain K <= Z*_inf(contact measure) and the cube sandwich when applicable.
 
-    Bodies are John-normalized first (the normalizing map is recorded).
-    The bodies of one dimension go to one ``volume_distance`` and one
-    ``banach_mazur`` call on the list of them.  The n = 2 delta_vol
-    searches share one Nelder-Mead lockstep, each body's search bit for bit
-    the one it runs alone; the n = 3 delta_vol and every delta_BM search run
-    body by body.  The reports follow the input order.
+    Bodies are John-normalized first (the normalizing map is recorded),
+    then each is searched on its own: one ``volume_distance`` and one
+    ``banach_mazur`` call against the cube.  The reports follow the input
+    order.
     """
     labels = labels or [str(i) for i in range(len(bodies))]
-    normalized = [john_normalize(body)[0] for body in bodies]
-    found = {}                                  # body index -> (dvol, dbm)
-    dims = sorted({K.dim for K in normalized}) if distances else []
-    for n in dims:
-        idx = [i for i, K in enumerate(normalized) if K.dim == n]
-        Ks, W = [normalized[i] for i in idx], cube_body(n)
-        vols = volume_distance(Ks, W, restarts=max(restarts // 2, 2))
-        bms = banach_mazur(Ks, W, restarts=restarts)
-        for i, (dvol, _), (dbm, _) in zip(idx, vols, bms):
-            found[i] = (dvol, dbm)
     reports = []
-    for i, (K, label) in enumerate(zip(normalized, labels)):
+    for body, label in zip(bodies, labels):
+        K = john_normalize(body)[0]
         n = K.dim
         ratio = isoperimetric_ratio(K)
         deficit = 1.0 - ratio / cube_isoperimetric_ratio(n)
@@ -488,7 +477,9 @@ def reverse_isoperimetric_suite(bodies, labels=None, distances: bool = True,
         eps = float("nan")
         ok = incl and (sandwich is not False)
         if distances:
-            dvol, dbm = found[i]
+            W = cube_body(n)
+            dvol, _ = volume_distance(K, W, restarts=max(restarts // 2, 2))
+            dbm, _ = banach_mazur(K, W, restarts=restarts)
             extra.update({"delta_vol": dvol, "delta_BM": dbm})
             eps = dvol
             # direction-only consistency at a desk tolerance

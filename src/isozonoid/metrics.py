@@ -48,29 +48,20 @@ With the origin inside, that polytope is the polar of the hull of the dual
 points a_i / b_i, so its volume is computed from them alone by the
 polar-dual kernel of ``bodies``: in closed form in n = 2 (an exact sum over
 the arcs where each facet is active, no Qhull call) and from one hull of the
-dual points in n = 3.
+dual points in n = 3.  The volume is smooth where the facet structure of the
+intersection is fixed, and its exact gradient comes from the same arcs or
+hull: each facet's area times the normal velocity of its centroid
+(Lasserre).  Its search runs scipy's BFGS from each start, one body at a
+time, in n = 2 and n = 3 alike, and its certificate records the iterations
+(``nit``) and the gradient at the returned point (``grad_norm``).
 
-The n = 3 volume difference is smooth where the facet structure of the
-intersection is fixed, and its exact gradient comes from the same hull:
-each facet's area times the normal velocity of its centroid (Lasserre).
-Its search runs scipy's BFGS from each start, one body at a time, and its
-certificate records the iterations (``nit``) and the gradient at the
-returned point (``grad_norm``).
-
-Every other multistart search here runs on ``_lockstep_nelder_mead``: the
-starts advance in lockstep, each taking exactly the steps of scipy's
-Nelder-Mead, with every pending simplex point of every running start
-evaluated in one batched objective call.  Only the running starts are
-tested and stepped.  Certificates record the winning start
-(``best_start``), the objective evaluations of all starts (``nfev``) and
-the objective calls (``batches``).  The body searches take one body or a
-list of bodies of one dimension, and the n = 2 volume-difference searches
-of a list share one lockstep: the objective gets each row's start index
-and scores every row against its own body in one batch.  The bodies'
-facet and offset rows are padded to a common length by repeating each
-one's last row, and every sum runs over a system's own rows only, so each
-body's search is bit for bit the one it runs alone; ``batches`` then
-counts the shared calls.
+The n = 3 orbit searches run on ``_lockstep_nelder_mead``: the starts
+advance in lockstep, each taking exactly the steps of scipy's Nelder-Mead,
+with every pending simplex point of every running start evaluated in one
+batched objective call.  Only the running starts are tested and stepped.
+Certificates record the winning start (``best_start``), the objective
+evaluations of all starts (``nfev``) and the objective calls
+(``batches``).
 """
 
 from __future__ import annotations
@@ -81,8 +72,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog, minimize
 
-from .bodies import (BodyRep, _interior_point, _polar_areas, _polar_moments,
-                     _polar_volumes, hull_volume_area)
+from .bodies import (BodyRep, _interior_point, _polar_moments,
+                     hull_volume_area)
 from .errors import (DimensionUnsupportedError, EmptySetError,
                      HypothesisFailedError, MassMismatchError,
                      UnboundedBodyError)
@@ -285,14 +276,8 @@ _NM_SECOND_POINT = np.array([[3.0, -2.0], [1.5, -0.5], [0.5, 0.5]])
 def _lockstep_nelder_mead(objective, x0, xatol, fatol, maxiter):
     """Nelder-Mead from every row of ``x0`` (S, N), all starts in lockstep.
 
-    ``objective(W, starts)`` maps a stack of points W (B, N) to B values;
-    ``starts`` (B,) holds the start index of each row, so that starts may
-    search different functions; the orbit searches ignore it.  The
-    n = 2 volume-difference searches of a ``reverse_isoperimetric_suite``
-    share one call, start s searching body s // restarts: their objective
-    pads the bodies' rows to a common length by repeating each one's last
-    row and sums each system over its own rows only, so every start's
-    values, and hence its steps, are those it has alone.  Every start
+    ``objective(W)`` maps a stack of points W (B, N) to B values.  It
+    serves the n = 3 orbit searches (``_orbit_minimize_3d``).  Every start
     takes exactly the steps of scipy's ``minimize(method="Nelder-Mead")``
     with adaptive=False and the given ``xatol``, ``fatol`` and ``maxiter``:
     the same initial simplex, the same reflect/expand/contract/shrink order
@@ -316,10 +301,10 @@ def _lockstep_nelder_mead(objective, x0, xatol, fatol, maxiter):
     S, N = x0.shape
     batches = 0
 
-    def f(W, starts):
+    def f(W):
         nonlocal batches
         batches += 1
-        return np.asarray(objective(W, starts), dtype=float)
+        return np.asarray(objective(W), dtype=float)
 
     def order(s, fs, rows):
         ind = np.argsort(fs, axis=1)
@@ -329,8 +314,7 @@ def _lockstep_nelder_mead(objective, x0, xatol, fatol, maxiter):
     k = np.arange(N)
     y = sim[:, k + 1, k]
     sim[:, k + 1, k] = np.where(y != 0, (1 + nonzdelt) * y, zdelt)
-    fsim = f(sim.reshape(-1, N), np.repeat(np.arange(S), N + 1)).reshape(
-        S, N + 1)
+    fsim = f(sim.reshape(-1, N)).reshape(S, N + 1)
     rows = np.arange(S)[:, None]
     sim, fsim = order(*order(sim, fsim, rows), rows)
     nfev = np.full(S, N + 1)
@@ -351,7 +335,7 @@ def _lockstep_nelder_mead(objective, x0, xatol, fatol, maxiter):
         xbar = np.add.reduce(s[:, :-1], 1) / N
         worst = s[:, -1]
         xnew = 2.0 * xbar - worst                   # the reflections x_r
-        fnew = f(xnew, run)
+        fnew = f(xnew)
         ne += 1
         expand = fnew < fs[:, 0]
         i = np.flatnonzero(~(fnew < fs[:, -2]) | expand)  # x_r not accepted
@@ -361,7 +345,7 @@ def _lockstep_nelder_mead(objective, x0, xatol, fatol, maxiter):
             kind = np.where(e, 0, 2 - (fr < fw))    # expand, outside, inside
             c = _NM_SECOND_POINT[kind]
             x2 = c[:, :1] * xbar[i] + c[:, 1:] * worst[i]
-            f2 = f(x2, run[i])
+            f2 = f(x2)
             ne[i] += 1
             take = np.choose(kind, (f2 < fr, f2 <= fr, f2 < fw))
             xnew[i[take]], fnew[i[take]] = x2[take], f2[take]
@@ -372,8 +356,7 @@ def _lockstep_nelder_mead(objective, x0, xatol, fatol, maxiter):
         s[:, -1], fs[:, -1] = xnew, fnew
         if len(shrink):
             s[shrink] = v
-            fs[shrink, 1:] = f(v[:, 1:].reshape(-1, N),
-                               np.repeat(run[shrink], N)).reshape(-1, N)
+            fs[shrink, 1:] = f(v[:, 1:].reshape(-1, N)).reshape(-1, N)
             ne[shrink] += N
         s, fs = order(s, fs, rows)
     sim[run], fsim[run], nfev[run] = s, fs, ne
@@ -388,7 +371,7 @@ def _orbit_minimize_3d(objective):
     The best start wins, the lowest index on ties.
     """
     fun, x, nfev, batches = _lockstep_nelder_mead(
-        lambda W, _: objective(_rotvec_matrix(W)),
+        lambda W: objective(_rotvec_matrix(W)),
         np.array(_orbit_start_points()), 1e-9, 1e-12, 400)
     best = int(np.argmin(fun))
     cert = {"method": "multistart-nelder-mead", "starts": len(fun),
@@ -665,39 +648,6 @@ def _normalized_frames(X, n):
     return mats[ok] / (np.abs(det[ok]) ** (1.0 / n))[:, None, None], ok
 
 
-def _body_list(K):
-    """(bodies, single): a list of bodies of one dimension, one body as a
-    list of one."""
-    single = isinstance(K, BodyRep)
-    bodies = [K] if single else list(K)
-    if len({body.dim for body in bodies}) != 1:
-        raise ValueError("need one body or a list of bodies of one dimension")
-    return bodies, single
-
-
-def _padded(arrays):
-    """Arrays (m_k, ...) stacked to (len, max m_k, ...), each padded by
-    repeating its last row, and a mask (len, max m_k) of each one's own
-    rows, None when nothing was padded."""
-    m = max(len(a) for a in arrays)
-    out = np.array([np.concatenate([a, np.repeat(a[-1:], m - len(a), axis=0)])
-                    for a in arrays])
-    own = np.arange(m) < np.array([len(a) for a in arrays])[:, None]
-    return out, (None if own.all() else own)
-
-
-def _by_body(restarts, *arrays):
-    """A map from the start indices of a batch of rows to the per-body
-    ``arrays`` (one entry per body, or None) taken at each row's body,
-    start s searching body s // restarts.  With one body its entries are
-    returned as they are, to broadcast over the batch, with no gather."""
-    if len(arrays[0]) == 1:
-        one = [None if a is None else a[0] for a in arrays]
-        return lambda starts: one
-    return lambda starts: [None if a is None else a[starts // restarts]
-                           for a in arrays]
-
-
 def _fold(V, F):
     """One row of V per antipodal pair when the rows F are closed under
     exact negation (-v then repeats the constraints <f, v> of v), else V."""
@@ -744,11 +694,30 @@ def _bm_epigraph(K, M):
     return gauges, {"type": "ineq", "fun": fun, "jac": jac}
 
 
-def _bm_search(K, M, restarts, seed):
-    """One SLSQP run per start of ``_body_starts`` (scale 0.3) on
-    ``_bm_epigraph``; (value, certificate) of the best start, the lowest
-    index on ties."""
+def banach_mazur(K: BodyRep, M: BodyRep, restarts: int = 24, seed: int = 0):
+    """Upper bound on delta_BM(K, M) = log min { lam : K <= Phi M <= lam K }.
+
+    For a map Phi the optimal lam is computed exactly from vertex gauges:
+    lam(Phi) = max_v gauge_{Phi M}(v) * max_w gauge_K(Phi w) over vertices
+    v of K and w of M.  The search minimizes t over (X, t) subject to
+    K <= XM <= tK, the smooth epigraph form of this minimax, by scipy's
+    SLSQP (Kraft 1988; ftol 1e-14, maxiter 200) with the exact constraint
+    Jacobians of ``_bm_epigraph``.  It runs from each of ``restarts``
+    starts of ``_body_starts`` (scale 0.3), begun feasible: the start map
+    scaled to hold K, and t its lam.  Each start scores the smaller lam of
+    its start map and its returned map, normalized to |det| = 1 (inf below
+    |det| 1e-9), so SLSQP's tolerances never reach the value and it is
+    never above lam(I); the best start wins, the lowest index on ties.
+
+    The certificate records ``method`` ("slsqp-epigraph"), ``restarts``,
+    ``lambda``, ``best_start``, the evaluations ``nfev`` and iterations
+    ``nit`` of all starts, ``converged`` (the starts whose SLSQP run
+    succeeded), ``map`` (the winning normalized map) and
+    ``upper_bound_only``.  Returns (value, certificate).
+    """
     n = K.dim
+    if n not in (2, 3):
+        raise DimensionUnsupportedError("banach_mazur implemented for n in {2, 3}")
     gauges, constraint = _bm_epigraph(K, M)
     e_t = np.eye(n * n + 1)[-1]
 
@@ -779,142 +748,72 @@ def _bm_search(K, M, restarts, seed):
         "map": Phi.tolist(), "upper_bound_only": True}
 
 
-def banach_mazur(K, M: BodyRep, restarts: int = 24, seed: int = 0):
-    """Upper bound on delta_BM(K, M) = log min { lam : K <= Phi M <= lam K }.
-
-    For a map Phi the optimal lam is computed exactly from vertex gauges:
-    lam(Phi) = max_v gauge_{Phi M}(v) * max_w gauge_K(Phi w) over vertices
-    v of K and w of M.  The search minimizes t over (X, t) subject to
-    K <= XM <= tK, the smooth epigraph form of this minimax, by scipy's
-    SLSQP (Kraft 1988; ftol 1e-14, maxiter 200) with the exact constraint
-    Jacobians of ``_bm_epigraph``.  It runs from each of ``restarts``
-    starts (the identity, then random perturbations of it), begun feasible:
-    the start map scaled to hold K, and t its lam.  Each start scores the
-    smaller lam of its start map and its returned map, normalized to
-    |det| = 1 (inf below |det| 1e-9), so SLSQP's tolerances never reach
-    the value and it is never above lam(I).
-
-    ``K`` is one body or a list of bodies of one dimension, each searched
-    on its own.  The certificate records ``method`` ("slsqp-epigraph"),
-    ``restarts``, ``lambda``, ``best_start``, the evaluations ``nfev`` and
-    iterations ``nit`` of all starts, ``converged`` (the starts whose SLSQP
-    run succeeded), ``map`` (the winning normalized map) and
-    ``upper_bound_only``.  Returns (value, certificate), or a list of them
-    for a list.
-    """
-    bodies, single = _body_list(K)
-    if bodies[0].dim not in (2, 3):
-        raise DimensionUnsupportedError("banach_mazur implemented for n in {2, 3}")
-    out = [_bm_search(body, M, restarts, seed) for body in bodies]
-    return out[0] if single else out
-
-
-def _intersection_volumes(A, b, own=None):
-    """Volumes of the polytopes {x : A_k x <= b_k} for a stack A (B, m, n),
-    n in {2, 3}, and one offset vector b (m,) or one per system (B, m); 0
-    where one has no interior.
-
-    With the origin inside, {x : Ax <= b} is the polar of conv{a_i / b_i},
-    so each volume follows from the dual points through the polar-dual
-    kernel of ``bodies`` (shared with the support sandwich and H -> V):
-    ``_polar_areas`` (closed form, no Qhull) or ``_polar_volumes`` (one
-    hull).  The origin is the centre of a system when all its b_i >
-    1e-12; otherwise the system is shifted to its Chebyshev centre
-    (``_interior_point``), and one without an interior point (empty or
-    flat) has volume 0.
-
-    ``own`` (B, m), n = 2 only, marks each system's own rows; the others
-    repeat an own row before them, padding systems of different sizes to
-    one stack.  Each area is then that of the own rows alone, bit for bit:
-    the repeats leave the arcs alone, each area is summed over its own rows
-    only, and the Chebyshev centres see the own rows only.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    B, m, n = A.shape
-    if b.shape not in ((m,), (B, m)):
+def _intersection_moments(A, b):
+    """(V, a, M) of {x : Ax <= b} for one system A (m, n), n in {2, 3},
+    b (m,): its volume, and per row i the area a_i of its facet on
+    <a_i, x> = b_i and that facet's first moment M_i = a_i c_i
+    (``bodies._polar_moments``); all 0 when the system has no interior
+    point.  With every b_i > 1e-12 the origin is inside and the moments
+    are those of the dual points a_i / b_i; any other system is scored
+    about its Chebyshev centre z (``_interior_point``) and its moments are
+    shifted back by a_i z."""
+    m, n = A.shape
+    if b.shape != (m,):
         raise ValueError(f"offsets of shape {b.shape} for {m} halfspaces")
     if n not in (2, 3):
         raise DimensionUnsupportedError("intersection volume for n in {2, 3}")
-    if own is not None and n != 2:
-        raise ValueError("padded stacks are scored in n = 2 only")
-
-    def volumes(P, own):
-        return _polar_areas(P, own) if n == 2 else _polar_volumes(P)[1]
-
-    centred = (b > 1e-12).all(axis=-1)          # one flag, or one per system
-    if centred.all():
-        return volumes(A / b[..., None], own)
-    b, centred = np.broadcast_to(b, (B, m)), np.broadcast_to(centred, B)
-    out = np.zeros(B)
-    for k in np.flatnonzero(~centred):
-        rows = slice(None) if own is None else own[k]
-        Ak, bk = A[k, rows], b[k, rows]
-        try:
-            centre = _interior_point(Ak, bk)
-        except UnboundedBodyError:              # empty or flat
-            continue
-        out[k] = volumes((Ak / (bk - Ak @ centre)[:, None])[None], None)[0]
-    if centred.any():
-        out[centred] = volumes(A[centred] / b[centred][..., None],
-                               None if own is None else own[centred])
-    return out
-
-
-def _intersection_moments(A, b):
-    """(V, a, M) of {x : Ax <= b} for one system A (m, 3), b (m,): its
-    volume, and per row i the area a_i of its facet on <a_i, x> = b_i and
-    that facet's first moment M_i = a_i c_i (``bodies._polar_moments``);
-    all 0 when the system has no interior point.  An off-centre system is
-    scored about its Chebyshev centre z, as in ``_intersection_volumes``,
-    and its moments are shifted back by a_i z."""
+    if (b > 1e-12).all():
+        return _polar_moments(A / b[:, None])
     try:
         z = _interior_point(A, b)
     except UnboundedBodyError:                  # empty or flat
-        return 0.0, np.zeros(len(b)), np.zeros(A.shape)
+        return 0.0, np.zeros(m), np.zeros(A.shape)
     V, a, M = _polar_moments(A / (b - A @ z)[:, None])
     return V, a, M + a[:, None] * z
 
 
-def _sym_diff_3d(AK, b, AM):
-    """The n = 3 delta_vol objective of one body, with its exact gradient.
+def _sym_diff(AK, b, AM):
+    """The delta_vol objective of one body in n in {2, 3}, with its exact
+    gradient.
 
-    At X (a row of 9) it is 2 - 2 V with V the volume of
-    P = Phi alpha K cap beta M, Phi = X s, s = |det X|^(-1/3): the rows
-    ``AK`` Phi^-1 and ``AM`` with offsets ``b``.  Each call builds one hull
-    (``_intersection_moments``) and returns the value and its gradient.
+    At X (a row of n^2) it is 2 - 2 V with V the volume of
+    P = Phi alpha K cap beta M, Phi = X / r, r = |det X|^(1/n): the rows
+    ``AK`` Phi^-1 and ``AM`` with offsets ``b``.  Each call reads the value
+    and the facet moments from one polar-dual kernel call
+    (``_intersection_moments``: closed form in n = 2, one hull in n = 3).
     Only the facets of Phi alpha K move, a point x of them with velocity
     dPhi Phi^-1 x, so dV/dPhi = G = sum_i a_i n_i (Phi^-1 c_i)^T over K's
     rows (Lasserre, JOTA 1983), and through the normalization
-    dV/dX = s (G - tr(X^T G) X^-T / 3).  A singular X (|det| < 1e-9) and an
-    empty intersection score 2 with a zero gradient.
+    dV/dX = (G - tr(Phi^T G) Phi^-T / n) / r.  A singular X (|det| < 1e-9)
+    and an empty intersection score 2 with a zero gradient.
     """
-    k = len(AK)
+    k, n = AK.shape
 
     def sym_diff(x):
-        X = x.reshape(3, 3)
+        X = x.reshape(n, n)
         det = abs(np.linalg.det(X))
         if det < 1e-9:
-            return 2.0, np.zeros(9)
-        r = det ** (1.0 / 3.0)
+            return 2.0, np.zeros(n * n)
+        r = det ** (1.0 / n)
         Phi_inv = np.linalg.inv(X / r)
         AKp = AK @ Phi_inv
         V, _, M = _intersection_moments(np.vstack([AKp, AM]), b)
-        normals = AKp / np.linalg.norm(AKp, axis=1)[:, None]
+        # the bits of np.linalg.norm(AKp, axis=1) without its wrapper
+        normals = AKp / np.sqrt(np.add.reduce(AKp * AKp, axis=1))[:, None]
         G = normals.T @ M[:k] @ Phi_inv.T
-        dV = (G - np.sum(X * G) / r * Phi_inv.T / 3.0) / r
+        dV = (G - (X * G).sum() / r * Phi_inv.T / n) / r
         return max(2.0 - 2.0 * V, 0.0), -2.0 * dV.ravel()
 
     return sym_diff
 
 
-def _bfgs_volume_search(objective, restarts, seed):
+def _bfgs_volume_search(objective, n, restarts, seed):
     """scipy BFGS on an objective that returns (value, gradient) (gtol
-    1e-10), from each of ``_body_starts`` (n = 3, scale 0.25).  Returns
-    (value, certificate) of the best start, the lowest index on ties."""
+    1e-10), from each of ``_body_starts`` (scale 0.25).  Returns (value,
+    certificate) of the best start, the lowest index on ties."""
     runs = [minimize(objective, x0, jac=True, method="BFGS",
                      options={"gtol": 1e-10})
-            for x0 in _body_starts(3, restarts, 0.25, seed)]
+            for x0 in _body_starts(n, restarts, 0.25, seed)]
     best = int(np.argmin([run.fun for run in runs]))
     return float(runs[best].fun), {
         "method": "bfgs-exact-gradient", "restarts": restarts,
@@ -924,80 +823,33 @@ def _bfgs_volume_search(objective, restarts, seed):
         "upper_bound_only": True}
 
 
-def volume_distance(K, M: BodyRep, restarts: int = 12, seed: int = 0):
+def volume_distance(K: BodyRep, M: BodyRep, restarts: int = 12, seed: int = 0):
     """Upper bound on delta_vol(K, M): min over SL(n) of the symmetric
-    difference volume of the volume-normalized bodies.
+    difference volume of the volume-normalized bodies, n in {2, 3}.
 
     For polytope inputs the symmetric difference is computed exactly from
     the intersection volume (V(sym diff) = 2 - 2 V(intersection) after
     normalizing both bodies to volume 1).  That volume is the polar-dual
-    volume of the hull of the dual points a_i / b_i of both bodies'
-    facets: a closed-form arc sum in n = 2, one Qhull hull in n = 3.
-    ``restarts`` starts (the identity, then random perturbations of it)
-    search each body.
-
-    n = 3: each body is searched on its own by ``_bfgs_volume_search``,
-    BFGS on the exact gradient of the intersection volume, read from the
-    same hull (``_sym_diff_3d``).  The certificate records ``method`` ("bfgs-exact-gradient"),
+    volume of the dual points a_i / b_i of both bodies' facets: a
+    closed-form arc sum in n = 2, one Qhull hull in n = 3.  The search,
+    ``_bfgs_volume_search``, runs BFGS on the exact gradient of the
+    intersection volume, read from the same arcs or hull (``_sym_diff``),
+    from ``restarts`` starts (the identity, then random perturbations of
+    it).  The certificate records ``method`` ("bfgs-exact-gradient"),
     ``restarts``, ``best_start``, the evaluations ``nfev`` and iterations
-    ``nit`` of all starts, and ``grad_norm``, the largest gradient entry at
-    the returned point: a stationary point, not a global minimum.
-
-    n = 2: ``_lockstep_nelder_mead`` (xatol 1e-9, fatol 1e-12, maxiter
-    1500) over ``_intersection_volumes``, with every pending trial map of
-    every start scored in one call.  A list of bodies is searched in one
-    lockstep: the bodies' facets and offsets are padded to a common length
-    by repeating each one's last row, and ``_intersection_volumes`` sums
-    each system over its own rows only, so every body's search is bit for
-    bit the one it runs alone.  The certificate records ``method``
-    ("polar-dual-exact"), ``best_start``, ``nfev`` and ``batches``, the
-    objective calls of the shared lockstep.
-
-    Returns (value, certificate), or a list of them for a list of bodies
-    of one dimension.
+    ``nit`` of all starts, ``grad_norm``, the largest gradient entry at the
+    returned point, and ``upper_bound_only``.  The returned point is not a
+    global minimum, and need not be stationary: BFGS may stop on a kink,
+    where the facet structure of the intersection changes (the hexagon's
+    minimum in n = 2 is one), and there ``grad_norm`` is no measure of
+    stationarity.  Returns (value, certificate).
     """
-    bodies, single = _body_list(K)
-    n = bodies[0].dim
-    VM, (AM, bM) = M.to_vrep().vertices, M.to_hrep().halfspaces
-    beta = hull_volume_area(VM)[0] ** (-1.0 / n)
-    AK, bK = [], []
-    for body in bodies:
-        A, b = body.to_hrep().halfspaces
-        AK.append(A)
-        bK.append(b * hull_volume_area(body.to_vrep().vertices)[0]
-                  ** (-1.0 / n))
-    if n == 3:
-        out = [_bfgs_volume_search(
-            _sym_diff_3d(A, np.concatenate([b, bM * beta]), AM), restarts,
-            seed) for A, b in zip(AK, bK)]
-        return out[0] if single else out
-    AK, own = _padded(AK)
-    bK, _ = _padded(bK)
-    # the rows of alpha K, padded, then those of beta M
-    b = np.concatenate([bK, np.tile(bM * beta, (len(bodies), 1))], axis=1)
-    if own is not None:
-        own = np.concatenate([own, np.ones((len(bodies), len(bM)), bool)],
-                             axis=1)
-    by_body = _by_body(restarts, AK, b, own)
-
-    def sym_diff(X, starts):
-        Phi, ok = _normalized_frames(X, n)
-        AKr, br, ownr = by_body(starts[ok])
-        AKp = AKr @ np.linalg.inv(Phi)
-        A = np.concatenate(
-            [AKp, np.broadcast_to(AM, (len(AKp),) + AM.shape)], axis=1)
-        out = np.full(len(ok), 2.0)
-        out[ok] = np.maximum(2.0 - 2.0 * _intersection_volumes(A, br, ownr),
-                             0.0)
-        return out
-
-    # restarts starts per body, start s searching body s // restarts
-    x0 = np.tile(_body_starts(n, restarts, 0.25, seed), (len(bodies), 1))
-    fun, _, nfev, batches = _lockstep_nelder_mead(sym_diff, x0, 1e-9, 1e-12,
-                                                  1500)
-    fun, nfev = fun.reshape(-1, restarts), nfev.reshape(-1, restarts)
-    out = [(float(f[s]), {"restarts": restarts, "method": "polar-dual-exact",
-                          "upper_bound_only": True, "best_start": int(s),
-                          "nfev": int(e.sum()), "batches": batches})
-           for f, e, s in zip(fun, nfev, np.argmin(fun, axis=1))]
-    return out[0] if single else out
+    n = K.dim
+    if n not in (2, 3):
+        raise DimensionUnsupportedError("volume_distance implemented for n in {2, 3}")
+    AK, bK = K.to_hrep().halfspaces
+    AM, bM = M.to_hrep().halfspaces
+    alpha = hull_volume_area(K.to_vrep().vertices)[0] ** (-1.0 / n)
+    beta = hull_volume_area(M.to_vrep().vertices)[0] ** (-1.0 / n)
+    objective = _sym_diff(AK, np.concatenate([bK * alpha, bM * beta]), AM)
+    return _bfgs_volume_search(objective, n, restarts, seed)

@@ -260,8 +260,8 @@ def test_interior_point_tells_unbounded_from_empty():
     for word, (A, b) in cases.items():
         with pytest.raises(UnboundedBodyError, match=f"^{word}:"):
             halfspace_vertices(np.array(A), np.array(b))
-    assert metrics._intersection_volumes(
-        np.array(cases["empty"][0])[None], np.array(cases["empty"][1]))[0] == 0.0
+    assert metrics._intersection_moments(
+        np.array(cases["empty"][0]), np.array(cases["empty"][1]))[0] == 0.0
 
 
 def test_body_json_round_trip():

@@ -16,8 +16,7 @@ from isozonoid import bodies, metrics
 from isozonoid.metrics import (_antipodal_half, _cross_transport_dual,
                                _hausdorff_to_cross_batch,
                                _bm_epigraph, _intersection_moments,
-                               _intersection_volumes, _lockstep_nelder_mead,
-                               _sym_diff_3d, banach_mazur,
+                               _lockstep_nelder_mead, _sym_diff, banach_mazur,
                                deep_hole, fit_cross_frame, hausdorff_spherical,
                                hausdorff_to_cross, rotated_cross_measure,
                                volume_distance, wasserstein,
@@ -547,14 +546,13 @@ def test_dwo_zero_iff_cross_fit(nu2, rng):
     assert val2 > 1e-3
 
 
-# objectives of a stack of points (B, N); like the orbit searches they
-# ignore the start index of each row that the driver passes
-def _rosenbrock_rows(X, starts=None):
+# objectives of a stack of points (B, N), as the orbit searches pass them
+def _rosenbrock_rows(X):
     return np.sum(100.0 * (X[:, 1:] - X[:, :-1] ** 2) ** 2
                   + (1.0 - X[:, :-1]) ** 2, axis=1)
 
 
-def _kinked_rows(X, starts=None):
+def _kinked_rows(X):
     # nonsmooth and not a rotation objective: an l1 term plus a max of
     # affine functions, with flat directions to trigger contractions
     C = np.linspace(-1.0, 1.0, X.shape[1])
@@ -562,7 +560,7 @@ def _kinked_rows(X, starts=None):
             + np.max(np.stack([X[:, 0] + X[:, -1], 0.5 - X[:, 1]]), axis=0))
 
 
-def _stepped_rows(X, starts=None):
+def _stepped_rows(X):
     # piecewise constant: equal values, hence every tie-break, are common
     return np.floor(4.0 * np.sum(np.abs(X - 0.3), axis=1)) / 4.0
 
@@ -612,38 +610,6 @@ def test_lockstep_nelder_mead_far_apart_premise():
     moved = short[2] != full[2]
     assert moved.tolist() == [False, False, False, True]
     assert full[2].max() - full[2].min() >= 300     # evaluations apart
-
-
-@pytest.mark.parametrize("objective,together", [(_rosenbrock_rows, 1),
-                                                (_stepped_rows, 2)],
-                         ids=["rosenbrock", "stepped"])
-def test_lockstep_nelder_mead_per_start_objectives(objective, together):
-    # start s minimizes its own f_s(x) = f(x - c_s), so every row of every
-    # call (initial simplices, reflections, second points and shrinks) must
-    # carry its own start's index; the stepped objective shrinks several
-    # starts in one step
-    rng = np.random.default_rng(11)
-    C = rng.normal(size=(6, 4))
-    x0 = np.vstack([np.zeros(4), rng.normal(size=(5, 4))])
-    calls = []
-
-    def shifted(X, starts):
-        calls.append(np.array(starts))
-        return objective(X - C[starts])
-
-    fun, x, nfev, batches = _lockstep_nelder_mead(shifted, x0, 1e-8, 1e-10,
-                                                  3000)
-    for s, c in enumerate(C):
-        o_fun, o_x, o_nfev = multistart_nelder_mead(
-            lambda w: float(objective((w - c)[None])[0]), x0[s:s + 1],
-            1e-8, 1e-10, 3000)
-        assert fun[s] == o_fun[0]
-        assert np.array_equal(x[s], o_x[0])
-        assert nfev[s] == o_nfev[0]
-    assert batches == len(calls)
-    # only a shrink sends a start more than one row (N, one per vertex)
-    shrinks = [c for c in calls[1:] if len(np.unique(c)) < len(c)]
-    assert max(len(np.unique(c)) for c in shrinks) >= together
 
 
 def _reviso_body(n, shape, param):
@@ -746,24 +712,34 @@ def test_banach_mazur_constraint_jacobian(n, shape, param):
     np.testing.assert_allclose(constraint["jac"](z), fd, rtol=0, atol=1e-7)
 
 
-@pytest.mark.parametrize("n,shape,param", REVISO_BODIES)
+# 8 seeded random symmetric polygons with 3 to 8 vertex pairs
+RANDOM_POLYGONS = [(2, "random", seed) for seed in range(8)]
+
+
+def _volume_distance_body(n, shape, param):
+    if shape != "random":
+        return _reviso_body(n, shape, param)
+    rng = np.random.default_rng(300 + param)
+    return _random_even_polytope(rng, 2, int(rng.integers(3, 9)))
+
+
+@pytest.mark.parametrize("n,shape,param", REVISO_BODIES + RANDOM_POLYGONS)
 def test_volume_distance_not_above_per_start_scipy(n, shape, param):
-    K = _reviso_body(n, shape, param)
+    # BFGS on the exact gradient against per-start scipy Nelder-Mead on the
+    # three-call intersection volume
+    K = _volume_distance_body(n, shape, param)
     restarts = 4 if n == 2 else 2
     val, cert = volume_distance(K, cube_body(n), restarts=restarts)
     o_val, _, _ = volume_distance_per_start(K, cube_body(n), restarts)
-    assert 0.0 <= val <= o_val + 1e-9
-    assert 0 <= cert["best_start"] < restarts
-    if n == 2:
-        assert cert["nfev"] >= restarts * (n * n + 1)
-        assert 1 < cert["batches"] < cert["nfev"]
-        return
-    # n = 3: BFGS per start, no lockstep
+    assert 0.0 <= val <= o_val + (1e-12 if n == 2 else 1e-9)
     assert list(cert) == ["method", "restarts", "best_start", "nfev", "nit",
                           "grad_norm", "upper_bound_only"]
     assert cert["method"] == "bfgs-exact-gradient"
+    assert cert["restarts"] == restarts
+    assert 0 <= cert["best_start"] < restarts
     assert restarts <= cert["nit"] < cert["nfev"]
-    assert 0.0 <= cert["grad_norm"] < 1e-5
+    # n = 2 minima may sit on kinks: the hexagon's best start ends at 0.46
+    assert 0.0 <= cert["grad_norm"] < (1e-5 if n == 3 else math.inf)
 
 
 def test_orbit_searches_stop_at_n4():
@@ -773,68 +749,6 @@ def test_orbit_searches_stop_at_n4():
         wasserstein_to_cross(nu4)
     with pytest.raises(DimensionUnsupportedError):
         hausdorff_to_cross(nu4.directions)
-
-
-def _search_keys(result, keys):
-    value, cert = result
-    return [value] + [cert[k] for k in keys]
-
-
-# mixed facet counts: 4, 8, 8 and 6
-MIXED_2D = [(2, "cube", None), (2, "cut", 0.1), (2, "cut", 0.25),
-            (2, "hexagon", None)]
-FAR_TRIANGLE = np.array([[3.0, 0.0], [4.0, 0.0], [3.0, 1.0]])
-BM_KEYS, VOL_KEYS = ("lambda", "best_start", "nfev"), ("best_start", "nfev")
-
-
-@pytest.fixture(scope="module")
-def single_2d():
-    """The MIXED_2D bodies and the triangle, each searched alone."""
-    W = cube_body(2)
-    Ks = [_reviso_body(*body) for body in MIXED_2D]
-    Ks.append(BodyRep.from_vertices(FAR_TRIANGLE))
-    bm = [_search_keys(banach_mazur(K, W, restarts=8), BM_KEYS)
-          for K in Ks[:-1]]
-    vol = [_search_keys(volume_distance(K, W, restarts=4), VOL_KEYS)
-           for K in Ks]
-    return Ks, bm, vol
-
-
-@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
-def test_body_searches_many_equal_single_2d(order, single_2d):
-    # one shared lockstep per distance, each body's search bit for bit its
-    # own; the off-centre triangle (index 4) takes the Chebyshev-centre
-    # fallback inside the mixed volume batch
-    Ks, bm, vol = single_2d
-    W = cube_body(2)
-    idx = list(range(4))[::order]
-    many = banach_mazur([Ks[i] for i in idx], W, restarts=8)
-    assert [_search_keys(got, BM_KEYS) for got in many] == [bm[i] for i in idx]
-    idx = idx[:2] + [4] + idx[2:]
-    many = volume_distance([Ks[i] for i in idx], W, restarts=4)
-    assert [_search_keys(got, VOL_KEYS) for got in many] == \
-        [vol[i] for i in idx]
-    assert many[2][0] == 2.0
-    # every certificate counts the calls of the one shared lockstep
-    assert len({cert["batches"] for _, cert in many}) == 1
-
-
-def test_body_searches_many_equal_single_3d():
-    Ks = [_reviso_body(3, "cube", None), _reviso_body(3, "cut", 0.1)]
-    W = cube_body(3)
-    for fn, keys in ((banach_mazur, BM_KEYS), (volume_distance, VOL_KEYS)):
-        many = fn(Ks, W, restarts=2)
-        for K, got in zip(Ks, many):
-            assert _search_keys(got, keys) == _search_keys(
-                fn(K, W, restarts=2), keys)
-
-
-def test_body_searches_need_one_dimension():
-    for fn in (banach_mazur, volume_distance):
-        with pytest.raises(ValueError):
-            fn([cube_body(2), cube_body(3)], cube_body(2), restarts=2)
-        with pytest.raises(ValueError):
-            fn([], cube_body(2), restarts=2)
 
 
 def test_body_searches_need_a_start():
@@ -874,42 +788,51 @@ def _intersection_batches(n, rng):
 @pytest.mark.parametrize("n", [2, 3])
 def test_intersection_volume_matches_three_call_path(n, rng):
     for A, b in _intersection_batches(n, rng):
-        batch = _intersection_volumes(A, b)
-        for Ak, got in zip(A, batch):
-            assert got == _intersection_volumes(Ak[None], b)[0]
+        for Ak in A:
+            got = _intersection_moments(Ak, b)[0]
             assert got > 0.0
             assert abs(got - intersection_volume_three_call(Ak, b)) <= 1e-12
 
 
 def test_intersection_volume_matches_exact_polygon_clip(rng):
     for A, b in _intersection_batches(2, rng):
-        got = _intersection_volumes(A, b)
-        exact = np.array([float(polygon_clip_area_exact(Ak, b)) for Ak in A])
-        assert np.max(np.abs(got - exact)) <= 1e-12
+        for Ak in A:
+            exact = float(polygon_clip_area_exact(Ak, b))
+            assert abs(_intersection_moments(Ak, b)[0] - exact) <= 1e-12
 
 
 def test_polar_area_invariant_under_row_order(rng):
-    # duplicate dual points go to the lower index, so reordering the rows
-    # moves every arc but must not move the area
-    for A, b in _intersection_batches(2, rng):
-        base = _intersection_volumes(A, b)
-        for _ in range(4):
-            perm = rng.permutation(len(b))
-            assert np.max(np.abs(_intersection_volumes(A[:, perm], b[perm])
-                                 - base)) <= 1e-15
+    # duplicate dual points go to the lower index (n = 2), and Qhull sees
+    # the points in another order (n = 3), so reordering the rows moves the
+    # arcs or the fan but must not move the volume, nor the boundary's
+    # first moment sum_i M_i; every system is checked, the near-identity
+    # ones (near-duplicate dual points) included
+    for n, tol in ((2, 1e-15), (3, 1e-14)):
+        for A, b in _intersection_batches(n, rng):
+            for Ak in A:
+                V, _, M = _intersection_moments(Ak, b)
+                for _ in range(4):
+                    perm = rng.permutation(len(b))
+                    Vp, _, Mp = _intersection_moments(Ak[perm], b[perm])
+                    assert abs(Vp - V) <= tol
+                    assert np.max(np.abs(Mp.sum(axis=0) - M.sum(axis=0))) \
+                        <= 1e-14
 
 
 def test_polar_volume_of_boxes_under_diagonal_maps(rng):
-    # [-1, 1]^3 against diag(d) [-1, 1]^3: a box of half-widths min(d_i, 1),
+    # [-1, 1]^n against diag(d) [-1, 1]^n: a box of half-widths min(d_i, 1),
     # with coincident facets wherever d_i = 1 and near-coincident ones at
     # 1 +- 1e-14
-    D = np.vstack([np.ones(3), [1.0, 1.0, 0.5], [1.0 + 1e-14, 1.0, 1.0],
-                   [1.0 - 1e-14, 2.0, 1.0], np.exp(rng.normal(size=(8, 3)))])
-    cube = np.vstack([np.eye(3), -np.eye(3)])
-    A = np.array([np.vstack([cube / np.tile(d, 2)[:, None], cube]) for d in D])
-    got = _intersection_volumes(A, np.ones(12))
-    assert np.max(np.abs(got - 8.0 * np.prod(np.minimum(D, 1.0), axis=1))) \
-        <= 1e-12
+    for n in (2, 3):
+        D = np.vstack([np.ones(3), [1.0, 1.0, 0.5], [1.0 + 1e-14, 1.0, 1.0],
+                       [1.0 - 1e-14, 2.0, 1.0],
+                       np.exp(rng.normal(size=(8, 3))),
+                       [0.5, 1.0, 1.0]])[:, :n]
+        cube = np.vstack([np.eye(n), -np.eye(n)])
+        for d in D:
+            A = np.vstack([cube / np.tile(d, 2)[:, None], cube])
+            got = _intersection_moments(A, np.ones(4 * n))[0]
+            assert abs(got - 2.0 ** n * np.prod(np.minimum(d, 1.0))) <= 1e-12
 
 
 def _non_centred_batch(n):
@@ -926,46 +849,13 @@ def _non_centred_batch(n):
 def test_intersection_volumes_non_centred_batch(n):
     # all through the Chebyshev-centre shift
     A, b, s = _non_centred_batch(n)
-    got = _intersection_volumes(A, b)
+    got = np.array([_intersection_moments(Ak, b)[0] for Ak in A])
     side = np.maximum(np.minimum(1.0, 1.5 * s) - 0.5 * s, 0.0)
     assert np.max(np.abs(got - side ** n)) <= 1e-12
     assert got[4] == got[5] == 0.0
     if n == 2:
         exact = [float(polygon_clip_area_exact(Ak, b)) for Ak in A]
         assert np.max(np.abs(got - exact)) <= 1e-12
-
-
-@pytest.mark.parametrize("n", [2])
-def test_intersection_volumes_padded_stack(n, rng):
-    # systems of different sizes in one stack, each padded by repeating its
-    # last row, with offsets per system: every volume is its own system's
-    # bit for bit, centred or not
-    batches = _intersection_batches(n, rng) + [_non_centred_batch(n)[:2]]
-    m = max(A.shape[1] for A, _ in batches)
-    stack, offsets, own, alone = [], [], [], []
-    for A, b in batches:
-        # as in volume_distance: the first body's rows, its last one
-        # repeated, then the 2n rows of the second
-        k, pad = len(b) - 2 * n, m - len(b)
-        rows = np.concatenate([np.arange(k), np.full(pad, k - 1),
-                               np.arange(k, len(b))])
-        mine = np.ones(m, bool)
-        mine[k:k + pad] = False
-        stack.append(A[:, rows])
-        offsets.append(np.tile(b[rows], (len(A), 1)))
-        own.append(np.tile(mine, (len(A), 1)))
-        alone.append(_intersection_volumes(A, b))
-    got = _intersection_volumes(np.concatenate(stack),
-                                np.concatenate(offsets), np.concatenate(own))
-    assert np.array_equal(got, np.concatenate(alone))
-    assert len({A.shape[1] for A, _ in batches}) > 1
-
-
-def test_intersection_volumes_pad_n2_only(rng):
-    # n = 3 bodies are searched one by one, so no n = 3 stack is padded
-    A, b = _intersection_batches(3, rng)[0]
-    with pytest.raises(ValueError):
-        _intersection_volumes(A, b, np.ones(A.shape[:2], bool))
 
 
 def test_intersection_volumes_qhull_calls(monkeypatch, rng):
@@ -978,116 +868,140 @@ def test_intersection_volumes_qhull_calls(monkeypatch, rng):
     for n in (2, 3):
         A, b = _intersection_batches(n, rng)[1]
         del calls[:]
-        _intersection_volumes(A, b)
+        for Ak in A:
+            _intersection_moments(Ak, b)
         assert len(calls) == (0 if n == 2 else len(A))
-    # every objective call of the search: no hull in n = 2 (its setup's
-    # conversions make some), one per trial map in n = 3, where each BFGS
-    # call scores one map and returns its gradient from the same hull
+    # every objective call of the search scores one map and returns its
+    # gradient: no hull in n = 2 (its setup's conversions make some), one
+    # in n = 3
     searched = []
-    real_driver, real_minimize = metrics._lockstep_nelder_mead, metrics.minimize
+    real_minimize = metrics.minimize
 
-    def counted(objective, maps):
-        def wrapped(X, *args):
+    def counted(objective):
+        def wrapped(x):
             start = len(calls)
-            out = objective(X, *args)
-            searched.append((len(calls) - start, maps(X)))
+            out = objective(x)
+            searched.append(len(calls) - start)
             return out
         return wrapped
 
     monkeypatch.setattr(
-        metrics, "_lockstep_nelder_mead", lambda objective, *args: real_driver(
-            counted(objective, len), *args))
-    monkeypatch.setattr(
         metrics, "minimize", lambda objective, *args, **kw: real_minimize(
-            counted(objective, lambda x: 1), *args, **kw))
-    for n, shape, param, restarts in ((2, "cut", 0.25, 2), (3, "cut", 0.1, 1)):
+            counted(objective), *args, **kw))
+    for n, shape, param, restarts in ((2, "cut", 0.25, 2),
+                                      (2, "hexagon", None, 2),
+                                      (3, "cut", 0.1, 1)):
         del searched[:]
         volume_distance(_reviso_body(n, shape, param), cube_body(n),
                         restarts=restarts)
         assert searched
-        assert all(hulls == (0 if n == 2 else maps)
-                   for hulls, maps in searched)
+        assert set(searched) == {0 if n == 2 else 1}
     assert not hasattr(metrics, "HalfspaceIntersection")
 
 
-def _sym_diff_systems(shape, param):
-    """The n = 3 delta_vol objective of a reviso body against the cube, for
-    the body at its place and moved off the origin by (0.8, 0.1, 0): there
-    the intersection does not hold the origin."""
-    K, W = _reviso_body(3, shape, param), cube_body(3)
+SYM_DIFF_BODIES = [(2, "cube", None), (2, "cut", 0.1), (2, "cut", 0.25),
+                   (2, "hexagon", None), (3, "cube", None), (3, "cut", 0.1),
+                   (3, "cut", 0.25)]
+
+
+def _sym_diff_systems(n, shape, param):
+    """The delta_vol objective of a reviso body against the cube, for the
+    body at its place and moved off the origin by (0.8, 0.1) (n = 2) or
+    (0.8, 0.1, 0) (n = 3): there the intersection does not hold the
+    origin."""
+    K, W = _reviso_body(n, shape, param), cube_body(n)
     (AK, bK), (AM, bM) = K.to_hrep().halfspaces, W.halfspaces
-    bK = bK * hull_volume_area(K.to_vrep().vertices)[0] ** (-1.0 / 3.0)
+    bK = bK * hull_volume_area(K.to_vrep().vertices)[0] ** (-1.0 / n)
     bM = bM / 2.0
-    return [_sym_diff_3d(AK, np.concatenate([bK + AK @ t, bM]), AM)
-            for t in (np.zeros(3), np.array([0.8, 0.1, 0.0]))]
+    return [_sym_diff(AK, np.concatenate([bK + AK @ t, bM]), AM)
+            for t in (np.zeros(n), np.array([0.8, 0.1, 0.0])[:n])]
 
 
-@pytest.mark.parametrize("shape,param", [("cube", None), ("cut", 0.1),
-                                         ("cut", 0.25)])
-def test_sym_diff_3d_gradient_matches_central_differences(shape, param, rng):
+@pytest.mark.parametrize("n,shape,param", SYM_DIFF_BODIES)
+def test_sym_diff_gradient_matches_central_differences(n, shape, param, rng):
     h = 1e-6
-    for objective in _sym_diff_systems(shape, param):
+    for objective in _sym_diff_systems(n, shape, param):
         for _ in range(4):
-            x = (np.eye(3) + 0.3 * rng.normal(size=(3, 3))).ravel()
+            x = (np.eye(n) + 0.3 * rng.normal(size=(n, n))).ravel()
             value, grad = objective(x)
             assert 0.0 < value < 2.0
             fd = [(objective(x + h * e)[0] - objective(x - h * e)[0]) / (2 * h)
-                  for e in np.eye(9)]
+                  for e in np.eye(n * n)]
             assert np.max(np.abs(grad - fd)) <= 1e-7
             # scale-invariant objective: the gradient is orthogonal to X
             assert abs(grad @ x) <= 1e-12 * np.linalg.norm(x)
 
 
-def test_sym_diff_3d_empty_and_singular():
-    objective = _sym_diff_systems("cut", 0.25)[0]
-    for x in (np.eye(3).ravel() * 1e-4, np.zeros(9)):     # |det| < 1e-9
+@pytest.mark.parametrize("n", [2, 3])
+def test_sym_diff_empty_and_singular(n):
+    objective = _sym_diff_systems(n, "cut", 0.25)[0]
+    for x in (np.eye(n).ravel() * 1e-5, np.zeros(n * n)):    # |det| < 1e-9
         value, grad = objective(x)
         assert value == 2.0 and not grad.any()
-    K = _reviso_body(3, "cut", 0.25)
+    K = _reviso_body(n, "cut", 0.25)
     AK, bK = K.to_hrep().halfspaces
-    AM, bM = cube_body(3).halfspaces
-    far = _sym_diff_3d(AK, np.concatenate([bK + AK @ [5.0, 0, 0], bM]), AM)
-    value, grad = far(np.eye(3).ravel())
+    AM, bM = cube_body(n).halfspaces
+    shift = np.eye(n)[0] * 5.0
+    far = _sym_diff(AK, np.concatenate([bK + AK @ shift, bM]), AM)
+    value, grad = far(np.eye(n).ravel())
     assert value == 2.0 and not grad.any()
 
 
 def test_intersection_moments_close_the_surface(rng):
-    # sum_i a_i n_i = 0 and (1/3) sum_i <n_i, M_i> = V (the divergence
-    # theorem), with V the volume of _polar_volumes, centred or not
-    systems = [(Ak, b) for A, b in _intersection_batches(3, rng) for Ak in A]
-    A, b, _ = _non_centred_batch(3)
-    systems += [(Ak, b) for Ak in A[:4]]
-    for Ak, bk in systems:
-        V, a, M = _intersection_moments(Ak, bk)
-        normals = Ak / np.linalg.norm(Ak, axis=1)[:, None]
-        assert np.max(np.abs(a @ normals)) <= 1e-12
-        assert abs(np.sum(normals * M) / 3.0 - V) <= 1e-12 * V
-        assert abs(V - _intersection_volumes(Ak[None], bk)[0]) <= 1e-12 * V
-        if (bk > 1e-12).all():
-            assert V == _polar_volumes((Ak / bk[:, None])[None])[1][0]
-    assert _intersection_moments(A[5], b)[0] == 0.0       # disjoint
+    # sum_i a_i n_i = 0 and (1/n) sum_i <n_i, M_i> = V (the divergence
+    # theorem), with V the three-call volume, centred or not; centred, V is
+    # that of _polar_volumes bit for bit (n = 3) and the exact polygon
+    # clip's (n = 2)
+    for n in (2, 3):
+        systems = [(Ak, b) for A, b in _intersection_batches(n, rng)
+                   for Ak in A]
+        A, b, _ = _non_centred_batch(n)
+        systems += [(Ak, b) for Ak in A[:4]]
+        for Ak, bk in systems:
+            V, a, M = _intersection_moments(Ak, bk)
+            normals = Ak / np.linalg.norm(Ak, axis=1)[:, None]
+            assert np.max(np.abs(a @ normals)) <= 1e-12
+            assert abs(np.sum(normals * M) / n - V) <= 1e-12 * V
+            assert abs(V - intersection_volume_three_call(Ak, bk)) <= 1e-12 * V
+            if n == 2:
+                assert abs(V - float(polygon_clip_area_exact(Ak, bk))) \
+                    <= 1e-12 * V
+            elif (bk > 1e-12).all():
+                assert V == _polar_volumes((Ak / bk[:, None])[None])[1][0]
+        assert _intersection_moments(A[5], b)[0] == 0.0       # disjoint
 
 
 def test_intersection_volume_empty_and_invalid():
-    A = np.vstack([np.eye(2), -np.eye(2)])
-    # disjoint squares [0, 1]^2 and [2, 3]^2, and two touching ones
-    disjoint = np.array([1.0, 1.0, 0.0, 0.0, 3.0, 3.0, -2.0, -2.0])
-    touching = np.array([1.0, 1.0, 0.0, 0.0, 2.0, 2.0, -1.0, -1.0])
-    A2 = np.vstack([A, A])[None]
-    for b in (disjoint, touching):
-        assert _intersection_volumes(A2, b)[0] == 0.0
-        assert polygon_clip_area_exact(np.vstack([A, A]), b) == 0
-    # an off-centre overlap: the unit square at the origin and at (0.5, 0.5)
-    b = np.array([1.0, 1.0, 0.0, 0.0, 1.5, 1.5, -0.5, -0.5])
-    assert _intersection_volumes(A2, b)[0] == pytest.approx(0.25)
-    with pytest.raises(ValueError):         # a malformed system is a bug
-        _intersection_volumes(A2, b[:-1])
+    for n in (2, 3):
+        A = np.vstack([np.eye(n), -np.eye(n)])
+        A2 = np.vstack([A, A])
+        one, zero = np.ones(n), np.zeros(n)
+        # disjoint cubes [0, 1]^n and [2, 3]^n, and two touching ones
+        disjoint = np.concatenate([one, zero, 3.0 * one, -2.0 * one])
+        touching = np.concatenate([one, zero, 2.0 * one, -one])
+        for b in (disjoint, touching):
+            V, a, M = _intersection_moments(A2, b)
+            assert V == 0.0 and not a.any() and not M.any()
+            if n == 2:
+                assert polygon_clip_area_exact(A2, b) == 0
+        # an off-centre overlap: the unit cube at the origin and at 1/2
+        b = np.concatenate([one, zero, 1.5 * one, -0.5 * one])
+        assert _intersection_moments(A2, b)[0] == pytest.approx(0.5 ** n)
+        with pytest.raises(ValueError):         # a malformed system is a bug
+            _intersection_moments(A2, b[:-1])
 
 
-def test_volume_distance_disjoint_non_centred_body():
+def test_volume_distance_disjoint_non_centred_body(monkeypatch):
     # a triangle away from the origin: its volume-normalized copy misses the
-    # cube under every map the search tries, so every intersection is empty
+    # cube at every start, where the objective is flat, so each BFGS start
+    # stops after one evaluation and one Chebyshev-centre LP
+    lps = []
+    real = bodies.linprog
+    monkeypatch.setattr(bodies, "linprog",
+                        lambda *a, **k: lps.append(1) or real(*a, **k))
     far = BodyRep.from_vertices(np.array([[3.0, 0.0], [4.0, 0.0], [3.0, 1.0]]))
-    val, cert = volume_distance(far, cube_body(2), restarts=2)
+    restarts = 4
+    val, cert = volume_distance(far, cube_body(2), restarts=restarts)
     assert val == 2.0
-    assert cert["nfev"] > 0
+    assert cert["nfev"] == restarts
+    assert len(lps) == restarts
