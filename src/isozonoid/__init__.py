@@ -15,9 +15,9 @@ from .bodies import (BodyRep, VolumeResult, body_from_json, cross_polytope_body,
 from .zonoids import (body_Zp, body_Zp_star, mp_body, norm_Zp_star,
                       reference_volume, support_Zp, volume_Zp, volume_Zp_star,
                       volume_Zp_star_ball_integral, zonoid_volumes)
-from .transport import (TransportMap, cdf_rho_p, p2est_bound, phi_p,
-                        phi_p_derivatives, psi_p, psi_p_derivatives, rho_p,
-                        verify_derivative_box, verify_second_derivative_bounds)
+from .transport import (cdf_rho_p, p2est_bound, phi_p, phi_p_derivatives,
+                        psi_p, psi_p_derivatives, rho_p, verify_derivative_box,
+                        verify_second_derivative_bounds)
 from .ballbarthe import (DecompositionSystem, ball_inequality,
                          random_decomposition_system, subset_expansion,
                          theta_star, vector_estimate, xab_gap)

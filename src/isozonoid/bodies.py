@@ -28,7 +28,7 @@ Halfspace systems go through the same polar duality.  With the origin
 inside, {x : <a_i, x> <= b_i} is the polar of conv{a_i / b_i}: its area and
 edge moments are closed-form sums over the arcs where each constraint is
 active (``_polar_arcs``, no Qhull call), its volume and facet moments come
-from one Qhull hull of the dual points (``_polar_volumes``,
+from the fan over one Qhull hull of the dual points (``_polar_fan``,
 ``_polar_moments``), and the facets of that hull are its vertices
 (``halfspace_vertices``).  The n = 3 sandwich, H -> V
 conversion and the delta_vol intersection volumes in ``metrics`` all use
@@ -358,57 +358,33 @@ def _triple(a, b, c):
 
 
 def _polar_fan(P):
-    """The fan of the polars {x : <p_i, x> <= 1} of the point sets of a
-    stack P (B, m, 3), for hulls that contain the origin in their
-    interiors.
+    """The fan of the polar {x : <p_i, x> <= 1} of one point set P (m, 3)
+    whose hull contains the origin in its interior.
 
-    One Qhull hull of each point set.  A hull facet (nu, off) is the vertex
+    One Qhull hull of P.  A hull facet (nu, off) is the vertex
     x = nu / (-off) of the polytope, and the facet of plane i, with foot
     f_i = p_i / |p_i|^2, is fanned from f_i over its edges x_F x_G: the
-    two hull facets F, G that share the dual edge i -> j.  The fan runs
-    over the facets of all sets at once.  Returns the hull volumes (B,), the
-    set of each hull facet F, and per oriented dual edge (F, 3) its plane i
-    (an index into the concatenated points), the corners f_i and x_G, the
-    corner x_F (broadcast over the edges of F) and det(f_i, x_G, x_F).
+    two hull facets F, G that share the dual edge i -> j.  Returns
+    V(conv P), V(P^o) and per oriented dual edge (F, 3) its plane i, the
+    corners f_i and x_G, the corner x_F (broadcast over the edges of F) and
+    det(f_i, x_G, x_F).  V(P^o) is the sum of those determinants / 6,
+    summed facet by facet in facet order (``bincount``).
     """
-    S, N, E, owner = [], [], [], []
-    hull_vols = np.empty(len(P))
-    nf = nv = 0
-    for k, Pk in enumerate(P):
-        hull = ConvexHull(Pk)
-        hull_vols[k] = hull.volume
-        S.append(hull.simplices + nv)
-        N.append(hull.neighbors + nf)
-        E.append(hull.equations)
-        owner.append(np.full(len(hull.simplices), k))
-        nf += len(hull.simplices)
-        nv += len(Pk)
-    S, N, E, owner = (np.concatenate(x) for x in (S, N, E, owner))
-    Q = np.concatenate(P)
+    hull = ConvexHull(P)
+    S, N, E = hull.simplices, hull.neighbors, hull.equations
     X = E[:, :3] / -E[:, 3:]
     # orient every facet counterclockwise seen from outside
-    V0, V1, V2 = Q[S[:, 0]], Q[S[:, 1]], Q[S[:, 2]]
+    V0, V1, V2 = P[S[:, 0]], P[S[:, 1]], P[S[:, 2]]
     flip = _triple(E[:, :3], V1 - V0, V2 - V0) < 0
     S[flip, 1:] = S[flip, :0:-1]
     N[flip, 1:] = N[flip, :0:-1]
-    foot = (Q / np.sum(Q * Q, axis=1)[:, None])[S]
+    foot = (P / np.sum(P * P, axis=1)[:, None])[S]
     # edge S[f, r] -> S[f, r + 1] is shared with facet N[f, r + 2]
     x_G, x_F = X[N[:, [2, 0, 1]]], X[:, None, :]
-    return hull_vols, owner, S, foot, x_G, x_F, _triple(foot, x_G, x_F)
-
-
-def _polar_volumes(P):
-    """Volumes (V(conv P_k), V(P_k^o)) of the hulls of the point sets of a
-    stack P (B, m, 3), and of their polars {x : <p_i, x> <= 1}, for hulls
-    that contain the origin in their interiors; two arrays of B.
-
-    Summing det(f_i, x_G, x_F) / 6 over the oriented dual edges of
-    ``_polar_fan`` gives the volume; ``bincount`` sums each set's terms in
-    its own facet order.
-    """
-    hull_vols, owner, _, _, _, _, dets = _polar_fan(P)
-    return hull_vols, np.bincount(owner, weights=dets.sum(axis=1),
-                                  minlength=len(P)) / 6.0
+    dets = _triple(foot, x_G, x_F)
+    polar = np.bincount(np.zeros(len(S), dtype=int),
+                        weights=dets.sum(axis=1))[0] / 6.0
+    return hull.volume, polar, S, foot, x_G, x_F, dets
 
 
 # J^T, so that the rows of f @ _QUARTER_TURN are J f_i = (-f_i2, f_i1)
@@ -428,8 +404,8 @@ def _polar_moments(P):
     midpoint, and the triangle from the origin to it adds
     (s_hi - s_lo) / (2 |p_i|^2) to the area.
 
-    n = 3: the volume of ``_polar_volumes``, bit for bit.  Each fan
-    triangle (f_i, x_G, x_F) of ``_polar_fan`` is a piece of facet i, of
+    n = 3: the volume of ``_polar_fan``.  Each fan triangle
+    (f_i, x_G, x_F) of ``_polar_fan`` is a piece of facet i, of
     centroid (f_i + x_G + x_F) / 3 and signed area
     <(x_G - f_i) x (x_F - f_i), n_i> / 2 with n_i = p_i / |p_i|, which is
     |p_i| det(f_i, x_G, x_F) / 2: f_i = n_i / |p_i| is orthogonal to the
@@ -443,8 +419,7 @@ def _polar_moments(P):
         M = (f + ((lo + hi) / 2.0)[:, None] * (f @ _QUARTER_TURN)) * a[:, None]
         return (width / sq).sum() / 2.0, a, M
     m = len(P)
-    _, owner, S, foot, x_G, x_F, dets = _polar_fan(P[None])
-    volume = np.bincount(owner, weights=dets.sum(axis=1))[0] / 6.0
+    _, volume, S, foot, x_G, x_F, dets = _polar_fan(P)
     area = dets * np.sqrt(np.sum(P * P, axis=1))[S] / 2.0
     moment = area[..., None] * (foot + x_G + x_F) / 3.0
     a = np.bincount(S.ravel(), weights=area.ravel(), minlength=m)
@@ -457,15 +432,15 @@ def _hull_polar_volumes(P):
     """(V(conv P), V(P^o)) for a point set P (m, n), n in {2, 3}, whose hull
     contains the origin in its interior; P^o = {y : <y, p_i> <= 1}.
 
-    n = 3 is ``_polar_volumes``.  In n = 2 the polar vertex dual to the
-    hull edge x_k -> x_{k+1} (counterclockwise) is J d / cross(x_k, d) with
-    d = x_{k+1} - x_k and J d = (d_2, -d_1).  Near vertices of a body the
-    hull points cluster; their difference d is exact there, where
+    n = 3 reads both from ``_polar_fan``.  In n = 2 the polar vertex dual
+    to the hull edge x_k -> x_{k+1} (counterclockwise) is J d / cross(x_k, d)
+    with d = x_{k+1} - x_k and J d = (d_2, -d_1).  Near vertices of a body
+    the hull points cluster; their difference d is exact there, where
     cross(x_k, x_{k+1}) would cancel.
     """
     if P.shape[1] == 3:
-        v_hull, v_polar = _polar_volumes(P[None])
-        return float(v_hull[0]), float(v_polar[0])
+        v_hull, v_polar = _polar_fan(P)[:2]
+        return float(v_hull), float(v_polar)
     if P.shape[1] != 2:
         raise DimensionUnsupportedError("hull and polar volumes need n <= 3")
     hull = ConvexHull(P)

@@ -33,9 +33,8 @@ from .john import contact_measure, isoperimetric_ratio, john_ellipsoid
 from .measures import measure_from_json
 from .metrics import (banach_mazur, hausdorff_spherical, hausdorff_to_cross,
                       volume_distance, wasserstein, wasserstein_to_cross)
-from .transport import (phi_p_derivatives, psi_p_derivatives, rho_p,
-                        second_derivative_bound_phi, verify_derivative_box,
-                        verify_second_derivative_bounds)
+from .transport import (FIRST_DERIV_BOX, _box_rows, _mass_rows, _second_rows,
+                        verify_derivative_box, verify_second_derivative_bounds)
 
 DEFAULT_SEED = harness.DEFAULT_SEED
 TRANSPORT_P_LIST = [1, 1.2, 1.5, 1.9, 2.1, 2.3, 2.7, 3, 5, 10, math.inf]
@@ -126,10 +125,20 @@ def _run_planar(args, seed):
     return reps
 
 
+def _transport_grid(check, size, p=None):
+    """The t grid of a transport check, for the suite and the subcommand."""
+    if check == "box":
+        return np.linspace(0.0, 1.0 / FIRST_DERIV_BOX, size)
+    if check == "second":
+        return np.linspace(1e-4, 1.0 / 8 - 1e-9, size)
+    lim = 0.999 if math.isinf(p) else 2.0
+    return np.linspace(-lim, lim, size)
+
+
 def _run_transport(args, seed):
     reps = []
-    grid_box = np.linspace(0.0, 1.0 / 3.1, args.grid)
-    grid_2nd = np.linspace(1e-4, 1.0 / 8 - 1e-9, args.grid)
+    grid_box = _transport_grid("box", args.grid)
+    grid_2nd = _transport_grid("second", args.grid)
     for p in TRANSPORT_P_LIST:
         ok = True
         try:
@@ -274,41 +283,15 @@ def _cmd_john(args) -> int:
 
 
 def _cmd_transport(args) -> int:
-    p = args.p
-    rows = []
-    ok = True
-    if args.check == "box":
-        grid = np.linspace(0.0, 1.0 / 3.1, args.grid)
-        for deriv in (phi_p_derivatives, psi_p_derivatives):
-            for t in grid:
-                val = deriv(p, t)[1]
-                margin = min(val - 1.0 / 3.1, 3.1 - val)
-                ok &= margin > 0
-                rows.append((t, val, 3.1, margin))
-    elif args.check == "second":
-        grid = np.linspace(1e-4, 1.0 / 8 - 1e-9, args.grid)
-        for t in grid:
-            side, bnd = second_derivative_bound_phi(p, t)
-            val = phi_p_derivatives(p, t)[2]
-            margin = (bnd - val) if side == "upper" else (val - bnd)
-            ok &= margin > 0
-            rows.append((t, val, bnd, margin))
-    elif args.check == "mass":
-        lim = 0.999 if math.isinf(p) else 2.0
-        grid = np.linspace(-lim, lim, args.grid)
-        for t in grid:
-            v, d1, _ = phi_p_derivatives(p, t)
-            lhs = rho_p(p, t)
-            rhs = rho_p(2, v) * d1
-            margin = 1e-9 - abs(lhs - rhs)
-            ok &= margin > 0
-            rows.append((t, lhs, rhs, margin))
+    build = {"box": _box_rows, "second": _second_rows,
+             "mass": _mass_rows}[args.check]
+    rows = list(build(args.p, _transport_grid(args.check, args.grid, args.p)))
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["t", "value", "bound", "margin"])
     w.writerows(rows)
     _write_output(args.out, buf.getvalue())
-    return 0 if ok else 1
+    return 0 if all(margin > 0 for *_, margin in rows) else 1
 
 
 def _parse_p(text):

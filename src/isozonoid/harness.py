@@ -453,10 +453,11 @@ def reverse_isoperimetric_suite(bodies, labels=None, distances: bool = True,
 
     Bodies are John-normalized first (the normalizing map is recorded),
     then each is searched on its own: one ``volume_distance`` and one
-    ``banach_mazur`` call against the cube.  The reports follow the input
-    order.
+    ``banach_mazur`` call against the cube, built once per dimension.  The
+    reports follow the input order.
     """
     labels = labels or [str(i) for i in range(len(bodies))]
+    cubes = {n: cube_body(n) for n in {body.dim for body in bodies}}
     reports = []
     for body, label in zip(bodies, labels):
         K = john_normalize(body)[0]
@@ -477,7 +478,7 @@ def reverse_isoperimetric_suite(bodies, labels=None, distances: bool = True,
         eps = float("nan")
         ok = incl and (sandwich is not False)
         if distances:
-            W = cube_body(n)
+            W = cubes[n]
             dvol, _ = volume_distance(K, W, restarts=max(restarts // 2, 2))
             dbm, _ = banach_mazur(K, W, restarts=restarts)
             extra.update({"delta_vol": dvol, "delta_BM": dbm})

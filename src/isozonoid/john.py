@@ -32,7 +32,8 @@ from .bodies import (BodyRep, VolumeResult, hull_volume_area, polar_of_vrep,
 from .errors import (DimensionUnsupportedError, HypothesisFailedError,
                      InfeasibleWeightsError, NoContactsError,
                      PreconditionViolatedError)
-from .measures import AtomicMeasure, solve_isotropic_weights, unit_vector
+from .measures import (AtomicMeasure, second_moment_matrix,
+                       solve_isotropic_weights, unit_vector)
 
 CONTACT_TOL = 1e-8
 
@@ -191,8 +192,7 @@ def contact_measure(body: BodyRep, tol: float = CONTACT_TOL) -> AtomicMeasure:
 
 
 def _isotropy_residual(mu):
-    M = (mu.directions.T * mu.weights) @ mu.directions
-    return float(np.max(np.abs(M - np.eye(mu.dim))))
+    return float(np.max(np.abs(second_moment_matrix(mu) - np.eye(mu.dim))))
 
 
 def surface_area(body: BodyRep) -> float:

@@ -287,25 +287,16 @@ def solve_isotropic_weights(directions, even: bool = False,
     if even:
         pair_of = _pair_indices(U)
         reps = sorted(set(min(i, j) for i, j in pair_of.items()))
-        Urep = U[reps]
-        M, target = _moment_rows(Urep)
-        w_pair, res = nnls(M, target)
-        w_pair = _polish_nonneg(M, target, w_pair)
-        resid = np.linalg.norm(M @ w_pair - target)
-        if resid > residual_tol:
-            raise InfeasibleWeightsError(f"moment residual {resid:.3e}")
-        w = np.zeros(k)
-        for idx, rep in enumerate(reps):
-            w[rep] = w_pair[idx] / 2.0
-            w[pair_of[rep]] = w_pair[idx] / 2.0
-        return w
-
+        U = U[reps]
     M, target = _moment_rows(U)
-    w, res = nnls(M, target)
+    w, _ = nnls(M, target)
     w = _polish_nonneg(M, target, w)
     resid = np.linalg.norm(M @ w - target)
     if resid > residual_tol:
         raise InfeasibleWeightsError(f"moment residual {resid:.3e}")
+    if even:                            # each atom of a pair takes half
+        half = dict(zip(reps, w / 2.0))
+        w = np.array([half[min(i, pair_of[i])] for i in range(k)])
     return w
 
 

@@ -226,19 +226,11 @@ def wasserstein_to_cross(mu: AtomicMeasure):
             'delta_WO needs an even measure; mark it with "even": true in '
             'the measure JSON')
     U, w = mu.folded
-    if n == 2:
-        thetas = np.arctan2(mu.directions[:, 1], mu.directions[:, 0])
-        cands = np.unique(np.concatenate([thetas % (np.pi / 2), [0.0]]))
-        frames = _frames_2d(cands)
-        vals = _cross_transport_dual(U, w, frames)
-        b = int(np.argmin(vals))
-        dual, frame = float(vals[b]), frames[b]
-        cert = {"method": "kink-enumeration", "candidates": len(cands)}
-    elif n == 3:
-        dual, frame, cert = _orbit_minimize_3d(
-            lambda Rs: _cross_transport_dual(U, w, Rs))
-    else:
-        raise DimensionUnsupportedError("orbit search implemented for n in {2, 3}")
+    X = mu.directions
+    dual, frame, cert = _orbit_search(
+        n, lambda R: _cross_transport_dual(U, w, R),
+        lambda: np.unique(np.concatenate(
+            [np.arctan2(X[:, 1], X[:, 0]) % (np.pi / 2), [0.0]])))
     value, _ = wasserstein(mu, rotated_cross_measure(n, frame))
     if abs(value - dual) > 1e-12:
         raise AssertionError(f"transport dual {dual!r} and LP {value!r} "
@@ -363,6 +355,22 @@ def _lockstep_nelder_mead(objective, x0, xatol, fatol, maxiter):
     return fsim[:, 0], sim[:, 0], nfev, batches
 
 
+def _orbit_search(n, score, kinks):
+    """(value, frame, certificate) of the least ``score``, which maps frames
+    (B, n, n) to B values.  n = 2: the frames at the angles ``kinks()`` in
+    one call, the first on ties; n = 3: ``_orbit_minimize_3d``."""
+    if n == 2:
+        phis = kinks()
+        frames = _frames_2d(phis)
+        vals = score(frames)
+        b = int(np.argmin(vals))
+        cert = {"method": "kink-enumeration", "candidates": len(phis)}
+        return float(vals[b]), frames[b], cert
+    if n == 3:
+        return _orbit_minimize_3d(score)
+    raise DimensionUnsupportedError("orbit search implemented for n in {2, 3}")
+
+
 def _orbit_minimize_3d(objective):
     """Multistart Nelder-Mead over rotation vectors (xatol 1e-9, fatol
     1e-12, maxiter 400), run by ``_lockstep_nelder_mead``.
@@ -478,30 +486,23 @@ def hausdorff_to_cross(X):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if len(X) == 0:
         raise EmptySetError("empty support")
-    n = X.shape[1]
-    if n not in (2, 3):
-        raise DimensionUnsupportedError("orbit search implemented for n in {2, 3}")
     half = _antipodal_half(X)
     closed = half is not None
     H = half if closed else X
+    step = max(1, 2 ** 20 // (8 * len(H)))          # bounds the batch arrays
 
     def score(R):
-        return _hausdorff_to_cross_batch(H, R, closed)
+        return np.concatenate([_hausdorff_to_cross_batch(H, R[k:k + step],
+                                                         closed)
+                               for k in range(0, len(R), step)])
 
-    if n == 2:
+    def kinks():
         t = np.unique(np.arctan2(X[:, 1], X[:, 0]) % (np.pi / 2))
         i, j = np.triu_indices(len(t))
         mid = (t[i] + t[j]) / 2.0
-        phis = np.unique(np.concatenate([mid, mid + np.pi / 4]) % (np.pi / 2))
-        frames = _frames_2d(phis)
-        step = max(1, 2 ** 20 // (8 * len(H)))      # bounds the batch arrays
-        vals = np.concatenate([score(frames[k:k + step])
-                               for k in range(0, len(frames), step)])
-        b = int(np.argmin(vals))
-        value, frame = float(vals[b]), frames[b]
-        cert = {"method": "kink-enumeration", "candidates": len(phis)}
-    else:
-        value, frame, cert = _orbit_minimize_3d(score)
+        return np.unique(np.concatenate([mid, mid + np.pi / 4]) % (np.pi / 2))
+
+    value, frame, cert = _orbit_search(X.shape[1], score, kinks)
     cert["atoms"] = len(H)
     return value, frame, cert
 

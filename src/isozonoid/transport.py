@@ -278,42 +278,10 @@ def psi_p_derivatives(p, t):
     return v, d1, d2
 
 
-@dataclass(frozen=True)
-class TransportMap:
-    """Handle for phi_p (forward) or psi_p (inverse) with derivatives."""
-
-    p: float
-    direction: str = "forward"      # "forward": rho_p -> rho_2; "inverse": back
-
-    def __post_init__(self):
-        _check_p(self.p)
-        if self.direction not in ("forward", "inverse"):
-            raise ValueError("direction must be 'forward' or 'inverse'")
-
-    @property
-    def domain(self):
-        if self.direction == "forward" and np.isinf(self.p):
-            return (-1.0, 1.0)
-        return (-np.inf, np.inf)
-
-    def __call__(self, t):
-        return phi_p(self.p, t) if self.direction == "forward" else psi_p(self.p, t)
-
-    def deriv(self, t):
-        f = phi_p_derivatives if self.direction == "forward" else psi_p_derivatives
-        return f(self.p, t)[1]
-
-    def deriv2(self, t):
-        f = phi_p_derivatives if self.direction == "forward" else psi_p_derivatives
-        return f(self.p, t)[2]
-
-    def inverse(self) -> "TransportMap":
-        other = "inverse" if self.direction == "forward" else "forward"
-        return TransportMap(p=self.p, direction=other)
-
-
 # ---------------------------------------------------------------------------
-# verified bounds
+# verified bounds: each check is a sequence of rows (t, value, bound,
+# margin), the margin negative where the value breaks its bound; the verify
+# functions here and the ``transport`` subcommand read the same rows
 
 
 @dataclass(frozen=True)
@@ -321,8 +289,58 @@ class BoundReport:
     p: float
     name: str
     npoints: int
-    worst_margin: float     # min over the grid of (bound satisfied by this much)
+    worst_margin: float     # the least margin over the grid
     passed: bool
+
+
+def _box_rows(p, grid):
+    """phi' over grid, then psi', in 1/3.1 < d < 3.1 (bound 3.1)."""
+    for derivatives in (phi_p_derivatives, psi_p_derivatives):
+        for t in grid:
+            d = derivatives(p, t)[1]
+            yield (t, d, FIRST_DERIV_BOX,
+                   min(d - 1.0 / FIRST_DERIV_BOX, FIRST_DERIV_BOX - d))
+
+
+def _density_rows(p, grid):
+    """rho_p over grid in [1/(2e), 1/(2*0.8856)) (bound the upper edge)."""
+    for s in grid:
+        r = rho_p(p, s)
+        yield s, r, DENSITY_HIGH, min(r - DENSITY_LOW,
+                                      DENSITY_HIGH - r - 1e-300)
+
+
+def _second_rows(p, grid, psi=False):
+    """phi'' (psi'' with ``psi``) over grid against its branchwise bound."""
+    derivatives, bound = ((psi_p_derivatives, second_derivative_bound_psi)
+                          if psi else
+                          (phi_p_derivatives, second_derivative_bound_phi))
+    for t in grid:
+        side, bnd = bound(p, t)
+        d2 = derivatives(p, t)[2]
+        yield t, d2, bnd, (bnd - d2) if side == "upper" else (d2 - bnd)
+
+
+def _mass_rows(p, grid):
+    """rho_p(t) (value) against rho_2(phi(t)) phi'(t) (bound), within 1e-9."""
+    for t in grid:
+        v, d1, _ = phi_p_derivatives(p, t)
+        lhs, rhs = rho_p(p, t), rho_p(2, v) * d1
+        yield t, lhs, rhs, 1e-9 - abs(lhs - rhs)
+
+
+def _worst_margin(rows, what, holds=None):
+    """The least margin of ``rows``.  Raises BoundViolationError, t its
+    witness, at the first row whose margin is not positive or, with
+    ``holds``, whose value fails ``holds``."""
+    worst = np.inf
+    for t, value, bound, margin in rows:
+        worst = min(worst, margin)
+        if not (margin > 0 if holds is None else holds(value)):
+            raise BoundViolationError(
+                f"{what} fails at t={t} (value {value}, bound {bound})",
+                witness=t)
+    return worst
 
 
 def verify_derivative_box(p, grid, density_grid=None) -> BoundReport:
@@ -334,22 +352,11 @@ def verify_derivative_box(p, grid, density_grid=None) -> BoundReport:
         raise ValueError("grid must lie in [0, 1/3.1]")
     if density_grid is None:
         density_grid = np.linspace(0.0, 1.0, 257)
-    worst = np.inf
-    for s in grid:
-        for d in (phi_p_derivatives(p, s)[1], psi_p_derivatives(p, s)[1]):
-            m = min(d - 1.0 / FIRST_DERIV_BOX, FIRST_DERIV_BOX - d)
-            worst = min(worst, m)
-            if m <= 0:
-                raise BoundViolationError(
-                    f"first-derivative box fails at s={s} (value {d})", witness=s)
-    for s in density_grid:
-        r = rho_p(p, s)
-        m = min(r - DENSITY_LOW, DENSITY_HIGH - r - 1e-300)
-        worst = min(worst, m)
-        # the lower bound is attained (p = 1, s = 1), so allow fp equality
-        if r < DENSITY_LOW - 1e-14 or r >= DENSITY_HIGH:
-            raise BoundViolationError(
-                f"density box fails at s={s} (value {r})", witness=s)
+    # the lower density bound is attained (p = 1, s = 1): allow fp equality
+    worst = min(_worst_margin(_box_rows(p, grid), "first-derivative box"),
+                _worst_margin(_density_rows(p, density_grid), "density box",
+                              lambda r: (DENSITY_LOW - 1e-14 <= r
+                                         < DENSITY_HIGH)))
     return BoundReport(p=p, name="derivative-box", npoints=len(grid),
                        worst_margin=float(worst), passed=True)
 
@@ -381,23 +388,9 @@ def verify_second_derivative_bounds(p, grid) -> BoundReport:
     grid = np.asarray(grid, dtype=float)
     if np.any(grid <= 0) or np.any(grid >= 1.0 / 8):
         raise ValueError("grid must lie in (0, 1/8)")
-    worst = np.inf
-    for t in grid:
-        side, bnd = second_derivative_bound_phi(p, t)
-        d2 = phi_p_derivatives(p, t)[2]
-        m = (bnd - d2) if side == "upper" else (d2 - bnd)
-        worst = min(worst, m)
-        if m <= 0:
-            raise BoundViolationError(
-                f"phi'' bound fails at t={t} (value {d2}, bound {bnd})", witness=t)
-    for t in grid[grid < 0.1]:
-        side, bnd = second_derivative_bound_psi(p, t)
-        d2 = psi_p_derivatives(p, t)[2]
-        m = (bnd - d2) if side == "upper" else (d2 - bnd)
-        worst = min(worst, m)
-        if m <= 0:
-            raise BoundViolationError(
-                f"psi'' bound fails at t={t} (value {d2}, bound {bnd})", witness=t)
+    worst = min(_worst_margin(_second_rows(p, grid), "phi'' bound"),
+                _worst_margin(_second_rows(p, grid[grid < 0.1], psi=True),
+                              "psi'' bound"))
     return BoundReport(p=p, name="second-derivative", npoints=len(grid),
                        worst_margin=float(worst), passed=True)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -311,6 +312,14 @@ def test_verify_reviso_n3(tmp_path, capsys):
         assert row["delta_BM"] == dbm
 
 
+# sha256 of each check's CSV at p = 1.5 on 32 points
+TRANSPORT_CSV_SHA256 = {
+    "box": "129a4caae04e937cb1bfa9dc1f6b021f6f0634c217ed214471fc7b859619fb9e",
+    "second": "fe631bcc9f5207c9da8dc32d95e21c0ba76ea3f62aa982003b8606251be17a0d",
+    "mass": "4049aa21c1e05a3171e2b16fb06a7a148effd05e4c8a7ce278c15afcc960bfee",
+}
+
+
 def test_transport_subcommand(tmp_path):
     out = tmp_path / "t.csv"
     rc = main(["transport", "--p", "1.5", "--check", "box", "--grid", "32",
@@ -319,6 +328,27 @@ def test_transport_subcommand(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "t,value,bound,margin"
     assert len(lines) == 1 + 2 * 32
+    for check, digest in TRANSPORT_CSV_SHA256.items():
+        rc = main(["transport", "--p", "1.5", "--check", check, "--grid", "32",
+                   "--out", str(out)])
+        assert rc == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_transport_subcommand_fails_a_tightened_box(tmp_path, monkeypatch):
+    # the suite's verify_derivative_box and the subcommand hold phi' and
+    # psi' to the same bound: at p = 1.5 they span [0.896, 1.123], outside
+    # (1/1.1, 1.1) on both sides
+    from isozonoid import transport
+
+    monkeypatch.setattr(transport, "FIRST_DERIV_BOX", 1.1)
+    out = tmp_path / "t.csv"
+    rc = main(["transport", "--p", "1.5", "--check", "box", "--out", str(out)])
+    assert rc == 1
+    rows = out.read_text().splitlines()[1:]
+    margins = [float(row.split(",")[3]) for row in rows]
+    assert min(margins) < 0
+    assert {float(row.split(",")[2]) for row in rows} == {1.1}
 
 
 def test_byte_identical_reports(tmp_path):

@@ -168,8 +168,9 @@ def test_reverse_isoperimetric_hexagon():
 
 
 def test_reverse_isoperimetric_mixed_dimensions(monkeypatch):
-    # one search per body and distance, in input order; reports in input
-    # order, each equal to the body's own suite run
+    # one search per body and distance, in input order, and one cube per
+    # dimension; reports in input order, each equal to the body's own
+    # suite run
     from isozonoid import harness
 
     bodies = [cube_body(2), truncated_cube_body(3, 0.1),
@@ -189,9 +190,18 @@ def test_reverse_isoperimetric_mixed_dimensions(monkeypatch):
 
     for name in ("banach_mazur", "volume_distance"):
         monkeypatch.setattr(harness, name, counted(name))
+    cubes = []
+    real_cube = harness.cube_body
+
+    def cube_body_counted(n, *args):
+        cubes.append(n)
+        return real_cube(n, *args)
+
+    monkeypatch.setattr(harness, "cube_body", cube_body_counted)
     reps = reverse_isoperimetric_suite(bodies, labels, restarts=2)
     assert calls == [(name, n) for n in (2, 3, 2)
                      for name in ("volume_distance", "banach_mazur")]
+    assert sorted(cubes) == [2, 3]                # one cube per dimension
     assert [r.to_dict() for r in reps] == [r.to_dict() for r in single]
 
 

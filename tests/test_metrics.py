@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from isozonoid.bodies import (BodyRep, _polar_volumes, cube_body,
+from isozonoid.bodies import (BodyRep, _hull_polar_volumes, cube_body,
                               hull_volume_area)
 from isozonoid.errors import (DimensionUnsupportedError, HypothesisFailedError,
                               MassMismatchError)
@@ -950,7 +950,7 @@ def test_sym_diff_empty_and_singular(n):
 def test_intersection_moments_close_the_surface(rng):
     # sum_i a_i n_i = 0 and (1/n) sum_i <n_i, M_i> = V (the divergence
     # theorem), with V the three-call volume, centred or not; centred, V is
-    # that of _polar_volumes bit for bit (n = 3) and the exact polygon
+    # that of _hull_polar_volumes bit for bit (n = 3) and the exact polygon
     # clip's (n = 2)
     for n in (2, 3):
         systems = [(Ak, b) for A, b in _intersection_batches(n, rng)
@@ -967,7 +967,7 @@ def test_intersection_moments_close_the_surface(rng):
                 assert abs(V - float(polygon_clip_area_exact(Ak, bk))) \
                     <= 1e-12 * V
             elif (bk > 1e-12).all():
-                assert V == _polar_volumes((Ak / bk[:, None])[None])[1][0]
+                assert V == _hull_polar_volumes(Ak / bk[:, None])[1]
         assert _intersection_moments(A[5], b)[0] == 0.0       # disjoint
 
 

@@ -6,8 +6,9 @@ count and the value.  The pins in ``data/search_pins.json`` were recorded
 from an earlier implementation of the objectives and of the driver, and
 every value here must match them exactly, so a rewrite that passes keeps
 every search bit for bit.  The reviso JSON is pinned whole (reports carry
-no runtime field).  Rewrite the pins only for a change that is meant to
-move the searches:
+no runtime field).  The support-sandwich volumes of Z_p and Z*_p, which
+the Theorem B value checks read, are pinned as well.  Rewrite the pins
+only for a change that is meant to move the searches:
 
     PYTHONPATH=src python tests/test_search_pins.py
 
@@ -39,11 +40,12 @@ import numpy as np
 
 from isozonoid.bodies import cube_body
 from isozonoid.cli import main
-from isozonoid.harness import (john_normalize, random_even_isotropic,
-                               regular_polygon_body, tilted_pair_measure,
-                               truncated_cube_body)
+from isozonoid.harness import (john_normalize, perturbation_family,
+                               random_even_isotropic, regular_polygon_body,
+                               tilted_pair_measure, truncated_cube_body)
 from isozonoid.metrics import (banach_mazur, hausdorff_to_cross,
                                volume_distance, wasserstein_to_cross)
+from isozonoid.zonoids import zonoid_volumes
 
 PINS = Path(__file__).parent / "data" / "search_pins.json"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -56,6 +58,9 @@ ONE_BLAS_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS",
 BODIES = [(2, "cube", None), (2, "cut", 0.1), (2, "cut", 0.25),
           (2, "hexagon", None), (3, "cut", 0.1)]
 RESTARTS = {2: 8, 3: 4}
+# the benchmark's quad-volume family: seeded RANDOM_ISOTROPIC measures on
+# n(n + 1)/2 + 4 pairs, their Z_p and Z*_p sandwiched at p = 1.5
+SANDWICH = {2: (3, 101), 3: (2, 103)}           # n -> (count, seed)
 
 
 def _body(n, shape, param):
@@ -100,6 +105,16 @@ def body_outputs():
     return out
 
 
+def sandwich_outputs():
+    out = []
+    for n, (count, seed) in SANDWICH.items():
+        npairs = n * (n + 1) // 2 + 4
+        for mu in perturbation_family("RANDOM_ISOTROPIC", n, (count, npairs),
+                                      seed=seed):
+            out.append([r.to_json_dict() for r in zonoid_volumes(mu, 1.5)])
+    return out
+
+
 def reviso_rows():
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "reviso.json"
@@ -107,7 +122,8 @@ def reviso_rows():
         return [code, json.loads(out.read_text())]
 
 
-ONE_THREAD_OUTPUTS = {"bodies": body_outputs, "verify_reviso": reviso_rows}
+ONE_THREAD_OUTPUTS = {"bodies": body_outputs, "verify_reviso": reviso_rows,
+                      "sandwich": sandwich_outputs}
 
 
 def one_thread_outputs(key):
@@ -136,6 +152,10 @@ def test_body_searches_pinned():
 
 def test_verify_reviso_pinned():
     assert one_thread_outputs("verify_reviso") == _pinned("verify_reviso")
+
+
+def test_sandwich_volumes_pinned():
+    assert one_thread_outputs("sandwich") == _pinned("sandwich")
 
 
 if __name__ == "__main__":

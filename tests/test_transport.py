@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from isozonoid.errors import HypothesisFailedError
-from isozonoid.transport import (TransportMap, cdf_rho_p, p2est_bound, phi_p,
+from isozonoid import transport
+from isozonoid.cli import TRANSPORT_P_LIST
+from isozonoid.errors import BoundViolationError, HypothesisFailedError
+from isozonoid.transport import (cdf_rho_p, p2est_bound, phi_p,
                                  phi_p_derivatives, psi_p, psi_p_derivatives,
                                  rho_p, sf_rho_p, verify_derivative_box,
                                  verify_second_derivative_bounds)
@@ -60,6 +62,9 @@ def test_phi_inf_is_inverse_erf():
 
     t = erf(0.5)
     assert phi_p(math.inf, t) == pytest.approx(0.5, abs=1e-14)
+    for edge in (-1.0, 1.0):                # phi_inf lives on (-1, 1)
+        with pytest.raises(ValueError):
+            phi_p(math.inf, edge)
 
 
 @pytest.mark.parametrize("p", [1, 1.5, 2.3, 3, 7])
@@ -165,6 +170,16 @@ def test_second_derivative_branch_examples():
     assert d2 < -(0.5 / 11.0) * 0.05 ** 1.3
 
 
+def test_tightened_first_derivative_box_raises(monkeypatch):
+    # at p = 1.5, phi' and psi' span [0.896, 1.123] on the box grid, outside
+    # (1/1.1, 1.1) on both sides
+    monkeypatch.setattr(transport, "FIRST_DERIV_BOX", 1.1)
+    grid = np.linspace(0.0, 1.0 / 3.1, 64)
+    with pytest.raises(BoundViolationError) as err:
+        verify_derivative_box(1.5, grid)
+    assert err.value.witness in grid
+
+
 def test_density_box_violation_raises():
     with pytest.raises(ValueError):
         verify_derivative_box(2, np.array([0.9]))      # grid outside [0, 1/3.1]
@@ -192,11 +207,27 @@ def test_p2est_hypothesis_failure():
         p2est_bound(1.5, 100.0, 0.8, 0.4)   # f(tau) > 0 for p < 2
 
 
-def test_transport_map_type():
-    fwd = TransportMap(p=3.0)
-    inv = fwd.inverse()
-    ts = np.linspace(-2, 2, 17)
-    assert np.allclose([inv(fwd(t)) for t in ts], ts, atol=1e-9)
-    assert fwd.domain == (-np.inf, np.inf)
-    assert TransportMap(p=math.inf).domain == (-1.0, 1.0)
-    assert fwd.deriv(0.3) > 0 and inv.deriv(0.3) > 0
+# worst margins on the grids of demos/03_transport_maps.py, which prints
+# the first, pinned bit for bit
+WORST_MARGINS = {
+    1: (0.0, 0.6573986476741385),
+    1.2: (0.011604397883491574, 0.1790106791978169),
+    1.5: (0.010722895506889318, 0.01453525438715106),
+    1.9: (0.0011219178228175641, 0.0002772062923600748),
+    2.1: (5.967457469102655e-05, 0.00011637564172824552),
+    2.3: (0.00020055948740294038, 0.00018526230437350405),
+    2.7: (0.0023383130412358843, 0.00019663530699745406),
+    3: (0.004665718362032556, 0.0001942054231705045),
+    5: (0.016393521106834508, 0.00017858264947118784),
+    10: (0.009406126615790683, 0.00016041306111432604),
+    math.inf: (0.06458897922312556, 0.00013794628778295584),
+}
+
+
+@pytest.mark.parametrize("p", TRANSPORT_P_LIST)
+def test_worst_margins_keep_their_bits(p):
+    box, second = WORST_MARGINS[p]
+    grid = np.linspace(0.0, 1.0 / 3.1, 257)
+    grid2 = np.linspace(1e-4, 1.0 / 8 - 1e-9, 257)
+    assert verify_derivative_box(p, grid).worst_margin == box
+    assert verify_second_derivative_bounds(p, grid2).worst_margin == second
