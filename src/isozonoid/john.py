@@ -129,9 +129,20 @@ def _symmetric_basis(n):
 
 
 def _max_logdet_shape(F, n, t_final=1e12):
-    """Central-path Newton for: max log det Q s.t. f_j^T Q f_j <= 1."""
+    """Central-path Newton for: max log det Q s.t. f_j^T Q f_j <= 1.
+
+    Each step builds its Hessian over the basis pairs a <= b at once: t
+    tr(((Qi E_a) Qi) E_b), in the product order of Qi @ E_a @ Qi @ E_b, plus
+    sum_j q_aj q_bj / s_j^2, with q_aj = f_j^T E_a f_j fixed by F and so
+    formed once, with its pairwise products; the lower triangle mirrors the
+    upper.
+    """
     basis = _symmetric_basis(n)
+    E = np.array(basis)
     m = len(basis)
+    ia, ib = np.triu_indices(m)
+    quad = np.array([np.einsum("ij,jk,ik->i", F, Ea, F) for Ea in basis])
+    qq = quad[ia] * quad[ib]
     r = 0.5 / np.max(np.linalg.norm(F, axis=1))
     Q = np.eye(n) * r * r
     t = 1.0
@@ -140,19 +151,17 @@ def _max_logdet_shape(F, n, t_final=1e12):
         for _ in range(80):
             Qi = np.linalg.inv(Q)
             s = 1.0 - np.einsum("ij,jk,ik->i", F, Q, F)
-            quad = np.array([np.einsum("ij,jk,ik->i", F, E, F) for E in basis])
-            g = np.array([-t * np.trace(Qi @ E) for E in basis]) + quad @ (1.0 / s)
-            H = np.zeros((m, m))
-            for a in range(m):
-                for b in range(a, m):
-                    val = t * np.trace(Qi @ basis[a] @ Qi @ basis[b])
-                    val += np.sum(quad[a] * quad[b] / s ** 2)
-                    H[a, b] = H[b, a] = val
+            QiE = Qi @ E
+            g = -t * np.trace(QiE, axis1=1, axis2=2) + quad @ (1.0 / s)
+            h = (t * np.trace((QiE @ Qi)[ia] @ E[ib], axis1=1, axis2=2)
+                 + np.sum(qq / s ** 2, axis=1))
+            H = np.empty((m, m))
+            H[ia, ib] = H[ib, ia] = h
             try:
                 step = np.linalg.solve(H, -g)
             except np.linalg.LinAlgError:
                 break
-            dQ = sum(cf * E for cf, E in zip(step, basis))
+            dQ = sum(cf * Ea for cf, Ea in zip(step, basis))
             alpha = 1.0
             for _ in range(60):
                 Qn = Q + alpha * dQ

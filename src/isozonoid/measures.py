@@ -151,17 +151,38 @@ class AtomicMeasure:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
+def _dots(X, Y):
+    """<X[..., :], Y[..., :]> by the 1-D dot product that ``np.dot`` and
+    ``np.linalg.norm`` take on one pair of vectors, pair by pair."""
+    return (X[..., None, :] @ Y[..., :, None])[..., 0, 0]
+
+
+def _angle_table(U, W):
+    """``sphere_angle(U[i], W[j])`` for every pair, bit for bit.
+
+    ``metrics.angle_matrix`` forms the same angles with its norms reduced
+    along an axis, whose last bits differ; the transport and Hausdorff
+    values are pinned to those, the merge and pair decisions to these."""
+    D = U[:, None, :] - W[None, :, :]
+    S = U[:, None, :] + W[None, :, :]
+    near = 2.0 * np.arcsin(np.minimum(0.5 * np.sqrt(_dots(D, D)), 1.0))
+    far = np.pi - 2.0 * np.arcsin(np.minimum(0.5 * np.sqrt(_dots(S, S)), 1.0))
+    return np.where(_dots(U[:, None, :], W[None, :, :]) >= 0.0, near, far)
+
+
 def _merge_close_atoms(U, c):
-    keep_U, keep_c = [], []
-    for u, w in zip(U, c):
-        for i, v in enumerate(keep_U):
-            if sphere_angle(u, v) <= MERGE_ANGLE:
-                keep_c[i] += w
-                break
-        else:
-            keep_U.append(u.copy())
+    """Each atom in turn joins the first kept atom within ``MERGE_ANGLE``
+    (its weight added), else is kept."""
+    close = (_angle_table(U, U) <= MERGE_ANGLE).tolist()
+    keep, keep_c = [], []
+    for i, w in enumerate(c):
+        hit = next((a for a, j in enumerate(keep) if close[i][j]), None)
+        if hit is None:
+            keep.append(i)
             keep_c.append(w)
-    return np.array(keep_U), np.array(keep_c)
+        else:
+            keep_c[hit] += w
+    return U[keep], np.array(keep_c)
 
 
 def _check_evenness(U, c):
@@ -301,19 +322,19 @@ def solve_isotropic_weights(directions, even: bool = False,
 
 
 def _pair_indices(U):
-    """Map each row index to its antipodal partner; raise if unpaired."""
-    k = len(U)
+    """Map each row index to its antipodal partner, the first free row
+    within ``MERGE_ANGLE`` of its negation; raise if unpaired."""
+    close = (_angle_table(U, -U) <= MERGE_ANGLE).tolist()
     pair = {}
-    for i in range(k):
+    for i in range(len(U)):
         if i in pair:
             continue
-        for j in range(k):
-            if j != i and j not in pair and sphere_angle(U[i], -U[j]) <= MERGE_ANGLE:
-                pair[i] = j
-                pair[j] = i
-                break
-        else:
+        j = next((j for j, hit in enumerate(close[i])
+                  if hit and j != i and j not in pair), None)
+        if j is None:
             raise InfeasibleWeightsError("even flag set but directions not closed under negation")
+        pair[i] = j
+        pair[j] = i
     return pair
 
 

@@ -51,9 +51,12 @@ the arcs where each facet is active, no Qhull call) and from one hull of the
 dual points in n = 3.  The volume is smooth where the facet structure of the
 intersection is fixed, and its exact gradient comes from the same arcs or
 hull: each facet's area times the normal velocity of its centroid
-(Lasserre).  Its search runs scipy's BFGS from each start, one body at a
-time, in n = 2 and n = 3 alike, and its certificate records the iterations
-(``nit``) and the gradient at the returned point (``grad_norm``).
+(Lasserre).  Its search runs BFGS from each start, one body at a time, in
+n = 2 and n = 3 alike: ``_bfgs`` takes scipy's BFGS steps bit for bit,
+with scipy's own line search, but without ``minimize``'s per-step
+wrappers.  Its certificate records the iterations (``nit``), the starts
+whose gradient met gtol (``converged``) and the gradient at the returned
+point (``grad_norm``).
 
 The n = 3 orbit searches run on ``_lockstep_nelder_mead``: the starts
 advance in lockstep, each taking exactly the steps of scipy's Nelder-Mead,
@@ -71,6 +74,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog, minimize
+from scipy.optimize._optimize import _LineSearchError, _line_search_wolfe12
 
 from .bodies import (BodyRep, _interior_point, _polar_moments,
                      hull_volume_area)
@@ -81,6 +85,7 @@ from .measures import AtomicMeasure, cross_measure, sphere_angle
 
 MASS_TOL = 1e-9
 EPS = 1e-12
+BFGS_GTOL = 1e-10           # the delta_vol search stops at max |gradient| <= this
 
 
 def angle_matrix(U, W) -> np.ndarray:
@@ -808,20 +813,87 @@ def _sym_diff(AK, b, AM):
     return sym_diff
 
 
+def _bfgs(objective, x0):
+    """scipy's BFGS on an objective that returns (value, gradient), step for
+    step and bit for bit: ``minimize(objective, x0, jac=True,
+    method="BFGS", options={"gtol": BFGS_GTOL})`` without its wrappers.
+
+    It takes scipy's line search (``_line_search_wolfe12``), its
+    inverse-Hessian update and its first ``old_old_fval``, and its stops:
+    max |g| <= BFGS_GTOL, a zero step (xrtol 0), 200 N iterations, and a failed
+    line search ("precision loss").  One (x, value, gradient) memo stands
+    for scipy's ``ScalarFunction`` and ``MemoizeJac``: the objective runs
+    once per new point, and ``nfev`` counts as scipy counts it, one per
+    point whose value is asked for.  Returns (value, x, gradient, nfev,
+    iterations).
+    """
+    xk = np.asarray(x0, dtype=float).flatten()
+    N = len(xk)
+    memo = None                 # [x, value, gradient, value counted]
+    nfev = 0
+
+    def point(x):
+        nonlocal memo
+        if memo is None or not np.array_equal(x, memo[0]):
+            memo = [x.copy(), *objective(x), False]
+        return memo
+
+    def fun(x):
+        nonlocal nfev
+        m = point(x)
+        if not m[3]:
+            nfev, m[3] = nfev + 1, True
+        return m[1]
+
+    def grad(x):
+        return point(x)[2]
+
+    old_fval, gfk = fun(xk), grad(xk)
+    I = np.eye(N)
+    Hk = I
+    old_old_fval = old_fval + np.linalg.norm(gfk) / 2    # a first step ~ 1
+    k, gnorm = 0, np.amax(np.abs(gfk))
+    while gnorm > BFGS_GTOL and k < 200 * N:
+        pk = -np.dot(Hk, gfk)
+        try:
+            alpha_k, _, _, old_fval, old_old_fval, gfkp1 = _line_search_wolfe12(
+                fun, grad, xk, pk, gfk, old_fval, old_old_fval, amin=1e-100,
+                amax=1e100, c1=1e-4, c2=0.9)
+        except _LineSearchError:
+            break
+        sk = alpha_k * pk
+        xk = xk + sk
+        if gfkp1 is None:
+            gfkp1 = grad(xk)
+        yk = gfkp1 - gfk
+        gfk = gfkp1
+        k += 1
+        gnorm = np.amax(np.abs(gfk))
+        if (gnorm <= BFGS_GTOL or alpha_k * np.linalg.norm(pk) <= 0.0
+                or not np.isfinite(old_fval)):
+            break
+        rhok_inv = np.dot(yk, sk)
+        rhok = 1000.0 if rhok_inv == 0.0 else 1.0 / rhok_inv
+        A1 = I - sk[:, np.newaxis] * yk[np.newaxis, :] * rhok
+        A2 = I - yk[:, np.newaxis] * sk[np.newaxis, :] * rhok
+        Hk = np.dot(A1, np.dot(Hk, A2)) + (rhok * sk[:, np.newaxis] *
+                                           sk[np.newaxis, :])
+    return old_fval, xk, gfk, nfev, k
+
+
 def _bfgs_volume_search(objective, n, restarts, seed):
-    """scipy BFGS on an objective that returns (value, gradient) (gtol
-    1e-10), from each of ``_body_starts`` (scale 0.25).  Returns (value,
-    certificate) of the best start, the lowest index on ties."""
-    runs = [minimize(objective, x0, jac=True, method="BFGS",
-                     options={"gtol": 1e-10})
-            for x0 in _body_starts(n, restarts, 0.25, seed)]
-    best = int(np.argmin([run.fun for run in runs]))
-    return float(runs[best].fun), {
+    """``_bfgs`` from each of ``_body_starts`` (scale 0.25).
+    Returns (value, certificate) of the best start, the lowest index on
+    ties."""
+    funs, _, jacs, nfevs, nits = zip(*(
+        _bfgs(objective, x0) for x0 in _body_starts(n, restarts, 0.25, seed)))
+    best = int(np.argmin(funs))
+    grad_norms = [float(np.max(np.abs(jac))) for jac in jacs]
+    return float(funs[best]), {
         "method": "bfgs-exact-gradient", "restarts": restarts,
-        "best_start": best, "nfev": sum(int(run.nfev) for run in runs),
-        "nit": sum(int(run.nit) for run in runs),
-        "grad_norm": float(np.max(np.abs(runs[best].jac))),
-        "upper_bound_only": True}
+        "best_start": best, "nfev": sum(nfevs), "nit": sum(nits),
+        "converged": sum(g <= BFGS_GTOL for g in grad_norms),
+        "grad_norm": grad_norms[best], "upper_bound_only": True}
 
 
 def volume_distance(K: BodyRep, M: BodyRep, restarts: int = 12, seed: int = 0):
@@ -838,11 +910,13 @@ def volume_distance(K: BodyRep, M: BodyRep, restarts: int = 12, seed: int = 0):
     from ``restarts`` starts (the identity, then random perturbations of
     it).  The certificate records ``method`` ("bfgs-exact-gradient"),
     ``restarts``, ``best_start``, the evaluations ``nfev`` and iterations
-    ``nit`` of all starts, ``grad_norm``, the largest gradient entry at the
-    returned point, and ``upper_bound_only``.  The returned point is not a
-    global minimum, and need not be stationary: BFGS may stop on a kink,
-    where the facet structure of the intersection changes (the hexagon's
-    minimum in n = 2 is one), and there ``grad_norm`` is no measure of
+    ``nit`` of all starts, ``converged``, the starts whose gradient met
+    gtol (1e-10), ``grad_norm``, the largest gradient entry at the returned
+    point, and ``upper_bound_only``.  The returned point is not a global
+    minimum, and need not be stationary: BFGS may stop on a kink, where the
+    facet structure of the intersection changes (the hexagon's minimum in
+    n = 2 is one); each start not counted in ``converged`` stopped on a
+    failed line search there, and its ``grad_norm`` is no measure of
     stationarity.  Returns (value, certificate).
     """
     n = K.dim

@@ -286,11 +286,13 @@ def psi_p_derivatives(p, t):
 
 @dataclass(frozen=True)
 class BoundReport:
+    """A check that held on every row: its verify function raises
+    BoundViolationError at the first row that fails instead."""
+
     p: float
     name: str
     npoints: int
     worst_margin: float     # the least margin over the grid
-    passed: bool
 
 
 def _box_rows(p, grid):
@@ -358,7 +360,7 @@ def verify_derivative_box(p, grid, density_grid=None) -> BoundReport:
                               lambda r: (DENSITY_LOW - 1e-14 <= r
                                          < DENSITY_HIGH)))
     return BoundReport(p=p, name="derivative-box", npoints=len(grid),
-                       worst_margin=float(worst), passed=True)
+                       worst_margin=float(worst))
 
 
 def second_derivative_bound_phi(p, t):
@@ -392,7 +394,7 @@ def verify_second_derivative_bounds(p, grid) -> BoundReport:
                 _worst_margin(_second_rows(p, grid[grid < 0.1], psi=True),
                               "psi'' bound"))
     return BoundReport(p=p, name="second-derivative", npoints=len(grid),
-                       worst_margin=float(worst), passed=True)
+                       worst_margin=float(worst))
 
 
 def p2est_bound(p, nu, tau, t):

@@ -12,9 +12,11 @@ sign vectors (no facet normals), halfspace intersections from
 Qhull's halfspace mode (no polar-dual hull), polytope support functions
 from one LP per direction (no vertex list), volumes of Z*_p and of polar
 polygons from radial quadrature rules (no polar vertices), the icosphere
-from a Python loop over faces, and the gauge of M_p from its
+from a Python loop over faces, the gauge of M_p from its
 representation infimum (one LP or SLSQP solve per point, not the Z_{p'}
-duality).
+duality), the John ellipsoid's Newton Hessian entry by entry over the basis
+pairs, and the antipodal pairing and merging of atoms from one scalar
+sphere_angle call per pair of atoms.
 """
 
 import itertools
@@ -532,3 +534,89 @@ def mp_gauge_solver(mu, p, x):
     if feas > 1e-8 * (1.0 + float(np.linalg.norm(x))):
         raise RuntimeError(f"M_p gauge solve infeasible by {feas:.2e}")
     return float(obj(res.x)) ** (1.0 / p)
+
+
+def max_logdet_shape_loop(F, n, t_final=1e12):
+    """john._max_logdet_shape as a loop: the central-path Newton for max
+    log det Q s.t. f_j^T Q f_j <= 1, its Hessian filled entry by entry over
+    the basis pairs and every f_j^T E f_j formed again at each step."""
+    basis = []
+    for i in range(n):
+        for j in range(i, n):
+            E = np.zeros((n, n))
+            E[i, j] = E[j, i] = 1.0
+            basis.append(E)
+    m = len(basis)
+    r = 0.5 / np.max(np.linalg.norm(F, axis=1))
+    Q = np.eye(n) * r * r
+    t = 1.0
+    while t < t_final:
+        t *= 8.0
+        for _ in range(80):
+            Qi = np.linalg.inv(Q)
+            s = 1.0 - np.einsum("ij,jk,ik->i", F, Q, F)
+            quad = np.array([np.einsum("ij,jk,ik->i", F, E, F) for E in basis])
+            g = np.array([-t * np.trace(Qi @ E) for E in basis]) + quad @ (1.0 / s)
+            H = np.zeros((m, m))
+            for a in range(m):
+                for b in range(a, m):
+                    val = t * np.trace(Qi @ basis[a] @ Qi @ basis[b])
+                    val += np.sum(quad[a] * quad[b] / s ** 2)
+                    H[a, b] = H[b, a] = val
+            try:
+                step = np.linalg.solve(H, -g)
+            except np.linalg.LinAlgError:
+                break
+            dQ = sum(cf * E for cf, E in zip(step, basis))
+            alpha = 1.0
+            for _ in range(60):
+                Qn = Q + alpha * dQ
+                sn = 1.0 - np.einsum("ij,jk,ik->i", F, Qn, F)
+                if np.min(np.linalg.eigvalsh(Qn)) > 0 and np.all(sn > 0):
+                    break
+                alpha *= 0.5
+            else:
+                break
+            Q = Q + alpha * dQ
+            if np.linalg.norm(alpha * step) < 1e-15:
+                break
+    return Q
+
+
+def pair_indices_loop(U, merge_angle):
+    """measures._pair_indices as a loop of scalar sphere_angle calls: each
+    row's partner is the first free row within merge_angle of its
+    negation.  Returns the map, or None when a row has no partner."""
+    from isozonoid.measures import sphere_angle
+
+    k = len(U)
+    pair = {}
+    for i in range(k):
+        if i in pair:
+            continue
+        for j in range(k):
+            if j != i and j not in pair and \
+                    sphere_angle(U[i], -U[j]) <= merge_angle:
+                pair[i] = j
+                pair[j] = i
+                break
+        else:
+            return None
+    return pair
+
+
+def merge_close_atoms_loop(U, c, merge_angle):
+    """measures._merge_close_atoms as a loop of scalar sphere_angle calls:
+    each atom joins the first kept atom within merge_angle, else is kept."""
+    from isozonoid.measures import sphere_angle
+
+    keep_U, keep_c = [], []
+    for u, w in zip(U, c):
+        for i, v in enumerate(keep_U):
+            if sphere_angle(u, v) <= merge_angle:
+                keep_c[i] += w
+                break
+        else:
+            keep_U.append(u.copy())
+            keep_c.append(w)
+    return np.array(keep_U), np.array(keep_c)

@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 
 from isozonoid.errors import InfeasibleWeightsError
-from isozonoid.measures import (AtomicMeasure, CapQuery, cap_mass, check_isotropy,
+from isozonoid.measures import (MERGE_ANGLE, AtomicMeasure, CapQuery,
+                                _angle_table, _merge_close_atoms, _pair_indices,
+                                cap_mass, check_isotropy,
                                 equiangular_measure, isotropic_measure_from_directions,
                                 measure_from_json, second_moment_matrix,
                                 solve_isotropic_weights, sphere_angle, unit_vector)
+
+from oracles import merge_close_atoms_loop, pair_indices_loop
 
 
 def test_unit_vector_normalizes():
@@ -150,6 +154,57 @@ def test_atom_canonicalization_merges():
     mu = AtomicMeasure(2, np.array([u, w]), np.array([0.3, 0.2]))
     assert mu.natoms == 1
     assert mu.weights[0] == pytest.approx(0.5)
+
+
+def _threshold_pairs(n, rng):
+    """(u, w) pairs, u a signed coordinate vector, whose sphere_angle lies
+    within an ulp of MERGE_ANGLE: w = u + h e_j (n = 2) or u + h1 e_j +
+    h2 e_k (n = 3), h scanned over ulps, then both mapped by one random
+    signed permutation (exact)."""
+    ulp = np.spacing(MERGE_ANGLE)
+    if n == 2:
+        cands = [np.array([1.0, h]) for h in MERGE_ANGLE + ulp * np.arange(-2, 3)]
+    else:
+        cands = [np.array([1.0, h, 0.6 * MERGE_ANGLE])
+                 for h in 0.8 * MERGE_ANGLE + ulp * np.arange(-64, 65)]
+    pairs = []
+    for w in cands:
+        P = np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], size=n)
+        u, w = P[:, 0].copy(), P @ w
+        if abs(sphere_angle(u, w) - MERGE_ANGLE) <= ulp:
+            pairs.append((u, w))
+    return pairs
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pairs_and_merges_equal_the_scalar_loops(n):
+    # the angle table decides every pair as the scalar sphere_angle does,
+    # at the threshold too: pairs within an ulp of MERGE_ANGLE, both sides
+    rng = np.random.default_rng(1092 + n)
+    pairs = _threshold_pairs(n, rng)
+    angles = [sphere_angle(u, w) for u, w in pairs]
+    assert min(angles) < MERGE_ANGLE < max(angles)
+    assert MERGE_ANGLE in angles or n == 3
+    for _ in range(40):
+        V = rng.normal(size=(int(rng.integers(1, 5)), n))
+        rows = [V / np.linalg.norm(V, axis=1)[:, None]]
+        for i in rng.choice(len(pairs), size=int(rng.integers(1, 4))):
+            u, w = pairs[i]
+            rows.append(np.array([u, w, -u, -w]))
+        U = np.vstack(rows + [-rows[0]])
+        U = U[rng.permutation(len(U))[:len(U) - int(rng.integers(0, 2))]]
+        assert np.array_equal(
+            _angle_table(U, -U),
+            [[sphere_angle(a, -b) for b in U] for a in U])
+        try:
+            got = _pair_indices(U)
+        except InfeasibleWeightsError:
+            got = None
+        assert got == pair_indices_loop(U, MERGE_ANGLE)
+        c = rng.uniform(0.1, 1.0, size=len(U))
+        mU, mc = _merge_close_atoms(U, c)
+        oU, oc = merge_close_atoms_loop(U, c, MERGE_ANGLE)
+        assert np.array_equal(mU, oU) and np.array_equal(mc, oc)
 
 
 def test_evenness_validation_rejects_unpaired():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from isozonoid.bodies import (BodyRep, _hull_polar_volumes, cube_body,
                               hull_volume_area)
@@ -13,7 +14,8 @@ from isozonoid.harness import (john_normalize, perturbation_family,
 from isozonoid.measures import (AtomicMeasure, cross_measure,
                                 equiangular_measure, unit_vector)
 from isozonoid import bodies, metrics
-from isozonoid.metrics import (_antipodal_half, _cross_transport_dual,
+from isozonoid.metrics import (_antipodal_half, _bfgs, _body_starts,
+                               _cross_transport_dual,
                                _hausdorff_to_cross_batch,
                                _bm_epigraph, _intersection_moments,
                                _lockstep_nelder_mead, _sym_diff, banach_mazur,
@@ -733,13 +735,16 @@ def test_volume_distance_not_above_per_start_scipy(n, shape, param):
     o_val, _, _ = volume_distance_per_start(K, cube_body(n), restarts)
     assert 0.0 <= val <= o_val + (1e-12 if n == 2 else 1e-9)
     assert list(cert) == ["method", "restarts", "best_start", "nfev", "nit",
-                          "grad_norm", "upper_bound_only"]
+                          "converged", "grad_norm", "upper_bound_only"]
     assert cert["method"] == "bfgs-exact-gradient"
     assert cert["restarts"] == restarts
     assert 0 <= cert["best_start"] < restarts
     assert restarts <= cert["nit"] < cert["nfev"]
     # n = 2 minima may sit on kinks: the hexagon's best start ends at 0.46
     assert 0.0 <= cert["grad_norm"] < (1e-5 if n == 3 else math.inf)
+    assert 0 <= cert["converged"] <= restarts
+    if shape == "hexagon":      # every start stops at the kink of its minimum
+        assert cert["converged"] == 0
 
 
 def test_orbit_searches_stop_at_n4():
@@ -875,9 +880,11 @@ def test_intersection_volumes_qhull_calls(monkeypatch, rng):
     # gradient: no hull in n = 2 (its setup's conversions make some), one
     # in n = 3
     searched = []
-    real_minimize = metrics.minimize
+    real_sym_diff = metrics._sym_diff
 
-    def counted(objective):
+    def counted(*system):
+        objective = real_sym_diff(*system)
+
         def wrapped(x):
             start = len(calls)
             out = objective(x)
@@ -885,9 +892,7 @@ def test_intersection_volumes_qhull_calls(monkeypatch, rng):
             return out
         return wrapped
 
-    monkeypatch.setattr(
-        metrics, "minimize", lambda objective, *args, **kw: real_minimize(
-            counted(objective), *args, **kw))
+    monkeypatch.setattr(metrics, "_sym_diff", counted)
     for n, shape, param, restarts in ((2, "cut", 0.25, 2),
                                       (2, "hexagon", None, 2),
                                       (3, "cut", 0.1, 1)):
@@ -915,6 +920,27 @@ def _sym_diff_systems(n, shape, param):
     bM = bM / 2.0
     return [_sym_diff(AK, np.concatenate([bK + AK @ t, bM]), AM)
             for t in (np.zeros(n), np.array([0.8, 0.1, 0.0])[:n])]
+
+
+@pytest.mark.parametrize("n,shape,param", SYM_DIFF_BODIES + RANDOM_POLYGONS)
+def test_bfgs_driver_equals_scipy_bfgs(n, shape, param):
+    # the delta_vol driver takes scipy's BFGS steps bit for bit from every
+    # start; it imports scipy's private line search, so a scipy release that
+    # changes it fails here
+    K = _volume_distance_body(n, shape, param)
+    (AK, bK), (AM, bM) = K.to_hrep().halfspaces, cube_body(n).halfspaces
+    alpha = hull_volume_area(K.to_vrep().vertices)[0] ** (-1.0 / n)
+    objective = _sym_diff(AK, np.concatenate([bK * alpha, bM / 2.0]), AM)
+    for x0 in _body_starts(n, 8, 0.25, 0):
+        fun, x, jac, nfev, nit = _bfgs(objective, x0)
+        run = minimize(objective, x0, jac=True, method="BFGS",
+                       options={"gtol": 1e-10})
+        assert fun == run.fun and type(fun) is type(run.fun)
+        assert np.array_equal(x, run.x) and np.array_equal(jac, run.jac)
+        assert (nfev, nit) == (run.nfev, run.nit)
+        # the gradient met gtol, or the line search failed at a kink
+        assert (np.max(np.abs(jac)) <= 1e-10) == run.success
+        assert run.success or run.status == 2
 
 
 @pytest.mark.parametrize("n,shape,param", SYM_DIFF_BODIES)

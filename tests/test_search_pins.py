@@ -23,7 +23,10 @@ The pins are tied to the numerical toolchain they were recorded with
 (numpy 2.4.6 and scipy 1.17.1 on the OpenBLAS 0.3.31 of their wheels, an
 x86-64 CPU): BLAS matmul order and kernel choice, libm's arcsin, Qhull and
 numpy's reduction order all reach the last bit, and the searches amplify
-it.  After a toolchain change a mismatch with no code change is expected;
+it.  The delta_vol search also imports scipy's private line search
+(``scipy.optimize._optimize._line_search_wolfe12``) and takes scipy's BFGS
+steps with it, so a scipy release that changes it moves those pins too.
+After a toolchain change a mismatch with no code change is expected;
 re-record the pins by running the command above at the commit before the
 code change, then check the code change against them.  Do not loosen the
 comparison.
