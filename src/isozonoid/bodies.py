@@ -423,8 +423,9 @@ def _polar_moments(P):
     area = dets * np.sqrt(np.sum(P * P, axis=1))[S] / 2.0
     moment = area[..., None] * (foot + x_G + x_F) / 3.0
     a = np.bincount(S.ravel(), weights=area.ravel(), minlength=m)
-    M = np.stack([np.bincount(S.ravel(), weights=moment[..., j].ravel(),
-                              minlength=m) for j in range(3)], axis=1)
+    # bin 3 i + j sums coordinate j of plane i's moments, in fan order
+    M = np.bincount((3 * S[..., None] + np.arange(3)).ravel(),
+                    weights=moment.ravel(), minlength=3 * m).reshape(m, 3)
     return volume, a, M
 
 

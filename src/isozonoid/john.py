@@ -118,16 +118,6 @@ def _john_residual(F):
     return float(np.max(np.abs(M - np.eye(F.shape[1]))))
 
 
-def _symmetric_basis(n):
-    basis = []
-    for i in range(n):
-        for j in range(i, n):
-            E = np.zeros((n, n))
-            E[i, j] = E[j, i] = 1.0
-            basis.append(E)
-    return basis
-
-
 def _max_logdet_shape(F, n, t_final=1e12):
     """Central-path Newton for: max log det Q s.t. f_j^T Q f_j <= 1.
 
@@ -135,13 +125,15 @@ def _max_logdet_shape(F, n, t_final=1e12):
     tr(((Qi E_a) Qi) E_b), in the product order of Qi @ E_a @ Qi @ E_b, plus
     sum_j q_aj q_bj / s_j^2, with q_aj = f_j^T E_a f_j fixed by F and so
     formed once, with its pairwise products; the lower triangle mirrors the
-    upper.
+    upper.  The step dQ = sum_a step_a E_a is written into both triangles.
     """
-    basis = _symmetric_basis(n)
-    E = np.array(basis)
-    m = len(basis)
+    iu = np.triu_indices(n)             # basis E_a: 1 at iu_a and its mirror
+    m = len(iu[0])
+    E = np.zeros((m, n, n))
+    E[np.arange(m), iu[0], iu[1]] = E[np.arange(m), iu[1], iu[0]] = 1.0
     ia, ib = np.triu_indices(m)
-    quad = np.array([np.einsum("ij,jk,ik->i", F, Ea, F) for Ea in basis])
+    Eb = E[ib]
+    quad = np.array([np.einsum("ij,jk,ik->i", F, Ea, F) for Ea in E])
     qq = quad[ia] * quad[ib]
     r = 0.5 / np.max(np.linalg.norm(F, axis=1))
     Q = np.eye(n) * r * r
@@ -153,7 +145,7 @@ def _max_logdet_shape(F, n, t_final=1e12):
             s = 1.0 - np.einsum("ij,jk,ik->i", F, Q, F)
             QiE = Qi @ E
             g = -t * np.trace(QiE, axis1=1, axis2=2) + quad @ (1.0 / s)
-            h = (t * np.trace((QiE @ Qi)[ia] @ E[ib], axis1=1, axis2=2)
+            h = (t * np.trace((QiE @ Qi)[ia] @ Eb, axis1=1, axis2=2)
                  + np.sum(qq / s ** 2, axis=1))
             H = np.empty((m, m))
             H[ia, ib] = H[ib, ia] = h
@@ -161,7 +153,8 @@ def _max_logdet_shape(F, n, t_final=1e12):
                 step = np.linalg.solve(H, -g)
             except np.linalg.LinAlgError:
                 break
-            dQ = sum(cf * Ea for cf, Ea in zip(step, basis))
+            dQ = np.zeros((n, n))
+            dQ[iu] = dQ[iu[::-1]] = step
             alpha = 1.0
             for _ in range(60):
                 Qn = Q + alpha * dQ

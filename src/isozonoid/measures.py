@@ -84,8 +84,8 @@ class AtomicMeasure:
         if np.any(np.abs(nrm - 1.0) > UNIT_NORM_TOL):
             raise ValueError("directions must be unit vectors (within 1e-12)")
         U, c = _merge_close_atoms(U, c)
-        if self.even:
-            _check_evenness(U, c)
+        if self.even:                   # its pair map, kept for ``folded``
+            object.__setattr__(self, "_pair_of", _check_evenness(U, c))
         U.flags.writeable = False
         c.flags.writeable = False
         object.__setattr__(self, "directions", U)
@@ -110,8 +110,7 @@ class AtomicMeasure:
         """
         if not self.even:
             return self.directions, self.weights
-        pair_of = _pair_indices(self.directions)
-        reps = sorted(i for i, j in pair_of.items() if i < j)
+        reps = sorted(i for i, j in self._pair_of.items() if i < j)
         U = self.directions[reps]
         c = 2.0 * self.weights[reps]
         U.flags.writeable = False
@@ -186,12 +185,14 @@ def _merge_close_atoms(U, c):
 
 
 def _check_evenness(U, c):
+    """The pair map of an even measure's atoms, or raise ValueError."""
     try:
         pair_of = _pair_indices(U)
     except InfeasibleWeightsError:
         raise ValueError("even measure misses an antipodal atom") from None
     if any(abs(c[i] - c[j]) > EVEN_WEIGHT_TOL for i, j in pair_of.items()):
         raise ValueError("even measure has unequal antipodal weights")
+    return pair_of
 
 
 def measure_from_json(data) -> AtomicMeasure:

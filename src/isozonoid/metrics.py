@@ -53,10 +53,11 @@ intersection is fixed, and its exact gradient comes from the same arcs or
 hull: each facet's area times the normal velocity of its centroid
 (Lasserre).  Its search runs BFGS from each start, one body at a time, in
 n = 2 and n = 3 alike: ``_bfgs`` takes scipy's BFGS steps bit for bit,
-with scipy's own line search, but without ``minimize``'s per-step
-wrappers.  Its certificate records the iterations (``nit``), the starts
-whose gradient met gtol (``converged``) and the gradient at the returned
-point (``grad_norm``).
+with scipy's line search (``_dcsrch``, a float port of scipy's MINPACK
+``DCSRCH``), but without ``minimize``'s per-step wrappers.  Its
+certificate records the iterations (``nit``), the starts whose gradient
+met gtol (``converged``) and the gradient at the returned point
+(``grad_norm``).
 
 The n = 3 orbit searches run on ``_lockstep_nelder_mead``: the starts
 advance in lockstep, each taking exactly the steps of scipy's Nelder-Mead,
@@ -70,11 +71,11 @@ evaluations of all starts (``nfev``) and the objective calls
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize
-from scipy.optimize._optimize import _LineSearchError, _line_search_wolfe12
+from scipy.optimize import line_search, linprog, minimize
 
 from .bodies import (BodyRep, _interior_point, _polar_moments,
                      hull_volume_area)
@@ -813,19 +814,253 @@ def _sym_diff(AK, b, AM):
     return sym_diff
 
 
+def _quiet_div(a, b):
+    """a / b on floats as on numpy float64 scalars: +-inf or nan where b is
+    0, where Python raises."""
+    if b:
+        return a / b
+    if a and a == a:
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
+    return math.nan
+
+
+def _quiet_sqrt(x):
+    """np.sqrt on a float: nan below 0, where math.sqrt raises."""
+    return math.sqrt(x) if x >= 0 else math.nan
+
+
+def _clip(x, lo, hi):
+    """np.clip on floats: nan stays, and a tie keeps x."""
+    y = x if x != x or x >= lo else lo
+    return y if y != y or y <= hi else hi
+
+
+def _dcsrch(phi, derphi, stp, f, g, ftol, gtol, xtol, stpmin, stpmax):
+    """A step satisfying the strong Wolfe conditions for phi: Moré and
+    Thuente's line search (ACM TOMS 20, 1994; MINPACK-2 ``dcsrch`` and
+    ``dcstep``), ported from scipy 1.17.1's ``DCSRCH``
+    (``scipy/optimize/_dcsrch.py``, BSD) to Python floats.  It is
+    ``DCSRCH(phi, derphi, ftol, gtol, xtol, stpmin, stpmax)(stp, f, g)``
+    with the same branches and the same operations in the same order, so
+    every trial step and the returned step are scipy's bit for bit.  Where
+    numpy's float64 scalars give inf or nan quietly, Python floats raise;
+    ``_quiet_div``, ``_quiet_sqrt`` and ``_clip`` give numpy's results.  A
+    square is ``** 2``, libm's pow as on a numpy scalar (``x * x`` differs
+    from it in the last bit for some x); it squares |theta / s| <= 1 or
+    nan, so it cannot overflow.
+
+    ``phi(s)`` and ``derphi(s)`` return floats; ``derphi`` is called right
+    after ``phi`` at the same step.  ``f`` and ``g`` are their values at 0,
+    ``stp`` the first trial step.  At most 100 trial steps, as
+    ``scalar_search_wolfe1``'s ``maxiter``.  Returns (step, value, task):
+    the step is None unless ``task`` is "CONVERGENCE", and the value is the
+    last one ``phi`` gave, else ``f``.  The step's bracket [stx, sty] holds
+    values fx, fy and derivatives gx, gy; dcstep works on them (or on those
+    of the modified function psi(s) = phi(s) - ftol s phi'(0)) as fx, dx,
+    fy, dy, with fp, dp at stp.
+    """
+    task = "FG"
+    if stp < stpmin:
+        task = "ERROR: STP .LT. STPMIN"
+    if stp > stpmax:
+        task = "ERROR: STP .GT. STPMAX"
+    if g >= 0:
+        task = "ERROR: INITIAL G .GE. ZERO"
+    if ftol < 0:
+        task = "ERROR: FTOL .LT. ZERO"
+    if gtol < 0:
+        task = "ERROR: GTOL .LT. ZERO"
+    if xtol < 0:
+        task = "ERROR: XTOL .LT. ZERO"
+    if stpmin < 0:
+        task = "ERROR: STPMIN .LT. ZERO"
+    if stpmax < stpmin:
+        task = "ERROR: STPMAX .LT. STPMIN"
+    if task == "FG":
+        brackt, stage = False, 1
+        finit, ginit = f, g
+        gtest = ftol * ginit
+        width = stpmax - stpmin
+        width1 = width / 0.5
+        stx, fx, gx = 0.0, finit, ginit
+        sty, fy, gy = 0.0, finit, ginit
+        stmin, stmax = 0.0, stp + 4.0 * stp
+    for rnd in range(1, 101):
+        if not math.isfinite(stp):
+            return None, f, "WARN"
+        if task != "FG":
+            break
+        f, g = phi(stp), derphi(stp)
+        if rnd == 100:
+            return None, f, ("WARNING: dcsrch did not converge within max "
+                             "iterations")
+
+        # the second stage starts once psi(stp) <= 0 and phi'(stp) >= 0
+        ftest = finit + stp * gtest
+        if stage == 1 and f <= ftest and g >= 0:
+            stage = 2
+        if brackt and (stp <= stmin or stp >= stmax):
+            task = "WARNING: ROUNDING ERRORS PREVENT PROGRESS"
+        if brackt and stmax - stmin <= xtol * stmax:
+            task = "WARNING: XTOL TEST SATISFIED"
+        if stp == stpmax and f <= ftest and g <= gtest:
+            task = "WARNING: STP = STPMAX"
+        if stp == stpmin and (f > ftest or g >= gtest):
+            task = "WARNING: STP = STPMIN"
+        if f <= ftest and abs(g) <= gtol * -ginit:
+            task = "CONVERGENCE"
+        if task != "FG":
+            continue
+
+        # dcstep on psi in the first stage while a lower value has not yet
+        # decreased enough, else on phi
+        psi = stage == 1 and f <= fx and f > ftest
+        if psi:
+            fp, fx, fy = f - stp * gtest, fx - stx * gtest, fy - sty * gtest
+            dp, dx, dy = g - gtest, gx - gtest, gy - gtest
+        else:
+            fp, dp, dx, dy = f, g, gx, gy
+        opposite = dp < 0 < dx or dx < 0 < dp      # sign(dp) sign(dx) < 0
+        if fp > fx:
+            # a higher value: the minimum is bracketed; the cubic step if
+            # it is closer to stx than the quadratic one, else their mean
+            theta = _quiet_div(3.0 * (fx - fp), stp - stx) + dx + dp
+            s = max(abs(theta), abs(dx), abs(dp))
+            gamma = s * _quiet_sqrt(_quiet_div(theta, s) ** 2
+                                    - _quiet_div(dx, s) * _quiet_div(dp, s))
+            if stp < stx:
+                gamma *= -1
+            p = (gamma - dx) + theta
+            q = ((gamma - dx) + gamma) + dp
+            r = _quiet_div(p, q)
+            stpc = stx + r * (stp - stx)
+            stpq = stx + (_quiet_div(dx, _quiet_div(fx - fp, stp - stx)
+                                     + dx) / 2.0) * (stp - stx)
+            if abs(stpc - stx) <= abs(stpq - stx):
+                stpf = stpc
+            else:
+                stpf = stpc + (stpq - stpc) / 2.0
+            brackt = True
+        elif opposite:
+            # a lower value and derivatives of opposite sign: bracketed;
+            # the cubic step if it is farther from stp than the secant step
+            theta = _quiet_div(3 * (fx - fp), stp - stx) + dx + dp
+            s = max(abs(theta), abs(dx), abs(dp))
+            gamma = s * _quiet_sqrt(_quiet_div(theta, s) ** 2
+                                    - _quiet_div(dx, s) * _quiet_div(dp, s))
+            if stp > stx:
+                gamma *= -1
+            p = (gamma - dp) + theta
+            q = ((gamma - dp) + gamma) + dx
+            r = _quiet_div(p, q)
+            stpc = stp + r * (stx - stp)
+            stpq = stp + _quiet_div(dp, dp - dx) * (stx - stp)
+            if abs(stpc - stp) > abs(stpq - stp):
+                stpf = stpc
+            else:
+                stpf = stpq
+            brackt = True
+        elif abs(dp) < abs(dx):
+            # a lower value, derivatives of one sign, |derivative| falling:
+            # the cubic step only if the cubic tends to infinity in the
+            # step's direction or its minimum is beyond stp, else secant
+            theta = _quiet_div(3 * (fx - fp), stp - stx) + dx + dp
+            s = max(abs(theta), abs(dx), abs(dp))
+            gamma = s * math.sqrt(max(0, _quiet_div(theta, s) ** 2
+                                      - _quiet_div(dx, s) * _quiet_div(dp, s)))
+            if stp > stx:
+                gamma = -gamma
+            p = (gamma - dp) + theta
+            q = (gamma + (dx - dp)) + gamma
+            r = _quiet_div(p, q)
+            if r < 0 and gamma != 0:
+                stpc = stp + r * (stx - stp)
+            elif stp > stx:
+                stpc = stmax
+            else:
+                stpc = stmin
+            stpq = stp + _quiet_div(dp, dp - dx) * (stx - stp)
+            if brackt:
+                # the cubic step if it is closer to stp than the secant
+                if abs(stpc - stp) < abs(stpq - stp):
+                    stpf = stpc
+                else:
+                    stpf = stpq
+                if stp > stx:
+                    stpf = min(stp + 0.66 * (sty - stp), stpf)
+                else:
+                    stpf = max(stp + 0.66 * (sty - stp), stpf)
+            else:
+                # the cubic step if it is farther from stp than the secant
+                if abs(stpc - stp) > abs(stpq - stp):
+                    stpf = stpc
+                else:
+                    stpf = stpq
+                stpf = _clip(stpf, stmin, stmax)
+        elif brackt:
+            # a lower value, derivatives of one sign, |derivative| not
+            # falling, bracketed: the cubic step
+            theta = _quiet_div(3.0 * (fp - fy), sty - stp) + dy + dp
+            s = max(abs(theta), abs(dy), abs(dp))
+            gamma = s * _quiet_sqrt(_quiet_div(theta, s) ** 2
+                                    - _quiet_div(dy, s) * _quiet_div(dp, s))
+            if stp > sty:
+                gamma = -gamma
+            p = (gamma - dp) + theta
+            q = ((gamma - dp) + gamma) + dy
+            r = _quiet_div(p, q)
+            stpf = stp + r * (sty - stp)
+        elif stp > stx:                 # the same, not bracketed
+            stpf = stmax
+        else:
+            stpf = stmin
+        if fp > fx:                     # the new bracket
+            sty, fy, dy = stp, fp, dp
+        else:
+            if opposite:
+                sty, fy, dy = stx, fx, dx
+            stx, fx, dx = stp, fp, dp
+        stp = stpf
+        if psi:
+            fx, fy = fx + stx * gtest, fy + sty * gtest
+            gx, gy = dx + gtest, dy + gtest
+        else:
+            gx, gy = dx, dy
+
+        # bisect when the bracket did not shrink enough
+        if brackt:
+            if abs(sty - stx) >= 0.66 * width1:
+                stp = stx + 0.5 * (sty - stx)
+            width1 = width
+            width = abs(sty - stx)
+        if brackt:
+            stmin, stmax = min(stx, sty), max(stx, sty)
+        else:
+            stmin = stp + 1.1 * (stp - stx)
+            stmax = stp + 4.0 * (stp - stx)
+        stp = _clip(stp, stpmin, stpmax)
+        # the best point so far, when no further progress is possible
+        if (brackt and (stp <= stmin or stp >= stmax)
+                or brackt and stmax - stmin <= xtol * stmax):
+            stp = stx
+    return (stp if task == "CONVERGENCE" else None), f, task
+
+
 def _bfgs(objective, x0):
     """scipy's BFGS on an objective that returns (value, gradient), step for
     step and bit for bit: ``minimize(objective, x0, jac=True,
     method="BFGS", options={"gtol": BFGS_GTOL})`` without its wrappers.
 
-    It takes scipy's line search (``_line_search_wolfe12``), its
-    inverse-Hessian update and its first ``old_old_fval``, and its stops:
-    max |g| <= BFGS_GTOL, a zero step (xrtol 0), 200 N iterations, and a failed
-    line search ("precision loss").  One (x, value, gradient) memo stands
-    for scipy's ``ScalarFunction`` and ``MemoizeJac``: the objective runs
-    once per new point, and ``nfev`` counts as scipy counts it, one per
-    point whose value is asked for.  Returns (value, x, gradient, nfev,
-    iterations).
+    It takes scipy's line search: ``_dcsrch`` from scipy's first trial
+    step, and where that fails the public ``scipy.optimize.line_search``
+    (Wolfe-2) with the same c1, c2 and amax, as scipy's BFGS does.  It
+    takes scipy's inverse-Hessian update and first ``old_old_fval``, and
+    its stops: max |g| <= BFGS_GTOL, a zero step (xrtol 0), 200 N
+    iterations, and a failed line search ("precision loss").  One (x,
+    value, gradient) memo stands for scipy's ``ScalarFunction`` and
+    ``MemoizeJac``: the objective runs once per new point, and ``nfev``
+    counts as scipy counts it, one per point whose value is asked for.
+    Returns (value, x, gradient, nfev, iterations).
     """
     xk = np.asarray(x0, dtype=float).flatten()
     N = len(xk)
@@ -855,12 +1090,29 @@ def _bfgs(objective, x0):
     k, gnorm = 0, np.amax(np.abs(gfk))
     while gnorm > BFGS_GTOL and k < 200 * N:
         pk = -np.dot(Hk, gfk)
-        try:
-            alpha_k, _, _, old_fval, old_old_fval, gfkp1 = _line_search_wolfe12(
-                fun, grad, xk, pk, gfk, old_fval, old_old_fval, amin=1e-100,
-                amax=1e100, c1=1e-4, c2=0.9)
-        except _LineSearchError:
-            break
+        derphi0 = float(np.dot(gfk, pk))
+        alpha1 = 1.0                # scipy's first trial step
+        if derphi0 != 0:
+            alpha1 = min(1.0, 1.01 * 2 * float(old_fval - old_old_fval)
+                         / derphi0)
+            if alpha1 < 0:
+                alpha1 = 1.0
+        alpha_k = _dcsrch(lambda s: float(fun(xk + s * pk)),
+                          lambda s: float(np.dot(memo[2], pk)), alpha1,
+                          float(old_fval), derphi0, 1e-4, 0.9, 1e-14,
+                          1e-100, 1e100)[0]
+        if alpha_k is not None:         # the memo holds the last trial point
+            old_old_fval, old_fval, gfkp1 = old_fval, memo[1], memo[2]
+        else:
+            with warnings.catch_warnings():     # its LineSearchWarning
+                warnings.filterwarnings(
+                    "ignore", "The line search algorithm|Rounding errors",
+                    RuntimeWarning)
+                found = line_search(fun, grad, xk, pk, gfk, old_fval,
+                                    old_old_fval, c1=1e-4, c2=0.9, amax=1e100)
+            if found[0] is None:
+                break
+            alpha_k, _, _, old_fval, old_old_fval, gfkp1 = found
         sk = alpha_k * pk
         xk = xk + sk
         if gfkp1 is None:

@@ -233,3 +233,19 @@ def test_json_round_trip(hexm):
              "atoms": [{"u": [2.0, 0.0], "c": 1.0}]}
     mu = measure_from_json(json.dumps(noisy))
     assert np.allclose(mu.directions[0], [1.0, 0.0])
+
+
+def test_even_measure_pairs_its_atoms_once(monkeypatch):
+    from isozonoid import measures
+    calls = []
+
+    def counted(U):
+        calls.append(len(U))
+        return _pair_indices(U)
+
+    monkeypatch.setattr(measures, "_pair_indices", counted)
+    mu = equiangular_measure(5)
+    U, c = mu.folded
+    assert calls == [10]                # at construction, none for .folded
+    assert np.array_equal(U, mu.directions[:5])
+    assert np.array_equal(c, 2.0 * mu.weights[:5])

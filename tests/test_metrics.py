@@ -14,11 +14,12 @@ from isozonoid.harness import (john_normalize, perturbation_family,
 from isozonoid.measures import (AtomicMeasure, cross_measure,
                                 equiangular_measure, unit_vector)
 from isozonoid import bodies, metrics
-from isozonoid.metrics import (_antipodal_half, _bfgs, _body_starts,
-                               _cross_transport_dual,
+from isozonoid.metrics import (_antipodal_half, _bfgs, _body_starts, _clip,
+                               _cross_transport_dual, _dcsrch,
                                _hausdorff_to_cross_batch,
                                _bm_epigraph, _intersection_moments,
-                               _lockstep_nelder_mead, _sym_diff, banach_mazur,
+                               _lockstep_nelder_mead, _quiet_div,
+                               _quiet_sqrt, _sym_diff, banach_mazur,
                                deep_hole, fit_cross_frame, hausdorff_spherical,
                                hausdorff_to_cross, rotated_cross_measure,
                                volume_distance, wasserstein,
@@ -925,8 +926,9 @@ def _sym_diff_systems(n, shape, param):
 @pytest.mark.parametrize("n,shape,param", SYM_DIFF_BODIES + RANDOM_POLYGONS)
 def test_bfgs_driver_equals_scipy_bfgs(n, shape, param):
     # the delta_vol driver takes scipy's BFGS steps bit for bit from every
-    # start; it imports scipy's private line search, so a scipy release that
-    # changes it fails here
+    # start, on its own port of scipy's line search; a scipy release that
+    # changes its BFGS or its line search fails this oracle test without
+    # moving the package
     K = _volume_distance_body(n, shape, param)
     (AK, bK), (AM, bM) = K.to_hrep().halfspaces, cube_body(n).halfspaces
     alpha = hull_volume_area(K.to_vrep().vertices)[0] ** (-1.0 / n)
@@ -941,6 +943,117 @@ def test_bfgs_driver_equals_scipy_bfgs(n, shape, param):
         # the gradient met gtol, or the line search failed at a kink
         assert (np.max(np.abs(jac)) <= 1e-10) == run.success
         assert run.success or run.status == 2
+
+
+def _piecewise(s):
+    # a value and a derivative that disagree: the cubic through them has a
+    # negative discriminant at the second trial step
+    if s == 0:
+        return 0.0, -1.0
+    return (-0.89 if s >= 1 else -0.89 + 2.0 * (1.0 - s) / 3.0,
+            -0.5 if s >= 1 else -1.5)
+
+
+# (name, phi, phi', first step, options) reaching each case of dcsrch
+DCSRCH_CASES = [
+    # a higher value, the cubic step and the modified function psi
+    ("psi", lambda s: s * s - s, lambda s: 2 * s - 1, 1.0, {}),
+    # a higher value, the mean of the cubic and quadratic steps
+    ("mean", lambda s: s ** 4 - s, lambda s: 4 * s ** 3 - 1, 10.0, {}),
+    # a smaller |derivative|, not bracketed: the cubic and the secant step
+    ("far", lambda s: (s - 30.0) ** 2, lambda s: 2 * (s - 30.0), 1.0, {}),
+    ("secant", lambda s: s ** 3 - 3 * s, lambda s: 3 * s * s - 3, 0.1, {}),
+    # sign changes of the derivative and smaller |derivative|s, bracketed
+    ("sine5", lambda s: -s + 0.1 * s * s - 0.5 * math.sin(5 * s),
+     lambda s: -1 + 0.2 * s - 2.5 * math.cos(5 * s), 10.0, {"gtol": 0.1}),
+    ("sine3", lambda s: -s + 0.3 * s * s - 0.5 * math.sin(3 * s),
+     lambda s: -1 + 0.6 * s - 1.5 * math.cos(3 * s), 10.0, {"gtol": 0.1}),
+    ("sine10", lambda s: -s + 0.1 * s * s - 0.5 * math.sin(10 * s),
+     lambda s: -1 + 0.2 * s - 5.0 * math.cos(10 * s), 1.0, {"gtol": 0.1}),
+    # a square (theta / s) ** 2 that x * x rounds to another last bit
+    ("square", lambda s: -s + 0.3 * s * s - 2.0 * math.sin(10 * s),
+     lambda s: -1 + 2 * 0.3 * s - 2.0 * 10 * math.cos(10 * s), 2.0,
+     {"ftol": 0.45, "gtol": 0.5}),
+    # a kink: bisection, the last case bracketed, the xtol warning
+    ("kink", lambda s: 0.1 * s * s - s + 0.9 * abs(s - 1.0),
+     lambda s: 0.2 * s - 1 + 0.9 * math.copysign(1.0, s - 1.0), 0.1,
+     {"gtol": 0.01}),
+    ("rounding", lambda s: abs(s - 0.7) - 0.7,
+     lambda s: math.copysign(1.0, s - 0.7), 1.0, {}),
+    # the last case, not bracketed, up to stpmax; and at a zero step
+    ("stpmax", lambda s: -s, lambda s: -1.0, 1.0, {"stpmax": 5.0}),
+    ("zero step", lambda s: -s, lambda s: -1.0, 0.0, {"stpmin": 0.0}),
+    ("stpmin", lambda s: 100 * s * s - s, lambda s: 200 * s - 1, 1.0,
+     {"stpmin": 0.5}),
+    # an infinite value, and nan under the square root: a non-finite step
+    ("inf", lambda s: -s if s < 2 else math.inf, lambda s: -1.0, 1.0, {}),
+    ("nan sqrt", lambda s: _piecewise(s)[0], lambda s: _piecewise(s)[1], 1.0,
+     {"ftol": 0.9, "gtol": 0.99}),
+    # invalid input
+    ("uphill", lambda s: s, lambda s: 1.0, 1.0, {}),
+]
+
+
+@pytest.mark.parametrize("name,phi,derphi,stp,options", DCSRCH_CASES,
+                         ids=[case[0] for case in DCSRCH_CASES])
+def test_dcsrch_equals_scipy_dcsrch(name, phi, derphi, stp, options):
+    # scipy's DCSRCH, fed numpy scalars as BFGS feeds it, is the oracle
+    from scipy.optimize._dcsrch import DCSRCH
+    opts = {"ftol": 1e-4, "gtol": 0.9, "xtol": 1e-14, "stpmin": 1e-100,
+            "stpmax": 1e100} | options
+    f0, g0 = phi(0.0), derphi(0.0)
+    theirs, ours = [], []
+
+    def traced(steps, to):
+        def at(s):
+            steps.append(float(s))
+            return to(phi(float(s)))
+        return at
+
+    with np.errstate(all="ignore"):
+        oracle = DCSRCH(traced(theirs, np.float64),
+                        lambda s: np.float64(derphi(float(s))), **opts)
+        step, value, _, task = oracle(stp, phi0=np.float64(f0),
+                                      derphi0=np.float64(g0))
+    got = _dcsrch(traced(ours, float), lambda s: float(derphi(s)), stp,
+                  float(f0), float(g0), **opts)
+    assert ours == theirs
+    assert got == (None if step is None else float(step), float(value),
+                   task.decode())
+
+
+def test_dcsrch_float_helpers_equal_numpy_scalars():
+    rng = np.random.default_rng(0)
+    special = [0.0, -0.0, 1.0, -1.0, 1e-300, 1e300, math.inf, -math.inf,
+               math.nan]
+    xs = special + list(rng.standard_normal(2000)
+                        * np.exp2(rng.uniform(-600, 600, 2000)))
+    ys = special + list(rng.standard_normal(2000))
+    # the squares of _dcsrch: |theta / s| <= 1, or nan
+    us = [0.0, -0.0, 1.0, -1.0, math.nan] + list(rng.uniform(-1, 1, 2000))
+
+    def same(a, b):
+        return (a == b and math.copysign(1, a) == math.copysign(1, b)
+                or a != a and b != b)
+
+    with np.errstate(all="ignore"):
+        for u in us:
+            # libm pow on both, not x * x: they differ in the last bit for
+            # some x
+            assert same(float(u) ** 2, float(np.float64(u) ** 2))
+        for x in xs:
+            assert same(_quiet_sqrt(float(x)),
+                        float(np.sqrt(np.float64(x))))
+        for x, y in zip(xs, ys):
+            assert same(_quiet_div(float(x), float(y)),
+                        float(np.float64(x) / np.float64(y)))
+        for x in special:
+            for y in special:
+                assert same(_quiet_div(x, y),
+                            float(np.float64(x) / np.float64(y)))
+                for z in special:
+                    assert same(_clip(x, y, z), float(np.clip(np.float64(x),
+                                                              y, z)))
 
 
 @pytest.mark.parametrize("n,shape,param", SYM_DIFF_BODIES)
