@@ -12,8 +12,8 @@ from .caps import (beta_dr, cap_dichotomy, dvoretzky_rogers_caps,
                    verify_isotropic_cap_bound)
 from .bodies import (BodyRep, VolumeResult, body_from_json, cross_polytope_body,
                      cube_body, unit_ball_volume, volume, zonotope_volume)
-from .zonoids import (body_Zp, body_Zp_star, mp_body, norm_Zp_star,
-                      reference_volume, support_Zp, volume_Zp, volume_Zp_star,
+from .zonoids import (body_Zp, body_Zp_star, norm_Zp_star, reference_volume,
+                      support_Zp, volume_Zp, volume_Zp_star,
                       volume_Zp_star_ball_integral, zonoid_volumes)
 from .transport import (cdf_rho_p, p2est_bound, phi_p, phi_p_derivatives,
                         psi_p, psi_p_derivatives, rho_p, verify_derivative_box,

@@ -1,28 +1,19 @@
-"""Convex body representations and volume computation (desk scale, n <= 4).
+"""Convex polytopes and volumes (desk scale, n <= 4).
 
-A body carries one of four representations:
+A ``BodyRep`` is a polytope given by its vertices (kind "V") or by its
+halfspaces <a_j, x> <= b_j (kind "H").  Both sides can be read on every
+body; the one not given is converted on first read and kept.
+``BodyRep.support`` and ``BodyRep.gauge`` take a point or rows.
 
-    V       vertex list (convex hull implied)
-    H       halfspace list  <a_j, x> <= b_j
-    support callable direction -> support value h(v), positively homogeneous
-    gauge   callable point -> Minkowski gauge ||x||_K (1 on the boundary)
-
-Oracles (support, gauge and touch callables) are vectorized: a point (n,)
-maps to a scalar (a touch point to a point) and rows (k, n) map to k
-values (k points); an output of any other shape raises ValueError.
-``BodyRep.support`` and ``BodyRep.gauge`` take a point or rows in the same
-way for every kind they evaluate.
-
-Exact volumes of V and H bodies (n <= 4) are the Qhull hull volume of the
-vertices.  A support oracle h of a body K is sandwiched over a direction
-grid v_j (``support_sandwich``): its touch points x_j span an inner body
-I = conv{x_j} and its tangent halfspaces an outer body
+Exact volumes (n <= 4) are the Qhull hull volume of the vertices.  A body
+known by its support function h, such as an L_p zonoid, is sandwiched
+over a direction grid v_j (``support_sandwich``): its touch points x_j span
+an inner body I = conv{x_j} and its tangent halfspaces an outer body
 O = {x : <x, v_j> <= h(v_j)}.  By polarity, I c K c O gives
 O^o = conv{v_j / h(v_j)} c K^o c I^o = {y : <y, x_j> <= 1}, so one kernel
 that returns (V(conv P), V(P^o)) for a point set P (``_hull_polar_volumes``),
 applied to {v_j / h(v_j)} and to {x_j}, brackets both V(K) and V(K^o).
-Gauge bodies are for evaluation only; they have no volume path.  All
-errors are reported, never hidden.
+All errors are reported, never hidden.
 
 Halfspace systems go through the same polar duality.  With the origin
 inside, {x : <a_i, x> <= b_i} is the polar of conv{a_i / b_i}: its area and
@@ -39,7 +30,7 @@ Boundedness is decided there too, by polarity: with every offset positive,
 inside conv{a_i / b_i}.  ``halfspace_vertices`` raises UnboundedBodyError
 when that hull is flat or has a facet through or in front of the origin.
 ``from_halfspaces`` checks nothing; ``body_from_json``, the one path for
-outside input, converts H data once at load so unbounded data is rejected
+outside input, converts H data at load, so unbounded data is rejected
 there.
 """
 
@@ -50,7 +41,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 from scipy.optimize import linprog
@@ -138,126 +128,91 @@ class VolumeResult:
                 "method": self.method}
 
 
-@dataclass(frozen=True)
-class BodyRep:
-    dim: int
-    kind: str                   # "V" | "H" | "support" | "gauge"
-    vertices: Optional[np.ndarray] = None
-    halfspaces: Optional[tuple] = None          # (A, b) with <a_j, x> <= b_j
-    fn: Optional[Callable] = None               # support or gauge callable
-    touch_fn: Optional[Callable] = None         # direction -> boundary point
+def _frozen(x, ndmin=1) -> np.ndarray:
+    """A read-only C-ordered float copy of x, with at least ndmin axes."""
+    x = np.array(x, dtype=float, ndmin=ndmin, order="C")
+    x.flags.writeable = False
+    return x
 
-    # constructors -----------------------------------------------------
+
+class BodyRep:
+    """A convex polytope in R^dim, given by its vertices (kind "V") or by
+    its halfspaces (A, b) with <a_j, x> <= b_j (kind "H").
+
+    ``vertices`` and ``halfspaces`` can be read on every body.  The side
+    that was given is returned as given; the other is converted on first
+    read (``halfspace_vertices`` or ``vertices_to_halfspaces``) and kept,
+    so a body converts at most once.  Every array is read-only.
+    """
+
+    def __init__(self, kind, data):
+        """kind "V" with data V (m, n), or kind "H" with data (A, b)."""
+        self.kind = kind
+        self.dim = (data if kind == "V" else data[0]).shape[1]
+        setattr(self, "vertices" if kind == "V" else "halfspaces", data)
 
     @classmethod
     def from_vertices(cls, vertices) -> "BodyRep":
-        V = np.atleast_2d(np.asarray(vertices, dtype=float))
+        V = _frozen(vertices, ndmin=2)
         if np.linalg.matrix_rank(V, tol=1e-12) < V.shape[1]:
             raise ValueError("vertex list does not span R^n")
-        V = V.copy()
-        V.flags.writeable = False
-        return cls(dim=V.shape[1], kind="V", vertices=V)
+        return cls("V", V)
 
     @classmethod
     def from_halfspaces(cls, A, b) -> "BodyRep":
         """{x : Ax <= b}, unchecked; ``halfspace_vertices`` decides whether
-        it is bounded."""
-        A = np.atleast_2d(np.asarray(A, dtype=float)).copy()
-        b = np.asarray(b, dtype=float).copy()
-        A.flags.writeable = False
-        b.flags.writeable = False
-        return cls(dim=A.shape[1], kind="H", halfspaces=(A, b))
+        it is bounded on the first read of ``vertices``."""
+        return cls("H", (_frozen(A, ndmin=2), _frozen(b)))
 
-    @classmethod
-    def from_support(cls, dim, fn, touch_fn, rng_check=True) -> "BodyRep":
-        """Support oracle fn with its touch oracle: touch_fn(d) is a
-        boundary point x with <x, d> = h(d), so the hull of touch points
-        is a certified inner body."""
-        if rng_check:
-            rng = np.random.default_rng(11)
-            for _ in range(4):
-                v = rng.normal(size=dim)
-                if abs(fn(2.0 * v) - 2.0 * fn(v)) > 1e-10 * (1.0 + abs(fn(v))):
-                    raise ValueError("support oracle is not positively homogeneous")
-        return cls(dim=dim, kind="support", fn=fn, touch_fn=touch_fn)
+    @functools.cached_property
+    def vertices(self) -> np.ndarray:
+        return _frozen(halfspace_vertices(*self.halfspaces))
 
-    @classmethod
-    def from_gauge(cls, dim, fn) -> "BodyRep":
-        """Gauge oracle fn, for evaluation only: ``volume`` rejects it."""
-        return cls(dim=dim, kind="gauge", fn=fn)
-
-    # evaluation ---------------------------------------------------------
+    @functools.cached_property
+    def halfspaces(self) -> tuple:
+        return tuple(map(_frozen, vertices_to_halfspaces(self.vertices)))
 
     def support(self, d):
         """h_K(d): a direction (n,) gives a float, rows (k, n) give k values."""
         d = np.asarray(d, dtype=float)
-        if self.kind == "support":
-            h = self.fn(d)
-        elif self.kind in ("V", "H"):
-            h = np.max(d @ self.to_vrep().vertices.T, axis=-1)
-        else:
-            raise ValueError("no support evaluation for gauge oracles")
-        return float(h) if d.ndim == 1 else np.asarray(h, dtype=float)
+        h = np.max(d @ self.vertices.T, axis=-1)
+        return float(h) if d.ndim == 1 else h
 
     def gauge(self, x):
         """||x||_K: a point (n,) gives a float, rows (k, n) give k values."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "gauge":
-            g = self.fn(x)
-        elif self.kind in ("V", "H"):
-            A, b = self.to_hrep().halfspaces
-            g = np.max((x @ A.T) / b, axis=-1)
-        else:
-            raise ValueError("no gauge evaluation for support oracles")
-        return float(g) if x.ndim == 1 else np.asarray(g, dtype=float)
+        A, b = self.halfspaces
+        g = np.max((x @ A.T) / b, axis=-1)
+        return float(g) if x.ndim == 1 else g
 
     def contains(self, x, tol=1e-9) -> bool:
         return self.gauge(x) <= 1.0 + tol
 
-    # conversions ---------------------------------------------------------
-
-    def to_vrep(self) -> "BodyRep":
-        """This polytope as a V-body: self for a V-body; for an H-body the
-        vertices of ``halfspace_vertices``, as they are (two Qhull hulls)."""
-        if self.kind == "V":
-            return self
-        if self.kind == "H":
-            return BodyRep.from_vertices(halfspace_vertices(*self.halfspaces))
-        raise ValueError(f"cannot convert kind {self.kind!r} to V")
-
-    def to_hrep(self) -> "BodyRep":
-        """This polytope as an H-body: self for an H-body; for a V-body the
-        facets of ``vertices_to_halfspaces``."""
-        if self.kind == "H":
-            return self
-        if self.kind == "V":
-            A, b = vertices_to_halfspaces(self.vertices)
-            return BodyRep.from_halfspaces(A, b)
-        raise ValueError(f"cannot convert kind {self.kind!r} to H")
-
     def to_json_dict(self):
-        if self.kind == "V":
-            return {"dim": self.dim, "kind": "V",
-                    "data": self.vertices.tolist()}
-        if self.kind == "H":
-            A, b = self.halfspaces
-            return {"dim": self.dim, "kind": "H",
-                    "data": np.hstack([A, b[:, None]]).tolist()}
-        raise ValueError("only V/H bodies serialize to JSON")
+        data = (self.vertices if self.kind == "V"
+                else np.column_stack(self.halfspaces))
+        return {"dim": self.dim, "kind": self.kind, "data": data.tolist()}
 
 
 def body_from_json(data) -> BodyRep:
+    """Read the body JSON format {dim, kind: "V" | "H", data}: vertex rows,
+    or halfspace rows [a_j, b_j].  H data is converted at load, so
+    unbounded data is rejected here."""
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
     kind = data["kind"]
-    arr = np.asarray(data["data"], dtype=float)
+    if kind not in ("V", "H"):
+        raise ValueError(f"unknown body kind {kind!r}")
+    arr = np.atleast_2d(np.asarray(data["data"], dtype=float))
+    dim = arr.shape[1] - (kind == "H")
+    if data.get("dim") != dim:
+        raise ValueError(f"body JSON needs \"dim\": {dim} for its "
+                         f"{kind} rows, got {data.get('dim')!r}")
     if kind == "V":
         return BodyRep.from_vertices(arr)
-    if kind == "H":
-        A, b = arr[:, :-1], arr[:, -1]
-        halfspace_vertices(A, b)                # raises if unbounded
-        return BodyRep.from_halfspaces(A, b)
-    raise ValueError(f"unknown body kind {kind!r}")
+    body = BodyRep.from_halfspaces(arr[:, :-1], arr[:, -1])
+    body.vertices                               # raises if unbounded
+    return body
 
 
 # ---------------------------------------------------------------------------
@@ -527,58 +482,34 @@ def zonotope_volume(generators) -> float:
 
 
 # ---------------------------------------------------------------------------
-# volume dispatch
+# volumes
 
 
-def volume(body: BodyRep, grid=None) -> VolumeResult:
-    """Volume with an explicit error bar; method depends on representation."""
-    if body.kind in ("V", "H"):
-        if body.dim > 4:
-            raise DimensionUnsupportedError("exact polytope volume needs n <= 4")
-        v, _ = hull_volume_area(body.to_vrep().vertices)
-        return VolumeResult(v, EXACT_REL_ERR * v, "EXACT")
-    if body.kind == "support":
-        return support_sandwich(body, grid=grid)[0]
-    if body.kind == "gauge":
-        raise ValueError("gauge bodies have no volume path: sandwich the "
-                         "support body of their polar (support_sandwich)")
-    raise ValueError(f"unknown body kind {body.kind!r}")
+def volume(body: BodyRep) -> VolumeResult:
+    """Exact polytope volume (n <= 4): the Qhull hull volume of the
+    vertices, with a relative bar of 1e-12."""
+    if body.dim > 4:
+        raise DimensionUnsupportedError("exact polytope volume needs n <= 4")
+    v, _ = hull_volume_area(body.vertices)
+    return VolumeResult(v, EXACT_REL_ERR * v, "EXACT")
 
 
-def _eval_fn(fn, X):
-    """Evaluate a vectorized oracle on the rows of X (k, n) -> (k,)."""
-    X = np.atleast_2d(X)
-    out = np.asarray(fn(X), dtype=float)
-    if out.shape != (len(X),):
-        raise ValueError(f"oracle gave shape {out.shape} for {len(X)} rows")
-    return out
+def support_sandwich(grid, h, touch):
+    """Certified brackets of V(K) and V(K^o) for a body K, n <= 3, from
+    its support values h (m,) and touch points (m, n) over the unit
+    directions of grid (m, n).
 
-
-def _touch_points(body, dirs):
-    out = np.asarray(body.touch_fn(dirs), dtype=float)
-    if out.shape != dirs.shape:
-        raise ValueError(f"touch oracle gave shape {out.shape} for "
-                         f"directions of shape {dirs.shape}")
-    return out
-
-
-def support_sandwich(body, grid=None):
-    """Certified brackets of V(K) and V(K^o) for a support body K, n <= 3.
-
-    Over the unit directions v_j of the grid, the touch points x_j and the
-    tangent halfspaces give I = conv{x_j} c K c O = {x : <x, v_j> <= h(v_j)},
-    so O^o = conv{v_j / h(v_j)} c K^o c I^o.
-    ``_hull_polar_volumes`` of {v_j / h(v_j)} and of {x_j} gives all four
-    volumes.  Each result is the midpoint of its bracket with half the gap
-    as its bar: value -+ abs_error is [V(I), V(O)] and [V(O^o), V(I^o)].
+    The touch points x_j (boundary points with <x_j, v_j> = h_j) and the
+    tangent halfspaces give I = conv{x_j} c K c O = {x : <x, v_j> <= h_j},
+    so O^o = conv{v_j / h_j} c K^o c I^o.  ``_hull_polar_volumes`` of
+    {v_j / h_j} and of {x_j} gives all four volumes.  Each result is the
+    midpoint of its bracket with half the gap as its bar: value -+ abs_error
+    is [V(I), V(O)] and [V(O^o), V(I^o)].
     """
-    if grid is None:
-        grid = sphere_grid(body.dim)
-    hvals = _eval_fn(body.fn, grid)
-    if np.any(hvals <= 0):
-        raise ValueError("support oracle not positive on the grid")
-    v_dual_in, v_out = _hull_polar_volumes(grid / hvals[:, None])
-    v_in, v_dual_out = _hull_polar_volumes(_touch_points(body, grid))
+    if np.any(h <= 0):
+        raise ValueError("support values not positive on the grid")
+    v_dual_in, v_out = _hull_polar_volumes(grid / h[:, None])
+    v_in, v_dual_out = _hull_polar_volumes(touch)
     return _bracket(v_in, v_out), _bracket(v_dual_in, v_dual_out)
 
 

@@ -217,6 +217,15 @@ def _reports_csv(rows) -> str:
     return buf.getvalue()
 
 
+def _require_positive(args, *flags):
+    """A count or grid size below 1 is an input error: a run on nothing
+    would pass without showing anything."""
+    for flag in flags:
+        if getattr(args, flag) < 1:
+            raise ValueError(f"--{flag} must be at least 1, not "
+                             f"{getattr(args, flag)}")
+
+
 def _cmd_verify(args) -> int:
     run, reads = SUITES[args.suite]
     for flag, default in VERIFY_DEFAULTS.items():
@@ -224,6 +233,7 @@ def _cmd_verify(args) -> int:
             setattr(args, flag, default)
         elif flag not in reads:
             raise ValueError(f"suite {args.suite} does not read --{flag}")
+    _require_positive(args, "count", "grid")
     reports = run(args, _seed_from(args))
     rows = [r.to_dict() for r in reports]
     _write_output(args.out, _dump_json(rows))
@@ -241,8 +251,17 @@ def _cmd_volume(args) -> int:
     return 0
 
 
+# distance kind -> the input flags it needs
+DISTANCE_INPUTS = {"wass": ("measure", "measure2"), "wassO": ("measure",),
+                   "haus": ("measure", "measure2"), "hausO": ("measure",),
+                   "bm": ("body", "body2"), "vol": ("body", "body2")}
+
+
 def _cmd_distance(args) -> int:
     kind = args.kind
+    for flag in DISTANCE_INPUTS[kind]:
+        if getattr(args, flag) is None:
+            raise ValueError(f"distance --kind {kind} needs --{flag}")
     seed = _seed_from(args)
     if kind in ("wass", "haus"):
         mu = measure_from_json(_load_json(args.measure))
@@ -259,13 +278,11 @@ def _cmd_distance(args) -> int:
             value, _, cert = wasserstein_to_cross(mu)
         else:
             value, _, cert = hausdorff_to_cross(mu.directions)
-    elif kind in ("bm", "vol"):
+    else:
         K = body_from_json(_load_json(args.body))
         M = body_from_json(_load_json(args.body2))
         fn = banach_mazur if kind == "bm" else volume_distance
         value, cert = fn(K, M, seed=seed)
-    else:
-        raise ValueError(f"unknown distance kind {kind!r}")
     _write_output(args.out, _dump_json({"value": value, "certificate": cert}))
     return 0
 
@@ -283,6 +300,7 @@ def _cmd_john(args) -> int:
 
 
 def _cmd_transport(args) -> int:
+    _require_positive(args, "grid")
     build = {"box": _box_rows, "second": _second_rows,
              "mass": _mass_rows}[args.check]
     rows = list(build(args.p, _transport_grid(args.check, args.grid, args.p)))
@@ -328,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("distance", help="measure/body distances")
     d.add_argument("--kind", required=True,
-                   choices=["wass", "wassO", "haus", "hausO", "bm", "vol"])
+                   choices=list(DISTANCE_INPUTS))
     d.add_argument("--measure")
     d.add_argument("--measure2")
     d.add_argument("--body")

@@ -356,10 +356,13 @@ def s1_sharp_suite(family):
 
 def zpmustab_consistency(n: int, p, family, eps_tol: float = 1e-6):
     """Records (delta_WO, volume deficits) and checks the contrapositive:
-    positive orbit distance forces positive deficit, and deficits grow
-    monotonically along one-parameter families (input order).  A deficit
+    positive orbit distance forces positive deficit.  A deficit
     is shown positive when both dZ - barZ and dZs - barZs are, each deficit
     against its own volume's bar; their minimum is ``deficit_lower``.
+
+    Monotonicity along the family is not checked here: ``cli._run_zpstab``
+    marks the last report ``monotone: false`` when ``deficits_monotone``
+    fails, and no verdict depends on it.
 
     At finite p the bars are the certified brackets of ``zonoid_volumes``.
     When epsilon > eps_tol and the default grid leaves deficit_lower <= 0,
@@ -422,7 +425,7 @@ def john_normalize(body: BodyRep) -> tuple:
     """Map the body so its John ellipsoid becomes B^n; returns (body', map)."""
     ell = john_ellipsoid(body)
     L = np.linalg.cholesky(ell.shape)
-    V = body.to_vrep().vertices @ L           # x -> L^T x
+    V = body.vertices @ L             # x -> L^T x
     return BodyRep.from_vertices(V), L.T
 
 
@@ -457,6 +460,9 @@ def reverse_isoperimetric_suite(bodies, labels=None, distances: bool = True,
     reports follow the input order.
     """
     labels = labels or [str(i) for i in range(len(bodies))]
+    if len(labels) != len(bodies):
+        raise ValueError(f"{len(bodies)} bodies need {len(bodies)} labels, "
+                         f"got {len(labels)}")
     cubes = {n: cube_body(n) for n in {body.dim for body in bodies}}
     reports = []
     for body, label in zip(bodies, labels):
@@ -466,7 +472,7 @@ def reverse_isoperimetric_suite(bodies, labels=None, distances: bool = True,
         deficit = 1.0 - ratio / cube_isoperimetric_ratio(n)
         mu = contact_measure(K)
         # exact inclusion: every vertex obeys <x, u_i> <= 1
-        incl = float(np.max(K.to_vrep().vertices @ mu.directions.T)) <= 1.0 + 1e-9
+        incl = float(np.max(K.vertices @ mu.directions.T)) <= 1.0 + 1e-9
         cross = np.vstack([np.eye(n), -np.eye(n)])
         dH = hausdorff_spherical(mu.directions, cross)
         sandwich = None
@@ -504,7 +510,7 @@ def reverse_isoperimetric_suite(bodies, labels=None, distances: bool = True,
 def max_area_inscribed_parallelogram(K: BodyRep):
     """Vertex pair (q1, q2) maximizing the inscribed parallelogram area
     2 |det[q1, q2]|; for polygons the maximum sits at vertex pairs."""
-    V = K.to_vrep().vertices
+    V = K.vertices
     best = (-1.0, None, None)
     for i in range(len(V)):
         for j in range(i + 1, len(V)):
@@ -550,7 +556,7 @@ def planar_suite(K: BodyRep) -> StabilityReport:
     area_p, q1, q2 = max_area_inscribed_parallelogram(K)
     T = np.array([[1.0, -1.0], [1.0, 1.0]]) @ np.linalg.inv(
         np.column_stack([q1, q2]))
-    V = K.to_vrep().vertices @ T.T
+    V = K.vertices @ T.T
     Kn = BodyRep.from_vertices(V)
     # certificate that the normalized parallelogram is the square and maximal
     h_p1 = float(np.max(V @ np.array([1.0, 1.0])))

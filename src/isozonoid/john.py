@@ -76,7 +76,7 @@ class ContactSystem:
 
 
 def _normalized_facets(body: BodyRep):
-    A, b = body.to_hrep().halfspaces
+    A, b = body.halfspaces
     if np.any(b <= 0):
         raise PreconditionViolatedError("body must contain the origin in its interior")
     return A / b[:, None]
@@ -201,13 +201,13 @@ def surface_area(body: BodyRep) -> float:
     """Exact facet-measure sum: perimeter in n = 2, facet area in n = 3."""
     if body.dim > 3:
         raise DimensionUnsupportedError("surface_area implemented for n <= 3")
-    V = body.to_vrep().vertices
+    V = body.vertices
     return hull_volume_area(V)[1]
 
 
 def isoperimetric_ratio(body: BodyRep) -> float:
     """S(K)^n / V(K)^{n-1}; equals n^n V(K) for bodies tangent to B^n."""
-    V = body.to_vrep().vertices
+    V = body.vertices
     vol, surf = hull_volume_area(V)
     return surf ** body.dim / vol ** (body.dim - 1)
 
@@ -320,7 +320,7 @@ def bmkzw_check(K: BodyRep, Z: BodyRep, tau: float) -> dict:
     n = K.dim
     if not (0.0 < tau < 0.25):
         raise HypothesisFailedError("tau must lie in (0, 1/4)")
-    VK = K.to_vrep().vertices
+    VK = K.vertices
     if np.max(Z.gauge(VK)) > 1.0 + 1e-10:
         raise HypothesisFailedError("K is not contained in Z")
     cube_vertices = np.array(list(it.product((-1.0, 1.0), repeat=n)))
@@ -329,7 +329,7 @@ def bmkzw_check(K: BodyRep, Z: BodyRep, tau: float) -> dict:
     if np.max(K.gauge((1.0 - 2.0 * tau) * cube_vertices)) <= 1.0 + 1e-10:
         raise HypothesisFailedError("(1 - 2 tau) W^n is contained in K")
     volW = 2.0 ** n
-    volZ = hull_volume_area(Z.to_vrep().vertices)[0]
+    volZ = hull_volume_area(Z.vertices)[0]
     if volZ > volW * (1.0 + 1e-10):
         raise HypothesisFailedError("V(Z) exceeds V(W^n)")
     volK = hull_volume_area(VK)[0]

@@ -673,8 +673,8 @@ def _bm_epigraph(K, M):
     >= 0 per vertex w of M and facet f_i of K, linear, its Jacobian built
     once.  Vertices are folded by ``_fold``.
     """
-    VK, (AK, bK) = K.to_vrep().vertices, K.to_hrep().halfspaces
-    VM, (AM, bM) = M.to_vrep().vertices, M.to_hrep().halfspaces
+    VK, (AK, bK) = K.vertices, K.halfspaces
+    VM, (AM, bM) = M.vertices, M.halfspaces
     n = K.dim
     FK, FM = AK / bK[:, None], AM / bM[:, None]
     HK, HM = _fold(VK, FM), _fold(VM, FK)
@@ -1174,9 +1174,9 @@ def volume_distance(K: BodyRep, M: BodyRep, restarts: int = 12, seed: int = 0):
     n = K.dim
     if n not in (2, 3):
         raise DimensionUnsupportedError("volume_distance implemented for n in {2, 3}")
-    AK, bK = K.to_hrep().halfspaces
-    AM, bM = M.to_hrep().halfspaces
-    alpha = hull_volume_area(K.to_vrep().vertices)[0] ** (-1.0 / n)
-    beta = hull_volume_area(M.to_vrep().vertices)[0] ** (-1.0 / n)
+    AK, bK = K.halfspaces
+    AM, bM = M.halfspaces
+    alpha = hull_volume_area(K.vertices)[0] ** (-1.0 / n)
+    beta = hull_volume_area(M.vertices)[0] ** (-1.0 / n)
     objective = _sym_diff(AK, np.concatenate([bK * alpha, bM * beta]), AM)
     return _bfgs_volume_search(objective, n, restarts, seed)

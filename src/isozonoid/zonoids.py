@@ -8,12 +8,14 @@ For an even measure mu on S^{n-1} not concentrated on a great subsphere:
 
 so the gauge of Z*_p is available in closed form (it equals h_{Z_p}),
 while Z*_inf = { x : <x, u> <= 1 on supp mu } is an exact polytope.
-For finite p, Z*_p is a gauge body for evaluation only: its volume comes
-with that of Z_p from one support sandwich of Z_p
-(``bodies.support_sandwich``).  The touch points x_j and the tangent
-halfspaces over a direction grid v_j give I c Z_p c O, so by polarity
+For finite p > 1 neither body is a polytope, and the package needs only
+their volumes: ``support_Zp`` and ``zp_touch_point`` over a direction grid
+v_j feed one support sandwich (``bodies.support_sandwich``).  The touch
+points x_j and the tangent halfspaces give I c Z_p c O, so by polarity
 conv{v_j / h(v_j)} = O^o c Z*_p c I^o = {y : <y, x_j> <= 1}, and two hulls
-certify a bracket of each volume (``zonoid_volumes``).
+certify a bracket of each volume (``zonoid_volumes``).  ``body_Zp`` and
+``body_Zp_star`` build the polytopes of p in {1, inf} only.
+
 Z_1 is a classical zonotope, Z_1(mu) = sum_j [-g_j, g_j] with g_j = c_j u_j
 over the folded atoms.  Each facet is parallel to n - 1 generators, so its
 normal nu_S is their cofactor vector and its offset h(nu_S) =
@@ -34,9 +36,11 @@ M_p(mu) = { sum c_i theta_i u_i : sum c_i |theta_i|^p <= 1 } needs no
 solver.  Its support function at v is the norm dual to theta ->
 sum c_i theta_i u_i, that is ( sum_i c_i |<u_i, v>|^{p'} )^{1/p'} with
 1/p + 1/p' = 1, so M_p(mu) = Z_{p'}(mu): M_1 = conv{+-u_i} and
-M_inf = Z_1, the zonotope.  ``mp_body`` builds it as the Z_{p'} body of the
-evenized measure; the test-suite checks it against the representation
-infimum solved directly.
+M_inf = Z_1, the zonotope.  Every Z_{p'} with finite p' depends only on
+the even part of mu, and M_1 = Z_inf(mu~) for mu~ the evenized measure, so
+M_p(mu) = Z_{p'}(mu~) throughout; the test-suite checks ``support_Zp`` and
+``zp_touch_point`` at p' against the representation infimum solved
+directly.
 
 The extremal volumes of Theorem B are closed forms.  For the cross measure
 h_{Z_p(nu_n)}(v) = ||v||_p, so Z_p(nu_n) is the unit ball of l_q with
@@ -62,7 +66,7 @@ import math
 
 import numpy as np
 
-from .bodies import (BodyRep, VolumeResult, halfspace_vertices,
+from .bodies import (BodyRep, VolumeResult, halfspace_vertices, sphere_grid,
                      support_sandwich, volume, zonotope_facets,
                      zonotope_volume)
 from .errors import DegenerateMeasureError, DimensionUnsupportedError
@@ -137,58 +141,42 @@ def zp_touch_point(mu: AtomicMeasure, p, v):
     return pts[0] if single else pts
 
 
-def body_Zp(mu: AtomicMeasure, p) -> BodyRep:
-    """Z_p(mu): exact V-body for p in {1, inf}, support oracle otherwise.
-
-    Z_1 is the zonotope: its vertices come from its facet halfspaces
-    (``zonotope_facets``), for every full-dimensional mu.
-    """
+def _polytope_p(mu: AtomicMeasure, p) -> float:
+    """p in {1, inf}, where Z_p(mu) and Z*_p(mu) are polytopes."""
     p = _check_pz(p)
+    if p != 1.0 and not np.isinf(p):
+        raise ValueError(
+            f"Z_p and Z*_p are polytopes only at p in {{1, inf}}, not p = {p}:"
+            " use support_Zp, norm_Zp_star or zonoid_volumes")
     _require_full_dimensional(mu)
+    return p
+
+
+def body_Zp(mu: AtomicMeasure, p) -> BodyRep:
+    """Z_p(mu) as a V-body, p in {1, inf}.
+
+    Z_inf is conv supp mu.  Z_1 is the zonotope: its vertices come from its
+    facet halfspaces (``zonotope_facets``), for every full-dimensional mu.
+    """
+    p = _polytope_p(mu, p)
     if np.isinf(p):
         return BodyRep.from_vertices(mu.directions)
-    if p == 1.0:
-        N, h = zonotope_facets(_zonotope_generators(mu))
-        return BodyRep.from_vertices(halfspace_vertices(N, h))
-    fn = lambda v: support_Zp(mu, p, v)
-    touch = lambda v: zp_touch_point(mu, p, v)
-    return BodyRep.from_support(mu.dim, fn, touch_fn=touch, rng_check=False)
+    N, h = zonotope_facets(_zonotope_generators(mu))
+    return BodyRep.from_vertices(halfspace_vertices(N, h))
 
 
 def body_Zp_star(mu: AtomicMeasure, p) -> BodyRep:
-    """Z*_p(mu): exact polytope for p in {1, inf}, gauge oracle otherwise.
+    """Z*_p(mu) as a polytope, p in {1, inf}.
 
     Z*_inf is the H-body {x : <x, u_i> <= 1}.  Z*_1 is the V-body
     conv{N_i / h_i} over the zonotope's facet halfspaces (N, h), for every
-    full-dimensional mu.  The gauge body is for evaluation; its volume
-    comes from ``zonoid_volumes``.
+    full-dimensional mu.
     """
-    p = _check_pz(p)
-    _require_full_dimensional(mu)
+    p = _polytope_p(mu, p)
     if np.isinf(p):
         return BodyRep.from_halfspaces(mu.directions, np.ones(mu.natoms))
-    if p == 1.0:
-        N, h = zonotope_facets(_zonotope_generators(mu))
-        return BodyRep.from_vertices(N / h[:, None])
-    return BodyRep.from_gauge(mu.dim, lambda x: norm_Zp_star(mu, p, x))
-
-
-# ---------------------------------------------------------------------------
-# the auxiliary body M_p
-
-
-def mp_body(mu: AtomicMeasure, p) -> BodyRep:
-    """M_p(mu) = Z_{p'}(mu~) with 1/p + 1/p' = 1, for p in [1, inf].
-
-    mu~ is mu made even (``AtomicMeasure.symmetrized``), which leaves every
-    Z_{p'} with finite p' unchanged and makes M_1 = conv{+-u_i}.
-    """
-    p = _check_pz(p)
-    if not mu.even:
-        mu = AtomicMeasure.symmetrized(mu.directions, mu.weights)
-    if p == 1.0:
-        return body_Zp(mu, math.inf)
-    return body_Zp(mu, 1.0 if np.isinf(p) else p / (p - 1.0))
+    N, h = zonotope_facets(_zonotope_generators(mu))
+    return BodyRep.from_vertices(N / h[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +189,9 @@ def zonoid_volumes(mu: AtomicMeasure, p, grid=None):
     Exact at p in {1, inf}: V(Z_1) is the minor expansion, independent of
     the hull code, and the other three are polytope volumes.  For finite
     p > 1 both come from one support sandwich of Z_p over ``grid`` (the
-    default direction grid when None): each value is its certified
-    bracket's midpoint and each bar half its gap.
+    default direction grid when None), fed by ``support_Zp`` and
+    ``zp_touch_point``: each value is its certified bracket's midpoint and
+    each bar half its gap.
     """
     p = _check_pz(p)
     _require_full_dimensional(mu)
@@ -211,7 +200,10 @@ def zonoid_volumes(mu: AtomicMeasure, p, grid=None):
         return VolumeResult(v, 1e-12 * v, "EXACT"), volume(body_Zp_star(mu, p))
     if np.isinf(p):
         return volume(body_Zp(mu, p)), volume(body_Zp_star(mu, p))
-    return support_sandwich(body_Zp(mu, p), grid)
+    if grid is None:
+        grid = sphere_grid(mu.dim)
+    return support_sandwich(grid, support_Zp(mu, p, grid),
+                            zp_touch_point(mu, p, grid))
 
 
 def volume_Zp(mu: AtomicMeasure, p) -> VolumeResult:

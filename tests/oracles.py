@@ -167,7 +167,7 @@ def multistart_nelder_mead_orbit(objective):
 
 
 def _vertices_and_halfspaces(body):
-    return body.to_vrep().vertices, body.to_hrep().halfspaces
+    return body.vertices, body.halfspaces
 
 
 def _body_starts_per_start(n, restarts, scale, seed):

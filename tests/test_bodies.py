@@ -6,18 +6,18 @@ import pytest
 import scipy.spatial
 
 from isozonoid import bodies, metrics
-from isozonoid.bodies import (BodyRep, _eval_fn,
-                              body_from_json, circle_grid,
+from isozonoid.bodies import (BodyRep, body_from_json, circle_grid,
                               cross_polytope_body, cube_body,
                               halfspace_vertices, icosphere,
-                              polar_of_vrep, sphere_grid, unit_ball_volume,
-                              vertices_to_halfspaces, volume,
-                              zonotope_facets, zonotope_volume)
+                              polar_of_vrep, sphere_grid, support_sandwich,
+                              unit_ball_volume, vertices_to_halfspaces,
+                              volume, zonotope_facets, zonotope_volume)
 from isozonoid.errors import DimensionUnsupportedError, UnboundedBodyError
 from isozonoid.harness import (octagon_Q_body, random_even_isotropic,
                                regular_polygon_body, truncated_cube_body)
 from isozonoid.measures import cross_measure
-from isozonoid.zonoids import body_Zp, body_Zp_star, zp_touch_point
+from isozonoid.zonoids import (norm_Zp_star, support_Zp, zonoid_volumes,
+                               zp_touch_point)
 
 from oracles import (gauge_radial_volume, halfspace_vertices_hsi,
                      icosphere_loop, polytope_support_lp,
@@ -47,40 +47,55 @@ def _ball_touch(v):
 
 
 def test_support_oracle_ball_area():
-    body = BodyRep.from_support(2, _ball_support, touch_fn=_ball_touch)
-    res = volume(body)
+    grid = circle_grid()
+    res = support_sandwich(grid, _ball_support(grid), _ball_touch(grid))[0]
     assert res.method == "QUADRATURE"
     assert abs(res.value - math.pi) <= res.abs_error + 1e-9
 
 
 def test_support_oracle_ball_volume_3d():
-    body = BodyRep.from_support(3, _ball_support, touch_fn=_ball_touch)
-    res = volume(body, grid=icosphere(3))
+    grid = icosphere(3)
+    res = support_sandwich(grid, _ball_support(grid), _ball_touch(grid))[0]
     assert abs(res.value - unit_ball_volume(3)) <= res.abs_error
 
 
 def test_gauge_oracle_ball():
-    # a gauge body evaluates, and its volume is left to the radial rule of
-    # the oracles: the package has no gauge volume path
+    # the package has no gauge bodies: the radial rule of the oracles
+    # integrates a gauge oracle, here the Euclidean norm
     for n in (2, 3):
-        norm = lambda x: np.linalg.norm(x, axis=-1)
-        body = BodyRep.from_gauge(n, norm)
-        x = np.arange(1.0, n + 1.0)
-        assert body.gauge(x) == pytest.approx(np.linalg.norm(x), rel=1e-15)
-        with pytest.raises(ValueError, match="no volume path"):
-            volume(body)
-        value, gap = gauge_radial_volume(norm, n)
+        value, gap = gauge_radial_volume(
+            lambda x: np.linalg.norm(x, axis=-1), n)
         assert value == pytest.approx(unit_ball_volume(n), rel=1e-12)
         assert gap <= 1e-12
 
 
 def test_hrep_to_vrep_and_back():
     K = cube_body(3)
-    V = K.to_vrep()
-    assert len(V.vertices) == 8
-    H = V.to_hrep()
-    assert len(H.halfspaces[0]) == 6
+    assert len(K.vertices) == 8
+    V = BodyRep.from_vertices(K.vertices)
+    assert len(V.halfspaces[0]) == 6
+    H = BodyRep.from_halfspaces(*V.halfspaces)
     assert volume(H).value == pytest.approx(8.0)
+
+
+def test_each_side_is_converted_once(monkeypatch):
+    # the given side is never converted; the other is converted on its
+    # first read and kept, read-only
+    calls = []
+    for name in ("halfspace_vertices", "vertices_to_halfspaces"):
+        real = getattr(bodies, name)
+        monkeypatch.setattr(bodies, name, lambda *a, _name=name, _real=real:
+                            calls.append(_name) or _real(*a))
+    H = truncated_cube_body(3, 0.1)
+    A, b = H.halfspaces
+    assert H.vertices is H.vertices and calls == ["halfspace_vertices"]
+    assert H.halfspaces[0] is A and H.halfspaces[1] is b
+    V = BodyRep.from_vertices(H.vertices)
+    assert V.halfspaces is V.halfspaces
+    assert np.array_equal(V.vertices, H.vertices)
+    assert calls == ["halfspace_vertices", "vertices_to_halfspaces"]
+    for x in (A, b, H.vertices, *V.halfspaces):
+        assert not x.flags.writeable
 
 
 def test_vertex_enum_matches_combinatorial_oracle(rng):
@@ -90,7 +105,7 @@ def test_vertex_enum_matches_combinatorial_oracle(rng):
         A = rng.standard_normal((m, 2))
         A = np.vstack([A, -A])
         b = np.concatenate([np.ones(m), np.ones(m)]) + 0.2
-        mine = BodyRep.from_halfspaces(A, b).to_vrep().vertices
+        mine = BodyRep.from_halfspaces(A, b).vertices
         oracle = vertex_enum_combinatorial(A, b)
         assert len(mine) == len(oracle)
         for x in mine:
@@ -102,7 +117,7 @@ def test_unbounded_hrep_raises():
     # of outside data reject the quadrant
     A, b = np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0])
     K = BodyRep.from_halfspaces(A, b)
-    for convert in (K.to_vrep, lambda: volume(K), lambda: K.support([1.0, 0.0]),
+    for convert in (lambda: K.vertices, lambda: volume(K), lambda: K.support([1.0, 0.0]),
                     lambda: body_from_json(K.to_json_dict())):
         with pytest.raises(UnboundedBodyError):
             convert()
@@ -153,19 +168,14 @@ def test_hrep_volume_in_four_dimensions():
         res = volume(K)
         assert res.method == "EXACT"
         assert res.value == pytest.approx(want, rel=1e-12)
-        V = K.to_vrep().vertices
+        V = K.vertices
         assert len(V) == len(verts)
         assert _nearest(V, verts) <= 1e-12
-        back = BodyRep.from_vertices(V).to_hrep().to_vrep().vertices
+        back = BodyRep.from_halfspaces(
+            *BodyRep.from_vertices(V).halfspaces).vertices
         assert len(back) == len(V) and _nearest(back, V) <= 1e-12
     with pytest.raises(DimensionUnsupportedError):
         volume(cube_body(5))
-
-
-def test_support_homogeneity_check():
-    with pytest.raises(ValueError):
-        BodyRep.from_support(2, lambda v: _ball_support(v) + 1.0,
-                             touch_fn=_ball_touch)
 
 
 def test_gauge_and_support_evaluations():
@@ -274,29 +284,6 @@ def test_body_json_round_trip():
     assert volume(back2).value == pytest.approx(2.0)
 
 
-def test_scalar_oracles_are_rejected():
-    # an oracle that is not vectorized gives one value for a whole grid (or
-    # fails on it); both surface instead of falling back to a row loop
-    scalar = BodyRep.from_support(2, lambda v: float(np.linalg.norm(v)),
-                                  touch_fn=_ball_touch)
-    with pytest.raises(ValueError):
-        volume(scalar)
-    with pytest.raises(ValueError):
-        _eval_fn(lambda x: float(np.linalg.norm(x)), circle_grid(8))
-
-    def rows_only(v):
-        if np.ndim(v) == 2:
-            raise TypeError("oracle bug")
-        return float(np.linalg.norm(v))
-
-    with pytest.raises(TypeError):
-        _eval_fn(rows_only, circle_grid(8))
-    bad_touch = BodyRep.from_support(2, _ball_support,
-                                     touch_fn=lambda v: _ball_touch(v)[0])
-    with pytest.raises(ValueError):
-        volume(bad_touch)
-
-
 def _hrep_cases(rng):
     """Halfspace systems: the suites' polytopes, the cross-polytope, a random
     Z*_inf polytope and random polytopes away from the origin."""
@@ -306,7 +293,7 @@ def _hrep_cases(rng):
         for cut in (0.1, 0.25):
             cases[f"cut{n}-{cut}"] = truncated_cube_body(n, cut).halfspaces
         # the cross-polytope's triangulated dual facets repeat vertices
-        cases[f"cross{n}"] = cross_polytope_body(n).to_hrep().halfspaces
+        cases[f"cross{n}"] = cross_polytope_body(n).halfspaces
         mu = random_even_isotropic(n, n * (n + 1) // 2 + 2, rng)
         cases[f"zstar-inf{n}"] = (mu.directions, np.ones(mu.natoms))
         # taken about their Chebyshev centres
@@ -315,7 +302,7 @@ def _hrep_cases(rng):
                 rng.normal(size=(10, n)) + 3.0)
     for m in (3, 4, 6):
         cases[f"polygon{m}"] = regular_polygon_body(m).halfspaces
-    cases["octagon"] = octagon_Q_body(0.2, 0.3, 0.05, -0.1).to_hrep().halfspaces
+    cases["octagon"] = octagon_Q_body(0.2, 0.3, 0.05, -0.1).halfspaces
     return cases
 
 
@@ -362,7 +349,7 @@ def test_to_vrep_of_hbody_makes_two_hulls(n, nverts, monkeypatch):
     real = bodies.ConvexHull
     monkeypatch.setattr(bodies, "ConvexHull",
                         lambda *a, **k: hulls.append(1) or real(*a, **k))
-    V = truncated_cube_body(n, 0.1).to_vrep().vertices
+    V = truncated_cube_body(n, 0.1).vertices
     assert len(hulls) == 2 and len(V) == nverts
 
 
@@ -386,22 +373,22 @@ def test_polytope_support_and_gauge_rows_match_scalar_calls_and_lp(rng):
         assert h.shape == g.shape == (len(X),)
         assert isinstance(K.support(X[0]), float)
         assert isinstance(K.gauge(X[0]), float)
-        V = K.to_vrep().vertices
+        V = K.vertices
         for got, want in ((h, [K.support(x) for x in X]),
                           (g, [K.gauge(x) for x in X]),
-                          (h, polytope_support_lp(*K.to_hrep().halfspaces, X)),
+                          (h, polytope_support_lp(*K.halfspaces, X)),
                           (g, polytope_support_lp(V, np.ones(len(V)), X))):
             assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, got))
 
 
 def test_oracle_support_and_gauge_rows(rng):
+    # the Z_p oracles the sandwich is fed from map rows to values
     mu = random_even_isotropic(3, 8, rng)
     X = rng.normal(size=(20, 3))
-    for K, f in ((body_Zp(mu, 1.5), "support"), (body_Zp_star(mu, 1.5), "gauge")):
-        rows = getattr(K, f)(X)
+    for f in (support_Zp, norm_Zp_star):
+        rows = f(mu, 1.5, X)
         assert rows.shape == (len(X),)
-        assert np.array_equal(rows, K.fn(X))
-        assert np.allclose(rows, [getattr(K, f)(x) for x in X], rtol=1e-14, atol=0)
+        assert np.allclose(rows, [f(mu, 1.5, x) for x in X], rtol=1e-14, atol=0)
 
 
 def _outer_bound(res):
@@ -416,8 +403,8 @@ def test_support_sandwich_outer_bound_matches_halfspace_intersection(p, rng):
     if p == 1.5:
         mus.append(cross_measure(3))
     for mu in mus:
-        res = volume(body_Zp(mu, p))
-        v_out = tangent_body_volume_hsi(grid, body_Zp(mu, p).fn(grid))
+        res = zonoid_volumes(mu, p)[0]
+        v_out = tangent_body_volume_hsi(grid, support_Zp(mu, p, grid))
         v_in = float(scipy.spatial.ConvexHull(zp_touch_point(mu, p, grid)
                                               ).volume)
         assert abs(_outer_bound(res) - v_out) <= 1e-12 * v_out
@@ -439,7 +426,7 @@ def test_support_sandwich_n3_makes_two_hull_calls(monkeypatch):
                         lambda *a, **k: hulls.append(1) or real(*a, **k))
     monkeypatch.setattr(scipy.spatial, "HalfspaceIntersection",
                         lambda *a, **k: halfspaces.append(1))
-    res = volume(body_Zp(cross_measure(3), 1.5))
+    res = zonoid_volumes(cross_measure(3), 1.5)[0]
     assert res.value > 0.0
     assert len(hulls) == 2 and halfspaces == []
 

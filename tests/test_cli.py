@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from isozonoid import harness
+from isozonoid import bodies, harness
 from isozonoid.bodies import cube_body
 from isozonoid.cli import SUITES, main
 from isozonoid.harness import REPORT_CSV_FIELDS
@@ -289,6 +289,22 @@ def test_verify_reviso_n2(tmp_path):
     assert rows == want
 
 
+def test_verify_reviso_converts_each_body_once(tmp_path, monkeypatch):
+    # H -> V once for each of the 4 input bodies, the cube shared by the
+    # searches and the 3 polar bodies of the cube sandwich checks; V -> H
+    # once for each John-normalized body
+    calls = []
+    for name in ("halfspace_vertices", "vertices_to_halfspaces"):
+        real = getattr(bodies, name)
+        monkeypatch.setattr(bodies, name, lambda *a, _name=name, _real=real:
+                            calls.append(_name) or _real(*a))
+    rc = main(["verify", "--suite", "reviso", "--out",
+               str(tmp_path / "reviso.json")])
+    assert rc == 0
+    assert calls.count("halfspace_vertices") <= 8
+    assert calls.count("vertices_to_halfspaces") <= 4
+
+
 # delta_vol of the Nelder-Mead search that the n = 3 BFGS search replaced,
 # and delta_BM, which did not move
 REVISO_N3 = {"cube": (1.3631318296347672e-12, 2.273736754432062e-13),
@@ -374,6 +390,55 @@ def test_env_seed_override(tmp_path, monkeypatch):
 def test_usage_error_exit_2(tmp_path):
     assert main(["volume", "--body", str(tmp_path / "missing.json")]) == 2
     assert main(["nonsense"]) == 2
+
+
+_SQUARE_ROWS = [[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]
+_INPUT_ERRORS = {
+    # each distance kind needs its own inputs
+    "bm-no-body2": (["distance", "--kind", "bm", "--body", "{sq}"], "--body2"),
+    "vol-no-body": (["distance", "--kind", "vol", "--body2", "{sq}"], "--body"),
+    "wass-no-measure2": (["distance", "--kind", "wass", "--measure", "{hex}"],
+                         "--measure2"),
+    "haus-no-measure": (["distance", "--kind", "haus", "--measure2", "{hex}"],
+                        "--measure"),
+    "wassO-no-measure": (["distance", "--kind", "wassO"], "--measure"),
+    "hausO-no-measure": (["distance", "--kind", "hausO", "--body", "{sq}"],
+                         "--measure"),
+    # a count or grid below 1 would pass on nothing
+    "count-0": (["verify", "--suite", "ballbarthe", "--count", "0"],
+                "--count must be at least 1"),
+    "count-negative": (["verify", "--suite", "caps", "--count", "-3"],
+                       "--count must be at least 1"),
+    "verify-grid-0": (["verify", "--suite", "transport", "--grid", "0"],
+                      "--grid must be at least 1"),
+    "transport-grid-0": (["transport", "--p", "1.5", "--check", "box",
+                          "--grid", "0"], "--grid must be at least 1"),
+    # a body file's dim must match its rows
+    "dim-mismatch-V": (["volume", "--body", "{sq3}"], '"dim": 2'),
+    "dim-mismatch-H": (["volume", "--body", "{nodim}"], '"dim": 2'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INPUT_ERRORS))
+def test_input_errors_exit_2_with_one_message(case, hex_json, tmp_path,
+                                              capsys):
+    files = {"hex": hex_json}
+    for name, data in (
+            ("sq", {"dim": 2, "kind": "V", "data": _SQUARE_ROWS}),
+            ("sq3", {"dim": 3, "kind": "V", "data": _SQUARE_ROWS}),
+            ("nodim", {"kind": "H",
+                             "data": cube_body(2).to_json_dict()["data"]})):
+        files[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    argv, message = _INPUT_ERRORS[case]
+    out = tmp_path / "out.json"
+    rc = main([arg.format(**files) for arg in argv] + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    lines = [line for line in err.splitlines() if "isozonoid: error:" in line]
+    assert len(lines) == 1 and message in lines[0], err
+    assert not out.exists()
 
 
 def test_verify_rejects_flags_a_suite_does_not_read(tmp_path, capsys):

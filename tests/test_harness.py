@@ -148,6 +148,17 @@ def test_reverse_isoperimetric_cube_calibration():
     assert r.extra["delta_vol"] <= 1e-6 and r.extra["delta_BM"] <= 1e-6
 
 
+def test_reverse_isoperimetric_needs_one_label_per_body(monkeypatch):
+    # a short or long label list is refused before any body is searched
+    from isozonoid import harness
+
+    monkeypatch.setattr(harness, "john_normalize", None)
+    bodies = [cube_body(2), regular_polygon_body(3)]
+    for labels in (["cube"], ["cube", "hex", "extra"]):
+        with pytest.raises(ValueError, match="2 bodies need 2 labels"):
+            reverse_isoperimetric_suite(bodies, labels)
+
+
 def test_reverse_isoperimetric_cut_family_monotone():
     bodies = [truncated_cube_body(2, c) for c in (0.05, 0.15, 0.3)]
     reps = reverse_isoperimetric_suite(bodies, distances=False)
@@ -261,7 +272,7 @@ def test_deficit_invariant_under_rotation(rng):
     K = truncated_cube_body(2, 0.2)
     from isozonoid.bodies import BodyRep
 
-    KR = BodyRep.from_vertices(K.to_vrep().vertices @ q.T)
+    KR = BodyRep.from_vertices(K.vertices @ q.T)
     r1 = reverse_isoperimetric_suite([K], distances=False)[0]
     r2 = reverse_isoperimetric_suite([KR], distances=False)[0]
     assert r1.deficit == pytest.approx(r2.deficit, abs=1e-8)

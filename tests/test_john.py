@@ -43,7 +43,7 @@ def test_john_affine_equivariance(rng):
     K = truncated_cube_body(2, 0.2)
     ell = john_ellipsoid(K)
     M = np.array([[1.3, 0.2], [0.0, 0.8]])
-    KV = K.to_vrep().vertices @ M.T
+    KV = K.vertices @ M.T
     ell2 = john_ellipsoid(BodyRep.from_vertices(KV))
     # E2 = M E  =>  A2 = M^{-T} A M^{-1}
     Minv = np.linalg.inv(M)
@@ -93,7 +93,7 @@ def test_contact_measure_requires_john_position():
 def test_inclusion_chain_exact():
     for K in (cube_body(2), truncated_cube_body(3, 0.3), regular_polygon_body(4)):
         mu = contact_measure(K)
-        V = K.to_vrep().vertices
+        V = K.vertices
         assert float(np.max(V @ mu.directions.T)) <= 1.0 + 1e-9
 
 
@@ -113,7 +113,7 @@ def test_volume_at_least_surface_over_n():
     from isozonoid.bodies import hull_volume_area
 
     for K in (cube_body(3), truncated_cube_body(3, 0.2), regular_polygon_body(5)):
-        vol, surf = hull_volume_area(K.to_vrep().vertices)
+        vol, surf = hull_volume_area(K.vertices)
         assert vol >= surf / K.dim - 1e-10
 
 

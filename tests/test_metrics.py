@@ -524,7 +524,7 @@ def test_banach_mazur_disc_vs_square():
         R = rot2(phi)
         VK = disc.vertices @ R
         inner = np.max(np.abs(VK))                       # cube gauge of disc
-        outer = np.max(np.linalg.norm(cube_body(2).to_vrep().vertices @ R.T,
+        outer = np.max(np.linalg.norm(cube_body(2).vertices @ R.T,
                                       axis=1))           # disc gauge of cube
         best = min(best, math.log(inner * outer))
     assert best - 1e-9 <= val <= math.log(math.sqrt(2.0)) + 1e-9
@@ -685,8 +685,8 @@ def test_banach_mazur_folded_constraints_equal_unfolded(n):
     # full rows, each value taken twice
     rng = np.random.default_rng(41 + n)
     K, M = (_random_even_polytope(rng, n, 6) for _ in range(2))
-    VK, (AK, bK) = K.to_vrep().vertices, K.to_hrep().halfspaces
-    VM, (AM, bM) = M.to_vrep().vertices, M.to_hrep().halfspaces
+    VK, (AK, bK) = K.vertices, K.halfspaces
+    VM, (AM, bM) = M.vertices, M.halfspaces
     assert all(_antipodal_half(X) is not None
                for X in (VK, VM, AK / bK[:, None], AM / bM[:, None]))
     _, constraint = _bm_epigraph(K, M)
@@ -776,8 +776,8 @@ def _intersection_batches(n, rng):
     AM, bM = W.halfspaces
     batches = []
     for K in bodies:
-        AK, bK = K.to_hrep().halfspaces
-        alpha = hull_volume_area(K.to_vrep().vertices)[0] ** (-1.0 / n)
+        AK, bK = K.halfspaces
+        alpha = hull_volume_area(K.vertices)[0] ** (-1.0 / n)
         b = np.concatenate([bK * alpha, bM / 2.0])   # both of volume 1
         mats = [np.eye(n) + 0.3 * rng.normal(size=(n, n)) for _ in range(6)]
         mats += [np.eye(n)]
@@ -916,8 +916,8 @@ def _sym_diff_systems(n, shape, param):
     (0.8, 0.1, 0) (n = 3): there the intersection does not hold the
     origin."""
     K, W = _reviso_body(n, shape, param), cube_body(n)
-    (AK, bK), (AM, bM) = K.to_hrep().halfspaces, W.halfspaces
-    bK = bK * hull_volume_area(K.to_vrep().vertices)[0] ** (-1.0 / n)
+    (AK, bK), (AM, bM) = K.halfspaces, W.halfspaces
+    bK = bK * hull_volume_area(K.vertices)[0] ** (-1.0 / n)
     bM = bM / 2.0
     return [_sym_diff(AK, np.concatenate([bK + AK @ t, bM]), AM)
             for t in (np.zeros(n), np.array([0.8, 0.1, 0.0])[:n])]
@@ -930,8 +930,8 @@ def test_bfgs_driver_equals_scipy_bfgs(n, shape, param):
     # changes its BFGS or its line search fails this oracle test without
     # moving the package
     K = _volume_distance_body(n, shape, param)
-    (AK, bK), (AM, bM) = K.to_hrep().halfspaces, cube_body(n).halfspaces
-    alpha = hull_volume_area(K.to_vrep().vertices)[0] ** (-1.0 / n)
+    (AK, bK), (AM, bM) = K.halfspaces, cube_body(n).halfspaces
+    alpha = hull_volume_area(K.vertices)[0] ** (-1.0 / n)
     objective = _sym_diff(AK, np.concatenate([bK * alpha, bM / 2.0]), AM)
     for x0 in _body_starts(n, 8, 0.25, 0):
         fun, x, jac, nfev, nit = _bfgs(objective, x0)
@@ -1078,7 +1078,7 @@ def test_sym_diff_empty_and_singular(n):
         value, grad = objective(x)
         assert value == 2.0 and not grad.any()
     K = _reviso_body(n, "cut", 0.25)
-    AK, bK = K.to_hrep().halfspaces
+    AK, bK = K.halfspaces
     AM, bM = cube_body(n).halfspaces
     shift = np.eye(n)[0] * 5.0
     far = _sym_diff(AK, np.concatenate([bK + AK @ shift, bM]), AM)

@@ -11,7 +11,7 @@ from isozonoid.errors import DegenerateMeasureError
 from isozonoid.harness import random_even_isotropic, tilted_pair_measure
 from isozonoid.measures import (AtomicMeasure, check_isotropy, cross_measure,
                                 equiangular_measure, unit_vector)
-from isozonoid.zonoids import (_exp_integral, body_Zp, body_Zp_star, mp_body,
+from isozonoid.zonoids import (_exp_integral, body_Zp, body_Zp_star,
                                norm_Zp_star, reference_volume, support_Zp,
                                volume_Zp, volume_Zp_star,
                                volume_Zp_star_ball_integral, zonoid_volumes,
@@ -132,7 +132,7 @@ def test_polarity_exact_p_infinity(nu2, hexm):
     # polar of Z*_inf(mu) equals Z_inf(mu) = conv supp mu: vertex/facet duality
     for mu in (nu2, hexm):
         zs = body_Zp_star(mu, math.inf)
-        verts = zs.to_vrep().vertices
+        verts = zs.vertices
         # every atom direction supports Z*_inf at value exactly 1
         hull_sup = np.max(verts @ mu.directions.T, axis=0)
         assert np.allclose(hull_sup, 1.0, atol=1e-9)
@@ -144,8 +144,29 @@ def test_polarity_exact_p_infinity(nu2, hexm):
         assert prod <= unit_ball_volume(n) ** 2 + 1e-9
 
 
+def _mp(mu, p):
+    """(mu~, p') with M_p(mu) = Z_{p'}(mu~): mu~ is mu made even and
+    1/p + 1/p' = 1."""
+    if not mu.even:
+        mu = AtomicMeasure.symmetrized(mu.directions, mu.weights)
+    if p == 1.0:
+        return mu, math.inf
+    return mu, 1.0 if np.isinf(p) else p / (p - 1.0)
+
+
+def test_bodies_are_polytopes_only(rng):
+    # at finite p > 1 the oracles and the sandwich stand in for bodies
+    mu = random_even_isotropic(2, 5, rng)
+    for build in (body_Zp, body_Zp_star):
+        for p in (1.5, 2.0):
+            with pytest.raises(ValueError) as err:
+                build(mu, p)
+            for name in ("support_Zp", "norm_Zp_star", "zonoid_volumes"):
+                assert name in str(err.value)
+
+
 def test_mp_infinity_is_zonotope(nu2):
-    m = mp_body(nu2, math.inf)
+    m = body_Zp(*_mp(nu2, math.inf))
     assert volume(m).value == pytest.approx(4.0, abs=1e-12)
 
 
@@ -153,7 +174,7 @@ def test_mp_infinity_of_17_pairs_is_exact():
     # 17 antipodal pairs: M_inf = Z_1 is an exact V-body whose support is
     # sum_j |<g_j, v>| and whose volume is the minor expansion
     mu = equiangular_measure(17)
-    body = mp_body(mu, math.inf)
+    body = body_Zp(*_mp(mu, math.inf))
     assert body.kind == "V"
     V = circle_grid(16)
     G = mu.weights[:, None] * mu.directions
@@ -229,8 +250,8 @@ def test_p1_bodies_match_sign_enumeration_and_minors(n, rng):
 
 
 def test_mp_gauge_on_rows(rng):
-    # the solver maps rows to values, and the rows of mp_body's touch points
-    # have gauge 1
+    # the solver maps rows to values, and the rows of the touch points of
+    # M_p = Z_{p'} have gauge 1
     mu = random_even_isotropic(2, 3, rng)
     X = rng.standard_normal((5, 2))
     for p in (1.0, 2.5):
@@ -238,7 +259,7 @@ def test_mp_gauge_on_rows(rng):
         assert rows.shape == (5,)
         assert np.array_equal(rows, [mp_gauge_solver(mu, p, x) for x in X])
     V = circle_grid(5)
-    touch = mp_body(mu, 2.5).touch_fn(V)
+    touch = zp_touch_point(*_mp(mu, 2.5), V)
     assert np.allclose(mp_gauge_solver(mu, 2.5, touch), 1.0, rtol=0.0, atol=1e-12)
 
 
@@ -249,15 +270,13 @@ def test_mp_gauge_at_basis_directions(nu2, nu3):
             e1 = np.zeros(n)
             e1[0] = 1.0
             assert mp_gauge_solver(mu, p, e1) == pytest.approx(1.0, abs=1e-7)
-            assert mp_body(mu, p).support(e1) == pytest.approx(1.0, rel=1e-15)
+            assert support_Zp(*_mp(mu, p), e1) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_mp_inside_z_pstar(rng):
-    # 100 random boundary-ish points of M_p lie in Z_{p*} (Hoelder), the
-    # body mp_body builds
+    # 100 random boundary-ish points of M_p lie in Z_{p*} (Hoelder)
     mu = random_even_isotropic(2, 5, rng)
     for p in (1.5, 3.0):
-        body = mp_body(mu, p)
         U, c = mu.directions, mu.weights
         for _ in range(50):
             th = rng.normal(size=mu.natoms)
@@ -266,7 +285,7 @@ def test_mp_inside_z_pstar(rng):
             # support comparison on a grid of directions
             for ang in np.linspace(0, 2 * np.pi, 33):
                 v = np.array([math.cos(ang), math.sin(ang)])
-                assert x @ v <= body.support(v) + 1e-10
+                assert x @ v <= support_Zp(*_mp(mu, p), v) + 1e-10
 
 
 def test_mp_gauge_consistent_with_representation(rng):
@@ -287,14 +306,12 @@ def _mp_cases(n, rng):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_mp_body_touch_points_have_solver_gauge_one(n, rng):
-    # M_p = Z_{p'}: the representation infimum is 1 on the boundary points
-    # of the Z_{p'} body, for even and non-even measures
+    # M_p = Z_{p'}: the representation infimum is 1 on the touch points of
+    # Z_{p'}, for even and non-even measures
     V = circle_grid(8) if n == 2 else icosphere(0)
     for mu in _mp_cases(n, rng):
         for p in (1.2, 1.5, 2.0, 3.0, 6.0):
-            body = mp_body(mu, p)
-            assert body.kind == "support"
-            touch = body.touch_fn(V)
+            touch = zp_touch_point(*_mp(mu, p), V)
             assert np.allclose(mp_gauge_solver(mu, p, touch), 1.0,
                                rtol=0.0, atol=1e-12)
 
@@ -305,12 +322,12 @@ def test_mp_endpoints_are_hull_and_zonotope(n, rng):
     # M_inf = Z_1: the zonotope of the segments [-c_i u_i, c_i u_i]
     for mu in _mp_cases(n, rng):
         U = np.vstack([mu.directions, -mu.directions])
-        m1 = mp_body(mu, 1.0)
+        m1 = body_Zp(*_mp(mu, 1.0))
         assert m1.kind == "V"
         assert sorted(map(tuple, m1.vertices)) == sorted(set(map(tuple, U)))
         assert np.allclose(mp_gauge_solver(mu, 1.0, U), 1.0, rtol=0.0, atol=1e-12)
         G = mu.weights[:, None] * mu.directions
-        m_inf = mp_body(mu, math.inf)
+        m_inf = body_Zp(*_mp(mu, math.inf))
         assert m_inf.kind == "V"
         assert volume(m_inf).value == pytest.approx(zonotope_volume(G), rel=1e-12)
         V = circle_grid(16) if n == 2 else icosphere(1)
@@ -435,6 +452,18 @@ def test_ball_integral_agrees_with_body_volume(rng):
                     value, gap = gauge_radial_volume(
                         lambda x: norm_Zp_star(mu, p, x), n)
                     assert abs(value - bv.value) <= gap + bv.abs_error
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_p2_bodies_are_the_ball(n, rng):
+    # isotropy gives h_{Z_2}(v) = |v|, so Z_2 = Z*_2 = B^n: kappa_n lies in
+    # both sandwich brackets and within the ball integral's bar, an oracle
+    # that needs no hull
+    kappa = unit_ball_volume(n)
+    for _ in range(4):
+        mu = random_even_isotropic(n, n * (n + 1) // 2 + 3, rng)
+        for res in (*zonoid_volumes(mu, 2), volume_Zp_star_ball_integral(mu, 2)):
+            assert abs(res.value - kappa) <= res.abs_error
 
 
 def test_volume_zp_star_infinity_limit(nu2):
