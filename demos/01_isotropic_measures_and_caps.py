@@ -8,15 +8,15 @@ centers span a quantitatively non-degenerate frame.
 
 import numpy as np
 
-from isozonoid import (CapQuery, beta_dr, cap_mass, check_isotropy,
-                       cross_measure, dvoretzky_rogers_caps,
-                       hexagonal_measure, verify_isotropic_cap_bound)
+from isozonoid import (beta_dr, cap_mass, check_isotropy, cross_measure,
+                       dvoretzky_rogers_caps, equiangular_measure,
+                       verify_isotropic_cap_bound)
 
 print("=" * 70)
 print("1. Cross and hexagonal measures")
 print("=" * 70)
 nu2 = cross_measure(2)
-hexm = hexagonal_measure()
+hexm = equiangular_measure(3)
 for name, mu in (("nu_2", nu2), ("hexagonal", hexm)):
     rep = check_isotropy(mu)
     print(f"{name}: atoms={mu.natoms}  mass={rep.total_mass:.3f}  "
@@ -51,7 +51,7 @@ print("=" * 70)
 for name, mu in (("nu_2", nu2), ("hexagonal", hexm), ("nu_3", cross_measure(3))):
     V, beta = dvoretzky_rogers_caps(mu)
     n = mu.dim
-    masses = [cap_mass(mu, CapQuery(v, beta)) for v in V]
+    masses = [cap_mass(mu, v, beta) for v in V]
     det = abs(np.linalg.det(V))
     print(f"{name}: beta={beta:.6f}  cap masses={np.round(masses, 4)}  "
           f"|det|={det:.4f} >= 4n*beta={4 * n * beta:.4f}")

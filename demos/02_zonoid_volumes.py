@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from isozonoid import (cross_measure, hexagonal_measure, reference_volume,
-                       volume_Zp, volume_Zp_star, volume_Zp_star_ball_integral)
+from isozonoid import (cross_measure, equiangular_measure, reference_volume,
+                       volume_Zp_star_ball_integral, zonoid_volumes)
 from isozonoid.harness import random_even_isotropic
 
 print("=" * 70)
@@ -23,7 +23,7 @@ print(f"{'n':>2} {'p':>4} {'body volume':>14} {'closed form':>14} "
 for n in (2, 3):
     mu = cross_measure(n)
     for p in (1, 2, 4, math.inf):
-        res = volume_Zp_star(mu, p)
+        res = zonoid_volumes(mu, p)[1]
         ref = reference_volume("Z_STAR", n, p)
         print(f"{n:>2} {str(p):>4} {res.value:>14.9f} {ref:>14.9f} "
               f"{abs(res.value - ref) / ref:>10.2e} {res.method:>10}")
@@ -45,11 +45,11 @@ print()
 print("=" * 70)
 print("3. Volume direction on non-cross measures (Theorem B direction)")
 print("=" * 70)
-hexm = hexagonal_measure()
+vz, vzs = zonoid_volumes(equiangular_measure(3), math.inf)
 print("hexagonal measure, p = inf:")
-print(f"  V(Z_inf)  = {volume_Zp(hexm, math.inf).value:.6f}"
+print(f"  V(Z_inf)  = {vz.value:.6f}"
       f"  > {reference_volume('Z', 2, math.inf):.6f} = V(Z_inf(nu_2))")
-print(f"  V(Z*_inf) = {volume_Zp_star(hexm, math.inf).value:.6f}"
+print(f"  V(Z*_inf) = {vzs.value:.6f}"
       f"  < {reference_volume('Z_STAR', 2, math.inf):.6f} = V(Z*_inf(nu_2))")
 
 rng = np.random.default_rng(3)
@@ -58,7 +58,6 @@ ref_z = reference_volume("Z", 3, 1)
 ref_zs = reference_volume("Z_STAR", 3, 1)
 for i in range(5):
     mu = random_even_isotropic(3, 10, rng)
-    vz = volume_Zp(mu, 1).value
-    vzs = volume_Zp_star(mu, 1).value
-    print(f"  #{i}: V(Z_1)={vz:8.4f} (>= {ref_z:.3f})   "
-          f"V(Z*_1)={vzs:7.4f} (<= {ref_zs:.4f})")
+    vz, vzs = zonoid_volumes(mu, 1)
+    print(f"  #{i}: V(Z_1)={vz.value:8.4f} (>= {ref_z:.3f})   "
+          f"V(Z*_1)={vzs.value:7.4f} (<= {ref_zs:.4f})")

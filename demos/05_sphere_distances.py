@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from isozonoid.harness import tilted_pair_measure
-from isozonoid.measures import cross_measure, equiangular_measure, hexagonal_measure
+from isozonoid.measures import cross_measure, equiangular_measure
 from isozonoid.metrics import (deep_hole, fit_cross_frame, hausdorff_to_cross,
                                rotated_cross_measure, wasserstein,
                                wasserstein_hausdorff_bound, wasserstein_to_cross)
@@ -36,7 +36,7 @@ print("=" * 70)
 print("2. Orbit-minimized distances to the cross")
 print("=" * 70)
 for name, mu in (("rotated cross", rotated_cross_measure(2, rot2(0.7).T)),
-                 ("hexagonal", hexagonal_measure()),
+                 ("hexagonal", equiangular_measure(3)),
                  ("octagonal", equiangular_measure(4)),
                  ("tilted pair 0.2", tilted_pair_measure(2, 0.2))):
     dwo, _, _ = wasserstein_to_cross(mu)

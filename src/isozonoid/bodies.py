@@ -121,7 +121,7 @@ def sphere_grid(n: int, size_2d: int = ANGLE_GRID_2D,
 class VolumeResult:
     value: float
     abs_error: float
-    method: str                 # EXACT | QUADRATURE | MONTE_CARLO
+    method: str                 # EXACT | QUADRATURE
 
     def to_json_dict(self):
         return {"value": self.value, "abs_error": self.abs_error,
@@ -185,8 +185,8 @@ class BodyRep:
         g = np.max((x @ A.T) / b, axis=-1)
         return float(g) if x.ndim == 1 else g
 
-    def contains(self, x, tol=1e-9) -> bool:
-        return self.gauge(x) <= 1.0 + tol
+    def contains(self, x) -> bool:
+        return self.gauge(x) <= 1.0 + 1e-9
 
     def to_json_dict(self):
         data = (self.vertices if self.kind == "V"
@@ -200,6 +200,9 @@ def body_from_json(data) -> BodyRep:
     unbounded data is rejected here."""
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
+    if not isinstance(data, dict) or not {"kind", "data"} <= data.keys():
+        raise ValueError('body JSON must be an object with keys "dim", '
+                         '"kind" and "data"')
     kind = data["kind"]
     if kind not in ("V", "H"):
         raise ValueError(f"unknown body kind {kind!r}")
@@ -423,12 +426,6 @@ def vertices_to_halfspaces(V):
     return eqs[:, :-1], -eqs[:, -1]
 
 
-def polar_of_vrep(V) -> BodyRep:
-    """Polar { x : <x, v_i> <= 1 } of conv(V) for origin-interior hulls."""
-    V = np.atleast_2d(np.asarray(V, dtype=float))
-    return BodyRep.from_halfspaces(V, np.ones(len(V)))
-
-
 def hull_volume_area(V):
     """(volume, surface measure) of conv(V); Qhull's 2-D 'area' is perimeter."""
     hull = ConvexHull(np.atleast_2d(V))
@@ -441,8 +438,8 @@ def cube_body(n: int, r: float = 1.0) -> BodyRep:
     return BodyRep.from_halfspaces(A, np.full(2 * n, r))
 
 
-def cross_polytope_body(n: int, r: float = 1.0) -> BodyRep:
-    return BodyRep.from_vertices(r * np.vstack([np.eye(n), -np.eye(n)]))
+def cross_polytope_body(n: int) -> BodyRep:
+    return BodyRep.from_vertices(np.vstack([np.eye(n), -np.eye(n)]))
 
 
 def zonotope_facets(generators):

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import PreconditionViolatedError
-from .measures import (AtomicMeasure, CapQuery, cap_atom_mask, cap_mass,
+from .measures import (AtomicMeasure, cap_atom_mask, cap_mass,
                        require_isotropic, unit_vector)
 
 EPS = 1e-12
@@ -37,22 +37,21 @@ def beta_dr(n: int) -> float:
     return 2.0 ** (-(n + 1)) * float(n) ** (-(n + 1) / 2.0)
 
 
-def verify_isotropic_cap_bound(mu: AtomicMeasure, v, alpha: float,
-                               tol: float = 1e-9):
+def verify_isotropic_cap_bound(mu: AtomicMeasure, v, alpha: float):
     """Open-cap mass bound 1 - n cos^2(alpha); returns (lhs, rhs, pass)."""
-    require_isotropic(mu, tol)
+    require_isotropic(mu)
     v = unit_vector(v)
     if not (0.0 < alpha < np.pi / 2):
         raise ValueError("alpha must lie in (0, pi/2)")
-    lhs = (cap_mass(mu, CapQuery(v, alpha), open_cap=True)
-           + cap_mass(mu, CapQuery(-v, alpha), open_cap=True))
+    lhs = (cap_mass(mu, v, alpha, open_cap=True)
+           + cap_mass(mu, -v, alpha, open_cap=True))
     rhs = 1.0 - mu.dim * math.cos(alpha) ** 2
     return lhs, rhs, lhs >= rhs - EPS
 
 
 def dense_subcap_bound(mu: AtomicMeasure, p, alpha: float, beta: float) -> float:
     """Required subcap mass: mu(Omega(p, alpha)) sin^{n-1}(beta)/sqrt(2 pi n)."""
-    big = cap_mass(mu, CapQuery(p, alpha))
+    big = cap_mass(mu, p, alpha)
     return big * math.sin(beta) ** (mu.dim - 1) / math.sqrt(2.0 * np.pi * mu.dim)
 
 
@@ -125,7 +124,7 @@ def find_dense_subcap(mu: AtomicMeasure, p, alpha: float, beta: float):
     if not (0.0 < beta < alpha < np.pi / 2):
         raise ValueError("need 0 < beta < alpha < pi/2")
     bound = dense_subcap_bound(mu, p, alpha, beta)
-    if cap_mass(mu, CapQuery(p, alpha)) == 0.0:
+    if cap_mass(mu, p, alpha) == 0.0:
         return p
     cands, atoms = _subcap_candidates(mu, p, alpha, beta)
     inside_big = cap_atom_mask(mu, p, alpha)
@@ -166,7 +165,7 @@ def perturbed_determinant_bound(b, s):
     return lhs, rhs, lhs >= rhs - EPS
 
 
-def dvoretzky_rogers_caps(mu: AtomicMeasure, tol: float = 1e-9):
+def dvoretzky_rogers_caps(mu: AtomicMeasure):
     """Cap centers v_1..v_n with mass >= beta^n each and |det[v]| >= 4 n beta.
 
     Follows the inductive proof: cos(alpha_n) = 1/(2 sqrt n); each pilot
@@ -174,7 +173,7 @@ def dvoretzky_rogers_caps(mu: AtomicMeasure, tol: float = 1e-9):
     the two antipodal alpha_n-caps, and v_i comes from the dense-subcap
     search inside it.  Returns (V, beta) with centers as rows of V.
     """
-    require_isotropic(mu, tol)
+    require_isotropic(mu)
     n = mu.dim
     beta = beta_dr(n)
     alpha_n = math.acos(1.0 / (2.0 * math.sqrt(n)))
@@ -185,15 +184,15 @@ def dvoretzky_rogers_caps(mu: AtomicMeasure, tol: float = 1e-9):
             pilot[0] = 1.0
         else:
             pilot = _orthonormal_complement_of_rows(np.array(centers))[0]
-        m_plus = cap_mass(mu, CapQuery(pilot, alpha_n))
-        m_minus = cap_mass(mu, CapQuery(-pilot, alpha_n))
+        m_plus = cap_mass(mu, pilot, alpha_n)
+        m_minus = cap_mass(mu, -pilot, alpha_n)
         p_i = pilot if m_plus >= m_minus else -pilot
         if max(m_plus, m_minus) < 3.0 / 8.0 - 1e-9:
             raise AssertionError("cap mass bound failed for an isotropic measure")
         centers.append(find_dense_subcap(mu, p_i, alpha_n, beta))
     V = np.array(centers)
     for v in V:
-        if cap_mass(mu, CapQuery(v, beta)) < beta ** n - EPS:
+        if cap_mass(mu, v, beta) < beta ** n - EPS:
             raise AssertionError("cap mass postcondition failed")
     if abs(float(np.linalg.det(V))) < 4.0 * n * beta - EPS:
         raise AssertionError("determinant postcondition failed")
@@ -217,8 +216,7 @@ class CapDichotomy:
     mass_target: float = 0.0
 
 
-def cap_dichotomy(mu: AtomicMeasure, v, beta: float, eta: float,
-                  tol: float = 1e-9) -> CapDichotomy:
+def cap_dichotomy(mu: AtomicMeasure, v, beta: float, eta: float) -> CapDichotomy:
     """Concentration/splitting dichotomy inside the cap Omega(v, beta).
 
     Either returns q in the cap with mu(cap and Omega(q, eta)) >= beta^n/4n,
@@ -226,7 +224,7 @@ def cap_dichotomy(mu: AtomicMeasure, v, beta: float, eta: float,
     Coordinate thresholds follow the weight quantiles in an orthonormal
     basis of v^perp, processed in decreasing gap order (ties by index).
     """
-    require_isotropic(mu, tol)
+    require_isotropic(mu)
     v = unit_vector(v)
     n = mu.dim
     if not (0.0 < eta < beta):

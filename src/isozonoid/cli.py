@@ -251,7 +251,8 @@ def _cmd_volume(args) -> int:
     return 0
 
 
-# distance kind -> the input flags it needs
+# distance kind -> the input flags it needs; any other input flag is an
+# input error rather than silently ignored
 DISTANCE_INPUTS = {"wass": ("measure", "measure2"), "wassO": ("measure",),
                    "haus": ("measure", "measure2"), "hausO": ("measure",),
                    "bm": ("body", "body2"), "vol": ("body", "body2")}
@@ -262,6 +263,9 @@ def _cmd_distance(args) -> int:
     for flag in DISTANCE_INPUTS[kind]:
         if getattr(args, flag) is None:
             raise ValueError(f"distance --kind {kind} needs --{flag}")
+    for flag in ("measure", "measure2", "body", "body2"):
+        if flag not in DISTANCE_INPUTS[kind] and getattr(args, flag) is not None:
+            raise ValueError(f"distance --kind {kind} does not read --{flag}")
     seed = _seed_from(args)
     if kind in ("wass", "haus"):
         mu = measure_from_json(_load_json(args.measure))
@@ -281,6 +285,9 @@ def _cmd_distance(args) -> int:
     else:
         K = body_from_json(_load_json(args.body))
         M = body_from_json(_load_json(args.body2))
+        if K.dim != M.dim:
+            raise ValueError(f"distance --kind {kind} needs bodies of one "
+                             f"dimension, got {K.dim} and {M.dim}")
         fn = banach_mazur if kind == "bm" else volume_distance
         value, cert = fn(K, M, seed=seed)
     _write_output(args.out, _dump_json({"value": value, "certificate": cert}))
@@ -377,8 +384,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (IsozonoidError, ValueError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
+    except (IsozonoidError, ValueError, OSError) as exc:
         print(f"isozonoid: error: {exc}", file=sys.stderr)
         return 2
 

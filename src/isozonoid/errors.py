@@ -37,7 +37,7 @@ class HypothesisFailedError(IsozonoidError):
 class BoundViolationError(IsozonoidError):
     """A verified bound fails; carries a witness point."""
 
-    def __init__(self, message, witness=None):
+    def __init__(self, message, witness):
         super().__init__(message)
         self.witness = witness
 

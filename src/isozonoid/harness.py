@@ -31,6 +31,8 @@ from .metrics import (banach_mazur, hausdorff_spherical, hausdorff_to_cross,
 from .zonoids import reference_volume, zonoid_volumes
 
 DEFAULT_SEED = 0x5EED
+EQUALITY_TOL = 1e-6     # delta_WO below which Theorem B equality is legitimate
+EPS_TOL = 1e-6          # delta_WO above which zpstab asks a positive deficit
 
 
 @dataclass(frozen=True)
@@ -103,10 +105,10 @@ def tilted_pair_measure(n: int, alpha: float) -> AtomicMeasure:
     return isotropic_measure_from_directions(np.array(dirs), even=True)
 
 
-def random_even_isotropic(n: int, npairs: int, rng,
-                          max_tries: int = 200) -> AtomicMeasure:
-    """Random even isotropic measure: sampled directions, solved weights."""
-    for _ in range(max_tries):
+def random_even_isotropic(n: int, npairs: int, rng) -> AtomicMeasure:
+    """Random even isotropic measure: sampled directions, solved weights,
+    in at most 200 draws."""
+    for _ in range(200):
         U = rng.standard_normal((npairs, n))
         U /= np.linalg.norm(U, axis=1, keepdims=True)
         dirs = np.vstack([U, -U])
@@ -117,17 +119,16 @@ def random_even_isotropic(n: int, npairs: int, rng,
         if check_isotropy(mu, 1e-9).is_isotropic:
             return mu
     raise InfeasibleWeightsError(
-        f"no isotropic weights found in {max_tries} tries (n={n}, k={npairs})")
+        f"no isotropic weights found in 200 tries (n={n}, k={npairs})")
 
 
-def split_cluster_measure(n: int = 2, ntilts: int = 6,
-                          lam: float = 4.8e-3) -> AtomicMeasure:
+def split_cluster_measure(n: int = 2, ntilts: int = 6) -> AtomicMeasure:
     """Even isotropic measure whose e_1-cap splits into two light clusters.
 
     Mixes a rotated hexagonal measure (atoms far from +-e_1) with ``ntilts``
-    slightly tilted cross variants carrying total weight ``lam``.  Inside
-    the Dvoretzky-Rogers cap at e_1 this leaves 2*ntilts atoms, each of
-    mass lam/(4 ntilts) -- individually below the concentration threshold
+    slightly tilted cross variants carrying total weight lam = 4.8e-3.
+    Inside the Dvoretzky-Rogers cap at e_1 this leaves 2*ntilts atoms, each
+    of mass lam/(4 ntilts) -- individually below the concentration threshold
     beta^2/8 -- grouped in two clusters separated by about 0.45 beta.
     Exercises the splitting branch of the cap dichotomy (n = 2 only).
     """
@@ -136,6 +137,7 @@ def split_cluster_measure(n: int = 2, ntilts: int = 6,
     from .caps import beta_dr
 
     beta = beta_dr(2)
+    lam = 4.8e-3
     rot = np.array([[math.cos(np.pi / 6), -math.sin(np.pi / 6)],
                     [math.sin(np.pi / 6), math.cos(np.pi / 6)]])
     hex_dirs = equiangular_measure(3).directions @ rot.T
@@ -198,12 +200,12 @@ def _epsilon_provenance(cert) -> dict:
 # Theorem B direction
 
 
-def theorem_B_suite(n: int, p, family, equality_tol: float = 1e-6):
+def theorem_B_suite(n: int, p, family):
     """V(Z_p(mu)) >= V(Z_p(nu_n)) and V(Z*_p(mu)) <= V(Z*_p(nu_n)) over a family.
 
     Both volumes of a measure come from one ``zonoid_volumes`` call.
     Equality (within volume error) is flagged as legitimate only when the
-    orbit distance delta_WO(mu, nu_n) is below ``equality_tol``.  Such a
+    orbit distance delta_WO(mu, nu_n) is below ``EQUALITY_TOL``.  Such a
     report says how its epsilon was obtained, as ``zpmustab_consistency``
     does (``epsilon_method``, and ``epsilon_nfev`` in n = 3).
     """
@@ -222,13 +224,13 @@ def theorem_B_suite(n: int, p, family, equality_tol: float = 1e-6):
         eps = float("nan")
         if near_equal:
             eps, _, cert = wasserstein_to_cross(mu)
-            extra["equality_flagged"] = eps <= equality_tol
+            extra["equality_flagged"] = eps <= EQUALITY_TOL
             extra.update(_epsilon_provenance(cert))
         deficit = min(vz.value - ref_z, ref_zs - vzs.value)
         reports.append(StabilityReport(
             suite="theoremB", label=f"{idx}", n=n, p=p, epsilon=eps,
             deficit=deficit, bound=0.0, passed=ok_z and ok_zs,
-            tolerances={"volume_err": err, "equality_tol": equality_tol},
+            tolerances={"volume_err": err, "equality_tol": EQUALITY_TOL},
             extra=extra))
     return reports
 
@@ -247,9 +249,9 @@ def s1_gaps(mu: AtomicMeasure) -> np.ndarray:
     return np.diff(np.concatenate([th, [th[0] + 2.0 * np.pi]]))
 
 
-def is_proper_support(mu: AtomicMeasure, tol: float = 1e-12) -> bool:
+def is_proper_support(mu: AtomicMeasure) -> bool:
     """Every gap between consecutive support points is at most pi/2."""
-    return bool(np.max(s1_gaps(mu)) <= np.pi / 2 + tol)
+    return bool(np.max(s1_gaps(mu)) <= np.pi / 2 + 1e-12)
 
 
 def area_conv_support(mu: AtomicMeasure) -> float:
@@ -262,29 +264,29 @@ def area_polar_support(mu: AtomicMeasure) -> float:
     return float(np.sum(np.tan(s1_gaps(mu) / 2.0)))
 
 
-def tangent_sum_increasing(alpha, beta, npts=64) -> bool:
+def tangent_sum_increasing(alpha, beta) -> bool:
     """tan((a+t)/2) + tan((b-t)/2) strictly increases on [0, min(b, pi/2-a)]."""
     tmax = min(beta, np.pi / 2 - alpha)
     if tmax <= 0:
         return True
-    t = np.linspace(0.0, tmax, npts)
+    t = np.linspace(0.0, tmax, 64)
     vals = np.tan((alpha + t) / 2.0) + np.tan((beta - t) / 2.0)
     return bool(np.all(np.diff(vals) > -1e-14))
 
 
-def sine_sum_decreasing(alpha, beta, npts=64) -> bool:
+def sine_sum_decreasing(alpha, beta) -> bool:
     """sin(a+t) + sin(b-t) strictly decreases on [0, min(b, pi/2-a)]."""
     tmax = min(beta, np.pi / 2 - alpha)
     if tmax <= 0:
         return True
-    t = np.linspace(0.0, tmax, npts)
+    t = np.linspace(0.0, tmax, 64)
     vals = np.sin(alpha + t) + np.sin(beta - t)
     return bool(np.all(np.diff(vals) < 1e-14))
 
 
-def angle_sum_lower_bound(eps, npts=256) -> bool:
+def angle_sum_lower_bound(eps) -> bool:
     """sin(a) + cos(a) >= 1 + eps/2 on [eps, pi/2 - eps] for eps in (0, pi/4)."""
-    a = np.linspace(eps, np.pi / 2 - eps, npts)
+    a = np.linspace(eps, np.pi / 2 - eps, 256)
     return bool(np.all(np.sin(a) + np.cos(a) >= 1.0 + 0.5 * eps - 1e-12))
 
 
@@ -354,7 +356,7 @@ def s1_sharp_suite(family):
 # direction-only consistency for the Wasserstein stability theorem
 
 
-def zpmustab_consistency(n: int, p, family, eps_tol: float = 1e-6):
+def zpmustab_consistency(n: int, p, family):
     """Records (delta_WO, volume deficits) and checks the contrapositive:
     positive orbit distance forces positive deficit.  A deficit
     is shown positive when both dZ - barZ and dZs - barZs are, each deficit
@@ -365,7 +367,7 @@ def zpmustab_consistency(n: int, p, family, eps_tol: float = 1e-6):
     fails, and no verdict depends on it.
 
     At finite p the bars are the certified brackets of ``zonoid_volumes``.
-    When epsilon > eps_tol and the default grid leaves deficit_lower <= 0,
+    When epsilon > ``EPS_TOL`` and the default grid leaves deficit_lower <= 0,
     the measure's volumes are recomputed once on the next finer grid
     (4 times the directions: ``icosphere(ICOSPHERE_SUBDIV + 1)`` in n = 3),
     and ``volume_grid_nodes`` gives its size.
@@ -388,13 +390,13 @@ def zpmustab_consistency(n: int, p, family, eps_tol: float = 1e-6):
             # each deficit clears its own bar: a certified lower bound of
             # min(dZ, dZs)
             lower = min(dz - err_z, dzs - err_zs)
-            if (grid is not None or eps <= eps_tol or lower > 0.0
+            if (grid is not None or eps <= EPS_TOL or lower > 0.0
                     or vz.method == "EXACT"):
                 break
             grid = sphere_grid(n, 4 * ANGLE_GRID_2D, ICOSPHERE_SUBDIV + 1)
         deficit = min(dz, dzs)
         err = err_z + err_zs
-        if eps > eps_tol:
+        if eps > EPS_TOL:
             ok = lower > 0.0
         else:
             ok = deficit >= -err - 1e-9
@@ -406,15 +408,15 @@ def zpmustab_consistency(n: int, p, family, eps_tol: float = 1e-6):
         reports.append(StabilityReport(
             suite="zpstab", label=f"{idx}", n=n, p=p, epsilon=eps,
             deficit=deficit, bound=0.0, passed=ok,
-            tolerances={"eps_tol": eps_tol, "vol_err": err,
+            tolerances={"eps_tol": EPS_TOL, "vol_err": err,
                         "vol_err_Z": err_z, "vol_err_Zstar": err_zs},
             extra=extra))
     return reports
 
 
-def deficits_monotone(reports, slack: float = 1e-9) -> bool:
+def deficits_monotone(reports) -> bool:
     d = [r.deficit for r in reports]
-    return all(b >= a - slack for a, b in zip(d, d[1:]))
+    return all(b >= a - 1e-9 for a, b in zip(d, d[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +444,11 @@ def truncated_cube_body(n: int, cut: float) -> BodyRep:
     return BodyRep.from_halfspaces(np.vstack(A), np.concatenate(b))
 
 
-def regular_polygon_body(m: int, inradius: float = 1.0) -> BodyRep:
-    """Regular 2m-gon circumscribed about the circle of given inradius."""
+def regular_polygon_body(m: int) -> BodyRep:
+    """Regular 2m-gon circumscribed about the unit circle."""
     ang = np.arange(2 * m) * np.pi / m
     A = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    return BodyRep.from_halfspaces(A, np.full(2 * m, inradius))
+    return BodyRep.from_halfspaces(A, np.ones(2 * m))
 
 
 def reverse_isoperimetric_suite(bodies, labels=None, distances: bool = True,

@@ -15,9 +15,10 @@ normalized body must carry weights with sum c_j u_j (x) u_j = Id_n.
 The unit ball B^n is John's ellipsoid of K exactly when B^n <= K and such
 isotropic contact weights exist; contact_measure extracts that (even,
 isotropic) measure.  The remaining operations are the exact polytope
-surface/volume ratios, the Monte-Carlo lower bound for the wedge regions
-Xi_{u,u_0}, and the two cube-comparison checks used by the stability
-pipeline (cube sandwich for Z*_inf, and the corner-cut volume bound).
+surface/volume ratios, a certified lower bound for the volume of the wedge
+regions Xi_{u,u_0} (an inscribed ball from one LP), and the two
+cube-comparison checks used by the stability pipeline (cube sandwich for
+Z*_inf, and the corner-cut volume bound).
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import (BodyRep, VolumeResult, hull_volume_area, polar_of_vrep,
-                     unit_ball_volume)
+from .bodies import (BodyRep, _interior_point, circle_grid, hull_volume_area,
+                     icosphere, unit_ball_volume)
 from .errors import (DimensionUnsupportedError, HypothesisFailedError,
                      InfeasibleWeightsError, NoContactsError,
                      PreconditionViolatedError)
@@ -64,17 +65,6 @@ class Ellipsoid:
         return float(np.max(np.abs(self.shape - np.eye(self.dim))))
 
 
-@dataclass(frozen=True)
-class ContactSystem:
-    directions: np.ndarray
-    weights: np.ndarray
-    residual: float
-
-    def __post_init__(self):
-        if self.residual > CONTACT_TOL:
-            raise ValueError("John condition residual exceeds 1e-8")
-
-
 def _normalized_facets(body: BodyRep):
     A, b = body.halfspaces
     if np.any(b <= 0):
@@ -86,10 +76,19 @@ def john_ellipsoid(body: BodyRep) -> Ellipsoid:
     """Maximum volume inscribed ellipsoid of an origin symmetric body, n <= 3.
 
     Newton barrier ascent on log det Q with facet constraints; certified by
-    the isotropy residual of the contact decomposition (<= 1e-6).
+    the isotropy residual of the contact decomposition (<= 1e-6).  That
+    certificate omits John's condition sum c_i u_i = 0, which holds by
+    symmetry, so a body whose vertex set is not closed under negation
+    (within 1e-9) raises PreconditionViolatedError.
     """
     if body.dim > 3:
         raise DimensionUnsupportedError("john_ellipsoid implemented for n <= 3")
+    V = body.vertices
+    gap = np.linalg.norm(V[:, None, :] + V[None, :, :], axis=2).min(axis=1)
+    if np.max(gap) > 1e-9:
+        raise PreconditionViolatedError(
+            "john_ellipsoid needs a body symmetric about the origin: the "
+            f"negation of a vertex lies {np.max(gap):.2e} from every vertex")
     F = _normalized_facets(body)        # rows f_j; constraint f_j^T Q f_j <= 1
     Q = _max_logdet_shape(F, body.dim)
     A = np.linalg.inv(Q)
@@ -118,7 +117,7 @@ def _john_residual(F):
     return float(np.max(np.abs(M - np.eye(F.shape[1]))))
 
 
-def _max_logdet_shape(F, n, t_final=1e12):
+def _max_logdet_shape(F, n):
     """Central-path Newton for: max log det Q s.t. f_j^T Q f_j <= 1.
 
     Each step builds its Hessian over the basis pairs a <= b at once: t
@@ -138,7 +137,7 @@ def _max_logdet_shape(F, n, t_final=1e12):
     r = 0.5 / np.max(np.linalg.norm(F, axis=1))
     Q = np.eye(n) * r * r
     t = 1.0
-    while t < t_final:
+    while t < 1e12:
         t *= 8.0
         for _ in range(80):
             Qi = np.linalg.inv(Q)
@@ -170,7 +169,7 @@ def _max_logdet_shape(F, n, t_final=1e12):
     return Q
 
 
-def contact_measure(body: BodyRep, tol: float = CONTACT_TOL) -> AtomicMeasure:
+def contact_measure(body: BodyRep) -> AtomicMeasure:
     """Isotropic contact measure of a body normalized to John ball B^n.
 
     Touching directions are the normalized facet normals at distance one
@@ -179,30 +178,18 @@ def contact_measure(body: BodyRep, tol: float = CONTACT_TOL) -> AtomicMeasure:
     """
     F = _normalized_facets(body)
     norms = np.linalg.norm(F, axis=1)
-    if np.any(norms > 1.0 + tol):
+    if np.any(norms > 1.0 + CONTACT_TOL):
         raise NoContactsError("body does not contain the unit ball")
-    touch = norms >= 1.0 - tol
+    touch = norms >= 1.0 - CONTACT_TOL
     if not np.any(touch):
         raise NoContactsError("no facet touches the unit sphere")
     U = F[touch] / norms[touch, None]
     from .measures import isotropic_measure_from_directions
 
     mu = isotropic_measure_from_directions(U, even=True)
-    ContactSystem(directions=mu.directions, weights=mu.weights,
-                  residual=_isotropy_residual(mu))
+    if np.max(np.abs(second_moment_matrix(mu) - np.eye(mu.dim))) > CONTACT_TOL:
+        raise ValueError("John condition residual exceeds 1e-8")
     return mu
-
-
-def _isotropy_residual(mu):
-    return float(np.max(np.abs(second_moment_matrix(mu) - np.eye(mu.dim))))
-
-
-def surface_area(body: BodyRep) -> float:
-    """Exact facet-measure sum: perimeter in n = 2, facet area in n = 3."""
-    if body.dim > 3:
-        raise DimensionUnsupportedError("surface_area implemented for n <= 3")
-    V = body.vertices
-    return hull_volume_area(V)[1]
 
 
 def isoperimetric_ratio(body: BodyRep) -> float:
@@ -221,51 +208,45 @@ def cube_isoperimetric_ratio(n: int) -> float:
 # wedge-region volume bound
 
 
-def xi_region_volume(u, u0, nsamples: int = 10 ** 7, seed: int = 0) -> VolumeResult:
-    """Monte-Carlo volume of the wedge region used in the stability proof.
+def xi_region_certificate(u, u0) -> dict:
+    """A ball inside the wedge region of the stability proof, n in {2, 3}:
 
-    Xi_{u,u0} = { y in 0.1 B^n : <y,u> >= 1/30, <y,u0> >= 1/30,
-                  <y, u-u0> >= ||u-u0|| / 120 },  for <u, u0> >= 0.
-    Asserts the lower bound kappa_n / 240^n (3-sigma margin) and returns
-    the estimate.  Antithetic pairs keep the variance down.
+        Xi_{u,u0} = { y in 0.1 B^n : <y,u> >= 1/30, <y,u0> >= 1/30,
+                      <y, u-u0> >= ||u-u0|| / 120 },  for <u, u0> >= 0.
+
+    0.1 B^n lies inside the tangent planes <y, w> <= 0.1 over the
+    directions w of ``circle_grid(64)`` (n = 2) or ``icosphere(2)``
+    (n = 3).  The Chebyshev ball of those planes and the cuts (the LP of
+    ``bodies._interior_point``; the third cut is void at u = u0) has centre
+    c and radius r, the least row slack at c.  Shrunk to
+    rho = min(r, 0.1 - |c|) it lies in Xi, so V(Xi) >= kappa_n rho^n.
+    Returns ``center`` c, ``radius`` rho, that ``lower`` bound, the proof's
+    ``bound`` kappa_n / 240^n and whether ``lower`` meets it (``passed``).
     """
     u = unit_vector(u)
     u0 = unit_vector(u0)
     n = len(u)
-    if n > 3:
-        raise DimensionUnsupportedError("xi region sampling implemented for n <= 3")
+    if n not in (2, 3):
+        raise DimensionUnsupportedError("xi region certificate implemented "
+                                        "for n in {2, 3}")
     if u @ u0 < 0:
         raise PreconditionViolatedError("need <u, u0> >= 0")
     d = u - u0
     dn = np.linalg.norm(d)
-    rng = np.random.default_rng(seed)
-    half = nsamples // 2
-    hits = 0
-    chunk = 10 ** 6
-    done = 0
-    while done < half:
-        m = min(chunk, half - done)
-        g = rng.standard_normal((m, n))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        r = 0.1 * rng.random(m) ** (1.0 / n)
-        pts = g * r[:, None]
-        for sgn in (1.0, -1.0):
-            P = sgn * pts
-            ok = (P @ u >= 1.0 / 30.0) & (P @ u0 >= 1.0 / 30.0)
-            if dn > 0:
-                ok &= (P @ d >= dn / 120.0)
-            hits += int(np.count_nonzero(ok))
-        done += m
-    total = 2 * done
-    frac = hits / total
-    ball_vol = unit_ball_volume(n) * 0.1 ** n
-    value = frac * ball_vol
-    stderr = ball_vol * math.sqrt(max(frac * (1.0 - frac), 1e-12) / total)
+    rows, offsets = [-u, -u0], [-1.0 / 30.0, -1.0 / 30.0]
+    if dn > 0:
+        rows.append(-d)
+        offsets.append(-dn / 120.0)
+    tangents = circle_grid(64) if n == 2 else icosphere(2)
+    A = np.vstack(rows + [tangents])
+    b = np.concatenate([offsets, np.full(len(tangents), 0.1)])
+    c = _interior_point(A, b)
+    r = float(np.min((b - A @ c) / np.linalg.norm(A, axis=1)))
+    rho = min(r, 0.1 - float(np.linalg.norm(c)))
+    lower = unit_ball_volume(n) * max(rho, 0.0) ** n
     bound = unit_ball_volume(n) / 240.0 ** n
-    if value < bound - 3.0 * stderr:
-        raise AssertionError(
-            f"xi region volume {value:.3e} fell below kappa_n/240^n = {bound:.3e}")
-    return VolumeResult(value, 3.0 * stderr, "MONTE_CARLO")
+    return {"center": c, "radius": rho, "lower": lower, "bound": bound,
+            "passed": lower >= bound}
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +285,8 @@ def cube_sandwich_check(mu: AtomicMeasure, alpha: float) -> dict:
             break
     # outer: h_{Z*_inf}(+-e_i) <= e^{2 n alpha}, exact polytope support
     r_out = math.exp(2.0 * n * alpha)
-    outer_ok = bool(np.all(polar_of_vrep(U).support(cross) <= r_out + 1e-12))
+    polar = BodyRep.from_halfspaces(U, np.ones(len(U)))
+    outer_ok = bool(np.all(polar.support(cross) <= r_out + 1e-12))
     return {"alpha": alpha, "delta_H": dH, "inner_ok": inner_ok,
             "outer_ok": outer_ok, "passed": inner_ok and outer_ok}
 

@@ -202,7 +202,15 @@ def measure_from_json(data) -> AtomicMeasure:
     """
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
+    if not isinstance(data, dict) or not {"dim", "atoms"} <= data.keys():
+        raise ValueError('measure JSON must be an object with keys "dim" '
+                         'and "atoms"')
     atoms = data["atoms"]
+    if not (isinstance(atoms, list)
+            and all(isinstance(a, dict) and {"u", "c"} <= a.keys()
+                    for a in atoms)):
+        raise ValueError('measure JSON "atoms" must be a list of objects '
+                         'with keys "u" and "c"')
     U = np.array([unit_vector(a["u"]) for a in atoms])
     c = np.array([float(a["c"]) for a in atoms])
     return AtomicMeasure(dim=int(data["dim"]), directions=U, weights=c,
@@ -235,11 +243,6 @@ def equiangular_measure(m: int) -> AtomicMeasure:
     U = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     return AtomicMeasure(dim=2, directions=np.vstack([U, -U]),
                          weights=np.full(2 * m, 1.0 / m), even=True)
-
-
-def hexagonal_measure() -> AtomicMeasure:
-    """Six atoms at 60-degree spacing with weights 1/3 (the m=3 case)."""
-    return equiangular_measure(3)
 
 
 # ---------------------------------------------------------------------------
@@ -367,19 +370,6 @@ def isotropic_measure_from_directions(directions, even: bool = False) -> AtomicM
 # spherical caps
 
 
-@dataclass(frozen=True)
-class CapQuery:
-    """Spherical cap of angular radius in (0, pi/2] about a unit center."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", unit_vector(self.center))
-        if not (0.0 < self.radius <= np.pi / 2 + 1e-15):
-            raise ValueError("cap radius must lie in (0, pi/2]")
-
-
 CAP_BOUNDARY_TOL = 1e-12    # snap tolerance for closed/open membership
 
 
@@ -394,7 +384,11 @@ def cap_atom_mask(mu: AtomicMeasure, center, radius: float,
     return dots >= thr - CAP_BOUNDARY_TOL
 
 
-def cap_mass(mu: AtomicMeasure, q: CapQuery, open_cap: bool = False) -> float:
-    """Total weight of atoms with <u, center> >= cos(radius) (or > when open)."""
-    mask = cap_atom_mask(mu, q.center, q.radius, open_cap=open_cap)
+def cap_mass(mu: AtomicMeasure, center, radius: float,
+             open_cap: bool = False) -> float:
+    """Total weight of atoms with <u, center> >= cos(radius) (or > when
+    open), for an angular radius in (0, pi/2]."""
+    if not (0.0 < radius <= np.pi / 2 + 1e-15):
+        raise ValueError("cap radius must lie in (0, pi/2]")
+    mask = cap_atom_mask(mu, center, radius, open_cap=open_cap)
     return float(mu.weights[mask].sum())

@@ -112,15 +112,6 @@ class TransportPlan:
     flows: np.ndarray
     cost: float
 
-    def check_marginals(self, c, d, tol=1e-10) -> bool:
-        k, l = len(c), len(d)
-        out = np.zeros(k)
-        np.add.at(out, self.source_idx, self.flows)
-        inn = np.zeros(l)
-        np.add.at(inn, self.target_idx, self.flows)
-        return bool(np.max(np.abs(out - c)) <= tol
-                    and np.max(np.abs(inn - d)) <= tol)
-
 
 def wasserstein(mu: AtomicMeasure, nu: AtomicMeasure):
     """Exact min-cost transport with cost(u, w) = angle(u, w).

@@ -63,34 +63,6 @@ def rho_p(p, s):
     return out if out.ndim else float(out)
 
 
-def cdf_rho_p(p, t):
-    """CDF of rho_p; expressed through the regularized incomplete gamma.
-
-    For finite p, cdf(t) = 1/2 (1 + sgn(t) P(1/p, |t|^p)); for p = 2 this is
-    (1 + erf(t))/2, and for p = inf it is the clipped ramp (t+1)/2.
-    """
-    p = _check_p(p)
-    t = np.asarray(t, dtype=float)
-    if np.isinf(p):
-        out = np.clip((t + 1.0) / 2.0, 0.0, 1.0)
-    else:
-        out = 0.5 + 0.5 * np.sign(t) * sp.gammainc(1.0 / p, np.abs(t) ** p)
-    return out if out.ndim else float(out)
-
-
-def sf_rho_p(p, t):
-    """Upper-tail probability 1 - cdf, computed without cancellation for t > 0."""
-    p = _check_p(p)
-    t = np.asarray(t, dtype=float)
-    if np.isinf(p):
-        out = np.clip((1.0 - t) / 2.0, 0.0, 1.0)
-    else:
-        out = np.where(t >= 0,
-                       0.5 * sp.gammaincc(1.0 / p, np.abs(t) ** p),
-                       1.0 - 0.5 * sp.gammaincc(1.0 / p, np.abs(t) ** p))
-    return out if out.ndim else float(out)
-
-
 # ---------------------------------------------------------------------------
 # log-domain asymptotics for the far tail
 
@@ -345,15 +317,14 @@ def _worst_margin(rows, what, holds=None):
     return worst
 
 
-def verify_derivative_box(p, grid, density_grid=None) -> BoundReport:
+def verify_derivative_box(p, grid) -> BoundReport:
     """Check 1/3.1 < phi', psi' < 3.1 on grid in [0, 1/3.1] and the
-    density box 1/(2e) <= rho_p < 1/(2*0.8856) on [0, 1]."""
+    density box 1/(2e) <= rho_p < 1/(2*0.8856) on 257 points of [0, 1]."""
     p = _check_p(p)
     grid = np.asarray(grid, dtype=float)
     if np.any(grid < 0) or np.any(grid > 1.0 / FIRST_DERIV_BOX + 1e-15):
         raise ValueError("grid must lie in [0, 1/3.1]")
-    if density_grid is None:
-        density_grid = np.linspace(0.0, 1.0, 257)
+    density_grid = np.linspace(0.0, 1.0, 257)
     # the lower density bound is attained (p = 1, s = 1): allow fp equality
     worst = min(_worst_margin(_box_rows(p, grid), "first-derivative box"),
                 _worst_margin(_density_rows(p, density_grid), "density box",

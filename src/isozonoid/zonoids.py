@@ -72,6 +72,8 @@ from .bodies import (BodyRep, VolumeResult, halfspace_vertices, sphere_grid,
 from .errors import DegenerateMeasureError, DimensionUnsupportedError
 from .measures import AtomicMeasure
 
+AXIS_GROWTH = 6.0       # exponential node growth of the ball-integral axes
+
 
 def _require_full_dimensional(mu: AtomicMeasure):
     if not mu.full_dimensional:
@@ -206,14 +208,6 @@ def zonoid_volumes(mu: AtomicMeasure, p, grid=None):
                             zp_touch_point(mu, p, grid))
 
 
-def volume_Zp(mu: AtomicMeasure, p) -> VolumeResult:
-    return zonoid_volumes(mu, p)[0]
-
-
-def volume_Zp_star(mu: AtomicMeasure, p) -> VolumeResult:
-    return zonoid_volumes(mu, p)[1]
-
-
 def volume_Zp_star_ball_integral(mu: AtomicMeasure, p) -> VolumeResult:
     """V(Z*_p) = Gamma(1+n/p)^{-1} int exp(-sum c_i |<x,u_i>|^p) dx.
 
@@ -263,15 +257,17 @@ def _gauss_legendre(k: int):
     return x, w
 
 
-def _axis_nodes(L, half_nodes, gamma=6.0):
+def _axis_nodes(L, half_nodes):
     """Symmetric 1-D nodes on [-L, L], split at 0 and exponentially
-    concentrated near the origin (where the integrand lives)."""
+    concentrated near the origin (where the integrand lives): the map
+    x = L (e^{g u} - 1) / (e^g - 1) of the Gauss-Legendre nodes u in
+    [0, 1], with g = ``AXIS_GROWTH``."""
     u, wu = _gauss_legendre(half_nodes)
     u = (u + 1.0) / 2.0
     wu = wu / 2.0
-    scale = L / (math.exp(gamma) - 1.0)
-    x = scale * (np.exp(gamma * u) - 1.0)
-    w = wu * scale * gamma * np.exp(gamma * u)
+    scale = L / (math.exp(AXIS_GROWTH) - 1.0)
+    x = scale * (np.exp(AXIS_GROWTH * u) - 1.0)
+    w = wu * scale * AXIS_GROWTH * np.exp(AXIS_GROWTH * u)
     return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
 
 

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from isozonoid.measures import cross_measure, hexagonal_measure
+from isozonoid.measures import cross_measure, equiangular_measure
 
 
 @pytest.fixture
@@ -21,7 +21,7 @@ def nu3():
 
 @pytest.fixture
 def hexm():
-    return hexagonal_measure()
+    return equiangular_measure(3)
 
 
 @pytest.fixture

@@ -15,8 +15,12 @@ polygons from radial quadrature rules (no polar vertices), the icosphere
 from a Python loop over faces, the gauge of M_p from its
 representation infimum (one LP or SLSQP solve per point, not the Z_{p'}
 duality), the John ellipsoid's Newton Hessian entry by entry over the basis
-pairs, and the antipodal pairing and merging of atoms from one scalar
-sphere_angle call per pair of atoms.
+pairs, the antipodal pairing and merging of atoms from one scalar
+sphere_angle call per pair of atoms, transport marginals by summing the
+flows of a plan, and the volume of the wedge region Xi by Monte-Carlo
+sampling (no LP).  The closed-form CDF and survival function of rho_p
+serve as oracles for the transport maps; they are checked against
+quadrature and the Maclaurin erf themselves.
 """
 
 import itertools
@@ -24,6 +28,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy import special as sp
 from scipy.integrate import quad
 
 
@@ -41,6 +46,75 @@ def cdf_rho_p_quad(p, t):
     val, _ = quad(lambda s: math.exp(-abs(s) ** p) / norm, 0.0, t,
                   epsabs=1e-15, epsrel=1e-13, limit=200)
     return 0.5 + val
+
+
+def cdf_rho_p(p, t):
+    """CDF of rho_p through the regularized incomplete gamma.
+
+    For finite p, cdf(t) = 1/2 (1 + sgn(t) P(1/p, |t|^p)); for p = 2 this is
+    (1 + erf(t))/2, and for p = inf it is the clipped ramp (t+1)/2.
+    """
+    t = np.asarray(t, dtype=float)
+    if np.isinf(p):
+        out = np.clip((t + 1.0) / 2.0, 0.0, 1.0)
+    else:
+        out = 0.5 + 0.5 * np.sign(t) * sp.gammainc(1.0 / p, np.abs(t) ** p)
+    return out if out.ndim else float(out)
+
+
+def sf_rho_p(p, t):
+    """Upper-tail probability 1 - cdf, computed without cancellation for t > 0."""
+    t = np.asarray(t, dtype=float)
+    if np.isinf(p):
+        out = np.clip((1.0 - t) / 2.0, 0.0, 1.0)
+    else:
+        out = np.where(t >= 0,
+                       0.5 * sp.gammaincc(1.0 / p, np.abs(t) ** p),
+                       1.0 - 0.5 * sp.gammaincc(1.0 / p, np.abs(t) ** p))
+    return out if out.ndim else float(out)
+
+
+def check_marginals(plan, c, d, tol=1e-10):
+    """Whether the flows of a metrics.TransportPlan leave each source atom
+    with its weight c_i and reach each target atom with d_j, within tol."""
+    out = np.zeros(len(c))
+    np.add.at(out, plan.source_idx, plan.flows)
+    inn = np.zeros(len(d))
+    np.add.at(inn, plan.target_idx, plan.flows)
+    return bool(np.max(np.abs(out - c)) <= tol
+                and np.max(np.abs(inn - d)) <= tol)
+
+
+def xi_region_volume_mc(u, u0, nsamples, seed=0):
+    """Monte-Carlo volume of the wedge region of the stability proof,
+
+        Xi_{u,u0} = { y in 0.1 B^n : <y,u> >= 1/30, <y,u0> >= 1/30,
+                      <y, u-u0> >= ||u-u0|| / 120 },
+
+    from nsamples uniform points of 0.1 B^n in antithetic pairs.  Returns
+    (estimate, standard error)."""
+    from isozonoid.bodies import unit_ball_volume
+
+    u = np.asarray(u, dtype=float) / np.linalg.norm(u)
+    u0 = np.asarray(u0, dtype=float) / np.linalg.norm(u0)
+    n = len(u)
+    d = u - u0
+    dn = np.linalg.norm(d)
+    rng = np.random.default_rng(seed)
+    half = nsamples // 2
+    g = rng.standard_normal((half, n))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    pts = g * (0.1 * rng.random(half) ** (1.0 / n))[:, None]
+    hits = 0
+    for P in (pts, -pts):
+        ok = (P @ u >= 1.0 / 30.0) & (P @ u0 >= 1.0 / 30.0)
+        if dn > 0:
+            ok &= P @ d >= dn / 120.0
+        hits += int(np.count_nonzero(ok))
+    frac = hits / (2 * half)
+    ball_vol = unit_ball_volume(n) * 0.1 ** n
+    stderr = ball_vol * math.sqrt(max(frac * (1.0 - frac), 1e-12) / (2 * half))
+    return frac * ball_vol, stderr
 
 
 def central_diff(f, t, h=1e-5):

@@ -9,7 +9,7 @@ from isozonoid import bodies, metrics
 from isozonoid.bodies import (BodyRep, body_from_json, circle_grid,
                               cross_polytope_body, cube_body,
                               halfspace_vertices, icosphere,
-                              polar_of_vrep, sphere_grid, support_sandwich,
+                              sphere_grid, support_sandwich,
                               unit_ball_volume, vertices_to_halfspaces,
                               volume, zonotope_facets, zonotope_volume)
 from isozonoid.errors import DimensionUnsupportedError, UnboundedBodyError
@@ -162,7 +162,7 @@ def test_hrep_volume_in_four_dimensions():
     A, b = cube.halfspaces
     corners = np.array(list(np.ndindex(2, 2, 2, 2)), dtype=float) * 2.0 - 1.0
     box = BodyRep.from_halfspaces(A, b + A @ np.full(4, 0.25))
-    cross = polar_of_vrep(corners)
+    cross = BodyRep.from_halfspaces(corners, np.ones(len(corners)))
     for K, want, verts in ((cube, 16.0, corners), (box, 16.0, corners + 0.25),
                            (cross, 16.0 / 24.0, A)):
         res = volume(K)
@@ -187,7 +187,7 @@ def test_gauge_and_support_evaluations():
 
 def test_polar_of_cross_polytope_is_cube():
     C = cross_polytope_body(2)
-    P = polar_of_vrep(C.vertices)
+    P = BodyRep.from_halfspaces(C.vertices, np.ones(len(C.vertices)))
     assert volume(P).value == pytest.approx(4.0)
 
 
@@ -358,7 +358,8 @@ def _polytope_bodies(rng):
     for n in (2, 3):
         mu = random_even_isotropic(n, n * (n + 1) // 2 + 2, rng)
         out += [cube_body(n), truncated_cube_body(n, 0.25),
-                polar_of_vrep(mu.directions), cross_polytope_body(n),
+                BodyRep.from_halfspaces(mu.directions, np.ones(mu.natoms)),
+                cross_polytope_body(n),
                 BodyRep.from_vertices(zonotope_vertices(
                     rng.normal(size=(4, n))))]
     return out

@@ -9,7 +9,7 @@ from isozonoid.caps import (beta_dr, cap_dichotomy, dense_subcap_bound,
                             verify_isotropic_cap_bound)
 from isozonoid.errors import (NotIsotropicError, PreconditionViolatedError)
 from isozonoid.harness import random_even_isotropic, split_cluster_measure
-from isozonoid.measures import (AtomicMeasure, CapQuery, cap_mass, cross_measure,
+from isozonoid.measures import (AtomicMeasure, cap_mass, cross_measure,
                                 equiangular_measure, unit_vector)
 
 
@@ -56,7 +56,7 @@ def test_cap_bound_random_sweep(rng):
 def test_find_dense_subcap_single_atom(nu2):
     v = find_dense_subcap(nu2, np.array([1.0, 0.0]), 1.0, 0.5)
     assert np.allclose(v, [1.0, 0.0], atol=1e-9)
-    got = cap_mass(nu2, CapQuery(v, 0.5))
+    got = cap_mass(nu2, v, 0.5)
     assert got >= dense_subcap_bound(nu2, [1.0, 0.0], 1.0, 0.5)
     assert got == pytest.approx(0.5)
 
@@ -67,7 +67,7 @@ def test_find_dense_subcap_uniform_circle(rng):
         p = unit_vector(rng.standard_normal(2))
         v = find_dense_subcap(mu, p, 1.2, 0.3)
         assert float(v @ p) >= math.cos(1.2) - 1e-9
-        inter = (cap_mass(mu, CapQuery(v, 0.3))
+        inter = (cap_mass(mu, v, 0.3)
                  if True else 0.0)
         assert inter >= dense_subcap_bound(mu, p, 1.2, 0.3) - 1e-12
 
@@ -113,7 +113,7 @@ def test_dr_caps_cross(nu2, nu3):
     assert beta == pytest.approx(beta_dr(2))
     assert abs(np.linalg.det(V)) >= 8.0 * beta - 1e-12
     for v in V:
-        assert cap_mass(nu2, CapQuery(v, beta)) >= beta ** 2 - 1e-12
+        assert cap_mass(nu2, v, beta) >= beta ** 2 - 1e-12
     V3, b3 = dvoretzky_rogers_caps(nu3)
     assert abs(np.linalg.det(V3)) >= 12.0 * b3 - 1e-12
 
@@ -122,7 +122,7 @@ def test_dr_caps_hexagonal(hexm):
     V, beta = dvoretzky_rogers_caps(hexm)
     assert abs(np.linalg.det(V)) >= 8.0 * beta - 1e-12
     for v in V:
-        assert cap_mass(hexm, CapQuery(v, beta)) >= beta ** 2 - 1e-12
+        assert cap_mass(hexm, v, beta) >= beta ** 2 - 1e-12
 
 
 def test_dr_caps_atom_determinant_conclusion(rng):

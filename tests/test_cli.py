@@ -10,7 +10,7 @@ from isozonoid import bodies, harness
 from isozonoid.bodies import cube_body
 from isozonoid.cli import SUITES, main
 from isozonoid.harness import REPORT_CSV_FIELDS
-from isozonoid.measures import cross_measure, hexagonal_measure
+from isozonoid.measures import cross_measure, equiangular_measure
 from isozonoid.metrics import wasserstein
 
 
@@ -24,7 +24,7 @@ def cube3_json(tmp_path):
 @pytest.fixture
 def hex_json(tmp_path):
     path = tmp_path / "hex.json"
-    path.write_text(json.dumps(hexagonal_measure().to_json_dict()))
+    path.write_text(json.dumps(equiangular_measure(3).to_json_dict()))
     return str(path)
 
 
@@ -64,7 +64,7 @@ def test_distance_wassO(hex_json, tmp_path):
 
 
 def test_distance_wassO_needs_an_even_measure(tmp_path, capsys):
-    data = hexagonal_measure().to_json_dict()
+    data = equiangular_measure(3).to_json_dict()
     data["even"] = False
     path = tmp_path / "hex_flagless.json"
     path.write_text(json.dumps(data))
@@ -416,6 +416,30 @@ _INPUT_ERRORS = {
     # a body file's dim must match its rows
     "dim-mismatch-V": (["volume", "--body", "{sq3}"], '"dim": 2'),
     "dim-mismatch-H": (["volume", "--body", "{nodim}"], '"dim": 2'),
+    # input files of the wrong shape name the shape they need
+    "volume-body-not-object": (["volume", "--body", "{rows}"],
+                               "body JSON must be an object"),
+    "john-body-not-object": (["john", "--body", "{rows}"],
+                             "body JSON must be an object"),
+    "measure-atoms-not-objects": (["distance", "--kind", "hausO",
+                                   "--measure", "{rowatoms}"],
+                                  '"atoms" must be a list of objects'),
+    "measure-no-atoms": (["distance", "--kind", "wassO", "--measure",
+                          "{noatoms}"], 'keys "dim" and "atoms"'),
+    # each distance kind reads its own inputs and no others
+    "wassO-reads-no-body": (["distance", "--kind", "wassO", "--measure",
+                             "{hex}", "--body", "{sq}"],
+                            "does not read --body"),
+    "bm-reads-no-measure": (["distance", "--kind", "bm", "--body", "{sq}",
+                             "--body2", "{sq}", "--measure", "{hex}"],
+                            "does not read --measure"),
+    "bm-dims-2-and-3": (["distance", "--kind", "bm", "--body", "{sq}",
+                         "--body2", "{cube3}"], "got 2 and 3"),
+    "vol-dims-3-and-2": (["distance", "--kind", "vol", "--body", "{cube3}",
+                          "--body2", "{sq}"], "got 3 and 2"),
+    # John's ellipsoid is certified for origin-symmetric bodies only
+    "john-not-symmetric": (["john", "--body", "{kite}"],
+                           "symmetric about the origin"),
 }
 
 
@@ -427,7 +451,13 @@ def test_input_errors_exit_2_with_one_message(case, hex_json, tmp_path,
             ("sq", {"dim": 2, "kind": "V", "data": _SQUARE_ROWS}),
             ("sq3", {"dim": 3, "kind": "V", "data": _SQUARE_ROWS}),
             ("nodim", {"kind": "H",
-                             "data": cube_body(2).to_json_dict()["data"]})):
+                             "data": cube_body(2).to_json_dict()["data"]}),
+            ("rows", [[1, 1], [-1, 1]]),
+            ("rowatoms", {"dim": 2, "atoms": [[1, 0]]}),
+            ("noatoms", {"dim": 2, "even": True}),
+            ("cube3", cube_body(3).to_json_dict()),
+            ("kite", {"dim": 2, "kind": "V",
+                      "data": [[2, 0], [0, 1], [-1, 0], [0, -1]]})):
         files[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     argv, message = _INPUT_ERRORS[case]

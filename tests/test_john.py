@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 
 from isozonoid import john
-from isozonoid.bodies import BodyRep, cube_body, polar_of_vrep, unit_ball_volume
-from isozonoid.errors import (HypothesisFailedError, NoContactsError,
-                              PreconditionViolatedError)
+from isozonoid.bodies import (BodyRep, circle_grid, cube_body, hull_volume_area,
+                              icosphere, unit_ball_volume)
+from isozonoid.errors import (DimensionUnsupportedError, HypothesisFailedError,
+                              NoContactsError, PreconditionViolatedError)
 from isozonoid.harness import (john_normalize, regular_polygon_body,
                                tilted_pair_measure, truncated_cube_body)
 from isozonoid.john import (bmkzw_check, contact_measure, cube_sandwich_check,
-                            isoperimetric_ratio, john_ellipsoid, surface_area,
-                            xi_region_volume)
+                            isoperimetric_ratio, john_ellipsoid,
+                            xi_region_certificate)
 from isozonoid.measures import check_isotropy
 
-from oracles import max_logdet_shape_loop, polytope_support_lp
+from oracles import (max_logdet_shape_loop, polytope_support_lp,
+                     xi_region_volume_mc)
 
 
 def test_john_of_cube_is_ball():
@@ -37,6 +39,15 @@ def test_john_of_inscribed_hexagon():
     K = BodyRep.from_vertices(np.stack([np.cos(ang), np.sin(ang)], axis=1))
     ell = john_ellipsoid(K)
     assert np.allclose(ell.shape, np.eye(2) / (3.0 / 4.0), atol=1e-8)
+
+
+def test_john_rejects_bodies_not_symmetric_about_the_origin():
+    # the certificate checks sum c_i u_i u_i^T = Id only; sum c_i u_i = 0
+    # needs the symmetry, and this kite's contacts would miss it
+    kite = BodyRep.from_vertices([[2.0, 0.0], [0.0, 1.0], [-1.0, 0.0],
+                                  [0.0, -1.0]])
+    with pytest.raises(PreconditionViolatedError, match="symmetric"):
+        john_ellipsoid(kite)
 
 
 def test_john_affine_equivariance(rng):
@@ -98,9 +109,11 @@ def test_inclusion_chain_exact():
 
 
 def test_surface_area_and_ratio():
-    assert surface_area(cube_body(2)) == pytest.approx(8.0, abs=1e-10)
+    surface = hull_volume_area(cube_body(2).vertices)[1]
+    assert surface == pytest.approx(8.0, abs=1e-10)
     assert isoperimetric_ratio(cube_body(2)) == pytest.approx(16.0, abs=1e-9)
-    assert surface_area(cube_body(3)) == pytest.approx(24.0, abs=1e-10)
+    surface = hull_volume_area(cube_body(3).vertices)[1]
+    assert surface == pytest.approx(24.0, abs=1e-10)
     assert isoperimetric_ratio(cube_body(3)) == pytest.approx(216.0, abs=1e-8)
     # rotated scaled square keeps the planar ratio S^2/V = 16
     diamond = BodyRep.from_vertices(np.array([[1.0, 0.0], [0.0, 1.0],
@@ -110,37 +123,81 @@ def test_surface_area_and_ratio():
 
 def test_volume_at_least_surface_over_n():
     # V(C) >= S(C)/n whenever B^n is contained in C
-    from isozonoid.bodies import hull_volume_area
-
     for K in (cube_body(3), truncated_cube_body(3, 0.2), regular_polygon_body(5)):
         vol, surf = hull_volume_area(K.vertices)
         assert vol >= surf / K.dim - 1e-10
 
 
+def _xi_slack(u, u0, Y):
+    """The least slack of the points Y (rows) in the constraints of
+    Xi_{u,u0}, each scaled to a unit normal; negative outside Xi."""
+    d = u - u0
+    slack = np.minimum(Y @ u - 1.0 / 30.0, Y @ u0 - 1.0 / 30.0)
+    slack = np.minimum(slack, 0.1 - np.linalg.norm(Y, axis=1))
+    if np.linalg.norm(d) > 0:
+        slack = np.minimum(slack, Y @ (d / np.linalg.norm(d)) - 1.0 / 120.0)
+    return float(np.min(slack))
+
+
+def _xi_check(u, u0):
+    """The certificate of (u, u0), after checking that its ball lies in Xi
+    (boundary points to 1e-12) and that 1.01 times its radius does not."""
+    u = np.asarray(u, dtype=float) / np.linalg.norm(u)
+    u0 = np.asarray(u0, dtype=float) / np.linalg.norm(u0)
+    cert = xi_region_certificate(u, u0)
+    W = circle_grid(4096) if len(u) == 2 else icosphere(4)
+    c, rho = cert["center"], cert["radius"]
+    assert _xi_slack(u, u0, c + rho * W) >= -1e-12
+    assert _xi_slack(u, u0, c + 1.01 * rho * W) < 0.0
+    assert cert["lower"] == unit_ball_volume(len(u)) * rho ** len(u)
+    assert cert["bound"] == unit_ball_volume(len(u)) / 240.0 ** len(u)
+    assert cert["passed"] and rho >= 1.0 / 240.0
+    return cert
+
+
 def test_xi_region_parallel_case_with_analytic_check():
-    res = xi_region_volume([1.0, 0.0], [1.0, 0.0], nsamples=2 * 10 ** 6)
-    # circular segment of 0.1 B^2 above height 1/30
+    # u = u0: Xi is the circular segment of 0.1 B^2 above height 1/30
     r, h = 0.1, 1.0 / 30.0
     segment = r * r * math.acos(h / r) - h * math.sqrt(r * r - h * h)
-    assert res.value == pytest.approx(segment, rel=5e-3)
-    assert res.value >= unit_ball_volume(2) / 240.0 ** 2
+    cert = _xi_check([1.0, 0.0], [1.0, 0.0])
+    assert cert["lower"] <= segment
+    estimate, _ = xi_region_volume_mc([1.0, 0.0], [1.0, 0.0], 2 * 10 ** 6)
+    assert estimate == pytest.approx(segment, rel=5e-3)
+
+
+def _below_the_sampled_volume(u, u0):
+    cert = _xi_check(u, u0)
+    estimate, stderr = xi_region_volume_mc(u, u0, 10 ** 6)
+    assert cert["lower"] <= estimate + 3.0 * stderr
 
 
 def test_xi_region_orthogonal_case():
-    res = xi_region_volume([1.0, 0.0], [0.0, 1.0], nsamples=10 ** 6)
-    assert res.value >= unit_ball_volume(2) / 240.0 ** 2
+    _below_the_sampled_volume([1.0, 0.0], [0.0, 1.0])
 
 
 def test_xi_region_3d():
-    res = xi_region_volume([1.0, 0.0, 0.0],
-                           [1.0 / math.sqrt(2), 1.0 / math.sqrt(2), 0.0],
-                           nsamples=4 * 10 ** 6)
-    assert res.value >= unit_ball_volume(3) / 240.0 ** 3
+    _below_the_sampled_volume([1.0, 0.0, 0.0],
+                              [1.0 / math.sqrt(2), 1.0 / math.sqrt(2), 0.0])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_xi_region_certificate_on_seeded_pairs(n):
+    # 100 seeded pairs with <u, u0> >= 0, and u = u0 and u orthogonal to u0
+    rng = np.random.default_rng(240 + n)
+    e = np.eye(n)
+    pairs = [(e[0], e[0]), (e[0], e[1])]
+    for _ in range(100):
+        u, u0 = rng.standard_normal((2, n))
+        pairs.append((u, u0 if u @ u0 >= 0 else -u0))
+    for u, u0 in pairs:
+        _xi_check(u, u0)
 
 
 def test_xi_region_precondition():
     with pytest.raises(PreconditionViolatedError):
-        xi_region_volume([1.0, 0.0], [-0.2, math.sqrt(1 - 0.04)])
+        xi_region_certificate([1.0, 0.0], [-0.2, math.sqrt(1 - 0.04)])
+    with pytest.raises(DimensionUnsupportedError):
+        xi_region_certificate(np.eye(4)[0], np.eye(4)[0])
 
 
 def test_cube_sandwich_tight_at_cross(nu2):
@@ -171,7 +228,8 @@ def test_cube_sandwich_outer_check_matches_lp(rng):
         mu = tilted_pair_measure(2, alpha * 0.9)
         U = mu.directions
         h_lp = polytope_support_lp(U, np.ones(len(U)), cross)
-        assert np.max(np.abs(polar_of_vrep(U).support(cross) - h_lp)) <= 1e-12
+        polar = BodyRep.from_halfspaces(U, np.ones(len(U)))
+        assert np.max(np.abs(polar.support(cross) - h_lp)) <= 1e-12
         outer_lp = bool(np.all(h_lp <= math.exp(4.0 * alpha) + 1e-12))
         assert cube_sandwich_check(mu, alpha)["outer_ok"] == outer_lp
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from isozonoid.errors import InfeasibleWeightsError
-from isozonoid.measures import (MERGE_ANGLE, AtomicMeasure, CapQuery,
+from isozonoid.measures import (MERGE_ANGLE, AtomicMeasure,
                                 _angle_table, _merge_close_atoms, _pair_indices,
                                 cap_mass, check_isotropy,
                                 equiangular_measure, isotropic_measure_from_directions,
@@ -129,21 +129,23 @@ def test_solve_weights_feeds_isotropy_below_1e10(rng):
 
 
 def test_cap_mass_examples(nu2):
-    assert cap_mass(nu2, CapQuery([1.0, 0.0], np.pi / 3)) == pytest.approx(0.5)
+    assert cap_mass(nu2, [1.0, 0.0], np.pi / 3) == pytest.approx(0.5)
     diag = unit_vector([1.0, 1.0])
-    q = CapQuery(diag, np.pi / 4)
-    assert cap_mass(nu2, q) == pytest.approx(1.0)           # boundary included
-    assert cap_mass(nu2, q, open_cap=True) == pytest.approx(0.0)
+    assert cap_mass(nu2, diag, np.pi / 4) == pytest.approx(1.0)  # boundary in
+    assert cap_mass(nu2, diag, np.pi / 4, open_cap=True) == pytest.approx(0.0)
+    for radius in (0.0, 2.0):                     # outside (0, pi/2]
+        with pytest.raises(ValueError):
+            cap_mass(nu2, diag, radius)
 
 
 def test_cap_mass_monotone_and_additive(hexm, rng):
     center = unit_vector(rng.standard_normal(2))
     radii = np.sort(rng.uniform(0.05, np.pi / 2, 6))
-    masses = [cap_mass(hexm, CapQuery(center, r)) for r in radii]
+    masses = [cap_mass(hexm, center, r) for r in radii]
     assert all(b >= a for a, b in zip(masses, masses[1:]))
     # disjoint caps add up
-    m1 = cap_mass(hexm, CapQuery([1.0, 0.0], 0.3))
-    m2 = cap_mass(hexm, CapQuery([-1.0, 0.0], 0.3))
+    m1 = cap_mass(hexm, [1.0, 0.0], 0.3)
+    m2 = cap_mass(hexm, [-1.0, 0.0], 0.3)
     both = m1 + m2
     assert both == pytest.approx(2.0 / 3.0)
 

@@ -6,12 +6,13 @@ import pytest
 from isozonoid import transport
 from isozonoid.cli import TRANSPORT_P_LIST
 from isozonoid.errors import BoundViolationError, HypothesisFailedError
-from isozonoid.transport import (cdf_rho_p, p2est_bound, phi_p,
-                                 phi_p_derivatives, psi_p, psi_p_derivatives,
-                                 rho_p, sf_rho_p, verify_derivative_box,
+from isozonoid.transport import (p2est_bound, phi_p, phi_p_derivatives,
+                                 psi_p, psi_p_derivatives, rho_p,
+                                 verify_derivative_box,
                                  verify_second_derivative_bounds)
 
-from oracles import cdf_rho_p_quad, central_diff, erf_series
+from oracles import (cdf_rho_p, cdf_rho_p_quad, central_diff, erf_series,
+                     sf_rho_p)
 
 P_GRID = [1, 1.2, 1.5, 1.9, 2.1, 2.3, 2.7, 3, 5, 10, math.inf]
 
