@@ -13,8 +13,8 @@ and for k >= n+1 it self-improves by the factor
     t_0    = sqrt( sum t_{i_1}...t_{i_n} det[...]^2 ),
 
 where t_0^2 equals the left-hand determinant by the Cauchy-Binet identity.
-All subset sums are enumerated explicitly; this is a desk-scale tool
-(C(k, n) capped at 1e6).
+All C(k, n) minors come from one stacked determinant and every subset sum
+is an array reduction; this is a desk-scale tool (C(k, n) capped at 1e6).
 """
 
 from __future__ import annotations
@@ -84,34 +84,33 @@ def subset_expansion(sys: DecompositionSystem, t):
 
 
 def _cauchy_binet(sys: DecompositionSystem, t):
-    """``subset_expansion`` for a checked t, plus the squared minors it used."""
+    """``subset_expansion`` for a checked t, plus, over the kept subsets S,
+    the products t_S and the squared minors as arrays."""
     V = sys.vectors
     M = (V.T * t) @ V
     det_value = float(np.linalg.det(M))
     dets2 = _subset_det_squares(V)
-    terms = {}
-    vals = []
-    for S, d2 in dets2.items():
-        val = float(np.prod(t[list(S)]) * d2)
-        terms[S] = val
-        vals.append(val)
+    S = np.array(list(dets2), dtype=np.intp).reshape(-1, sys.dim)
+    d2 = np.fromiter(dets2.values(), float, len(dets2))
+    tS = np.prod(t[S], axis=1)
+    vals = tS * d2
     total = math.fsum(vals)
     if abs(det_value - total) > REL_TOL * max(abs(det_value), abs(total), 1e-300):
         raise AssertionError(
             f"Cauchy-Binet identity violated: {det_value} vs {total}")
-    return det_value, math.sqrt(total), terms, dets2
+    return (det_value, math.sqrt(total), dict(zip(dets2, vals.tolist())),
+            tS, d2)
 
 
 def _subset_det_squares(V):
-    """det^2 of every n-column subset, skipping numerically zero minors."""
+    """det^2 of every n-row subset, in ``itertools.combinations`` order, from
+    one stacked determinant; numerically zero minors are skipped."""
     k, n = V.shape
     scale = np.max(np.abs(V)) + 1e-300
-    out = {}
-    for S in itertools.combinations(range(k), n):
-        d = float(np.linalg.det(V[list(S)]))
-        if abs(d) > 1e-14 * scale:
-            out[S] = d * d
-    return out
+    subsets = list(itertools.combinations(range(k), n))
+    d = np.linalg.det(V[np.array(subsets)])
+    keep = np.abs(d) > 1e-14 * scale
+    return dict(zip(itertools.compress(subsets, keep), (d * d)[keep].tolist()))
 
 
 def ball_inequality(sys: DecompositionSystem, t):
@@ -134,13 +133,9 @@ def theta_star(sys: DecompositionSystem, t):
     t = _check_t(sys, t)
     if sys.k <= sys.dim:
         raise KTooSmallError("theta* needs k >= n+1 vectors")
-    det_value, t0, _, dets2 = _cauchy_binet(sys, t)
+    det_value, t0, _, tS, d2 = _cauchy_binet(sys, t)
     V = sys.vectors
-    acc = []
-    for S, d2 in dets2.items():
-        ratio = math.sqrt(float(np.prod(t[list(S)]))) / t0
-        acc.append(d2 * (ratio - 1.0) ** 2)
-    theta = 1.0 + 0.5 * math.fsum(acc)
+    theta = 1.0 + 0.5 * math.fsum(d2 * (np.sqrt(tS) / t0 - 1.0) ** 2)
     norms2 = np.sum(V * V, axis=1)
     rhs = float(np.exp(np.sum(norms2 * np.log(t))))
     return theta, det_value >= theta * rhs * (1.0 - REL_TOL)

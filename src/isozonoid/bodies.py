@@ -47,6 +47,7 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (DimensionUnsupportedError, UnboundedBodyError)
+from .measures import _json_value
 
 ANGLE_GRID_2D = 4096            # uniform angles for 2-D direction grids
 ICOSPHERE_SUBDIV = 5            # 10242 nodes, the n = 3 direction grid
@@ -206,7 +207,9 @@ def body_from_json(data) -> BodyRep:
     kind = data["kind"]
     if kind not in ("V", "H"):
         raise ValueError(f"unknown body kind {kind!r}")
-    arr = np.atleast_2d(np.asarray(data["data"], dtype=float))
+    arr = np.atleast_2d(_json_value(np.asarray, data["data"],
+                                    'body JSON "data"',
+                                    "a list of rows of numbers", dtype=float))
     dim = arr.shape[1] - (kind == "H")
     if data.get("dim") != dim:
         raise ValueError(f"body JSON needs \"dim\": {dim} for its "

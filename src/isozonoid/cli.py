@@ -310,13 +310,13 @@ def _cmd_transport(args) -> int:
     _require_positive(args, "grid")
     build = {"box": _box_rows, "second": _second_rows,
              "mass": _mass_rows}[args.check]
-    rows = list(build(args.p, _transport_grid(args.check, args.grid, args.p)))
+    rows = build(args.p, _transport_grid(args.check, args.grid, args.p))
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["t", "value", "bound", "margin"])
-    w.writerows(rows)
+    w.writerows(zip(*(column.tolist() for column in rows)))
     _write_output(args.out, buf.getvalue())
-    return 0 if all(margin > 0 for *_, margin in rows) else 1
+    return 0 if np.all(rows[3] > 0) else 1
 
 
 def _parse_p(text):

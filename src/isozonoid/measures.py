@@ -211,10 +211,24 @@ def measure_from_json(data) -> AtomicMeasure:
                     for a in atoms)):
         raise ValueError('measure JSON "atoms" must be a list of objects '
                          'with keys "u" and "c"')
-    U = np.array([unit_vector(a["u"]) for a in atoms])
-    c = np.array([float(a["c"]) for a in atoms])
-    return AtomicMeasure(dim=int(data["dim"]), directions=U, weights=c,
+    U = np.array([unit_vector(_json_value(
+        np.asarray, a["u"], 'measure JSON "u"', "a list of numbers",
+        dtype=float)) for a in atoms])
+    c = np.array([_json_value(float, a["c"], 'measure JSON "c"', "a number")
+                  for a in atoms])
+    dim = _json_value(int, data["dim"], 'measure JSON "dim"', "an integer")
+    return AtomicMeasure(dim=dim, directions=U, weights=c,
                          even=bool(data.get("even", False)))
+
+
+def _json_value(convert, value, field, expected, **kwargs):
+    """convert(value), or a ValueError naming the field and the type it
+    needs where the value cannot be converted."""
+    try:
+        return convert(value, **kwargs)
+    except (TypeError, ValueError):
+        raise ValueError(f"{field} must be {expected}, got "
+                         f"{type(value).__name__} {value!r:.60}") from None
 
 
 # ---------------------------------------------------------------------------

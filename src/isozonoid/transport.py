@@ -21,9 +21,17 @@ and, for p = inf, phi_inf = erfinv on (-1,1) and psi_inf = erf.
 
 Evaluation goes through regularized incomplete-gamma / erf inverses with
 complementary-function branches in the upper tail; beyond double-precision
-underflow (|t|^p > ~700) a log-domain asymptotic Newton solve takes over.
+underflow (|t|^p > 690) a log-domain asymptotic Newton solve takes over.
 A safeguarded Newton polish on the CDF residual keeps the matching error
 at the 1e-15 level wherever the residual is representable.
+
+The maps, their derivatives and the rows of every check take whole arrays:
+each branch is chosen by mask on the scipy.special ufuncs, and the polish
+is three masked Newton steps in which each element stops under its own
+rule.  Only the log-domain solve runs element by element, on the elements
+with |t|^p > 690 (phi) or t^2 > 690 (psi).  No verify grid reaches it;
+``isozonoid transport --check mass`` on [-2, 2] does for p > log2(690),
+about 9.43.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ from .errors import BoundViolationError, HypothesisFailedError
 GAMMA_HALF = math.gamma(1.5)            # sqrt(pi)/2
 _LOG_SWITCH = 690.0                     # exponent beyond which tails underflow
 _UPPER_SWITCH = 0.9                     # CDF level where complementary branch starts
+_SQRT_PI = math.sqrt(math.pi)
 
 FIRST_DERIV_BOX = 3.1                   # 1/3.1 < phi', psi' < 3.1 on [0, 1/3.1]
 DENSITY_LOW = 1.0 / (2.0 * math.e)      # density box on [0, 1]
@@ -114,144 +123,146 @@ def _gamma_q_inv_log(a, logq):
 
 
 # ---------------------------------------------------------------------------
-# the maps
+# the maps: one array path each, the branches chosen by mask
 
 
-def _phi_scalar(p, t):
+def _phi(p, t):
+    """phi_p at every element of the 1-d float array t."""
     if np.isinf(p):
-        if abs(t) >= 1.0:
+        if np.any(np.abs(t) >= 1.0):
             raise ValueError("phi_inf is defined on (-1, 1)")
-        return float(sp.erfinv(t))
-    s, a = math.copysign(1.0, t), abs(t)
-    if a == 0.0:
-        return 0.0
+        return sp.erfinv(t)
+    a = np.abs(t)
     x = a ** p
-    alpha = 1.0 / p
-    if x > _LOG_SWITCH:
-        return s * _erfc_inv_log(_log_upper_gamma_q(alpha, x))
-    P = sp.gammainc(alpha, x)
-    if P < _UPPER_SWITCH:
-        y = float(sp.erfinv(P))
-    else:
-        y = float(sp.erfcinv(sp.gammaincc(alpha, x)))
-    return s * _newton_polish_phi(p, a, y)
+    y = np.zeros_like(a)
+    tail = x > _LOG_SWITCH
+    y[tail] = [_erfc_inv_log(_log_upper_gamma_q(1.0 / p, xi))
+               for xi in x[tail]]
+    body = (a != 0.0) & ~tail
+    xb = x[body]
+    P, Q = sp.gammainc(1.0 / p, xb), sp.gammaincc(1.0 / p, xb)
+    yb = sp.erfinv(P)
+    upper = P >= _UPPER_SWITCH
+    yb[upper] = sp.erfcinv(Q[upper])
+    y[body] = _polish_phi(yb, 0.5 * Q)
+    return np.where(t < 0, -y, y)
 
 
-def _newton_polish_phi(p, t, y):
-    # residual in survival form: (1/2)erfc(y) - sf_p(t), derivative -rho_2(y)
+def _polish_phi(y, sf):
+    """Three masked Newton steps on the survival residual (1/2)erfc(y) - sf,
+    derivative -rho_2(y).  An element stops where rho_2(y) underflows, where
+    the step exceeds 0.1 (1 + |y|) (not taken), or after a step below
+    1e-15 (1 + |y|)."""
+    live = np.arange(y.size)
     for _ in range(3):
-        r = 0.5 * sp.erfc(y) - 0.5 * sp.gammaincc(1.0 / p, t ** p)
-        d = math.exp(-y * y) / math.sqrt(math.pi)
-        if d == 0.0:
-            break
-        step = r / d
-        if abs(step) > 0.1 * (1.0 + abs(y)):
-            break
-        y -= step
-        if abs(step) < 1e-15 * (1.0 + abs(y)):
-            break
+        yl = y[live]
+        d = np.exp(-yl * yl) / _SQRT_PI
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = (0.5 * sp.erfc(yl) - sf[live]) / d
+        take = (d != 0.0) & ~(np.abs(step) > 0.1 * (1.0 + np.abs(yl)))
+        live, yl, step = live[take], yl[take] - step[take], step[take]
+        y[live] = yl
+        live = live[~(np.abs(step) < 1e-15 * (1.0 + np.abs(yl)))]
     return y
 
 
-def _psi_scalar(p, t):
+def _psi(p, t):
+    """psi_p at every element of the 1-d float array t."""
     if np.isinf(p):
-        return float(sp.erf(t))
-    s, a = math.copysign(1.0, t), abs(t)
-    if a == 0.0:
-        return 0.0
+        return sp.erf(t)
     alpha = 1.0 / p
-    if a * a > _LOG_SWITCH:
-        return s * _gamma_q_inv_log(alpha, _log_erfc(a)) ** alpha
-    E = sp.erf(a)
-    if E < _UPPER_SWITCH:
-        x = float(sp.gammaincinv(alpha, E))
-    else:
-        x = float(sp.gammainccinv(alpha, sp.erfc(a)))
-    return s * _newton_polish_psi(p, a, x) ** alpha
+    a = np.abs(t)
+    x = np.zeros_like(a)
+    tail = a * a > _LOG_SWITCH
+    x[tail] = [_gamma_q_inv_log(alpha, _log_erfc(ai)) for ai in a[tail]]
+    body = (a != 0.0) & ~tail
+    ab = a[body]
+    E, C = sp.erf(ab), sp.erfc(ab)
+    xb = sp.gammaincinv(alpha, E)
+    upper = E >= _UPPER_SWITCH
+    xb[upper] = sp.gammainccinv(alpha, C[upper])
+    x[body] = _polish_psi(alpha, xb, 0.5 * C)
+    y = x ** alpha
+    return np.where(t < 0, -y, y)
 
 
-def _newton_polish_psi(p, t, x):
-    alpha = 1.0 / p
+def _polish_psi(alpha, x, sf):
+    """Three masked Newton steps on (1/2)Q(alpha, x) - sf, where
+    d/dx Q(alpha, x) = -x^{alpha-1} e^{-x} / Gamma(alpha).  An element stops
+    where that derivative's log is below -700, where the step exceeds x/2
+    (not taken), or after a step below 1e-15 x."""
+    live = np.arange(x.size)
+    lgamma = math.lgamma(alpha)
     for _ in range(3):
-        r = 0.5 * sp.gammaincc(alpha, x) - 0.5 * sp.erfc(t)
-        # d/dx Q(alpha, x) = -x^{alpha-1} e^{-x} / Gamma(alpha)
-        logd = (alpha - 1.0) * math.log(x) - x - math.lgamma(alpha)
-        if logd < -700.0:
-            break
-        d = 0.5 * math.exp(logd)
-        step = r / d
-        if abs(step) > 0.5 * x:
-            break
-        x -= step
-        if abs(step) < 1e-15 * x:
-            break
+        xl = x[live]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logd = (alpha - 1.0) * np.log(xl) - xl - lgamma
+            step = (0.5 * sp.gammaincc(alpha, xl) - sf[live]) / (
+                0.5 * np.exp(logd))
+        take = ~(logd < -700.0) & ~(np.abs(step) > 0.5 * xl)
+        live, xl, step = live[take], xl[take] - step[take], step[take]
+        x[live] = xl
+        live = live[~(np.abs(step) < 1e-15 * xl)]
     return x
 
 
+def _shaped(arr, *columns):
+    """Columns evaluated on arr.ravel(), in arr's shape; floats for 0-d."""
+    if arr.ndim == 0:
+        return tuple(float(c[0]) for c in columns)
+    return tuple(c.reshape(arr.shape) for c in columns)
+
+
 def phi_p(p, t):
-    """Forward map rho_p -> rho_2 (vectorized)."""
+    """Forward map rho_p -> rho_2 at every element of t (a float for a
+    scalar t)."""
     p = _check_p(p)
     arr = np.asarray(t, dtype=float)
-    out = np.array([_phi_scalar(p, ti) for ti in np.atleast_1d(arr)])
-    return out.reshape(arr.shape) if arr.ndim else float(out[0])
+    return _shaped(arr, _phi(p, arr.ravel()))[0]
 
 
 def psi_p(p, t):
-    """Inverse map rho_2 -> rho_p (vectorized)."""
+    """Inverse map rho_2 -> rho_p at every element of t (a float for a
+    scalar t)."""
     p = _check_p(p)
     arr = np.asarray(t, dtype=float)
-    out = np.array([_psi_scalar(p, ti) for ti in np.atleast_1d(arr)])
-    return out.reshape(arr.shape) if arr.ndim else float(out[0])
+    return _shaped(arr, _psi(p, arr.ravel()))[0]
 
 
 def phi_p_derivatives(p, t):
-    """(phi, phi', phi'') at t; one-sided limits at t = 0 for p < 2."""
+    """(phi, phi', phi'') at every element of t, floats for a scalar t;
+    one-sided limits at t = 0 for p < 2."""
     p = _check_p(p)
-    t = float(t)
+    arr = np.asarray(t, dtype=float)
+    t = arr.ravel()
+    v = _phi(p, t)
     if np.isinf(p):
-        if abs(t) >= 1.0:
-            raise ValueError("phi_inf is defined on (-1, 1)")
-        v = _phi_scalar(p, t)
-        d1 = GAMMA_HALF * math.exp(v * v)
-        d2 = 2.0 * v * d1 * d1
-        return v, d1, d2
-    a = abs(t)
-    v = _phi_scalar(p, t)
-    d1 = GAMMA_HALF / sp.gamma(1.0 + 1.0 / p) * math.exp(v * v - a ** p)
-    if a == 0.0:
-        pow_term = 1.0 if p == 1.0 else 0.0     # limit of p t^{p-1}
-    else:
-        pow_term = p * a ** (p - 1.0)
-    d2 = (2.0 * abs(v) * d1 - pow_term) * d1
-    if t < 0:
-        d2 = -d2
-    return v, d1, d2
+        d1 = GAMMA_HALF * np.exp(v * v)
+        return _shaped(arr, v, d1, 2.0 * v * d1 * d1)
+    a = np.abs(t)
+    d1 = GAMMA_HALF / sp.gamma(1.0 + 1.0 / p) * np.exp(v * v - a ** p)
+    # p t^{p-1} is 1 at t = 0 for p = 1 (0^0) and 0 for p > 1
+    d2 = (2.0 * np.abs(v) * d1 - p * a ** (p - 1.0)) * d1
+    return _shaped(arr, v, d1, np.where(t < 0, -d2, d2))
 
 
 def psi_p_derivatives(p, t):
     """(psi, psi', psi''); mirror of phi_p_derivatives."""
     p = _check_p(p)
-    t = float(t)
+    arr = np.asarray(t, dtype=float)
+    t = arr.ravel()
+    v = _psi(p, t)
     if np.isinf(p):
-        v = float(sp.erf(t))
-        d1 = 2.0 / math.sqrt(math.pi) * math.exp(-t * t)
-        d2 = -2.0 * t * d1
-        return v, d1, d2
-    a = abs(t)
-    v = _psi_scalar(p, t)
-    d1 = sp.gamma(1.0 + 1.0 / p) / GAMMA_HALF * math.exp(abs(v) ** p - a * a)
-    if abs(v) == 0.0:
-        pow_term = 1.0 if p == 1.0 else 0.0
-    else:
-        pow_term = p * abs(v) ** (p - 1.0)
-    d2 = (pow_term * d1 - 2.0 * a) * d1
-    if t < 0:
-        d2 = -d2
-    return v, d1, d2
+        d1 = 2.0 / math.sqrt(math.pi) * np.exp(-t * t)
+        return _shaped(arr, v, d1, -2.0 * t * d1)
+    a, w = np.abs(t), np.abs(v)
+    d1 = sp.gamma(1.0 + 1.0 / p) / GAMMA_HALF * np.exp(w ** p - a * a)
+    d2 = (p * w ** (p - 1.0) * d1 - 2.0 * a) * d1
+    return _shaped(arr, v, d1, np.where(t < 0, -d2, d2))
 
 
 # ---------------------------------------------------------------------------
-# verified bounds: each check is a sequence of rows (t, value, bound,
+# verified bounds: each check is four arrays of rows (t, value, bound,
 # margin), the margin negative where the value breaks its bound; the verify
 # functions here and the ``transport`` subcommand read the same rows
 
@@ -269,52 +280,51 @@ class BoundReport:
 
 def _box_rows(p, grid):
     """phi' over grid, then psi', in 1/3.1 < d < 3.1 (bound 3.1)."""
-    for derivatives in (phi_p_derivatives, psi_p_derivatives):
-        for t in grid:
-            d = derivatives(p, t)[1]
-            yield (t, d, FIRST_DERIV_BOX,
-                   min(d - 1.0 / FIRST_DERIV_BOX, FIRST_DERIV_BOX - d))
+    d = np.concatenate([phi_p_derivatives(p, grid)[1],
+                        psi_p_derivatives(p, grid)[1]])
+    return (np.concatenate([grid, grid]), d, np.full_like(d, FIRST_DERIV_BOX),
+            np.minimum(d - 1.0 / FIRST_DERIV_BOX, FIRST_DERIV_BOX - d))
 
 
 def _density_rows(p, grid):
     """rho_p over grid in [1/(2e), 1/(2*0.8856)) (bound the upper edge)."""
-    for s in grid:
-        r = rho_p(p, s)
-        yield s, r, DENSITY_HIGH, min(r - DENSITY_LOW,
-                                      DENSITY_HIGH - r - 1e-300)
+    r = rho_p(p, grid)
+    return (grid, r, np.full_like(r, DENSITY_HIGH),
+            np.minimum(r - DENSITY_LOW, DENSITY_HIGH - r - 1e-300))
 
 
 def _second_rows(p, grid, psi=False):
-    """phi'' (psi'' with ``psi``) over grid against its branchwise bound."""
+    """phi'' (psi'' with ``psi``) over grid against its branchwise bound;
+    p = 2 has no bound to check."""
+    if p == 2.0:
+        raise ValueError("p = 2 is the fixed point; bounds are vacuous")
     derivatives, bound = ((psi_p_derivatives, second_derivative_bound_psi)
                           if psi else
                           (phi_p_derivatives, second_derivative_bound_phi))
-    for t in grid:
-        side, bnd = bound(p, t)
-        d2 = derivatives(p, t)[2]
-        yield t, d2, bnd, (bnd - d2) if side == "upper" else (d2 - bnd)
+    side, bnd = bound(p, grid)
+    d2 = derivatives(p, grid)[2]
+    return grid, d2, bnd, (bnd - d2) if side == "upper" else (d2 - bnd)
 
 
 def _mass_rows(p, grid):
     """rho_p(t) (value) against rho_2(phi(t)) phi'(t) (bound), within 1e-9."""
-    for t in grid:
-        v, d1, _ = phi_p_derivatives(p, t)
-        lhs, rhs = rho_p(p, t), rho_p(2, v) * d1
-        yield t, lhs, rhs, 1e-9 - abs(lhs - rhs)
+    v, d1, _ = phi_p_derivatives(p, grid)
+    lhs, rhs = rho_p(p, grid), rho_p(2, v) * d1
+    return grid, lhs, rhs, 1e-9 - np.abs(lhs - rhs)
 
 
 def _worst_margin(rows, what, holds=None):
     """The least margin of ``rows``.  Raises BoundViolationError, t its
     witness, at the first row whose margin is not positive or, with
     ``holds``, whose value fails ``holds``."""
-    worst = np.inf
-    for t, value, bound, margin in rows:
-        worst = min(worst, margin)
-        if not (margin > 0 if holds is None else holds(value)):
-            raise BoundViolationError(
-                f"{what} fails at t={t} (value {value}, bound {bound})",
-                witness=t)
-    return worst
+    t, value, bound, margin = rows
+    ok = margin > 0 if holds is None else holds(value)
+    if not np.all(ok):
+        i = int(np.argmin(ok))
+        raise BoundViolationError(
+            f"{what} fails at t={t[i]} (value {value[i]}, bound {bound[i]})",
+            witness=t[i])
+    return float(np.min(margin, initial=np.inf))
 
 
 def verify_derivative_box(p, grid) -> BoundReport:
@@ -328,14 +338,15 @@ def verify_derivative_box(p, grid) -> BoundReport:
     # the lower density bound is attained (p = 1, s = 1): allow fp equality
     worst = min(_worst_margin(_box_rows(p, grid), "first-derivative box"),
                 _worst_margin(_density_rows(p, density_grid), "density box",
-                              lambda r: (DENSITY_LOW - 1e-14 <= r
-                                         < DENSITY_HIGH)))
+                              lambda r: ((DENSITY_LOW - 1e-14 <= r)
+                                         & (r < DENSITY_HIGH))))
     return BoundReport(p=p, name="derivative-box", npoints=len(grid),
-                       worst_margin=float(worst))
+                       worst_margin=worst)
 
 
 def second_derivative_bound_phi(p, t):
-    """Required bound on phi'' at t in (0, 1/8), by branch of p."""
+    """Required bound on phi'' at t in (0, 1/8), by branch of p: the side
+    and the bound at every element of t."""
     if p < 2:
         return ("upper", -(2.0 - p) / 48.0 * t)
     if p <= 3:
@@ -344,7 +355,7 @@ def second_derivative_bound_phi(p, t):
 
 
 def second_derivative_bound_psi(p, t):
-    """Required bound on psi'' at t in (0, 1/10), by branch of p."""
+    """Required bound on psi'' at t in (0, 1/10); as the phi bound."""
     if p < 2:
         return ("lower", (2.0 - p) / 16.0 * t)
     if p <= 3:
@@ -356,8 +367,6 @@ def verify_second_derivative_bounds(p, grid) -> BoundReport:
     """Branchwise sign bounds on phi'' (grid in (0,1/8)) and psi''
     (restricted to (0,1/10)); p = 2 is excluded (the constants vanish)."""
     p = _check_p(p)
-    if p == 2.0:
-        raise ValueError("p = 2 is the fixed point; bounds are vacuous")
     grid = np.asarray(grid, dtype=float)
     if np.any(grid <= 0) or np.any(grid >= 1.0 / 8):
         raise ValueError("grid must lie in (0, 1/8)")
@@ -365,7 +374,7 @@ def verify_second_derivative_bounds(p, grid) -> BoundReport:
                 _worst_margin(_second_rows(p, grid[grid < 0.1], psi=True),
                               "psi'' bound"))
     return BoundReport(p=p, name="second-derivative", npoints=len(grid),
-                       worst_margin=float(worst))
+                       worst_margin=worst)
 
 
 def p2est_bound(p, nu, tau, t):

@@ -20,7 +20,11 @@ sphere_angle call per pair of atoms, transport marginals by summing the
 flows of a plan, and the volume of the wedge region Xi by Monte-Carlo
 sampling (no LP).  The closed-form CDF and survival function of rho_p
 serve as oracles for the transport maps; they are checked against
-quadrature and the Maclaurin erf themselves.
+quadrature and the Maclaurin erf themselves.  The transport maps, their
+derivatives and the check rows are also evaluated point by point (the
+scalar branches and Newton polishes the library runs over whole arrays,
+with libm's exp and pow), and theta* one subset and one determinant at a
+time.
 """
 
 import itertools
@@ -30,6 +34,8 @@ from fractions import Fraction
 import numpy as np
 from scipy import special as sp
 from scipy.integrate import quad
+
+from isozonoid import transport
 
 
 def erf_series(x, terms=80):
@@ -72,6 +78,193 @@ def sf_rho_p(p, t):
                        0.5 * sp.gammaincc(1.0 / p, np.abs(t) ** p),
                        1.0 - 0.5 * sp.gammaincc(1.0 / p, np.abs(t) ** p))
     return out if out.ndim else float(out)
+
+
+# ---------------------------------------------------------------------------
+# the transport maps point by point: the scalar branches, polishes and rows
+# that isozonoid.transport evaluates over whole arrays.  Constants and the
+# far-tail solves are read from the module at call time, so a monkeypatched
+# constant reaches both paths.
+
+
+def phi_scalar(p, t):
+    """phi_p(t) for one float t, by branch."""
+    if np.isinf(p):
+        if abs(t) >= 1.0:
+            raise ValueError("phi_inf is defined on (-1, 1)")
+        return float(sp.erfinv(t))
+    s, a = math.copysign(1.0, t), abs(t)
+    if a == 0.0:
+        return 0.0
+    x = a ** p
+    alpha = 1.0 / p
+    if x > transport._LOG_SWITCH:
+        return s * transport._erfc_inv_log(
+            transport._log_upper_gamma_q(alpha, x))
+    P = sp.gammainc(alpha, x)
+    if P < transport._UPPER_SWITCH:
+        y = float(sp.erfinv(P))
+    else:
+        y = float(sp.erfcinv(sp.gammaincc(alpha, x)))
+    return s * newton_polish_phi(p, a, y)
+
+
+def newton_polish_phi(p, t, y):
+    # residual in survival form: (1/2)erfc(y) - sf_p(t), derivative -rho_2(y)
+    for _ in range(3):
+        r = 0.5 * sp.erfc(y) - 0.5 * sp.gammaincc(1.0 / p, t ** p)
+        d = math.exp(-y * y) / math.sqrt(math.pi)
+        if d == 0.0:
+            break
+        step = r / d
+        if abs(step) > 0.1 * (1.0 + abs(y)):
+            break
+        y -= step
+        if abs(step) < 1e-15 * (1.0 + abs(y)):
+            break
+    return y
+
+
+def psi_scalar(p, t):
+    """psi_p(t) for one float t, by branch."""
+    if np.isinf(p):
+        return float(sp.erf(t))
+    s, a = math.copysign(1.0, t), abs(t)
+    if a == 0.0:
+        return 0.0
+    alpha = 1.0 / p
+    if a * a > transport._LOG_SWITCH:
+        return s * transport._gamma_q_inv_log(
+            alpha, transport._log_erfc(a)) ** alpha
+    E = sp.erf(a)
+    if E < transport._UPPER_SWITCH:
+        x = float(sp.gammaincinv(alpha, E))
+    else:
+        x = float(sp.gammainccinv(alpha, sp.erfc(a)))
+    return s * newton_polish_psi(p, a, x) ** alpha
+
+
+def newton_polish_psi(p, t, x):
+    alpha = 1.0 / p
+    for _ in range(3):
+        r = 0.5 * sp.gammaincc(alpha, x) - 0.5 * sp.erfc(t)
+        # d/dx Q(alpha, x) = -x^{alpha-1} e^{-x} / Gamma(alpha)
+        logd = (alpha - 1.0) * math.log(x) - x - math.lgamma(alpha)
+        if logd < -700.0:
+            break
+        d = 0.5 * math.exp(logd)
+        step = r / d
+        if abs(step) > 0.5 * x:
+            break
+        x -= step
+        if abs(step) < 1e-15 * x:
+            break
+    return x
+
+
+def phi_derivatives_scalar(p, t):
+    """(phi, phi', phi'') at one float t."""
+    t = float(t)
+    if np.isinf(p):
+        v = phi_scalar(p, t)
+        d1 = transport.GAMMA_HALF * math.exp(v * v)
+        return v, d1, 2.0 * v * d1 * d1
+    a = abs(t)
+    v = phi_scalar(p, t)
+    d1 = (transport.GAMMA_HALF / sp.gamma(1.0 + 1.0 / p)
+          * math.exp(v * v - a ** p))
+    if a == 0.0:
+        pow_term = 1.0 if p == 1.0 else 0.0     # limit of p t^{p-1}
+    else:
+        pow_term = p * a ** (p - 1.0)
+    d2 = (2.0 * abs(v) * d1 - pow_term) * d1
+    return v, d1, -d2 if t < 0 else d2
+
+
+def psi_derivatives_scalar(p, t):
+    """(psi, psi', psi'') at one float t."""
+    t = float(t)
+    if np.isinf(p):
+        d1 = 2.0 / math.sqrt(math.pi) * math.exp(-t * t)
+        return float(sp.erf(t)), d1, -2.0 * t * d1
+    a = abs(t)
+    v = psi_scalar(p, t)
+    d1 = (sp.gamma(1.0 + 1.0 / p) / transport.GAMMA_HALF
+          * math.exp(abs(v) ** p - a * a))
+    if abs(v) == 0.0:
+        pow_term = 1.0 if p == 1.0 else 0.0
+    else:
+        pow_term = p * abs(v) ** (p - 1.0)
+    d2 = (pow_term * d1 - 2.0 * a) * d1
+    return v, d1, -d2 if t < 0 else d2
+
+
+def box_rows_scalar(p, grid):
+    for derivatives in (phi_derivatives_scalar, psi_derivatives_scalar):
+        for t in grid:
+            d = derivatives(p, t)[1]
+            box = transport.FIRST_DERIV_BOX
+            yield t, d, box, min(d - 1.0 / box, box - d)
+
+
+def density_rows_scalar(p, grid):
+    for s in grid:
+        r = transport.rho_p(p, s)
+        yield s, r, transport.DENSITY_HIGH, min(
+            r - transport.DENSITY_LOW, transport.DENSITY_HIGH - r - 1e-300)
+
+
+def second_rows_scalar(p, grid, psi=False):
+    derivatives, bound = (
+        (psi_derivatives_scalar, transport.second_derivative_bound_psi)
+        if psi else
+        (phi_derivatives_scalar, transport.second_derivative_bound_phi))
+    for t in grid:
+        side, bnd = bound(p, t)
+        d2 = derivatives(p, t)[2]
+        yield t, d2, bnd, (bnd - d2) if side == "upper" else (d2 - bnd)
+
+
+def mass_rows_scalar(p, grid):
+    for t in grid:
+        v, d1, _ = phi_derivatives_scalar(p, t)
+        lhs, rhs = transport.rho_p(p, t), transport.rho_p(2, v) * d1
+        yield t, lhs, rhs, 1e-9 - abs(lhs - rhs)
+
+
+def worst_margin_scalar(rows, what, holds=None):
+    """The least margin, or BoundViolationError at the first failing row."""
+    from isozonoid.errors import BoundViolationError
+
+    worst = np.inf
+    for t, value, bound, margin in rows:
+        worst = min(worst, margin)
+        if not (margin > 0 if holds is None else holds(value)):
+            raise BoundViolationError(
+                f"{what} fails at t={t} (value {value}, bound {bound})",
+                witness=t)
+    return worst
+
+
+def theta_star_loop(V, t):
+    """theta* of the rows V at t, one subset at a time: the Cauchy-Binet
+    terms, t_0 and the factor, each minor from its own determinant.  Each
+    (sqrt(t_S)/t_0 - 1)^2 is the rounded product q * q; libm's pow(q, 2)
+    misses that by an ulp on about 1 value in 1,000."""
+    k, n = V.shape
+    scale = np.max(np.abs(V)) + 1e-300
+    dets2 = {}
+    for S in itertools.combinations(range(k), n):
+        d = float(np.linalg.det(V[list(S)]))
+        if abs(d) > 1e-14 * scale:
+            dets2[S] = d * d
+    terms = {S: float(np.prod(t[list(S)]) * d2) for S, d2 in dets2.items()}
+    t0 = math.sqrt(math.fsum(terms.values()))
+    acc = []
+    for S, d2 in dets2.items():
+        q = math.sqrt(float(np.prod(t[list(S)]))) / t0 - 1.0
+        acc.append(d2 * (q * q))
+    return 1.0 + 0.5 * math.fsum(acc), t0, terms
 
 
 def check_marginals(plan, c, d, tol=1e-10):

@@ -115,6 +115,40 @@ def test_theta_star_enumerates_the_minors_once(monkeypatch, rng):
     assert len(calls) == 20
 
 
+def test_theta_star_is_the_scalar_loop_bit_for_bit():
+    # 2,000 seeded systems, n in {2, 3}, k in {2n, 3n}: theta*, t_0 and the
+    # Cauchy-Binet terms equal the subset-by-subset loop of the oracle
+    from oracles import theta_star_loop
+
+    rng = np.random.default_rng(2026)
+    for _ in range(2000):
+        n = int(rng.integers(2, 4))
+        sys_ = random_decomposition_system(n, int(rng.integers(2, 4)), rng)
+        t = np.exp(rng.normal(size=sys_.k))
+        theta, t0, terms = theta_star_loop(sys_.vectors, t)
+        assert theta_star(sys_, t)[0] == theta
+        assert subset_expansion(sys_, t)[1:] == (t0, terms)
+
+
+def _det_shapes(call_log, fn, *args):
+    with call_log(np.linalg, "det") as calls:
+        fn(*args)
+    return [np.shape(a[0]) for _, a in calls]
+
+
+def test_theta_star_takes_every_minor_from_one_stacked_det(call_log, rng):
+    # one det of sum t_i v_i v_i^T and one stacked det of all C(k, n)
+    # minors, whatever k; the subset-by-subset loop fails this count
+    from oracles import theta_star_loop
+
+    for n, nframes in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        sys_ = random_decomposition_system(n, nframes, rng)
+        t = np.exp(rng.normal(size=sys_.k))
+        want = [(n, n), (math.comb(sys_.k, n), n, n)]
+        assert _det_shapes(call_log, theta_star, sys_, t) == want
+        assert _det_shapes(call_log, theta_star_loop, sys_.vectors, t) != want
+
+
 def test_random_frames_are_ortho_group_draws():
     # the inlined QR draw is scipy's ortho_group.rvs, bit for bit
     from scipy.stats import ortho_group

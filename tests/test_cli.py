@@ -328,10 +328,13 @@ def test_verify_reviso_n3(tmp_path, capsys):
         assert row["delta_BM"] == dbm
 
 
-# sha256 of each check's CSV at p = 1.5 on 32 points
+# sha256 of each check's CSV at p = 1.5 on 32 points.  "box" and "second"
+# moved when the rows became array evaluations (numpy's exp and pow round a
+# few values one ulp off libm's); test_transport_csv_is_the_scalar_rows
+# holds them to the point-by-point rows
 TRANSPORT_CSV_SHA256 = {
-    "box": "129a4caae04e937cb1bfa9dc1f6b021f6f0634c217ed214471fc7b859619fb9e",
-    "second": "fe631bcc9f5207c9da8dc32d95e21c0ba76ea3f62aa982003b8606251be17a0d",
+    "box": "9366f7456903632fda4c21e0d1c8406c5434310054f928dd3961dc6c2ecff4f2",
+    "second": "3ec8066dd03b760305ae14d673f7a2ec4b386215ea0ae74c03667d9e096708ba",
     "mass": "4049aa21c1e05a3171e2b16fb06a7a148effd05e4c8a7ce278c15afcc960bfee",
 }
 
@@ -349,6 +352,34 @@ def test_transport_subcommand(tmp_path):
                    "--out", str(out)])
         assert rc == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("check", ["box", "second", "mass"])
+def test_transport_csv_is_the_scalar_rows(check, tmp_path):
+    # the same t column and exit code as the point-by-point rows; values,
+    # bounds and margins within 32 ulp of them (phi'' cancels), and the mass
+    # margin 1e-9 - |value - bound| within 2 ulp of the values
+    from oracles import box_rows_scalar, mass_rows_scalar, second_rows_scalar
+
+    from isozonoid.cli import _transport_grid
+
+    out = tmp_path / "t.csv"
+    for p in (1, 1.5, 2.7, math.inf):
+        rc = main(["transport", "--p", str(p), "--check", check, "--grid",
+                   "32", "--out", str(out)])
+        got = np.loadtxt(out, delimiter=",", skiprows=1)
+        rows = {"box": box_rows_scalar, "second": second_rows_scalar,
+                "mass": mass_rows_scalar}[check](
+                    p, _transport_grid(check, 32, p))
+        want = np.array([[float(x) for x in row] for row in rows])
+        assert rc == (0 if np.all(want[:, 3] > 0) else 1)
+        assert np.array_equal(got[:, 0], want[:, 0])
+        ulp = np.spacing(np.abs(want[:, 1:3]))
+        assert np.all(np.abs(got[:, 1:3] - want[:, 1:3]) <= 32 * ulp)
+        slack = 32 * np.spacing(np.abs(want[:, 3]))
+        if check == "mass":
+            slack = 2 * ulp.max(axis=1)
+        assert np.all(np.abs(got[:, 3] - want[:, 3]) <= slack)
 
 
 def test_transport_subcommand_fails_a_tightened_box(tmp_path, monkeypatch):
@@ -413,6 +444,9 @@ _INPUT_ERRORS = {
                       "--grid must be at least 1"),
     "transport-grid-0": (["transport", "--p", "1.5", "--check", "box",
                           "--grid", "0"], "--grid must be at least 1"),
+    # p = 2 is the fixed point: phi'' is round-off against a bound of 0
+    "transport-second-p2": (["transport", "--p", "2", "--check", "second"],
+                            "p = 2 is the fixed point"),
     # a body file's dim must match its rows
     "dim-mismatch-V": (["volume", "--body", "{sq3}"], '"dim": 2'),
     "dim-mismatch-H": (["volume", "--body", "{nodim}"], '"dim": 2'),
@@ -426,6 +460,13 @@ _INPUT_ERRORS = {
                                   '"atoms" must be a list of objects'),
     "measure-no-atoms": (["distance", "--kind", "wassO", "--measure",
                           "{noatoms}"], 'keys "dim" and "atoms"'),
+    # a value of the wrong JSON type names its field and the type it needs
+    "measure-c-list": (["distance", "--kind", "hausO", "--measure", "{clist}"],
+                       'measure JSON "c" must be a number'),
+    "measure-dim-list": (["distance", "--kind", "hausO", "--measure",
+                          "{dimlist}"], 'measure JSON "dim" must be an integer'),
+    "body-data-objects": (["volume", "--body", "{dictrows}"],
+                          'body JSON "data" must be a list of rows of numbers'),
     # each distance kind reads its own inputs and no others
     "wassO-reads-no-body": (["distance", "--kind", "wassO", "--measure",
                              "{hex}", "--body", "{sq}"],
@@ -455,6 +496,9 @@ def test_input_errors_exit_2_with_one_message(case, hex_json, tmp_path,
             ("rows", [[1, 1], [-1, 1]]),
             ("rowatoms", {"dim": 2, "atoms": [[1, 0]]}),
             ("noatoms", {"dim": 2, "even": True}),
+            ("clist", {"dim": 2, "atoms": [{"u": [1, 0], "c": [1]}]}),
+            ("dimlist", {"dim": [2], "atoms": [{"u": [1, 0], "c": 1}]}),
+            ("dictrows", {"dim": 2, "kind": "V", "data": [{"x": 1}]}),
             ("cube3", cube_body(3).to_json_dict()),
             ("kite", {"dim": 2, "kind": "V",
                       "data": [[2, 0], [0, 1], [-1, 0], [0, -1]]})):
